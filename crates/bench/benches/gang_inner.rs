@@ -21,7 +21,7 @@
 
 use tlat_bench::runner::Runner;
 use tlat_core::{AutomatonKind, HrtConfig};
-use tlat_sim::gang::{gang_simulate_precompiled, gang_simulate_records, GangLane};
+use tlat_sim::gang::{gang_simulate_compiled, gang_simulate_records, GangLane};
 use tlat_sim::{SchemeConfig, SimOptions};
 use tlat_workloads::SyntheticStream;
 
@@ -60,7 +60,7 @@ fn main() {
     group.plan(1, 7);
     let compiled = group.throughput(events).bench("inner_compiled_walk", || {
         let mut lanes = lanes();
-        gang_simulate_precompiled(&mut lanes, &trace, &stream, SimOptions::default()).len()
+        gang_simulate_compiled(&mut lanes, &stream, Some(&trace), SimOptions::default()).len()
     });
     // The once-per-workload compile cost on its own (per conditional,
     // not per lane-event), so regressions in interning show up directly.
@@ -105,7 +105,7 @@ fn main() {
         .throughput(bs_events)
         .bench("inner_bitsliced_walk", || {
             let mut lanes = bs_lanes();
-            gang_simulate_precompiled(&mut lanes, &trace, &stream, SimOptions::default()).len()
+            gang_simulate_compiled(&mut lanes, &stream, Some(&trace), SimOptions::default()).len()
         });
     if bitsliced.median_ns > 0.0 {
         println!(
@@ -144,7 +144,7 @@ fn main() {
     group.plan(1, 7);
     let at_packed = group.throughput(at_events).bench("inner_at_pack_walk", || {
         let mut lanes = at_lanes();
-        gang_simulate_precompiled(&mut lanes, &trace, &stream, SimOptions::default()).len()
+        gang_simulate_compiled(&mut lanes, &stream, Some(&trace), SimOptions::default()).len()
     });
     if at_packed.median_ns > 0.0 {
         println!(

@@ -11,9 +11,7 @@ use crate::config::{SchemeConfig, TrainingData};
 use crate::engine::simulate;
 use crate::error::lock_unpoisoned;
 use crate::faults::Faults;
-use crate::gang::{
-    gang_simulate_isolated_compiled, gang_simulate_isolated_precompiled, GangLane,
-};
+use crate::gang::{gang_simulate_isolated_compiled, GangLane};
 use crate::journal::{self, SweepJournal};
 use crate::metrics::{self, CellOutcome, Counter, Phase};
 use crate::stats::SimResult;
@@ -48,25 +46,6 @@ struct TrainedCache {
     /// `workload` → trained profiling predictor (always trained on the
     /// test trace; lanes take a clone).
     profilers: HashMap<String, Arc<ProfilePredictor>>,
-}
-
-/// Whether a configuration's gang lane consumes only the compiled
-/// event stream — no raw [`BranchRecord`](tlat_trace::BranchRecord)
-/// walk anywhere, including training. These are the lanes the
-/// streaming sweep path ([`gang_simulate_isolated_compiled`]) may
-/// carry; dyn schemes and Diff training (whose training pass reads a
-/// second, record-form trace) need the record path.
-fn lane_streams(config: &SchemeConfig) -> bool {
-    matches!(
-        config,
-        SchemeConfig::TwoLevel(_)
-            | SchemeConfig::LeeSmith(_)
-            | SchemeConfig::StaticTraining {
-                data: TrainingData::Same,
-                ..
-            }
-            | SchemeConfig::Profile
-    )
 }
 
 /// The experiment harness: workloads + shared trace store.
@@ -246,9 +225,9 @@ impl Harness {
     ///
     /// Resilience: each per-workload walk runs panic-isolated on the
     /// pool, each lane is isolated within its walk (see
-    /// [`gang_simulate_isolated`]), failed cells render as `✗` with
-    /// the failure message footnoted, and — when resume is enabled —
-    /// completed cells are journaled crash-safely and replayed instead
+    /// [`gang_simulate_isolated_compiled`]), failed cells render as `✗`
+    /// with the failure message footnoted, and — when resume is enabled
+    /// — completed cells are journaled crash-safely and replayed instead
     /// of recomputed.
     pub fn accuracy_table_on(&self, title: &str, configs: &[SchemeConfig], threads: usize) -> Report {
         let journal = self.sweep_journal(title, configs);
@@ -424,28 +403,22 @@ impl Harness {
                 .on_cell(cell, &format!("{}/{}", configs[ci].label(), workload.name));
             ci
         };
-        // When every missing lane consumes the compiled stream, take
-        // the streaming path: a warm TLA3 cache entry decodes straight
-        // into the stream and the per-branch record vector is never
-        // materialized. Any record-consuming lane (a dyn scheme, or
-        // Diff training, whose training pass walks records) keeps the
-        // record path for the whole column — one walk, one trace form.
-        if missing.iter().all(|&ci| lane_streams(&configs[ci])) {
-            let compiled = match self.store.try_test_compiled(workload) {
-                Ok(compiled) => compiled,
-                Err(e) => return fail_column(&e),
-            };
-            let outcomes = gang_simulate_isolated_compiled(
-                missing.len(),
-                |mi| {
-                    let ci = cell_fault(mi);
-                    self.build_lane_compiled(&configs[ci], workload, &compiled)
-                },
-                &compiled,
-            );
-            return Self::outcome_cells(missing, outcomes);
-        }
-        let test = match self.store.try_test(workload) {
+        // Every lane but a dyn scheme walks the compiled stream alone,
+        // so a warm TLA3 cache entry decodes straight into the stream
+        // and the per-branch record vector is never materialized. Test
+        // records load only for a column with dyn lanes, and before the
+        // stream, so it compiles from the resident records instead of
+        // decoding the cache entry a second time.
+        let dyn_lanes = missing.iter().any(|&ci| {
+            !matches!(
+                configs[ci],
+                SchemeConfig::TwoLevel(_)
+                    | SchemeConfig::LeeSmith(_)
+                    | SchemeConfig::StaticTraining { .. }
+                    | SchemeConfig::Profile
+            )
+        });
+        let test = match dyn_lanes.then(|| self.store.try_test(workload)).transpose() {
             Ok(test) => test,
             Err(e) => return fail_column(&e),
         };
@@ -453,14 +426,14 @@ impl Harness {
             Ok(compiled) => compiled,
             Err(e) => return fail_column(&e),
         };
-        let outcomes = gang_simulate_isolated_precompiled(
+        let outcomes = gang_simulate_isolated_compiled(
             missing.len(),
             |mi| {
                 let ci = cell_fault(mi);
-                self.build_lane(&configs[ci], workload, &test)
+                self.build_lane(&configs[ci], workload, &compiled)
             },
-            &test,
-            Some(&compiled),
+            &compiled,
+            test.as_deref(),
         );
         Self::outcome_cells(missing, outcomes)
     }
@@ -518,13 +491,18 @@ impl Harness {
     /// Builds one gang lane, routing the trained schemes through the
     /// memoized training artifacts (the sequential reference path keeps
     /// retraining per cell, and the byte-identity tests pin the two
-    /// paths together). Returns `None` exactly where
+    /// paths together). Same-data Static Training profiles and the
+    /// profiling bits come from the compiled stream
+    /// ([`TrainingProfile::collect_compiled`],
+    /// [`ProfilePredictor::train_compiled`] — identical to the record
+    /// passes, pinned by tests); Diff training reads the workload's
+    /// training trace. Returns `None` exactly where
     /// [`run_one`](Self::run_one) does.
     fn build_lane(
         &self,
         config: &SchemeConfig,
         workload: &Workload,
-        test: &Arc<Trace>,
+        compiled: &CompiledTrace,
     ) -> Option<GangLane> {
         match config {
             SchemeConfig::StaticTraining {
@@ -533,58 +511,25 @@ impl Harness {
                 data,
             } => {
                 let diff = *data == TrainingData::Diff;
-                let profile = self.training_profile(workload, diff, *history_bits, test)?;
-                let st_config = StaticTrainingConfig {
-                    history_bits: *history_bits,
-                    hrt: *hrt,
-                    data: data.label().to_owned(),
-                };
-                Some(GangLane::StaticTraining(StaticTraining::with_profile(
-                    st_config, &profile,
-                )))
-            }
-            SchemeConfig::Profile => {
-                let profiler = self.profiler(workload, test);
-                Some(GangLane::Profile((*profiler).clone()))
-            }
-            // Every remaining scheme trains nothing, so no training
-            // trace is needed here.
-            other => Some(GangLane::from_config(other, None)),
-        }
-    }
-
-    /// [`build_lane`](Self::build_lane) for the streaming path: the
-    /// trained schemes collect their artifacts from the compiled
-    /// stream ([`TrainingProfile::collect_compiled`],
-    /// [`ProfilePredictor::train_compiled`] — identical to the record
-    /// passes, pinned by tests) through the same memo maps, so a
-    /// record-path sweep over the same workload reuses them and vice
-    /// versa. Callers gate on [`lane_streams`]; only streamable
-    /// configurations reach here.
-    fn build_lane_compiled(
-        &self,
-        config: &SchemeConfig,
-        workload: &Workload,
-        compiled: &Arc<CompiledTrace>,
-    ) -> Option<GangLane> {
-        match config {
-            SchemeConfig::StaticTraining {
-                history_bits,
-                hrt,
-                data: data @ TrainingData::Same,
-            } => {
-                let key = (workload.name.to_owned(), false, *history_bits);
+                let key = (workload.name.to_owned(), diff, *history_bits);
                 let memoized = lock_unpoisoned(&self.trained).profiles.get(&key).map(Arc::clone);
-                let profile = memoized.unwrap_or_else(|| {
-                    // Collected outside the lock so concurrent
-                    // workloads don't serialize; a racing duplicate
-                    // computes the same pure function and the entry
-                    // API keeps the first insertion.
-                    let profile =
-                        Arc::new(TrainingProfile::collect_compiled(compiled, *history_bits));
-                    let mut cache = lock_unpoisoned(&self.trained);
-                    Arc::clone(cache.profiles.entry(key).or_insert(profile))
-                });
+                let profile = match memoized {
+                    Some(profile) => profile,
+                    None => {
+                        // Collected outside the lock so concurrent
+                        // workloads don't serialize; a racing duplicate
+                        // computes the same pure function and the entry
+                        // API keeps the first insertion.
+                        let profile = Arc::new(if diff {
+                            let train = self.store.train(workload)?;
+                            TrainingProfile::collect(&train, *history_bits)
+                        } else {
+                            TrainingProfile::collect_compiled(compiled, *history_bits)
+                        });
+                        let mut cache = lock_unpoisoned(&self.trained);
+                        Arc::clone(cache.profiles.entry(key).or_insert(profile))
+                    }
+                };
                 let st_config = StaticTrainingConfig {
                     history_bits: *history_bits,
                     hrt: *hrt,
@@ -611,51 +556,9 @@ impl Harness {
                 });
                 Some(GangLane::Profile((*profiler).clone()))
             }
-            // The remaining streamable schemes (AT, LS) train nothing.
+            // Every remaining scheme trains nothing.
             other => Some(GangLane::from_config(other, None)),
         }
-    }
-
-    /// The memoized Static Training profile for a workload. `None` when
-    /// Diff training is requested and the workload has no training set.
-    fn training_profile(
-        &self,
-        workload: &Workload,
-        diff: bool,
-        history_bits: u8,
-        test: &Arc<Trace>,
-    ) -> Option<Arc<TrainingProfile>> {
-        let key = (workload.name.to_owned(), diff, history_bits);
-        if let Some(p) = lock_unpoisoned(&self.trained).profiles.get(&key) {
-            return Some(Arc::clone(p));
-        }
-        let trace: Arc<Trace> = if diff {
-            self.store.train(workload)?
-        } else {
-            Arc::clone(test)
-        };
-        // Collected outside the lock so concurrent workloads don't
-        // serialize; a racing duplicate computes the same pure function
-        // and the entry API keeps the first insertion.
-        let profile = Arc::new(TrainingProfile::collect(&trace, history_bits));
-        let mut cache = lock_unpoisoned(&self.trained);
-        Some(Arc::clone(cache.profiles.entry(key).or_insert(profile)))
-    }
-
-    /// The memoized profiling predictor for a workload (trained on its
-    /// test trace, as in the paper).
-    fn profiler(&self, workload: &Workload, test: &Arc<Trace>) -> Arc<ProfilePredictor> {
-        if let Some(p) = lock_unpoisoned(&self.trained).profilers.get(workload.name) {
-            return Arc::clone(p);
-        }
-        let trained = Arc::new(ProfilePredictor::train(test));
-        let mut cache = lock_unpoisoned(&self.trained);
-        Arc::clone(
-            cache
-                .profilers
-                .entry(workload.name.to_owned())
-                .or_insert(trained),
-        )
     }
 
     /// The sequential reference path for

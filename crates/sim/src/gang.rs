@@ -15,13 +15,12 @@
 //!   [`GangLane`], so their per-branch predict/update is a direct
 //!   (inlinable) call; everything else takes the boxed dyn fallback
 //!   lane.
-//! * **Stream compilation** — when monomorphized lanes are present,
-//!   the trace is lowered once per walk into a site-interned SoA event
-//!   stream ([`CompiledTrace`]) and every lane's table coordinates are
-//!   resolved per static site up front ([`SiteResolver`]), so the hot
-//!   loop does no per-branch set/tag/hash arithmetic and touches ~5
-//!   bytes per event instead of a 16-byte record (see DESIGN.md's
-//!   "Hot-loop anatomy").
+//! * **Stream compilation** — monomorphized lanes are fed from a
+//!   site-interned SoA event stream ([`CompiledTrace`]), compiled once
+//!   per workload, and every lane's table coordinates are resolved per
+//!   static site up front ([`SiteResolver`]), so the hot loop does no
+//!   per-branch set/tag/hash arithmetic and touches ~5 bytes per event
+//!   instead of a 16-byte record (see DESIGN.md's "Hot-loop anatomy").
 //! * **Shared probe engines** — associative lanes with the same table
 //!   geometry see identical tag/LRU decision sequences, so one
 //!   payload-free [`SlotProbe`] per geometry (built only when two or
@@ -40,16 +39,15 @@
 //!   drives every lane's masked row index, and the variant ×
 //!   history-length grid of a fig10 sweep collapses into a handful
 //!   of packs. Both flavors share the slot drivers: ideal, hashed,
-//!   and scalar-free associative packs skip the per-event loop
-//!   entirely and replay the stream in `(site, outcome)` runs; packs
-//!   riding a mixed gang's shared probe engine adapt to the stream
-//!   shape — on loop-heavy streams the event loop just logs each
-//!   probe's slot (the way scan stays paid once for the whole gang)
-//!   and the pack replays the log in `(slot, outcome)` runs
-//!   afterwards, while on churny streams it takes one branchless
-//!   plane step per event in-loop. In every run-replayed walk a loop
-//!   branch's same-outcome tail applies in O(1) once every history
-//!   register saturates and every automaton sits at its fixed point.
+//!   and private associative packs skip the per-event loop entirely
+//!   and replay the stream in `(site, outcome)` runs; packs riding a
+//!   mixed gang's shared probe engine either log each probe's slot
+//!   (loop-heavy streams; the pack replays the log in `(slot,
+//!   outcome)` runs afterwards) or take one branchless plane step per
+//!   event in-loop (churny streams). In every run-replayed walk a
+//!   loop branch's same-outcome tail applies in O(1) once every
+//!   history register saturates and every automaton sits at its
+//!   fixed point.
 //! * **Closed-form profile scoring** — a profile lane's frozen
 //!   per-site bits never change during a walk, so its score is a
 //!   weighted sum over the compiled stream's per-site taken counts:
@@ -59,21 +57,24 @@
 //!   the trace, never on the direction predictor, so the gang simulates
 //!   the RAS once and stamps the same stats into every lane's result.
 //!
-//! Results are bit-identical to driving [`crate::simulate_with`] once
-//! per predictor: each lane observes exactly the same predict/update
-//! sequence it would alone.
+//! A compiled walk is decided before it runs: `plan` turns the lanes
+//! and the stream's shape into a `WalkPlan` value — each lane's path,
+//! the shared engines, and each pack's lanes and slot driver — and one
+//! executor runs any such plan. Results are bit-identical to driving
+//! [`crate::simulate_with`] once per predictor, and to the reference
+//! record walk [`gang_simulate_records`], under every plan: each lane
+//! observes exactly the same predict/update sequence it would alone.
 
 use crate::config::SchemeConfig;
 use crate::engine::SimOptions;
 use crate::metrics::{self, Counter, Phase};
-use crate::stats::{PredictionStats, SimResult};
 use crate::pool::{catch_cell, CellPanic};
+use crate::stats::{PredictionStats, SimResult};
 use std::collections::HashMap;
-use std::sync::Arc;
 use tlat_core::{
-    AtLaneConfig, AtPack, AutomatonKind, HrtConfig, HrtStats, LanePack, LeeSmithBtb, Predictor,
-    ProbeOutcome, ProfilePredictor, SiteKeys, SiteResolver, SlotProbe, StaticTraining,
-    StaticTrainingConfig, TwoLevelAdaptive,
+    AtPack, HrtConfig, HrtStats, LanePack, LeeSmithBtb, Predictor, Probe, ProbeOutcome,
+    ProfilePredictor, SiteKeys, SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig,
+    TwoLevelAdaptive,
 };
 use tlat_trace::{
     BranchClass, BranchRecord, CompiledTrace, RasEvent, ReturnAddressStack, SiteId, Trace,
@@ -177,774 +178,534 @@ impl GangLane {
             GangLane::Profile(_) | GangLane::Dyn(_) => None,
         }
     }
-}
 
-/// Simulates every lane over `trace` in a single walk, with default
-/// options. Returns one [`SimResult`] per lane, in lane order.
-pub fn gang_simulate(lanes: &mut [GangLane], trace: &Trace) -> Vec<SimResult> {
-    gang_simulate_with(lanes, trace, SimOptions::default())
+    /// Folds the access statistics of the probing done on this lane's
+    /// behalf (a shared engine or a pack's slot driver) into its table.
+    fn adopt_probe_stats(&mut self, stats: HrtStats) {
+        match self {
+            GangLane::TwoLevel(p) => p.adopt_probe_stats(stats),
+            GangLane::LeeSmith(p) => p.adopt_probe_stats(stats),
+            GangLane::StaticTraining(p) => p.adopt_probe_stats(stats),
+            GangLane::Profile(_) | GangLane::Dyn(_) => unreachable!("only table lanes probe"),
+        }
+    }
 }
 
 /// Lanes per bitsliced pack: one bit of each `u64` plane.
 const PACK_WIDTH: usize = 64;
 
-/// Mean same-site run length (in events) from which a mixed gang's
-/// shared packs switch from stepping inside the per-event loop to
-/// replaying a logged slot stream in run chunks. Below it, runs are
-/// too short for chunking to amortize the log's write-and-rescan.
+/// Mean same-site run length (in events) from which a stream counts
+/// as loop-heavy: a mixed gang's shared packs then switch from
+/// stepping inside the per-event loop to replaying a logged slot
+/// stream in run chunks, and every packable Two-Level lane packs.
+/// Below it, runs are too short for chunking to amortize the log's
+/// write-and-rescan.
 const LOG_REPLAY_MIN_RUN: usize = 3;
 
-/// How many of a geometry's `count` Lee & Smith lanes go into bitsliced
+/// How many of a pack group's `count` candidate lanes go into bitsliced
 /// packs (the rest take the scalar site/slot path).
 ///
-/// A single lane gains nothing from plane form, so geometries need at
-/// least two LS lanes to pack at all, and when chunking by
+/// A single lane gains nothing from plane form, so groups need at
+/// least two lanes to pack at all, and when chunking by
 /// [`PACK_WIDTH`] would strand exactly one lane in the final chunk,
 /// that straggler stays scalar instead of becoming a one-lane pack.
 fn packed_quota(count: usize) -> usize {
-    if count < 2 {
-        0
-    } else if count % PACK_WIDTH == 1 {
-        count - 1
-    } else {
-        count
+    match count {
+        0 | 1 => 0,
+        n if n % PACK_WIDTH == 1 => n - 1,
+        n => n,
     }
 }
 
-/// The slot driver of one bitsliced pack: yields the slot every
-/// lane's planes are indexed by, mirroring the per-organization
-/// bookkeeping of [`tlat_core::AnyHrt`] exactly (statistics
-/// included), so folding the driver's [`HrtStats`] back into each
-/// packed lane reproduces what per-lane probing would have counted.
-enum PackProbe {
-    /// Ideal table: slot = site (both are first-appearance order); a
-    /// fresh site is exactly the next slot to grow.
-    Ideal { next_site: SiteId, stats: HrtStats },
-    /// Set-associative geometry in a mixed gang: the pack rides the
-    /// geometry's shared per-event [`SlotProbe`] (index into the
-    /// engine list) — the way scan is paid once for scalar slot-path
-    /// lanes and the pack together. The stepping strategy adapts to
-    /// the stream: on loop-heavy streams (mean same-site run ≥
-    /// [`LOG_REPLAY_MIN_RUN`]) the event loop only logs the engine's
-    /// slot decisions and the pack replays the log afterwards in
-    /// (slot, outcome) runs, collapsing a loop branch's same-outcome
-    /// tail to O(1); on churny streams the pack takes one branchless
-    /// plane step per event in-loop, where a log would only be
-    /// rescanned in runs of length one.
-    Shared(usize),
-    /// Set-associative geometry in a gang with no scalar per-event
-    /// consumers: a pack-owned probe engine advanced one real probe
-    /// per same-site run plus a fast-forward for the guaranteed
-    /// re-hits ([`SlotProbe::step_run`]). Tag/LRU state is a
-    /// deterministic function of the access sequence, so the private
-    /// engine's decisions and statistics are byte-identical to a
-    /// shared engine's.
-    Private(SlotProbe),
-    /// Tagless hashed table: slot precomputed per site, every access
-    /// hits.
-    Hashed { keys: Arc<SiteKeys>, stats: HrtStats },
+/// How one lane rides a compiled walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LanePath {
+    /// Scalar, probing its own table through site-resolved keys.
+    Site,
+    /// Scalar, replaying shared engine `e`'s probe decisions.
+    Slot(usize),
+    /// A member of pack `p`.
+    Packed(usize),
+    /// A profile lane, scored in closed form from per-site tallies.
+    Profile,
+    /// A dyn lane, fed the raw record stream.
+    Dyn,
 }
 
-/// One bitsliced pack: up to [`PACK_WIDTH`] same-geometry Lee & Smith
-/// lanes as two `u64` planes per slot, plus the geometry's slot driver
-/// and the lanes to fold results back into.
-struct LsPack<'a> {
-    planes: LanePack,
-    probe: PackProbe,
-    lanes: Vec<(&'a mut LeeSmithBtb, &'a mut PredictionStats)>,
+/// The bitsliced pack flavors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Flavor {
+    /// Lee & Smith lanes on a [`LanePack`].
+    LeeSmith,
+    /// Two-Level lanes on an [`AtPack`].
+    TwoLevel,
 }
 
-/// One bitsliced Two-Level pack: up to [`PACK_WIDTH`] AT lanes with
-/// the same [`HrtConfig`] riding pattern-table row planes over a
-/// shared per-slot history walk ([`tlat_core::AtPack`]), plus the
-/// organization's slot driver and the lanes to fold results back
-/// into. Lanes may mix automaton variants, history lengths, §3.2
-/// caching, and init polarity — only the HRT organization (slot
-/// discipline) must match, plus the packability gate of
-/// [`tlat_core::TwoLevelConfig::pack_lane`].
-struct AtGangPack<'a> {
-    planes: AtPack,
-    probe: PackProbe,
-    lanes: Vec<(&'a mut TwoLevelAdaptive, &'a mut PredictionStats)>,
+/// Where a pack's slot sequence comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotDriver {
+    /// Ideal table: slot = site, a site's first run fills its slot.
+    Ideal,
+    /// Hashed table: per-site slots, every access hits.
+    Hashed,
+    /// Associative table: a pack-owned engine, advanced one real probe
+    /// per same-site run.
+    Private,
+    /// Associative table: shared engine `e`, one plane step per event
+    /// inside the per-event loop.
+    Stepped(usize),
+    /// Associative table: shared engine `e`, whose probes the
+    /// per-event loop logs for the pack to replay in runs afterwards.
+    Logged(usize),
 }
 
-/// The slot discipline shared by both plane-pack flavors, so the
-/// run-replay drivers below are written once: a pack re-initializes a
-/// slot on a fill, grows one on ideal-table growth, and applies
-/// same-outcome runs in O(1) past its convergence depth.
-trait RunPack {
-    fn fill_slot(&mut self, slot: usize);
-    fn push_slot(&mut self) -> usize;
-    fn apply_run(&mut self, slot: usize, taken: bool, n: u64);
+/// One bitsliced pack of a [`WalkPlan`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PackPlan {
+    flavor: Flavor,
+    /// The organization every member's table shares.
+    hrt: HrtConfig,
+    /// Member lane indices, ascending; at most [`PACK_WIDTH`].
+    lanes: Vec<usize>,
+    driver: SlotDriver,
 }
 
-impl RunPack for LanePack {
-    fn fill_slot(&mut self, slot: usize) {
-        LanePack::fill_slot(self, slot);
-    }
-    fn push_slot(&mut self) -> usize {
-        LanePack::push_slot(self)
-    }
-    fn apply_run(&mut self, slot: usize, taken: bool, n: u64) {
-        LanePack::apply_run(self, slot, taken, n);
-    }
+/// Everything a compiled walk decides before it runs. Engines and
+/// packs are numbered in order of their first lane.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct WalkPlan {
+    /// Each lane's path, in lane order.
+    lanes: Vec<LanePath>,
+    /// The geometry of each shared [`SlotProbe`].
+    engines: Vec<HrtConfig>,
+    packs: Vec<PackPlan>,
 }
 
-impl RunPack for AtPack {
-    fn fill_slot(&mut self, slot: usize) {
-        AtPack::fill_slot(self, slot);
-    }
-    fn push_slot(&mut self) -> usize {
-        AtPack::push_slot(self)
-    }
-    fn apply_run(&mut self, slot: usize, taken: bool, n: u64) {
-        AtPack::apply_run(self, slot, taken, n);
-    }
-}
-
-/// Replays the whole compiled stream into one non-shared pack in
-/// `(site, outcome)` runs, off to the side of the per-event loop. A
-/// run of r accesses to one site costs one real probe plus O(1)
-/// fast-forward bookkeeping, and within it each same-outcome run
-/// beyond the pack's convergence depth is a single shared
-/// correct-count — every history register saturates and every
-/// automaton sits at its fixed point by then (asserted when the
-/// transition tables are derived).
-fn replay_site_runs<P: RunPack>(planes: &mut P, probe: &mut PackProbe, compiled: &CompiledTrace) {
-    let sites = compiled.cond_sites();
-    let outcomes = compiled.outcomes();
-    let mut i = 0;
-    while i < sites.len() {
-        let site = sites[i];
-        let mut j = i + 1;
-        while j < sites.len() && sites[j] == site {
-            j += 1;
-        }
-        let slot = match probe {
-            PackProbe::Private(engine) => {
-                let probe = engine.step_run(site, (j - i) as u64);
-                if probe.outcome == ProbeOutcome::Filled {
-                    planes.fill_slot(probe.slot as usize);
-                }
-                probe.slot as usize
+/// Decides how `lanes` ride a walk over a stream of the given shape.
+///
+/// * **Packing.** LS lanes sharing an exact organization, and packable
+///   Two-Level lanes ([`tlat_core::TwoLevelConfig::pack_lane`]), group
+///   per flavor and organization and chunk [`PACK_WIDTH`] per pack in
+///   lane order, down to [`packed_quota`]'s strand rule. An AT pack's
+///   row arithmetic amortizes over lanes sharing a history *mask*:
+///   every distinct history length adds its own row visit per event,
+///   sixteen bytes of plane where the scalar fused cycle touches one.
+///   So on a churny stream an AT lane is a candidate only beside a
+///   mask-group partner; on a loop-heavy stream every packable AT lane
+///   packs, down to a lone one, because the pack leaves the per-event
+///   loop and collapses a same-outcome run to at most `history_bits +
+///   3` plane steps where scalar lanes pay every event.
+/// * **Sharing.** Beside scalar per-event consumers, every associative
+///   organization probed by two or more lanes gets a shared engine, and
+///   every lane on it rides it: unpacked lanes replay its slot
+///   decisions, packs step off it in-loop on churny streams and log its
+///   probes on loop-heavy ones. Without scalar consumers there is no
+///   per-event loop to ride, and associative packs probe privately.
+fn plan(lanes: &[GangLane], loop_heavy: bool) -> WalkPlan {
+    // The pack group each lane could join, with a Two-Level lane's
+    // history length: its mask group.
+    let keys: Vec<Option<(Flavor, HrtConfig, Option<u8>)>> = lanes
+        .iter()
+        .map(|lane| match lane {
+            GangLane::LeeSmith(p) => Some((Flavor::LeeSmith, p.config().hrt, None)),
+            GangLane::TwoLevel(p) => {
+                let bits = p.config().pack_lane()?.history_bits;
+                Some((Flavor::TwoLevel, p.config().hrt, Some(bits)))
             }
-            PackProbe::Ideal { next_site, stats } => {
-                stats.accesses += (j - i) as u64;
-                if site == *next_site {
-                    stats.misses += 1;
-                    *next_site += 1;
-                    planes.push_slot();
-                }
-                site as usize
-            }
-            PackProbe::Hashed { keys, stats } => {
-                stats.accesses += (j - i) as u64;
-                let SiteKeys::Hashed { slot } = &**keys else {
-                    unreachable!("hashed packs resolve hashed keys")
-                };
-                slot[site as usize] as usize
-            }
-            PackProbe::Shared(_) => unreachable!("shared packs replay their slot log"),
+            _ => None,
+        })
+        .collect();
+    let mut groups: HashMap<(Flavor, HrtConfig), Vec<usize>> = HashMap::new();
+    for (i, key) in keys.iter().enumerate() {
+        let Some((flavor, hrt, mask)) = *key else {
+            continue;
         };
-        let mut k = i;
-        while k < j {
-            let taken = outcomes.get(k);
-            let run = outcomes.run_len(k, j);
-            planes.apply_run(slot, taken, run as u64);
-            k += run;
+        if mask.is_none() || loop_heavy || keys.iter().filter(|&other| other == key).count() >= 2 {
+            groups.entry((flavor, hrt)).or_default().push(i);
         }
-        i = j;
+    }
+    for ((flavor, _), members) in &mut groups {
+        if *flavor == Flavor::LeeSmith || !loop_heavy {
+            members.truncate(packed_quota(members.len()));
+        }
+    }
+    // Scalar per-event consumers remain exactly when some table lane
+    // went unpacked.
+    let table_lanes: Vec<HrtConfig> = lanes.iter().filter_map(GangLane::hrt_config).collect();
+    let packed: usize = groups.values().map(Vec::len).sum();
+    let mut engines: Vec<HrtConfig> = Vec::new();
+    if table_lanes.len() > packed {
+        for &hrt in &table_lanes {
+            let shared = table_lanes.iter().filter(|&&other| other == hrt).count() >= 2;
+            if shared && matches!(hrt, HrtConfig::Associative { .. }) && !engines.contains(&hrt) {
+                engines.push(hrt);
+            }
+        }
+    }
+    let engine = |hrt: HrtConfig| engines.iter().position(|&shared| shared == hrt);
+    let mut packs: Vec<PackPlan> = Vec::new();
+    for ((flavor, hrt), members) in groups {
+        let driver = match (hrt, engine(hrt)) {
+            (HrtConfig::Ideal, _) => SlotDriver::Ideal,
+            (HrtConfig::Hashed { .. }, _) => SlotDriver::Hashed,
+            (_, None) => SlotDriver::Private,
+            (_, Some(e)) if loop_heavy => SlotDriver::Logged(e),
+            (_, Some(e)) => SlotDriver::Stepped(e),
+        };
+        for chunk in members.chunks(PACK_WIDTH) {
+            packs.push(PackPlan {
+                flavor,
+                hrt,
+                lanes: chunk.to_vec(),
+                driver,
+            });
+        }
+    }
+    packs.sort_by_key(|pack| pack.lanes[0]);
+    let mut paths: Vec<LanePath> = lanes
+        .iter()
+        .map(|lane| match (lane, lane.hrt_config().and_then(engine)) {
+            (GangLane::Profile(_), _) => LanePath::Profile,
+            (GangLane::Dyn(_), _) => LanePath::Dyn,
+            (_, Some(e)) => LanePath::Slot(e),
+            (_, None) => LanePath::Site,
+        })
+        .collect();
+    for (p, pack) in packs.iter().enumerate() {
+        for &i in &pack.lanes {
+            paths[i] = LanePath::Packed(p);
+        }
+    }
+    WalkPlan {
+        lanes: paths,
+        engines,
+        packs,
     }
 }
 
-/// Replays a shared engine's logged slot decisions into one pack on a
-/// loop-heavy stream, with the probing already paid: equal log words
-/// group into runs — a filled way is valid by its next probe, so a
-/// fill flag can't repeat within one — and the fill applies once, up
-/// front.
-fn replay_slot_log<P: RunPack>(planes: &mut P, log: &[u32], compiled: &CompiledTrace) {
+/// The plane operations both pack flavors share, so assembly, the
+/// slot drivers, run replay and fold-back are written once: a pack
+/// re-initializes a slot on a fill, steps a slot per event, applies
+/// same-outcome runs in O(1) past its convergence depth, and reports
+/// its per-lane correct counts (every pack predicts every event once).
+trait RunPack: Sized {
+    /// Planes for `members` of `lanes` (all of this pack's flavor) over
+    /// `slots` table slots.
+    fn assemble(lanes: &[GangLane], members: &[usize], slots: usize) -> Self;
+    fn fill_slot(&mut self, slot: usize);
+    fn step(&mut self, slot: usize, taken: bool) -> u64;
+    fn apply_run(&mut self, slot: usize, taken: bool, n: u64);
+    fn correct_counts(&mut self) -> Vec<u64>;
+}
+
+/// Implements [`RunPack`] for a plane type through its same-named
+/// inherent methods, building it from each `GangLane::$lane` member's
+/// `$spec`.
+macro_rules! run_pack {
+    ($planes:ident, $lane:ident, $spec:expr) => {
+        impl RunPack for $planes {
+            fn assemble(lanes: &[GangLane], members: &[usize], slots: usize) -> Self {
+                let specs: Vec<_> = members
+                    .iter()
+                    .map(|&i| match &lanes[i] {
+                        GangLane::$lane(p) => $spec(p),
+                        _ => unreachable!("a pack carries one lane kind"),
+                    })
+                    .collect();
+                $planes::new(&specs, slots)
+            }
+            fn fill_slot(&mut self, slot: usize) {
+                $planes::fill_slot(self, slot);
+            }
+            fn step(&mut self, slot: usize, taken: bool) -> u64 {
+                $planes::step(self, slot, taken)
+            }
+            fn apply_run(&mut self, slot: usize, taken: bool, n: u64) {
+                $planes::apply_run(self, slot, taken, n);
+            }
+            fn correct_counts(&mut self) -> Vec<u64> {
+                $planes::correct_counts(self)
+            }
+        }
+    };
+}
+
+run_pack!(LanePack, LeeSmith, |p: &LeeSmithBtb| p.config().automaton);
+run_pack!(AtPack, TwoLevel, |p: &TwoLevelAdaptive| {
+    p.config().pack_lane().expect("only packable lanes pack")
+});
+
+/// Builds the planes of every `flavor` pack in `plan`. Ideal planes
+/// hold a slot per site (a site's first run fills it, which is what
+/// growing the table would do); the others are sized to the table.
+fn assemble<'p, P: RunPack>(
+    plan: &'p WalkPlan,
+    flavor: Flavor,
+    lanes: &[GangLane],
+    compiled: &CompiledTrace,
+) -> Vec<(P, &'p PackPlan)> {
+    plan.packs
+        .iter()
+        .filter(|pack| pack.flavor == flavor)
+        .map(|pack| {
+            let slots = match pack.hrt {
+                HrtConfig::Ideal => compiled.num_sites(),
+                HrtConfig::Associative { entries, .. } | HrtConfig::Hashed { entries } => entries,
+            };
+            (P::assemble(lanes, &pack.lanes, slots), pack)
+        })
+        .collect()
+}
+
+/// Advances a shared engine by one event, logging the probe when a pack
+/// replays it afterwards. Kept out of line on purpose: with the way
+/// scan inlined into the per-event loop, the scalar slot lanes beside
+/// it ran ~25 % slower (fig7's four Two-Level slot lanes, 500 k
+/// branches per trace).
+#[inline(never)]
+fn probe(engine: &mut SlotProbe, log: &mut Option<Vec<Probe>>, site: SiteId) -> Probe {
+    let probe = engine.step(site);
+    if let Some(log) = log {
+        log.push(probe);
+    }
+    probe
+}
+
+/// One in-loop event for every stepped pack: a branchless plane step
+/// off the probe its shared engine just made.
+#[inline]
+fn step_packs<P: RunPack>(packs: &mut [(P, &PackPlan)], probes: &[Probe], taken: bool) {
+    for (planes, pack) in packs {
+        if let SlotDriver::Stepped(e) = pack.driver {
+            let probe = probes[e];
+            if probe.outcome == ProbeOutcome::Filled {
+                planes.fill_slot(probe.slot as usize);
+            }
+            planes.step(probe.slot as usize, taken);
+        }
+    }
+}
+
+/// Replays the stream into one pack, off to the side of the per-event
+/// loop, in runs of equal `keys` (one key per event): `resolve` maps a
+/// run's key and length to its slot and whether the slot fills first.
+/// Within a run each same-outcome stretch beyond the pack's
+/// convergence depth is a single shared correct-count — every history
+/// register saturates and every automaton sits at its fixed point by
+/// then (asserted when the transition tables are derived).
+fn replay_runs<P: RunPack, K: Copy + PartialEq>(
+    planes: &mut P,
+    compiled: &CompiledTrace,
+    keys: &[K],
+    mut resolve: impl FnMut(K, u64) -> (usize, bool),
+) {
     let outcomes = compiled.outcomes();
     let mut i = 0;
-    while i < log.len() {
-        let v = log[i];
-        let mut j = i + 1;
-        while j < log.len() && log[j] == v {
-            j += 1;
-        }
-        let slot = (v & 0xffff) as usize;
-        if v >> 16 != 0 {
-            debug_assert_eq!(j - i, 1, "a filled way is valid on its next probe");
+    for run in keys.chunk_by(|a, b| a == b) {
+        let j = i + run.len();
+        let (slot, filled) = resolve(run[0], run.len() as u64);
+        if filled {
             planes.fill_slot(slot);
         }
-        let mut k = i;
-        while k < j {
-            let taken = outcomes.get(k);
-            let run = outcomes.run_len(k, j);
-            planes.apply_run(slot, taken, run as u64);
-            k += run;
+        while i < j {
+            let taken = outcomes.get(i);
+            let same = outcomes.run_len(i, j);
+            planes.apply_run(slot, taken, same as u64);
+            i += same;
         }
-        i = j;
     }
 }
 
-/// Simulates every lane over `trace` in a single walk.
-///
-/// Each conditional branch runs the predict → score → update cycle for
-/// every lane before the walk advances; returns and calls drive one
-/// shared return-address stack whose stats are replicated into every
-/// result (RAS behaviour is predictor-independent).
-///
-/// When any monomorphized lane is present the walk runs over a
-/// *compiled* event stream: the trace is lowered once per walk into
-/// site-interned SoA form ([`CompiledTrace`]), every [`SiteId`]'s table
-/// coordinates are resolved once per geometry ([`SiteResolver`]), and
-/// the hot loop feeds lanes through
-/// [`TwoLevelAdaptive::predict_update_site`] /
-/// [`LeeSmithBtb::predict_update_site`] — no per-branch set/tag/hash
-/// arithmetic, 5 bytes of stream per event instead of a 16-byte
-/// record. Dyn lanes still consume raw records. Results are
-/// bit-identical to [`gang_simulate_records`], which is pinned by
-/// tests and kept as the reference walk.
-///
-/// [`SiteId`]: tlat_trace::SiteId
-pub fn gang_simulate_with(
-    lanes: &mut [GangLane],
-    trace: &Trace,
-    options: SimOptions,
-) -> Vec<SimResult> {
-    let any_compiled = lanes
-        .iter()
-        .any(|lane| !matches!(lane, GangLane::Dyn(_)));
-    if !any_compiled {
-        return gang_simulate_records(lanes, trace, options);
-    }
-    let compiled = {
-        let _span = metrics::span(Phase::StreamCompile);
-        CompiledTrace::compile(trace)
-    };
-    metrics::add(Counter::SitesInterned, compiled.num_sites() as u64);
-    gang_simulate_precompiled(lanes, trace, &compiled, options)
-}
-
-/// [`gang_simulate_with`] over an already-compiled event stream.
-///
-/// `compiled` must be the compilation of `trace` (the harness memoizes
-/// one per workload, so repeated sweeps over the same workload skip the
-/// compile pass entirely). Dyn-only gangs still take the record walk.
-pub fn gang_simulate_precompiled(
-    lanes: &mut [GangLane],
-    trace: &Trace,
+/// Completes every pack of one flavor: replays the packs that left
+/// the per-event loop, then folds each lane's counts and the driver's
+/// [`HrtStats`] back by lane index. A packed lane's own table payload
+/// goes stale (the pack owns it for the walk, as on the slot path);
+/// only predicted/correct and the adopted statistics are observable.
+fn finish_packs<P: RunPack>(
+    packs: Vec<(P, &PackPlan)>,
+    engines: &[(SlotProbe, Option<Vec<Probe>>)],
+    resolver: &mut SiteResolver,
     compiled: &CompiledTrace,
-    options: SimOptions,
-) -> Vec<SimResult> {
-    gang_simulate_compiled(lanes, compiled, Some(trace), options)
+    lanes: &mut [GangLane],
+    stats: &mut [PredictionStats],
+) {
+    for (mut planes, pack) in packs {
+        let probe_stats = match pack.driver {
+            SlotDriver::Stepped(e) => engines[e].0.stats(),
+            // The probing is already paid: equal probes group into
+            // runs, and a fill applies once, up front — a filled way
+            // is valid by its next probe, so a fill cannot repeat
+            // within a run.
+            SlotDriver::Logged(e) => {
+                let log = engines[e].1.as_deref().expect("a logged engine keeps its log");
+                replay_runs(&mut planes, compiled, log, |probe, n| {
+                    let filled = probe.outcome == ProbeOutcome::Filled;
+                    debug_assert!(n == 1 || !filled, "a filled way is valid on its next probe");
+                    (probe.slot as usize, filled)
+                });
+                engines[e].0.stats()
+            }
+            SlotDriver::Ideal | SlotDriver::Hashed | SlotDriver::Private => {
+                let keys = resolver.keys(pack.hrt);
+                let mut engine = SlotProbe::build(pack.hrt, resolver);
+                let mut counted = HrtStats::default();
+                replay_runs(&mut planes, compiled, compiled.cond_sites(), |site, n| {
+                    counted.accesses += n;
+                    match (&mut engine, &*keys) {
+                        (Some(engine), _) => {
+                            let probe = engine.step_run(site, n);
+                            (probe.slot as usize, probe.outcome == ProbeOutcome::Filled)
+                        }
+                        (None, SiteKeys::Hashed { slot }) => (slot[site as usize] as usize, false),
+                        // Sites intern in first-appearance order, so
+                        // the next fresh site is the count seen so far.
+                        (None, _) => {
+                            let fresh = u64::from(site) == counted.misses;
+                            counted.misses += u64::from(fresh);
+                            (site as usize, fresh)
+                        }
+                    }
+                });
+                engine.map_or(counted, |engine| engine.stats())
+            }
+        };
+        for (&i, correct) in pack.lanes.iter().zip(planes.correct_counts()) {
+            stats[i].predicted += compiled.len() as u64;
+            stats[i].correct += correct;
+            lanes[i].adopt_probe_stats(probe_stats);
+        }
+    }
 }
 
-/// The compiled-stream gang walk proper: every monomorphized lane is
-/// fed from `compiled` alone. `dyn_source` supplies the raw record
-/// stream for dyn lanes (and dyn-only gangs); the streaming sweep path
-/// — where a TLA3 cache entry was decoded straight into `compiled` and
-/// the records were never materialized — passes `None`, which is valid
-/// exactly when every lane is monomorphized.
+/// Runs `plan` over `compiled`: the one executor behind every walk
+/// strategy.
 ///
-/// # Panics
-///
-/// Panics if a [`GangLane::Dyn`] lane is present and `dyn_source` is
-/// `None` (callers gate on lane kinds before taking the record-free
-/// path).
-pub fn gang_simulate_compiled(
+/// Scalar lanes and stepped packs run event-major: the `(site, taken)`
+/// decode and the shared engines' probes are paid once per event and
+/// amortized over all of them (the tables of a paper-sized sweep are
+/// small enough to stay cache-resident across lanes), and a plan with
+/// no per-event consumer skips that loop outright. Every other pack and
+/// lane finishes on its own afterwards. Lanes never interact, so any
+/// event-vs-lane loop order is observably identical.
+fn execute(
     lanes: &mut [GangLane],
+    plan: &WalkPlan,
     compiled: &CompiledTrace,
     dyn_source: Option<&Trace>,
     options: SimOptions,
 ) -> Vec<SimResult> {
-    let any_compiled = lanes
-        .iter()
-        .any(|lane| !matches!(lane, GangLane::Dyn(_)));
-    if !any_compiled {
-        let trace = dyn_source.expect("a dyn-only gang needs the record stream");
-        return gang_simulate_records(lanes, trace, options);
-    }
-    metrics::bump(Counter::TraceWalks);
     let mut resolver = SiteResolver::new(compiled.site_pcs().to_vec());
-    let _span = metrics::span(Phase::GangWalk);
+    // Each shared engine, with a log of its probes when a pack replays
+    // them.
+    let mut engines: Vec<(SlotProbe, Option<Vec<Probe>>)> = plan
+        .engines
+        .iter()
+        .enumerate()
+        .map(|(e, &hrt)| {
+            let engine = SlotProbe::build(hrt, &mut resolver).expect("engines are associative");
+            let logged = plan.packs.iter().any(|pack| pack.driver == SlotDriver::Logged(e));
+            (engine, logged.then(|| Vec::with_capacity(compiled.len())))
+        })
+        .collect();
+    let mut ls_packs = assemble::<LanePack>(plan, Flavor::LeeSmith, lanes, compiled);
+    let mut at_packs = assemble::<AtPack>(plan, Flavor::TwoLevel, lanes, compiled);
+    metrics::add(Counter::LsPacksFormed, ls_packs.len() as u64);
+    metrics::add(Counter::AtPacksFormed, at_packs.len() as u64);
+    let packed: usize = plan.packs.iter().map(|pack| pack.lanes.len()).sum();
+    metrics::add(Counter::LanesPacked, packed as u64);
     let mut stats = vec![PredictionStats::default(); lanes.len()];
-    // Lanes sharing a set-associative geometry see the same access
-    // sequence from the same pre-warmed state, so their tag/LRU
-    // decisions are byte-identical on every event: one SlotProbe per
-    // such geometry pays the way scan once and replays the decision to
-    // the whole group ([`tlat_core::AnyHrt::slot_entry`]). A geometry
-    // probed by a single lane keeps the plain site path — sharing
-    // saves nothing there.
-    // Lee & Smith lanes sharing an exact table geometry, and packable
-    // Two-Level lanes, peel off into bitsliced packs. For LS a
-    // geometry's lane count alone decides (`packed_quota`); for AT the
-    // criterion is finer, so it is decided per lane up front
-    // (`at_packed`): an `AtPack`'s row-plane arithmetic is amortized
-    // across the lanes that share a history *mask*, not just an HRT
-    // organization — lanes at the same history length read and write
-    // the same masked row, while every distinct length adds its own
-    // row visit per event. On a churny stream a mask-singleton
-    // therefore touches sixteen bytes of plane per pattern where the
-    // scalar fused cycle touches one, with nothing to amortize it
-    // over: such lanes stay scalar, and the LS strand rule applies to
-    // the eligible remainder. On a loop-heavy stream every packable
-    // lane packs, mask-singletons included: the pack leaves the
-    // per-event loop and `apply_run` collapses a same-outcome run to
-    // at most `history_bits + 3` plane steps where scalar lanes pay
-    // every event — this is what lets Figure 10's lone AT lane ride a
-    // pack. The shape signal is the same memoized same-site run count
-    // that decides log replay ([`LOG_REPLAY_MIN_RUN`]). Whether a
-    // scalar per-event consumer remains (an ST lane, an unpackable or
-    // unpacked AT lane, or an unpacked LS lane) decides how
-    // associative packs probe: beside scalar consumers they share the
-    // per-event engine, alone they replay the stream privately in
-    // (site, outcome) runs.
-    let loop_heavy = compiled.len() >= LOG_REPLAY_MIN_RUN * compiled.site_run_count();
-    let mut ls_geometry: HashMap<HrtConfig, usize> = HashMap::new();
-    let mut at_masks: HashMap<(HrtConfig, u8), usize> = HashMap::new();
-    for lane in lanes.iter() {
-        match lane {
-            GangLane::LeeSmith(p) => {
-                *ls_geometry.entry(p.config().hrt).or_insert(0) += 1;
+    // Partition once so the per-event loop is free of lane-kind
+    // dispatch: each group's calls are direct.
+    let (mut at_sites, mut ls_sites, mut st_sites) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut at_slots, mut ls_slots, mut st_slots) = (Vec::new(), Vec::new(), Vec::new());
+    for ((lane, stat), &path) in lanes.iter_mut().zip(&mut stats).zip(&plan.lanes) {
+        match (lane, path) {
+            (GangLane::TwoLevel(p), LanePath::Site) => {
+                p.bind_sites(&mut resolver);
+                at_sites.push((p, stat));
             }
-            GangLane::TwoLevel(p) => {
-                if let Some(spec) = p.config().pack_lane() {
-                    *at_masks.entry((p.config().hrt, spec.history_bits)).or_insert(0) += 1;
+            (GangLane::LeeSmith(p), LanePath::Site) => {
+                p.bind_sites(&mut resolver);
+                ls_sites.push((p, stat));
+            }
+            (GangLane::StaticTraining(p), LanePath::Site) => {
+                p.bind_sites(&mut resolver);
+                st_sites.push((p, stat));
+            }
+            (GangLane::TwoLevel(p), LanePath::Slot(e)) => at_slots.push((e, p, stat)),
+            (GangLane::LeeSmith(p), LanePath::Slot(e)) => ls_slots.push((e, p, stat)),
+            (GangLane::StaticTraining(p), LanePath::Slot(e)) => st_slots.push((e, p, stat)),
+            (_, LanePath::Packed(_) | LanePath::Profile | LanePath::Dyn) => {} // finished below
+            (lane, path) => unreachable!("{lane:?} cannot take the {path:?} path"),
+        }
+    }
+    if !engines.is_empty() || plan.lanes.contains(&LanePath::Site) {
+        let mut probes = vec![
+            Probe {
+                slot: 0,
+                outcome: ProbeOutcome::Hit,
+            };
+            engines.len()
+        ];
+        for (site, taken) in compiled.events() {
+            for ((engine, log), slot) in engines.iter_mut().zip(&mut probes) {
+                *slot = probe(engine, log, site);
+            }
+            for (e, p, stat) in &mut at_slots {
+                stat.record(p.predict_update_slot(probes[*e], taken) == taken);
+            }
+            for (e, p, stat) in &mut ls_slots {
+                stat.record(p.predict_update_slot(probes[*e], taken) == taken);
+            }
+            for (e, p, stat) in &mut st_slots {
+                stat.record(p.predict_update_slot(probes[*e], taken) == taken);
+            }
+            for (p, stat) in &mut at_sites {
+                stat.record(p.predict_update_site(site, taken) == taken);
+            }
+            for (p, stat) in &mut ls_sites {
+                stat.record(p.predict_update_site(site, taken) == taken);
+            }
+            for (p, stat) in &mut st_sites {
+                stat.record(p.predict_update_site(site, taken) == taken);
+            }
+            step_packs(&mut ls_packs, &probes, taken);
+            step_packs(&mut at_packs, &probes, taken);
+        }
+    }
+    finish_packs(ls_packs, &engines, &mut resolver, compiled, lanes, &mut stats);
+    finish_packs(at_packs, &engines, &mut resolver, compiled, lanes, &mut stats);
+    for ((lane, stat), &path) in lanes.iter_mut().zip(&mut stats).zip(&plan.lanes) {
+        match (lane, path) {
+            // Slot-path lanes skipped their own per-event access
+            // accounting; the shared engine counted the group's
+            // (identical) statistics once.
+            (lane, LanePath::Slot(e)) => lane.adopt_probe_stats(engines[e].0.stats()),
+            // A profile lane's bits are frozen, so its score over the
+            // stream is a per-site weighted sum — identical to
+            // recording every event, with no per-event work at all.
+            (GangLane::Profile(p), _) => {
+                p.bind_sites(&resolver);
+                for ((&bit, &taken_n), &n) in p
+                    .site_bits()
+                    .iter()
+                    .zip(compiled.site_taken())
+                    .zip(compiled.site_counts())
+                {
+                    stat.predicted += n;
+                    stat.correct += if bit { taken_n } else { n - taken_n };
+                }
+            }
+            // Dyn lanes take the record stream they have always seen; a
+            // lane observes only its own predict/update sequence, so a
+            // pass of its own changes nothing for any lane.
+            (GangLane::Dyn(p), _) => {
+                let trace = dyn_source.expect("dyn lanes need the record stream");
+                for branch in trace.iter().filter(|b| b.class == BranchClass::Conditional) {
+                    stat.record(p.predict_update(branch) == branch.taken);
                 }
             }
             _ => {}
-        }
-    }
-    let mut at_eligible: HashMap<HrtConfig, usize> = HashMap::new();
-    for (&(cfg, _), &n) in at_masks.iter() {
-        if loop_heavy || n >= 2 {
-            *at_eligible.entry(cfg).or_insert(0) += n;
-        }
-    }
-    let mut at_seen: HashMap<HrtConfig, usize> = HashMap::new();
-    let at_packed: Vec<bool> = lanes
-        .iter()
-        .map(|lane| {
-            let GangLane::TwoLevel(p) = lane else { return false };
-            let Some(spec) = p.config().pack_lane() else { return false };
-            let cfg = p.config().hrt;
-            if !loop_heavy && at_masks[&(cfg, spec.history_bits)] < 2 {
-                return false;
-            }
-            let quota = if loop_heavy {
-                at_eligible[&cfg]
-            } else {
-                packed_quota(at_eligible[&cfg])
-            };
-            let seen = at_seen.entry(cfg).or_insert(0);
-            let packed = *seen < quota;
-            *seen += 1;
-            packed
-        })
-        .collect();
-    let mut ls_scan: HashMap<HrtConfig, usize> = HashMap::new();
-    let mut scalar_consumers = false;
-    for (i, lane) in lanes.iter().enumerate() {
-        match lane {
-            GangLane::StaticTraining(_) => scalar_consumers = true,
-            GangLane::TwoLevel(_) => {
-                if !at_packed[i] {
-                    scalar_consumers = true;
-                }
-            }
-            GangLane::LeeSmith(p) => {
-                let cfg = p.config().hrt;
-                let seen = ls_scan.entry(cfg).or_insert(0);
-                if *seen >= packed_quota(ls_geometry[&cfg]) {
-                    scalar_consumers = true;
-                }
-                *seen += 1;
-            }
-            GangLane::Profile(_) | GangLane::Dyn(_) => {}
-        }
-    }
-    // Packed LS lanes count toward shared-SlotProbe eligibility: in a
-    // mixed gang a pack's >= 2 lanes always justify forming its
-    // geometry's engine, which the pack then consumes alongside any
-    // scalar sharers.
-    let mut geometry_lanes: HashMap<HrtConfig, usize> = HashMap::new();
-    for lane in lanes.iter() {
-        if let Some(cfg @ HrtConfig::Associative { .. }) = lane.hrt_config() {
-            *geometry_lanes.entry(cfg).or_insert(0) += 1;
-        }
-    }
-    let mut engines: Vec<SlotProbe> = Vec::new();
-    let mut engine_of: HashMap<HrtConfig, usize> = HashMap::new();
-    let mut engine_for = |cfg: Option<HrtConfig>, resolver: &mut SiteResolver| -> Option<usize> {
-        let cfg = cfg?;
-        if geometry_lanes.get(&cfg).copied().unwrap_or(0) < 2 {
-            return None;
-        }
-        Some(*engine_of.entry(cfg).or_insert_with(|| {
-            engines.push(SlotProbe::build(cfg, resolver).expect("geometry is associative"));
-            engines.len() - 1
-        }))
-    };
-    // Partition once so the per-event loops are free of lane-kind
-    // dispatch: each group's calls are direct and the dyn pass runs
-    // only when dyn lanes exist. Slot-path groups carry the index of
-    // their geometry's shared probe engine.
-    let mut at_lanes: Vec<(&mut TwoLevelAdaptive, &mut PredictionStats)> = Vec::new();
-    let mut ls_lanes: Vec<(&mut LeeSmithBtb, &mut PredictionStats)> = Vec::new();
-    let mut st_lanes: Vec<(&mut StaticTraining, &mut PredictionStats)> = Vec::new();
-    let mut at_slots: Vec<(usize, &mut TwoLevelAdaptive, &mut PredictionStats)> = Vec::new();
-    let mut ls_slots: Vec<(usize, &mut LeeSmithBtb, &mut PredictionStats)> = Vec::new();
-    let mut st_slots: Vec<(usize, &mut StaticTraining, &mut PredictionStats)> = Vec::new();
-    let mut prof_lanes: Vec<(&mut ProfilePredictor, &mut PredictionStats)> = Vec::new();
-    let mut dyn_lanes: Vec<(&mut Box<dyn Predictor>, &mut PredictionStats)> = Vec::new();
-    let mut pack_groups: HashMap<HrtConfig, Vec<(&mut LeeSmithBtb, &mut PredictionStats)>> =
-        HashMap::new();
-    let mut ls_taken: HashMap<HrtConfig, usize> = HashMap::new();
-    let mut at_pack_groups: HashMap<
-        HrtConfig,
-        Vec<(&mut TwoLevelAdaptive, &mut PredictionStats)>,
-    > = HashMap::new();
-    for (i, (lane, stat)) in lanes.iter_mut().zip(stats.iter_mut()).enumerate() {
-        match lane {
-            GangLane::TwoLevel(p) => {
-                let cfg = p.config().hrt;
-                if at_packed[i] {
-                    at_pack_groups.entry(cfg).or_default().push((p, stat));
-                } else {
-                    match engine_for(Some(cfg), &mut resolver) {
-                        Some(ei) => at_slots.push((ei, p, stat)),
-                        None => {
-                            p.bind_sites(&mut resolver);
-                            at_lanes.push((p, stat));
-                        }
-                    }
-                }
-            }
-            GangLane::LeeSmith(p) => {
-                let cfg = p.config().hrt;
-                let seen = ls_taken.entry(cfg).or_insert(0);
-                let packed = *seen < packed_quota(ls_geometry[&cfg]);
-                *seen += 1;
-                if packed {
-                    pack_groups.entry(cfg).or_default().push((p, stat));
-                } else {
-                    match engine_for(Some(cfg), &mut resolver) {
-                        Some(ei) => ls_slots.push((ei, p, stat)),
-                        None => {
-                            p.bind_sites(&mut resolver);
-                            ls_lanes.push((p, stat));
-                        }
-                    }
-                }
-            }
-            GangLane::StaticTraining(p) => match engine_for(Some(p.config().hrt), &mut resolver) {
-                Some(ei) => st_slots.push((ei, p, stat)),
-                None => {
-                    p.bind_sites(&mut resolver);
-                    st_lanes.push((p, stat));
-                }
-            },
-            GangLane::Profile(p) => {
-                p.bind_sites(&resolver);
-                prof_lanes.push((p, stat));
-            }
-            GangLane::Dyn(p) => dyn_lanes.push((p, stat)),
-        }
-    }
-    // Assemble the bitsliced packs: chunk each geometry's packed
-    // lanes by PACK_WIDTH (packed_quota guarantees no one-lane LS
-    // chunk; AT chunks may be singletons) and give each pack its
-    // organization's slot driver. Hashed and associative planes are
-    // sized to the table; ideal planes grow a slot per fresh site,
-    // like the table they mirror. Both pack flavors share the driver
-    // construction.
-    let mut pack_driver = |cfg: HrtConfig, resolver: &mut SiteResolver| -> (usize, PackProbe) {
-        match cfg {
-            HrtConfig::Ideal => (
-                0,
-                PackProbe::Ideal {
-                    next_site: 0,
-                    stats: HrtStats::default(),
-                },
-            ),
-            HrtConfig::Associative { entries, .. } => (
-                entries,
-                // A singleton AT pack alone on its geometry gets no
-                // shared engine (nothing in the per-event loop probes
-                // the geometry), so it replays privately even when
-                // scalar consumers exist elsewhere in the gang.
-                match if scalar_consumers {
-                    engine_for(Some(cfg), resolver)
-                } else {
-                    None
-                } {
-                    Some(ei) => PackProbe::Shared(ei),
-                    None => PackProbe::Private(
-                        SlotProbe::build(cfg, resolver).expect("geometry is associative"),
-                    ),
-                },
-            ),
-            HrtConfig::Hashed { entries } => (
-                entries,
-                PackProbe::Hashed {
-                    keys: resolver.keys(cfg),
-                    stats: HrtStats::default(),
-                },
-            ),
-        }
-    };
-    let mut packs: Vec<LsPack> = Vec::new();
-    for (cfg, mut group) in pack_groups {
-        while !group.is_empty() {
-            let take = group.len().min(PACK_WIDTH);
-            let chunk: Vec<_> = group.drain(..take).collect();
-            debug_assert!(chunk.len() >= 2, "packed_quota strands no singletons");
-            let kinds: Vec<AutomatonKind> =
-                chunk.iter().map(|(p, _)| p.config().automaton).collect();
-            let (slots, probe) = pack_driver(cfg, &mut resolver);
-            packs.push(LsPack {
-                planes: LanePack::new(&kinds, slots),
-                probe,
-                lanes: chunk,
-            });
-        }
-    }
-    let mut at_packs: Vec<AtGangPack> = Vec::new();
-    for (cfg, mut group) in at_pack_groups {
-        while !group.is_empty() {
-            let take = group.len().min(PACK_WIDTH);
-            let chunk: Vec<_> = group.drain(..take).collect();
-            let specs: Vec<AtLaneConfig> = chunk
-                .iter()
-                .map(|(p, _)| p.config().pack_lane().expect("only packable lanes group"))
-                .collect();
-            let (slots, probe) = pack_driver(cfg, &mut resolver);
-            at_packs.push(AtGangPack {
-                planes: AtPack::new(&specs, slots),
-                probe,
-                lanes: chunk,
-            });
-        }
-    }
-    metrics::add(Counter::LsPacksFormed, packs.len() as u64);
-    metrics::add(Counter::AtPacksFormed, at_packs.len() as u64);
-    metrics::add(
-        Counter::LanesPacked,
-        (packs.iter().map(|p| p.lanes.len()).sum::<usize>()
-            + at_packs.iter().map(|p| p.lanes.len()).sum::<usize>()) as u64,
-    );
-    // Event-major order: the `(site, taken)` decode and the per-
-    // geometry probes are paid once per event and amortized over every
-    // lane (the tables of a paper-sized sweep are small enough to stay
-    // cache-resident across lanes). Lanes never interact, so any
-    // event-vs-lane loop order is observably identical. A gang whose
-    // conditional consumers all packed (or score per site, like
-    // profile lanes) skips the loop outright.
-    // Shared-probe packs pick their stepping strategy off the
-    // stream's shape, measured once at compile time. A loop-heavy
-    // stream (long same-site runs) has the per-event loop log each
-    // riding engine's slot decisions — one word per event — and the
-    // pack replays the log afterwards in (slot, outcome) runs, where
-    // a loop branch's same-outcome tail applies in O(1). A churny
-    // stream (runs of an event or two, nothing for chunking to
-    // amortize) steps the pack inside the loop instead, straight off
-    // the shared probe, and skips the log entirely.
-    let shared_packs: Vec<(usize, usize)> = packs
-        .iter()
-        .enumerate()
-        .filter_map(|(pi, pack)| match pack.probe {
-            PackProbe::Shared(ei) => Some((pi, ei)),
-            _ => None,
-        })
-        .collect();
-    let shared_at_packs: Vec<(usize, usize)> = at_packs
-        .iter()
-        .enumerate()
-        .filter_map(|(pi, pack)| match pack.probe {
-            PackProbe::Shared(ei) => Some((pi, ei)),
-            _ => None,
-        })
-        .collect();
-    let log_replay = loop_heavy;
-    let (stepped_packs, stepped_at_packs): (Vec<(usize, usize)>, Vec<(usize, usize)>) =
-        if log_replay {
-            (Vec::new(), Vec::new())
-        } else {
-            (shared_packs.clone(), shared_at_packs.clone())
-        };
-    let mut slot_logs: Vec<(usize, Vec<u32>)> = Vec::new();
-    if log_replay {
-        for &(_, ei) in shared_packs.iter().chain(&shared_at_packs) {
-            if !slot_logs.iter().any(|(e, _)| *e == ei) {
-                slot_logs.push((ei, Vec::with_capacity(compiled.cond_sites().len())));
-            }
-        }
-    }
-    let mut probes = vec![
-        tlat_core::Probe {
-            slot: 0,
-            outcome: tlat_core::ProbeOutcome::Hit,
-        };
-        engines.len()
-    ];
-    if scalar_consumers {
-        for (site, taken) in compiled.events() {
-            for (engine, probe) in engines.iter_mut().zip(probes.iter_mut()) {
-                *probe = engine.step(site);
-            }
-            for (ei, p, stat) in &mut at_slots {
-                stat.record(p.predict_update_slot(probes[*ei], taken) == taken);
-            }
-            for (ei, p, stat) in &mut ls_slots {
-                stat.record(p.predict_update_slot(probes[*ei], taken) == taken);
-            }
-            for (ei, p, stat) in &mut st_slots {
-                stat.record(p.predict_update_slot(probes[*ei], taken) == taken);
-            }
-            for (p, stat) in &mut at_lanes {
-                stat.record(p.predict_update_site(site, taken) == taken);
-            }
-            for (p, stat) in &mut ls_lanes {
-                stat.record(p.predict_update_site(site, taken) == taken);
-            }
-            for (p, stat) in &mut st_lanes {
-                stat.record(p.predict_update_site(site, taken) == taken);
-            }
-            // Churny stream: packs advance every lane in one
-            // branchless plane step off the probe the slot-path lanes
-            // above already consumed.
-            for &(pi, ei) in &stepped_packs {
-                let probe = probes[ei];
-                let pack = &mut packs[pi];
-                if probe.outcome == ProbeOutcome::Filled {
-                    pack.planes.fill_slot(probe.slot as usize);
-                }
-                pack.planes.step(probe.slot as usize, taken);
-            }
-            for &(pi, ei) in &stepped_at_packs {
-                let probe = probes[ei];
-                let pack = &mut at_packs[pi];
-                if probe.outcome == ProbeOutcome::Filled {
-                    pack.planes.fill_slot(probe.slot as usize);
-                }
-                pack.planes.step(probe.slot as usize, taken);
-            }
-            // Loop-heavy stream: log the probe instead, for the
-            // run-chunked replay below — slot in the low half, fill
-            // flag above it.
-            for (ei, log) in &mut slot_logs {
-                let probe = probes[*ei];
-                log.push(
-                    u32::from(probe.slot)
-                        | u32::from(probe.outcome == ProbeOutcome::Filled) << 16,
-                );
-            }
-        }
-    }
-    // Every other pack replays the stream in (site, outcome) runs,
-    // off to the side of the per-event loop ([`replay_site_runs`]).
-    for pack in &mut packs {
-        if matches!(pack.probe, PackProbe::Shared(_)) {
-            continue;
-        }
-        replay_site_runs(&mut pack.planes, &mut pack.probe, compiled);
-    }
-    for pack in &mut at_packs {
-        if matches!(pack.probe, PackProbe::Shared(_)) {
-            continue;
-        }
-        replay_site_runs(&mut pack.planes, &mut pack.probe, compiled);
-    }
-    // On a loop-heavy stream, shared packs replay their engine's slot
-    // log the same way, with the probing already paid
-    // ([`replay_slot_log`]).
-    if log_replay {
-        let logged = |ei: usize| -> &[u32] {
-            &slot_logs
-                .iter()
-                .find(|(e, _)| *e == ei)
-                .expect("every shared pack's engine is logged")
-                .1
-        };
-        for &(pi, ei) in &shared_packs {
-            replay_slot_log(&mut packs[pi].planes, logged(ei), compiled);
-        }
-        for &(pi, ei) in &shared_at_packs {
-            replay_slot_log(&mut at_packs[pi].planes, logged(ei), compiled);
-        }
-    }
-    // Prediction and table state evolved exactly as the scalar walk's:
-    // a packed lane's own table payload goes stale (the pack owns it
-    // for the walk, as on the slot path) and only predicted/correct
-    // and the adopted HrtStats are observable — fold them back now.
-    for pack in &mut packs {
-        let predicted = pack.planes.predicted();
-        let correct = pack.planes.correct_counts();
-        let probe_stats = match &pack.probe {
-            PackProbe::Shared(ei) => engines[*ei].stats(),
-            PackProbe::Private(engine) => engine.stats(),
-            PackProbe::Ideal { stats, .. } | PackProbe::Hashed { stats, .. } => *stats,
-        };
-        for (lane, (p, stat)) in pack.lanes.iter_mut().enumerate() {
-            stat.predicted += predicted;
-            stat.correct += correct[lane];
-            p.adopt_probe_stats(probe_stats);
-        }
-    }
-    for pack in &mut at_packs {
-        let predicted = pack.planes.predicted();
-        let correct = pack.planes.correct_counts();
-        let probe_stats = match &pack.probe {
-            PackProbe::Shared(ei) => engines[*ei].stats(),
-            PackProbe::Private(engine) => engine.stats(),
-            PackProbe::Ideal { stats, .. } | PackProbe::Hashed { stats, .. } => *stats,
-        };
-        for (lane, (p, stat)) in pack.lanes.iter_mut().enumerate() {
-            stat.predicted += predicted;
-            stat.correct += correct[lane];
-            p.adopt_probe_stats(probe_stats);
-        }
-    }
-    // Slot-path lanes skipped their own per-event access accounting;
-    // the shared engine counted the group's (identical) statistics
-    // once — fold them back so every lane reports what per-lane
-    // probing would have.
-    for (ei, p, _) in &mut at_slots {
-        p.adopt_probe_stats(engines[*ei].stats());
-    }
-    for (ei, p, _) in &mut ls_slots {
-        p.adopt_probe_stats(engines[*ei].stats());
-    }
-    for (ei, p, _) in &mut st_slots {
-        p.adopt_probe_stats(engines[*ei].stats());
-    }
-    // A profile lane's bits are frozen, so its score over the stream
-    // is a per-site weighted sum — identical to recording every event,
-    // with no per-event work at all.
-    for (p, stat) in &mut prof_lanes {
-        for ((&bit, &taken_n), &n) in p
-            .site_bits()
-            .iter()
-            .zip(compiled.site_taken())
-            .zip(compiled.site_counts())
-        {
-            stat.predicted += n;
-            stat.correct += if bit { taken_n } else { n - taken_n };
-        }
-    }
-    // Dyn lanes take the record stream they have always seen; a lane
-    // observes only its own predict/update sequence, so feeding them in
-    // a second pass changes nothing for any lane.
-    if !dyn_lanes.is_empty() {
-        let trace = dyn_source.expect("dyn lanes need the record stream");
-        for branch in trace.iter() {
-            if !matches!(branch.class, BranchClass::Conditional) {
-                continue;
-            }
-            for (p, stat) in &mut dyn_lanes {
-                stat.record(p.predict_update(branch) == branch.taken);
-            }
         }
     }
     // The RAS is predictor-independent; the compiler carried its
@@ -965,11 +726,47 @@ pub fn gang_simulate_compiled(
         .collect()
 }
 
+/// Simulates every lane over a compiled event stream in a single walk.
+/// Returns one [`SimResult`] per lane, in lane order.
+///
+/// Each conditional branch runs the predict → score → update cycle for
+/// every lane before the walk advances; returns and calls drive one
+/// shared return-address stack whose stats are replicated into every
+/// result (RAS behaviour is predictor-independent). Monomorphized lanes
+/// are fed from `compiled` alone, through
+/// [`TwoLevelAdaptive::predict_update_site`] /
+/// [`LeeSmithBtb::predict_update_site`] and the shared engines and
+/// packs the walk's plan picks for them; the stream's shape (its mean
+/// same-site run) is read O(1) from the compiled stream. `dyn_source`
+/// supplies the raw record stream for dyn lanes; the streaming sweep
+/// path — where a TLA3 cache entry was decoded straight into `compiled`
+/// and the records were never materialized — passes `None`, which is
+/// valid exactly when every lane is monomorphized. Results are bit-identical to
+/// [`gang_simulate_records`], which is pinned by tests and kept as the
+/// reference walk.
+///
+/// # Panics
+///
+/// Panics if a [`GangLane::Dyn`] lane is present and `dyn_source` is
+/// `None` (callers gate on lane kinds before taking the record-free
+/// path).
+pub fn gang_simulate_compiled(
+    lanes: &mut [GangLane],
+    compiled: &CompiledTrace,
+    dyn_source: Option<&Trace>,
+    options: SimOptions,
+) -> Vec<SimResult> {
+    metrics::bump(Counter::TraceWalks);
+    let _span = metrics::span(Phase::GangWalk);
+    let loop_heavy = compiled.len() >= LOG_REPLAY_MIN_RUN * compiled.site_run_count();
+    execute(lanes, &plan(lanes, loop_heavy), compiled, dyn_source, options)
+}
+
 /// The reference gang walk: every lane — monomorphized or dyn — is fed
 /// straight from the raw [`BranchRecord`] stream, with no compile
-/// step. [`gang_simulate_with`] must stay bit-identical to this
-/// function (pinned by tests); the `gang_inner` micro-benchmark
-/// measures the two walks against each other.
+/// step. [`gang_simulate_compiled`] must stay bit-identical to this
+/// function under every walk plan (pinned by tests); the `gang_inner`
+/// micro-benchmark measures the two walks against each other.
 pub fn gang_simulate_records(
     lanes: &mut [GangLane],
     trace: &Trace,
@@ -1011,14 +808,16 @@ pub fn gang_simulate_records(
 /// was contained.
 pub type IsolatedLane = Option<Result<SimResult, CellPanic>>;
 
-/// [`gang_simulate`] with per-lane panic isolation.
+/// [`gang_simulate_compiled`] with per-lane panic isolation, over a
+/// compiled stream and — only when some lane is dyn — its record
+/// source.
 ///
 /// `build(i)` constructs lane `i` (or `None` when the configuration is
 /// not applicable to this trace — the paper's Table 3 exclusions); it
 /// must be pure, because it is called again if the walk has to be
-/// retried. The fast path is one shared walk, exactly as
-/// [`gang_simulate`]. If any lane panics — during build or mid-walk —
-/// the panic is caught and only the offending lane fails:
+/// retried. The fast path is one shared walk. If any lane panics —
+/// during build or mid-walk — the panic is caught and only the
+/// offending lane fails:
 ///
 /// * a panic at *build* time fails that lane alone; the others proceed
 ///   with the shared walk;
@@ -1028,63 +827,20 @@ pub type IsolatedLane = Option<Result<SimResult, CellPanic>>;
 ///   lanes reproduce their shared-walk results bit-for-bit (the
 ///   identity `gang == solo` is pinned by tests), and the panicking
 ///   lane fails again, deterministically, in isolation.
-pub fn gang_simulate_isolated<F>(n_lanes: usize, build: F, trace: &Trace) -> Vec<IsolatedLane>
-where
-    F: Fn(usize) -> Option<GangLane>,
-{
-    gang_simulate_isolated_precompiled(n_lanes, build, trace, None)
-}
-
-/// [`gang_simulate_isolated`] with an optional pre-compiled event
-/// stream for `trace` (see [`gang_simulate_precompiled`]); the harness
-/// passes its per-workload memoized stream here so repeated sweeps
-/// never recompile.
-pub fn gang_simulate_isolated_precompiled<F>(
-    n_lanes: usize,
-    build: F,
-    trace: &Trace,
-    compiled: Option<&CompiledTrace>,
-) -> Vec<IsolatedLane>
-where
-    F: Fn(usize) -> Option<GangLane>,
-{
-    isolated_walk(n_lanes, build, |lanes| match compiled {
-        Some(stream) => gang_simulate_precompiled(lanes, trace, stream, SimOptions::default()),
-        None => gang_simulate_with(lanes, trace, SimOptions::default()),
-    })
-}
-
-/// [`gang_simulate_isolated`] over a compiled event stream alone — no
-/// record trace exists anywhere in the walk. This is the sweep
-/// drivers' streaming path ([`gang_simulate_compiled`] with
-/// `dyn_source: None`): every built lane must be monomorphized, which
-/// the callers guarantee by gating on the scheme kinds before choosing
-/// this entry point.
 pub fn gang_simulate_isolated_compiled<F>(
     n_lanes: usize,
     build: F,
     compiled: &CompiledTrace,
+    dyn_source: Option<&Trace>,
 ) -> Vec<IsolatedLane>
 where
     F: Fn(usize) -> Option<GangLane>,
 {
-    isolated_walk(n_lanes, build, |lanes| {
-        gang_simulate_compiled(lanes, compiled, None, SimOptions::default())
-    })
-}
-
-/// The shared per-lane isolation harness (see
-/// [`gang_simulate_isolated`] for the policy): builds lanes under
-/// `catch_unwind`, runs `walk` once over the survivors, and re-runs
-/// each lane solo if the shared walk panics.
-fn isolated_walk<F, W>(n_lanes: usize, build: F, walk: W) -> Vec<IsolatedLane>
-where
-    F: Fn(usize) -> Option<GangLane>,
-    W: Fn(&mut [GangLane]) -> Vec<SimResult>,
-{
+    let walk = |lanes: &mut [GangLane]| {
+        gang_simulate_compiled(lanes, compiled, dyn_source, SimOptions::default())
+    };
     let mut outcomes: Vec<IsolatedLane> = Vec::with_capacity(n_lanes);
-    let mut lanes: Vec<GangLane> = Vec::new();
-    let mut lane_of: Vec<usize> = Vec::new();
+    let (mut lanes, mut lane_of) = (Vec::new(), Vec::new());
     for i in 0..n_lanes {
         match catch_cell(|| build(i)) {
             Ok(Some(lane)) => {
@@ -1098,8 +854,8 @@ where
     }
     match catch_cell(|| walk(&mut lanes)) {
         Ok(results) => {
-            for (li, result) in results.into_iter().enumerate() {
-                outcomes[lane_of[li]] = Some(Ok(result));
+            for (&i, result) in lane_of.iter().zip(results) {
+                outcomes[i] = Some(Ok(result));
             }
         }
         Err(walk_panic) => {
@@ -1110,18 +866,10 @@ where
             );
             for &i in &lane_of {
                 metrics::bump(Counter::SoloReruns);
-                outcomes[i] = match catch_cell(|| {
-                    build(i).map(|lane| {
-                        let mut solo = [lane];
-                        walk(&mut solo)
-                            .pop()
-                            .expect("one lane in, one result out")
-                    })
-                }) {
-                    Ok(Some(result)) => Some(Ok(result)),
-                    Ok(None) => None,
-                    Err(panic) => Some(Err(panic)),
-                };
+                outcomes[i] = catch_cell(|| {
+                    build(i).map(|lane| walk(&mut [lane]).pop().expect("one result per lane"))
+                })
+                .transpose();
             }
         }
     }
@@ -1133,7 +881,7 @@ mod tests {
     use super::*;
     use crate::config::TrainingData;
     use crate::engine::simulate_with;
-    use tlat_core::{AutomatonKind, HrtConfig};
+    use tlat_core::AutomatonKind;
     use tlat_workloads::SyntheticStream;
 
     fn sweep() -> Vec<SchemeConfig> {
@@ -1146,16 +894,83 @@ mod tests {
         ]
     }
 
+    /// A small, eviction-heavy two-way associative organization.
+    const SMALL: HrtConfig = HrtConfig::Associative {
+        entries: 16,
+        ways: 2,
+    };
+
+    /// Every configuration's lane, trained on `trace`.
+    fn lanes_for(configs: &[SchemeConfig], trace: &Trace) -> Vec<GangLane> {
+        configs
+            .iter()
+            .map(|c| GangLane::from_config(c, Some(trace)))
+            .collect()
+    }
+
+    /// The compiled walk over `trace`'s stream, as the harness runs it.
+    fn walk(lanes: &mut [GangLane], trace: &Trace, options: SimOptions) -> Vec<SimResult> {
+        gang_simulate_compiled(lanes, &CompiledTrace::compile(trace), Some(trace), options)
+    }
+
+    /// Whether `trace` compiles to a stream the walk treats as
+    /// loop-heavy.
+    fn is_loop_heavy(trace: &Trace) -> bool {
+        let compiled = CompiledTrace::compile(trace);
+        compiled.len() >= LOG_REPLAY_MIN_RUN * compiled.site_run_count()
+    }
+
+    /// A lane's adopted table statistics, where it has a table.
+    fn table_stats(lane: &GangLane) -> Option<HrtStats> {
+        match lane {
+            GangLane::TwoLevel(p) => Some(p.hrt_stats()),
+            GangLane::LeeSmith(p) => Some(p.table_stats()),
+            GangLane::StaticTraining(p) => Some(p.hrt_stats()),
+            GangLane::Profile(_) | GangLane::Dyn(_) => None,
+        }
+    }
+
+    /// Asserts that `lanes`, after a walk that produced `results`,
+    /// report exactly what the record reference walk reports over
+    /// `trace` — results and adopted table statistics alike.
+    fn assert_matches_records(
+        what: &str,
+        configs: &[SchemeConfig],
+        trace: &Trace,
+        options: SimOptions,
+        lanes: &[GangLane],
+        results: &[SimResult],
+    ) {
+        let mut record_lanes = lanes_for(configs, trace);
+        let records = gang_simulate_records(&mut record_lanes, trace, options);
+        assert_eq!(results.len(), records.len(), "{what}");
+        for (i, config) in configs.iter().enumerate() {
+            let label = config.label();
+            assert_eq!(results[i].conditional, records[i].conditional, "{what}: {label}");
+            assert_eq!(results[i].ras, records[i].ras, "{what}: {label}");
+            assert_eq!(
+                table_stats(&lanes[i]),
+                table_stats(&record_lanes[i]),
+                "{what}: {label} table stats"
+            );
+        }
+    }
+
+    /// Runs the compiled walk over `configs` and asserts it matches the
+    /// record reference walk.
+    fn assert_walk_matches_records(configs: &[SchemeConfig], trace: &Trace, options: SimOptions) {
+        let mut lanes = lanes_for(configs, trace);
+        let results = walk(&mut lanes, trace, options);
+        assert_matches_records("compiled walk", configs, trace, options, &lanes, &results);
+    }
+
     #[test]
     fn gang_matches_per_config_simulation_exactly() {
         let trace = SyntheticStream::mixed(0x5eed, 48).generate(5_000);
         let options = SimOptions { ras_entries: 16 };
         let configs = sweep();
-        let mut lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let ganged = gang_simulate_with(&mut lanes, &trace, options);
+        let mut lanes = lanes_for(&configs, &trace);
+        let ganged = walk(&mut lanes, &trace, options);
         for (config, gang_result) in configs.iter().zip(&ganged) {
             let mut solo = config.build(Some(&trace));
             let solo_result = simulate_with(solo.as_mut(), &trace, options);
@@ -1183,18 +998,9 @@ mod tests {
             SchemeConfig::st(HrtConfig::ahrt(512), 12, TrainingData::Same),
             SchemeConfig::Profile,
         ];
-        let build = |trace: &Trace| -> Vec<GangLane> {
-            configs
-                .iter()
-                .map(|c| GangLane::from_config(c, Some(trace)))
-                .collect()
-        };
-        let free = gang_simulate_compiled(&mut build(&trace), &compiled, None, options);
-        let reference = gang_simulate_records(&mut build(&trace), &trace, options);
-        for ((a, b), config) in free.iter().zip(&reference).zip(&configs) {
-            assert_eq!(a.conditional, b.conditional, "{}", config.label());
-            assert_eq!(a.ras, b.ras, "{}", config.label());
-        }
+        let mut lanes = lanes_for(&configs, &trace);
+        let free = gang_simulate_compiled(&mut lanes, &compiled, None, options);
+        assert_matches_records("record-free walk", &configs, &trace, options, &lanes, &free);
     }
 
     #[test]
@@ -1203,78 +1009,37 @@ mod tests {
         // must be observably indistinguishable from the raw-record
         // reference walk, for every lane kind at once.
         let trace = SyntheticStream::mixed(0xc0de, 64).generate(8_000);
-        let options = SimOptions { ras_entries: 8 };
-        let configs = sweep();
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-            assert_eq!(c.ras, r.ras, "{}", config.label());
-        }
+        assert_walk_matches_records(&sweep(), &trace, SimOptions { ras_entries: 8 });
     }
 
-    #[test]
-    fn compiled_walk_covers_every_hrt_organization() {
-        let trace = SyntheticStream::mixed(0xfeed, 96).generate(6_000);
-        let options = SimOptions::default();
-        let configs = vec![
+    /// Every Two-Level and LS organization, one lane each.
+    fn organizations() -> Vec<SchemeConfig> {
+        vec![
             SchemeConfig::at(HrtConfig::Ideal, 10, AutomatonKind::A2),
             SchemeConfig::at(HrtConfig::ahrt(64), 8, AutomatonKind::A3),
             SchemeConfig::at(HrtConfig::hhrt(32), 6, AutomatonKind::LastTime),
             SchemeConfig::ls(HrtConfig::Ideal, AutomatonKind::A2),
             SchemeConfig::ls(HrtConfig::ahrt(32), AutomatonKind::A4),
             SchemeConfig::ls(HrtConfig::hhrt(64), AutomatonKind::LastTime),
-        ];
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-        }
+        ]
     }
 
     #[test]
-    fn dyn_only_gangs_take_the_record_path_unchanged() {
+    fn compiled_walk_covers_every_hrt_organization() {
+        let trace = SyntheticStream::mixed(0xfeed, 96).generate(6_000);
+        assert_walk_matches_records(&organizations(), &trace, SimOptions::default());
+    }
+
+    #[test]
+    fn dyn_only_gangs_match_the_record_walk() {
         let trace = SyntheticStream::mixed(0xd1, 16).generate(2_000);
         let configs = vec![SchemeConfig::Btfn, SchemeConfig::AlwaysTaken];
-        let mut a: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut b: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let via_with = gang_simulate_with(&mut a, &trace, SimOptions::default());
-        let via_records = gang_simulate_records(&mut b, &trace, SimOptions::default());
-        for (x, y) in via_with.iter().zip(&via_records) {
-            assert_eq!(x.conditional, y.conditional);
-            assert_eq!(x.ras, y.ras);
-        }
+        assert_walk_matches_records(&configs, &trace, SimOptions::default());
     }
 
     #[test]
     fn monomorphized_lanes_are_used_for_the_common_schemes() {
-        let configs = sweep();
-        let lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&Trace::new())))
-            .collect();
+        let lanes = lanes_for(&sweep(), &Trace::new());
         assert!(matches!(lanes[0], GangLane::TwoLevel(_)));
         assert!(matches!(lanes[1], GangLane::LeeSmith(_)));
         assert!(matches!(lanes[2], GangLane::StaticTraining(_)));
@@ -1290,7 +1055,9 @@ mod tests {
     #[test]
     fn empty_gang_walks_without_results() {
         let trace = SyntheticStream::mixed(1, 4).generate(100);
-        assert!(gang_simulate(&mut [], &trace).is_empty());
+        let compiled = CompiledTrace::compile(&trace);
+        assert!(gang_simulate_compiled(&mut [], &compiled, None, SimOptions::default()).is_empty());
+        assert!(gang_simulate_records(&mut [], &trace, SimOptions::default()).is_empty());
     }
 
     /// A predictor that panics after `fuse` conditional branches —
@@ -1313,15 +1080,18 @@ mod tests {
     }
 
     fn solo_reference(config: &SchemeConfig, trace: &Trace) -> SimResult {
-        let mut lanes = [GangLane::from_config(config, Some(trace))];
-        gang_simulate(&mut lanes, trace).pop().unwrap()
+        let mut lanes = lanes_for(std::slice::from_ref(config), trace);
+        gang_simulate_records(&mut lanes, trace, SimOptions::default())
+            .pop()
+            .unwrap()
     }
 
     #[test]
     fn isolated_walk_contains_a_build_panic() {
         let trace = SyntheticStream::mixed(0xabc, 32).generate(2_000);
+        let compiled = CompiledTrace::compile(&trace);
         let configs = sweep();
-        let outcomes = gang_simulate_isolated(
+        let outcomes = gang_simulate_isolated_compiled(
             configs.len(),
             |i| {
                 if i == 1 {
@@ -1329,7 +1099,8 @@ mod tests {
                 }
                 Some(GangLane::from_config(&configs[i], Some(&trace)))
             },
-            &trace,
+            &compiled,
+            Some(&trace),
         );
         for (i, outcome) in outcomes.iter().enumerate() {
             if i == 1 {
@@ -1349,10 +1120,11 @@ mod tests {
     #[test]
     fn isolated_walk_recovers_from_a_mid_walk_panic() {
         let trace = SyntheticStream::mixed(0xdef, 32).generate(2_000);
+        let compiled = CompiledTrace::compile(&trace);
         let configs = sweep();
         // Lane 2 blows up after 100 branches *inside the shared walk*;
         // the fallback re-runs every lane solo.
-        let outcomes = gang_simulate_isolated(
+        let outcomes = gang_simulate_isolated_compiled(
             configs.len(),
             |i| {
                 if i == 2 {
@@ -1361,7 +1133,8 @@ mod tests {
                     Some(GangLane::from_config(&configs[i], Some(&trace)))
                 }
             },
-            &trace,
+            &compiled,
+            Some(&trace),
         );
         for (i, outcome) in outcomes.iter().enumerate() {
             if i == 2 {
@@ -1379,17 +1152,34 @@ mod tests {
     }
 
     #[test]
-    fn bitsliced_packs_match_the_record_walk_across_organizations() {
-        // Packs form wherever ≥2 LS lanes share an exact geometry:
-        // five automata on the paper AHRT, pairs on ideal / hashed /
-        // a small eviction-heavy associative table, plus a singleton
-        // LS straggler and a lone AT lane — both scalar on this
-        // churny stream (an AT lane with no mask-group partner packs
-        // only on loop-heavy streams) — all bit-identical to the
-        // raw-record reference.
-        let trace = SyntheticStream::mixed(0xb175, 80).generate(6_000);
-        let options = SimOptions { ras_entries: 8 };
-        let configs = vec![
+    fn isolated_walk_keeps_not_applicable_lanes_blank() {
+        let trace = SyntheticStream::mixed(0x11, 8).generate(500);
+        let compiled = CompiledTrace::compile(&trace);
+        let configs = sweep();
+        let outcomes = gang_simulate_isolated_compiled(
+            3,
+            |i| {
+                if i == 1 {
+                    None // e.g. Diff training without a training set
+                } else {
+                    Some(GangLane::from_config(&configs[i], Some(&trace)))
+                }
+            },
+            &compiled,
+            None,
+        );
+        assert!(outcomes[0].as_ref().unwrap().is_ok());
+        assert!(outcomes[1].is_none());
+        assert!(outcomes[2].as_ref().unwrap().is_ok());
+    }
+
+    /// Packs form wherever ≥2 LS lanes share an exact geometry: five
+    /// automata on the paper AHRT, pairs on ideal / hashed / a small
+    /// eviction-heavy associative table, plus a singleton LS straggler
+    /// and a lone AT lane — both scalar on a churny stream (an AT lane
+    /// with no mask-group partner packs only on loop-heavy streams).
+    fn ls_packs_with_stragglers() -> Vec<SchemeConfig> {
+        vec![
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A1),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A2),
@@ -1399,65 +1189,42 @@ mod tests {
             SchemeConfig::ls(HrtConfig::Ideal, AutomatonKind::LastTime),
             SchemeConfig::ls(HrtConfig::hhrt(64), AutomatonKind::A2),
             SchemeConfig::ls(HrtConfig::hhrt(64), AutomatonKind::A4),
-            SchemeConfig::ls(
-                HrtConfig::Associative {
-                    entries: 16,
-                    ways: 2,
-                },
-                AutomatonKind::A2,
-            ),
-            SchemeConfig::ls(
-                HrtConfig::Associative {
-                    entries: 16,
-                    ways: 2,
-                },
-                AutomatonKind::A3,
-            ),
+            SchemeConfig::ls(SMALL, AutomatonKind::A2),
+            SchemeConfig::ls(SMALL, AutomatonKind::A3),
             SchemeConfig::ls(HrtConfig::ahrt(256), AutomatonKind::A2), // straggler
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
-        ];
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
+        ]
+    }
+
+    #[test]
+    fn bitsliced_packs_match_the_record_walk_across_organizations() {
         // The synthetic stream visits sites at random, so same-site
         // runs barely form and shared packs must take the in-loop
         // plane-stepping strategy here.
-        let compiled_stream = CompiledTrace::compile(&trace);
+        let trace = SyntheticStream::mixed(0xb175, 80).generate(6_000);
         assert!(
-            compiled_stream.len() < LOG_REPLAY_MIN_RUN * compiled_stream.site_run_count(),
+            !is_loop_heavy(&trace),
             "trace drifted loop-heavy; this test pins the stepped-pack path"
         );
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-            assert_eq!(c.ras, r.ras, "{}", config.label());
-        }
-        // The packed lanes' adopted table statistics must also match
-        // what per-lane probing counted on the record walk.
-        for (c, r) in compiled_lanes.iter().zip(&record_lanes) {
-            if let (GangLane::LeeSmith(a), GangLane::LeeSmith(b)) = (c, r) {
-                assert_eq!(a.table_stats(), b.table_stats(), "{}", a.name());
-            }
-        }
+        assert_walk_matches_records(
+            &ls_packs_with_stragglers(),
+            &trace,
+            SimOptions { ras_entries: 8 },
+        );
     }
 
     /// A trace shaped like nested loops: each visit to a site emits a
     /// short burst of consecutive events there, with the outcome
     /// flipping partway through some bursts (a loop exit) so runs of
     /// both directions straddle word boundaries in the outcome bitvec.
-    fn loop_heavy_trace(events: usize) -> Trace {
+    /// Site `s` branches at `base + 4 s`.
+    fn loop_heavy_trace_at(base: u32, events: usize) -> Trace {
         let sites = 48u32;
         let mut trace = Trace::with_capacity(events);
         let mut t = 0usize;
         while trace.len() < events {
             let site = ((t * 7 + t / 11) % sites as usize) as u32;
-            let pc = 0x2000 + site * 4;
+            let pc = base + site * 4;
             let burst = 2 + t % 7; // 2..=8 consecutive events, mean ~5
             let exit_at = burst - 1 - t % 2;
             for k in 0..burst {
@@ -1469,73 +1236,55 @@ mod tests {
         trace
     }
 
-    #[test]
-    fn mixed_gangs_on_loop_heavy_streams_replay_the_slot_log() {
-        // With scalar consumers present (an AT lane) the shared packs
-        // ride the gang's probe engines — and on a loop-heavy stream
-        // they must take the log-replay strategy: record each probe's
-        // slot during the event loop, then apply whole same-slot
-        // same-outcome runs in word-sized chunks afterwards. The tiny
-        // 2-way table forces evictions and refills mid-stream, so the
-        // fill flag rides the log too. Still bit-identical.
-        let trace = loop_heavy_trace(6_000);
-        let compiled_stream = CompiledTrace::compile(&trace);
-        assert!(
-            compiled_stream.len() >= LOG_REPLAY_MIN_RUN * compiled_stream.site_run_count(),
-            "trace must be loop-heavy enough to trip the log-replay gate (mean run {:.2})",
-            compiled_stream.len() as f64 / compiled_stream.site_run_count() as f64
-        );
-        let options = SimOptions { ras_entries: 8 };
-        let small = HrtConfig::Associative {
-            entries: 16,
-            ways: 2,
-        };
-        let configs = vec![
-            SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
+    fn loop_heavy_trace(events: usize) -> Trace {
+        loop_heavy_trace_at(0x2000, events)
+    }
+
+    /// With a scalar consumer present (an unpackable reinit-on-replace
+    /// AT lane, which stays scalar on every stream shape) the shared
+    /// packs ride the gang's probe engines; the tiny 2-way table forces
+    /// evictions and refills mid-stream.
+    fn shared_ls_packs() -> Vec<SchemeConfig> {
+        vec![
+            at_full(HrtConfig::ahrt(512), 12, AutomatonKind::A2, true, true, false),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A1),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A2),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A4),
-            SchemeConfig::ls(small, AutomatonKind::A2),
-            SchemeConfig::ls(small, AutomatonKind::A3),
+            SchemeConfig::ls(SMALL, AutomatonKind::A2),
+            SchemeConfig::ls(SMALL, AutomatonKind::A3),
             SchemeConfig::ls(HrtConfig::Ideal, AutomatonKind::A2),
             SchemeConfig::ls(HrtConfig::Ideal, AutomatonKind::A4),
-        ];
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-            assert_eq!(c.ras, r.ras, "{}", config.label());
-        }
-        for (c, r) in compiled_lanes.iter().zip(&record_lanes) {
-            if let (GangLane::LeeSmith(a), GangLane::LeeSmith(b)) = (c, r) {
-                assert_eq!(a.table_stats(), b.table_stats(), "{}", a.name());
-            }
-        }
+        ]
     }
 
     #[test]
-    fn pack_only_gangs_take_the_chunked_run_walk() {
-        // With no AT/ST lane and no unpacked LS lane, the per-event
-        // loop has no consumers: every pack owns its probe (private
-        // engine for associative geometries) and replays the stream in
-        // (site, outcome) runs, word-chunked against the outcome
-        // bitvec — still bit-identical to the record walk.
-        let trace = SyntheticStream::mixed(0x517e, 64).generate(6_000);
-        let options = SimOptions { ras_entries: 8 };
-        let small = HrtConfig::Associative {
-            entries: 16,
-            ways: 2,
-        };
-        let configs = vec![
+    fn mixed_gangs_on_loop_heavy_streams_replay_the_slot_log() {
+        // On a loop-heavy stream the shared packs take the log-replay
+        // strategy: record each probe during the event loop, then apply
+        // whole same-slot same-outcome runs in word-sized chunks
+        // afterwards; the fill flag rides the log too. Still
+        // bit-identical.
+        let trace = loop_heavy_trace(6_000);
+        assert!(
+            is_loop_heavy(&trace),
+            "trace must be loop-heavy enough to trip the log-replay gate"
+        );
+        let configs = shared_ls_packs();
+        let plan = plan(&lanes_for(&configs, &trace), true);
+        assert!(plan
+            .packs
+            .iter()
+            .any(|pack| matches!(pack.driver, SlotDriver::Logged(_))));
+        assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
+    }
+
+    /// With no AT/ST lane and no unpacked LS lane, the per-event loop
+    /// has no consumers: every pack owns its probe (private engine for
+    /// associative geometries) and replays the stream in (site,
+    /// outcome) runs, word-chunked against the outcome bitvec.
+    fn ls_pack_only() -> Vec<SchemeConfig> {
+        vec![
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A1),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A2),
@@ -1545,28 +1294,18 @@ mod tests {
             SchemeConfig::ls(HrtConfig::Ideal, AutomatonKind::A3),
             SchemeConfig::ls(HrtConfig::hhrt(64), AutomatonKind::A2),
             SchemeConfig::ls(HrtConfig::hhrt(64), AutomatonKind::LastTime),
-            SchemeConfig::ls(small, AutomatonKind::A2),
-            SchemeConfig::ls(small, AutomatonKind::A4),
-        ];
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-            assert_eq!(c.ras, r.ras, "{}", config.label());
-        }
-        for (c, r) in compiled_lanes.iter().zip(&record_lanes) {
-            if let (GangLane::LeeSmith(a), GangLane::LeeSmith(b)) = (c, r) {
-                assert_eq!(a.table_stats(), b.table_stats(), "{}", a.name());
-            }
-        }
+            SchemeConfig::ls(SMALL, AutomatonKind::A2),
+            SchemeConfig::ls(SMALL, AutomatonKind::A4),
+        ]
+    }
+
+    #[test]
+    fn pack_only_gangs_take_the_chunked_run_walk() {
+        let trace = SyntheticStream::mixed(0x517e, 64).generate(6_000);
+        let configs = ls_pack_only();
+        let plan = plan(&lanes_for(&configs, &trace), false);
+        assert!(plan.engines.is_empty() && plan.lanes.iter().all(|p| *p != LanePath::Site));
+        assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
     #[test]
@@ -1585,19 +1324,10 @@ mod tests {
         let configs: Vec<SchemeConfig> = (0..65)
             .map(|i| SchemeConfig::ls(HrtConfig::ahrt(512), kinds[i % kinds.len()]))
             .collect();
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, SimOptions::default());
-        let records = gang_simulate_records(&mut record_lanes, &trace, SimOptions::default());
-        for (i, (c, r)) in compiled.iter().zip(&records).enumerate() {
-            assert_eq!(c.conditional, r.conditional, "lane {i}");
-        }
+        let plan = plan(&lanes_for(&configs, &trace), false);
+        assert_eq!(plan.packs.len(), 1);
+        assert_eq!(plan.lanes[64], LanePath::Slot(0), "the straggler rides the pack's engine");
+        assert_walk_matches_records(&configs, &trace, SimOptions::default());
     }
 
     /// An AT configuration with the ablation flags spelled out, for
@@ -1620,38 +1350,19 @@ mod tests {
         })
     }
 
-    /// Pins the adopted HRT statistics of every Two-Level lane against
-    /// the record walk's per-lane probing.
-    fn assert_at_stats_match(compiled: &[GangLane], records: &[GangLane]) {
-        for (c, r) in compiled.iter().zip(records) {
-            if let (GangLane::TwoLevel(a), GangLane::TwoLevel(b)) = (c, r) {
-                assert_eq!(a.hrt_stats(), b.hrt_stats(), "{}", a.name());
-            }
-        }
-    }
-
-    #[test]
-    fn bitsliced_at_packs_match_the_record_walk_across_organizations() {
-        // AT packs form wherever ≥2 packable Two-Level lanes share a
-        // history mask on one HRT organization (on a churny stream a
-        // mask-singleton has nothing to amortize its row planes over,
-        // so it stays scalar). The paper-AHRT pack mixes automaton
-        // variants, two history lengths (masked rows of the shared
-        // register), §3.2 caching vs pure two-lookup, and init
-        // polarity; ideal / hashed / eviction-heavy associative
-        // same-mask pairs pack too. A reinit-on-replace lane is
-        // unpackable and must take the scalar path (becoming the
-        // gang's scalar consumer), a k=8 lane on the packing AHRT and
-        // an ahrt(256) lane are mask-singletons pinned scalar by the
-        // churny gate, and an LS pack rides alongside — all
-        // bit-identical to the raw-record reference.
-        let trace = SyntheticStream::mixed(0xa7b1, 80).generate(6_000);
-        let options = SimOptions { ras_entries: 8 };
-        let small = HrtConfig::Associative {
-            entries: 16,
-            ways: 2,
-        };
-        let configs = vec![
+    /// AT packs form wherever ≥2 packable Two-Level lanes share a
+    /// history mask on one HRT organization (on a churny stream a
+    /// mask-singleton has nothing to amortize its row planes over, so
+    /// it stays scalar). The paper-AHRT pack mixes automaton variants,
+    /// two history lengths (masked rows of the shared register), §3.2
+    /// caching vs pure two-lookup, and init polarity; ideal / hashed /
+    /// eviction-heavy associative same-mask pairs pack too. A
+    /// reinit-on-replace lane is unpackable and must take the scalar
+    /// path (becoming the gang's scalar consumer), a k=8 lane on the
+    /// packing AHRT and an ahrt(256) lane are mask-singletons pinned
+    /// scalar by the churny gate, and an LS pack rides alongside.
+    fn at_packs_with_singletons() -> Vec<SchemeConfig> {
+        vec![
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A3),
             SchemeConfig::at(HrtConfig::ahrt(512), 8, AutomatonKind::A3), // mask-singleton
@@ -1662,140 +1373,105 @@ mod tests {
             SchemeConfig::at(HrtConfig::Ideal, 10, AutomatonKind::A3),
             SchemeConfig::at(HrtConfig::hhrt(64), 8, AutomatonKind::A2),
             SchemeConfig::at(HrtConfig::hhrt(64), 8, AutomatonKind::A4),
-            SchemeConfig::at(small, 8, AutomatonKind::A2),
-            SchemeConfig::at(small, 8, AutomatonKind::A3),
+            SchemeConfig::at(SMALL, 8, AutomatonKind::A2),
+            SchemeConfig::at(SMALL, 8, AutomatonKind::A3),
             at_full(HrtConfig::ahrt(512), 12, AutomatonKind::A2, true, true, false),
             SchemeConfig::at(HrtConfig::ahrt(256), 12, AutomatonKind::A2), // mask-singleton
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A2),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
-        ];
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
+        ]
+    }
+
+    #[test]
+    fn bitsliced_at_packs_match_the_record_walk_across_organizations() {
         // Random site visits: shared packs must take the in-loop
         // stepping strategy here (the reinit lane is the scalar
         // consumer keeping the event loop alive).
-        let compiled_stream = CompiledTrace::compile(&trace);
+        let trace = SyntheticStream::mixed(0xa7b1, 80).generate(6_000);
         assert!(
-            compiled_stream.len() < LOG_REPLAY_MIN_RUN * compiled_stream.site_run_count(),
+            !is_loop_heavy(&trace),
             "trace drifted loop-heavy; this test pins the stepped-pack path"
         );
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-            assert_eq!(c.ras, r.ras, "{}", config.label());
-        }
-        assert_at_stats_match(&compiled_lanes, &record_lanes);
+        let configs = at_packs_with_singletons();
+        let plan = plan(&lanes_for(&configs, &trace), false);
+        assert!(plan
+            .packs
+            .iter()
+            .any(|pack| pack.flavor == Flavor::TwoLevel
+                && matches!(pack.driver, SlotDriver::Stepped(_))));
+        assert_eq!(plan.lanes[2], LanePath::Slot(0), "mask-singletons stay scalar");
+        assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
+    }
+
+    /// The eviction-interplay mix: AT packs on a tiny 2-way AHRT that
+    /// churns through fills, hits, and replacements, never seeing tags
+    /// — only slot decisions. A replaced slot must inherit the victim's
+    /// plane state and a filled slot must re-read its cached plane from
+    /// the *evolved* pattern tables, or predictions drift. The ST lane
+    /// keeps a scalar consumer in the gang. On a loop-heavy stream AT
+    /// singletons pack too: the lone ahrt(256) lane is alone on its
+    /// geometry and falls back to a private probe, and the lone ideal
+    /// and hashed singletons take their flavor's run replay.
+    fn at_evictions() -> Vec<SchemeConfig> {
+        vec![
+            SchemeConfig::st(HrtConfig::Ideal, 12, TrainingData::Same),
+            SchemeConfig::at(SMALL, 8, AutomatonKind::A2),
+            SchemeConfig::at(SMALL, 6, AutomatonKind::A3),
+            at_full(SMALL, 4, AutomatonKind::LastTime, false, false, false),
+            SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
+            SchemeConfig::at(HrtConfig::ahrt(512), 10, AutomatonKind::A4),
+            SchemeConfig::at(HrtConfig::ahrt(256), 10, AutomatonKind::A3), // lone: private probe
+            SchemeConfig::at(HrtConfig::Ideal, 9, AutomatonKind::A2), // lone: ideal replay
+            SchemeConfig::at(HrtConfig::hhrt(32), 7, AutomatonKind::A4), // lone: hashed replay
+            SchemeConfig::ls(SMALL, AutomatonKind::A2),
+            SchemeConfig::ls(SMALL, AutomatonKind::A4),
+        ]
     }
 
     #[test]
     fn at_packs_replay_ahrt_evictions_from_the_slot_log_byte_for_byte() {
-        // The eviction-interplay pin: a tiny 2-way AHRT under a
-        // loop-heavy stream churns through fills, hits, and
-        // replacements, and the AT pack never sees tags — only the
-        // shared engine's slot decisions via the log. A replaced slot
-        // must inherit the victim's plane state (non-reinit lanes
-        // inherit the victim's entry in the scalar walk) and a filled
-        // slot must re-read its cached plane from the *evolved*
-        // pattern tables, or predictions drift. The ST lane keeps a
-        // scalar consumer in the gang, so the packs ride the shared
-        // engine and — on this stream shape — the log-replay path.
-        // The stream is loop-heavy, so AT singletons pack too: the
-        // lone ahrt(256) lane is alone on its geometry and must fall
-        // back to a private probe (no engine to share despite the
-        // scalar consumer), and the lone ideal and hashed singletons
-        // take their flavor's run replay.
         let trace = loop_heavy_trace(6_000);
-        let compiled_stream = CompiledTrace::compile(&trace);
         assert!(
-            compiled_stream.len() >= LOG_REPLAY_MIN_RUN * compiled_stream.site_run_count(),
-            "trace must be loop-heavy enough to trip the log-replay gate (mean run {:.2})",
-            compiled_stream.len() as f64 / compiled_stream.site_run_count() as f64
+            is_loop_heavy(&trace),
+            "trace must be loop-heavy enough to trip the log-replay gate"
         );
-        let options = SimOptions { ras_entries: 8 };
-        let small = HrtConfig::Associative {
-            entries: 16,
-            ways: 2,
+        let configs = at_evictions();
+        let plan = plan(&lanes_for(&configs, &trace), true);
+        let LanePath::Packed(lone) = plan.lanes[6] else {
+            panic!("the lone ahrt(256) lane packs on a loop-heavy stream")
         };
-        let configs = vec![
-            SchemeConfig::st(HrtConfig::Ideal, 12, TrainingData::Same),
-            SchemeConfig::at(small, 8, AutomatonKind::A2),
-            SchemeConfig::at(small, 6, AutomatonKind::A3),
-            at_full(small, 4, AutomatonKind::LastTime, false, false, false),
+        assert_eq!(plan.packs[lone].driver, SlotDriver::Private);
+        assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
+    }
+
+    /// Every conditional consumer packs: no scalar lane remains, so the
+    /// per-event loop never runs and the associative AT packs own
+    /// private probe engines, replaying the stream in (site, outcome)
+    /// runs — including evictions on the tiny 2-way table. Each
+    /// geometry's pair shares a history mask so the churny gate packs
+    /// them too.
+    fn at_pack_only() -> Vec<SchemeConfig> {
+        vec![
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
-            SchemeConfig::at(HrtConfig::ahrt(512), 10, AutomatonKind::A4),
-            SchemeConfig::at(HrtConfig::ahrt(256), 10, AutomatonKind::A3), // lone: private probe
-            SchemeConfig::at(HrtConfig::Ideal, 9, AutomatonKind::A2),      // lone: ideal replay
-            SchemeConfig::at(HrtConfig::hhrt(32), 7, AutomatonKind::A4),   // lone: hashed replay
-            SchemeConfig::ls(small, AutomatonKind::A2),
-            SchemeConfig::ls(small, AutomatonKind::A4),
-        ];
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-        let records = gang_simulate_records(&mut record_lanes, &trace, options);
-        for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-            assert_eq!(c.conditional, r.conditional, "{}", config.label());
-            assert_eq!(c.ras, r.ras, "{}", config.label());
-        }
-        assert_at_stats_match(&compiled_lanes, &record_lanes);
+            SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A3),
+            SchemeConfig::at(SMALL, 8, AutomatonKind::A2),
+            SchemeConfig::at(SMALL, 8, AutomatonKind::LastTime),
+            SchemeConfig::at(HrtConfig::Ideal, 9, AutomatonKind::A2),
+            SchemeConfig::at(HrtConfig::Ideal, 9, AutomatonKind::A4),
+            SchemeConfig::at(HrtConfig::hhrt(32), 7, AutomatonKind::A2),
+            SchemeConfig::at(HrtConfig::hhrt(32), 7, AutomatonKind::A1),
+        ]
     }
 
     #[test]
     fn pack_only_at_gangs_take_the_chunked_run_walk() {
-        // Every conditional consumer packs: no scalar lane remains, so
-        // the per-event loop never runs and the associative AT packs
-        // own private probe engines, replaying the stream in (site,
-        // outcome) runs — including evictions on the tiny 2-way table.
         // Run on both stream shapes, since the private path chunks
-        // same-site runs either way; each geometry's pair shares a
-        // history mask so the churny gate packs them too.
+        // same-site runs either way.
         for trace in [
             SyntheticStream::mixed(0x9ac7, 64).generate(6_000),
             loop_heavy_trace(6_000),
         ] {
-            let options = SimOptions { ras_entries: 8 };
-            let small = HrtConfig::Associative {
-                entries: 16,
-                ways: 2,
-            };
-            let configs = vec![
-                SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
-                SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A3),
-                SchemeConfig::at(small, 8, AutomatonKind::A2),
-                SchemeConfig::at(small, 8, AutomatonKind::LastTime),
-                SchemeConfig::at(HrtConfig::Ideal, 9, AutomatonKind::A2),
-                SchemeConfig::at(HrtConfig::Ideal, 9, AutomatonKind::A4),
-                SchemeConfig::at(HrtConfig::hhrt(32), 7, AutomatonKind::A2),
-                SchemeConfig::at(HrtConfig::hhrt(32), 7, AutomatonKind::A1),
-            ];
-            let mut compiled_lanes: Vec<GangLane> = configs
-                .iter()
-                .map(|c| GangLane::from_config(c, Some(&trace)))
-                .collect();
-            let mut record_lanes: Vec<GangLane> = configs
-                .iter()
-                .map(|c| GangLane::from_config(c, Some(&trace)))
-                .collect();
-            let compiled = gang_simulate_with(&mut compiled_lanes, &trace, options);
-            let records = gang_simulate_records(&mut record_lanes, &trace, options);
-            for ((config, c), r) in configs.iter().zip(&compiled).zip(&records) {
-                assert_eq!(c.conditional, r.conditional, "{}", config.label());
-                assert_eq!(c.ras, r.ras, "{}", config.label());
-            }
-            assert_at_stats_match(&compiled_lanes, &record_lanes);
+            assert_walk_matches_records(&at_pack_only(), &trace, SimOptions { ras_entries: 8 });
         }
     }
 
@@ -1817,40 +1493,183 @@ mod tests {
                 )
             })
             .collect();
-        let mut compiled_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let mut record_lanes: Vec<GangLane> = configs
-            .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
-            .collect();
-        let compiled = gang_simulate_with(&mut compiled_lanes, &trace, SimOptions::default());
-        let records = gang_simulate_records(&mut record_lanes, &trace, SimOptions::default());
-        for (i, (c, r)) in compiled.iter().zip(&records).enumerate() {
-            assert_eq!(c.conditional, r.conditional, "lane {i}");
-        }
-        assert_at_stats_match(&compiled_lanes, &record_lanes);
+        let plan = plan(&lanes_for(&configs, &trace), false);
+        assert_eq!(plan.packs.len(), 1);
+        assert_eq!(plan.lanes[64], LanePath::Slot(0), "the straggler rides the pack's engine");
+        assert_walk_matches_records(&configs, &trace, SimOptions::default());
     }
 
     #[test]
-    fn isolated_walk_keeps_not_applicable_lanes_blank() {
-        let trace = SyntheticStream::mixed(0x11, 8).generate(500);
-        let configs = sweep();
-        let outcomes = gang_simulate_isolated(
-            3,
-            |i| {
-                if i == 1 {
-                    None // e.g. Diff training without a training set
-                } else {
-                    Some(GangLane::from_config(&configs[i], Some(&trace)))
+    fn slot_log_replay_keeps_slots_past_sixteen_bits() {
+        // A direct-mapped AHRT of 2^17 sets with every branch past set
+        // 65,535: the slot-log replay must see the full slot, and a
+        // fill only where the probe filled.
+        let trace = loop_heavy_trace_at(0x40000, 6_000);
+        assert!(is_loop_heavy(&trace));
+        let wide = HrtConfig::Associative {
+            entries: 1 << 17,
+            ways: 1,
+        };
+        let configs = vec![
+            SchemeConfig::st(wide, 12, TrainingData::Same),
+            SchemeConfig::ls(wide, AutomatonKind::A2),
+            SchemeConfig::ls(wide, AutomatonKind::LastTime),
+        ];
+        let plan = plan(&lanes_for(&configs, &trace), true);
+        assert_eq!(plan.packs[0].driver, SlotDriver::Logged(0));
+        assert_walk_matches_records(&configs, &trace, SimOptions::default());
+    }
+
+    /// `plan` with packing off: every table lane scalar, riding a
+    /// shared engine wherever two or more lanes share an associative
+    /// organization.
+    fn scalar_plan(lanes: &[GangLane]) -> WalkPlan {
+        let mut plan = WalkPlan {
+            lanes: Vec::new(),
+            engines: Vec::new(),
+            packs: Vec::new(),
+        };
+        for lane in lanes {
+            let hrt = lane.hrt_config();
+            let sharers = lanes.iter().filter(|l| l.hrt_config() == hrt).count();
+            let path = match (lane, hrt) {
+                (GangLane::Profile(_), _) => LanePath::Profile,
+                (GangLane::Dyn(_), _) => LanePath::Dyn,
+                (_, Some(hrt @ HrtConfig::Associative { .. })) if sharers >= 2 => {
+                    LanePath::Slot(engine_for(&mut plan.engines, hrt))
                 }
-            },
-            &trace,
+                _ => LanePath::Site,
+            };
+            plan.lanes.push(path);
+        }
+        plan
+    }
+
+    /// The index of `hrt`'s shared engine, added when missing.
+    fn engine_for(engines: &mut Vec<HrtConfig>, hrt: HrtConfig) -> usize {
+        match engines.iter().position(|&e| e == hrt) {
+            Some(e) => e,
+            None => {
+                engines.push(hrt);
+                engines.len() - 1
+            }
+        }
+    }
+
+    /// `plan` with every associative pack probing privately (`None`) or
+    /// through `shared` on its geometry's shared engine, which is added
+    /// where the plan has none.
+    fn drive_packs(mut plan: WalkPlan, shared: Option<fn(usize) -> SlotDriver>) -> WalkPlan {
+        for pack in &mut plan.packs {
+            if matches!(pack.hrt, HrtConfig::Associative { .. }) {
+                pack.driver = match shared {
+                    Some(driver) => driver(engine_for(&mut plan.engines, pack.hrt)),
+                    None => SlotDriver::Private,
+                };
+            }
+        }
+        plan
+    }
+
+    #[test]
+    fn every_forced_plan_matches_the_record_walk() {
+        // The planner picks one strategy per stream shape; the executor
+        // must be exact under all of them. Force each alternative on a
+        // loop-heavy and a churny stream, for every lane mix above:
+        // the chosen plan, every lane scalar, every associative pack
+        // private / stepped / logged on a shared engine, and the other
+        // shape's plan (mask-singleton AT lanes packed on the churny
+        // stream, unpacked on the loop-heavy one) under each driver.
+        let mixes = [
+            sweep(),
+            organizations(),
+            ls_packs_with_stragglers(),
+            shared_ls_packs(),
+            ls_pack_only(),
+            at_packs_with_singletons(),
+            at_evictions(),
+            at_pack_only(),
+        ];
+        let options = SimOptions { ras_entries: 8 };
+        for trace in [
+            loop_heavy_trace(6_000),
+            SyntheticStream::mixed(0xf0ce, 80).generate(6_000),
+        ] {
+            let compiled = CompiledTrace::compile(&trace);
+            let loop_heavy = is_loop_heavy(&trace);
+            for configs in &mixes {
+                let lanes = lanes_for(configs, &trace);
+                let mut plans = vec![("all lanes scalar", scalar_plan(&lanes))];
+                for (shape, base) in [
+                    ("chosen", plan(&lanes, loop_heavy)),
+                    ("other shape's", plan(&lanes, !loop_heavy)),
+                ] {
+                    plans.push((shape, base.clone()));
+                    plans.push(("private", drive_packs(base.clone(), None)));
+                    plans.push(("stepped", drive_packs(base.clone(), Some(SlotDriver::Stepped))));
+                    plans.push(("logged", drive_packs(base, Some(SlotDriver::Logged))));
+                }
+                for (what, forced) in plans {
+                    let mut lanes = lanes_for(configs, &trace);
+                    let results = execute(&mut lanes, &forced, &compiled, Some(&trace), options);
+                    let what = format!("{what} plan {forced:?} (loop-heavy: {loop_heavy})");
+                    assert_matches_records(&what, configs, &trace, options, &lanes, &results);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fig10_lone_at_lane_packs_only_on_loop_heavy_streams() {
+        let configs = crate::experiment::sweep_spec("fig10")
+            .expect("fig10 is registered")
+            .configs;
+        let ahrt = HrtConfig::ahrt(512);
+        let ls_pack = |driver| PackPlan {
+            flavor: Flavor::LeeSmith,
+            hrt: ahrt,
+            lanes: vec![2, 4],
+            driver,
+        };
+        let churny = SyntheticStream::mixed(0xf10, 64).generate(6_000);
+        assert!(!is_loop_heavy(&churny));
+        assert_eq!(
+            plan(&lanes_for(&configs, &churny), false),
+            WalkPlan {
+                lanes: vec![
+                    LanePath::Slot(0),
+                    LanePath::Slot(0),
+                    LanePath::Packed(0),
+                    LanePath::Profile,
+                    LanePath::Packed(0),
+                ],
+                engines: vec![ahrt],
+                packs: vec![ls_pack(SlotDriver::Stepped(0))],
+            }
         );
-        assert!(outcomes[0].as_ref().unwrap().is_ok());
-        assert!(outcomes[1].is_none());
-        assert!(outcomes[2].as_ref().unwrap().is_ok());
+        let loopy = loop_heavy_trace(6_000);
+        assert!(is_loop_heavy(&loopy));
+        assert_eq!(
+            plan(&lanes_for(&configs, &loopy), true),
+            WalkPlan {
+                lanes: vec![
+                    LanePath::Packed(0),
+                    LanePath::Slot(0),
+                    LanePath::Packed(1),
+                    LanePath::Profile,
+                    LanePath::Packed(1),
+                ],
+                engines: vec![ahrt],
+                packs: vec![
+                    PackPlan {
+                        flavor: Flavor::TwoLevel,
+                        hrt: ahrt,
+                        lanes: vec![0],
+                        driver: SlotDriver::Logged(0),
+                    },
+                    ls_pack(SlotDriver::Logged(0)),
+                ],
+            }
+        );
     }
 }
-

@@ -92,8 +92,7 @@ pub use experiment::{sweep_spec, sweep_specs, Harness, SweepSpec};
 pub use faults::Faults;
 pub use fetch::{simulate_fetch, FetchOptions, FetchResult};
 pub use gang::{
-    gang_simulate, gang_simulate_isolated, gang_simulate_isolated_precompiled,
-    gang_simulate_precompiled, gang_simulate_records, gang_simulate_with, GangLane,
+    gang_simulate_compiled, gang_simulate_isolated_compiled, gang_simulate_records, GangLane,
 };
 pub use journal::SweepJournal;
 pub use stats::{PredictionStats, SimResult};

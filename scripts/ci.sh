@@ -18,6 +18,16 @@ if [[ -n "$offenders" ]]; then
     exit 1
 fi
 
+# No build output in git: everything under a target/ directory is
+# regenerated by building, testing or running (.gitignore covers it),
+# so a tracked file there is a committed artifact.
+tracked_output=$(git ls-files -- 'target/*' '*/target/*')
+if [[ -n "$tracked_output" ]]; then
+    echo "error: build output tracked in git:" >&2
+    echo "$tracked_output" >&2
+    exit 1
+fi
+
 # Tier-1: release build + full test suite, offline, across every
 # workspace member (plain `cargo test` would only cover the root
 # facade package).
