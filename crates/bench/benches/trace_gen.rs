@@ -1,5 +1,5 @@
 //! Micro-benchmarks: workload trace-generation (interpreter)
-//! throughput and trace serialization, on the in-repo runner.
+//! throughput and TLA3 trace serialization, on the in-repo runner.
 //!
 //! Run with `cargo bench --bench trace_gen`.
 
@@ -26,11 +26,11 @@ fn main() {
     let trace = workload
         .trace_test(if smoke { 5_000 } else { 50_000 })
         .unwrap();
-    let encoded = codec::encode(&trace);
+    let encoded = codec::encode_v3(&trace);
     let mut group = Runner::new("codec");
     group
         .throughput(encoded.len() as u64)
-        .bench("encode", || codec::encode(&trace));
+        .bench("encode", || codec::encode_v3(&trace));
     group
         .throughput(encoded.len() as u64)
         .bench("decode", || codec::decode(&encoded).unwrap());

@@ -1,14 +1,13 @@
-//! Trace codec throughput: the TLA3 packet format against the TLA2
-//! record format, over the same trace.
+//! Trace codec throughput: the TLA3 packet format the disk cache
+//! reads and writes.
 //!
-//! Measures what the disk cache actually pays — encode, decode, and
-//! bytes per record for both wire formats — plus the tentpole pair:
-//! streaming a TLA3 buffer straight into a [`CompiledTrace`] versus
-//! the legacy decode-records-then-compile pipeline. Run with
-//! `cargo bench --bench trace_io`; six BENCHJSON lines are emitted
-//! (`encode_tla2`, `encode_tla3`, `decode_tla2`, `decode_tla3`,
-//! `decode_then_compile`, `stream_decode_compiled`) plus derived
-//! compression and speedup lines.
+//! Measures what the cache actually pays — encode, decode, and bytes
+//! per record — plus the two routes from a cache entry to a
+//! [`CompiledTrace`]: streaming the TLA3 buffer straight into the
+//! compiled stream, or decoding the record vector and compiling it.
+//! Run with `cargo bench --bench trace_io`; four BENCHJSON lines are
+//! emitted (`encode_tla3`, `decode_tla3`, `decode_then_compile`,
+//! `stream_decode_compiled`) plus a derived speedup line.
 
 use tlat_bench::runner::Runner;
 use tlat_trace::{codec, CompiledTrace};
@@ -24,38 +23,27 @@ fn main() {
     let trace = SyntheticStream::mixed(0x10a3, 512).generate(branches);
     let records = trace.len() as u64;
 
-    let v2 = codec::encode(&trace);
     let v3 = codec::encode_v3(&trace);
     println!(
-        "[trace_io] bytes/record: TLA2 {:.2}, TLA3 {:.2}; compression {:.2}x \
-         ({} -> {} bytes)",
-        v2.len() as f64 / records as f64,
+        "[trace_io] bytes/record: TLA3 {:.2} ({} bytes)",
         v3.len() as f64 / records as f64,
-        v2.len() as f64 / v3.len() as f64,
-        v2.len(),
         v3.len()
     );
 
     let mut group = Runner::new("trace_io");
     group.plan(1, 7);
-    group.throughput(records).bench("encode_tla2", || codec::encode(&trace).len());
-    group.plan(1, 7);
     group.throughput(records).bench("encode_tla3", || codec::encode_v3(&trace).len());
-    group.plan(1, 7);
-    group
-        .throughput(records)
-        .bench("decode_tla2", || codec::decode(&v2).unwrap().len());
     group.plan(1, 7);
     group
         .throughput(records)
         .bench("decode_tla3", || codec::decode(&v3).unwrap().len());
 
     // The gang sweeps' two routes to a compiled stream: materialize the
-    // record vector and compile it (what a TLA2 cache hit pays), or
-    // lower packets straight into the stream (what a TLA3 hit pays).
+    // record vector and compile it, or lower packets straight into the
+    // stream (what a cache hit pays).
     group.plan(1, 7);
-    let legacy = group.throughput(records).bench("decode_then_compile", || {
-        CompiledTrace::compile(&codec::decode(&v2).unwrap()).len()
+    let via_records = group.throughput(records).bench("decode_then_compile", || {
+        CompiledTrace::compile(&codec::decode(&v3).unwrap()).len()
     });
     group.plan(1, 7);
     let streamed = group.throughput(records).bench("stream_decode_compiled", || {
@@ -64,7 +52,7 @@ fn main() {
     if streamed.median_ns > 0.0 {
         println!(
             "[trace_io] streaming decode vs decode-then-compile: {:.2}x",
-            legacy.median_ns / streamed.median_ns
+            via_records.median_ns / streamed.median_ns
         );
     }
 }

@@ -86,7 +86,7 @@ fn usage() -> ExitCode {
          \u{20}  diagnose <bench> [i]  worst sites for a scheme\n\
          \u{20}  taxonomy          GAg/GAs/PAg/PAs extension comparison\n\
          \u{20}  cost              pipeline CPI under the flush model\n\
-         \u{20}  dump <bench> <file>  write a trace in codec format\n\
+         \u{20}  dump <bench> <file>  write a benchmark's test trace as TLA3\n\
          \u{20}  simulate <file> [i]  run a config over a trace file\n\
          \u{20}  warmup <bench> [i]   windowed accuracy curve\n\
          \u{20}  report            full experiment log as markdown\n\
@@ -512,9 +512,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            // Binary formats start with a TLA* magic (TLA1/TLA2
-            // records, TLA3 packets — `codec::decode` dispatches);
-            // anything else is tried as the text format.
+            // Binary traces start with a TLA* magic (only TLA3 decodes;
+            // an older one fails naming the format it wants); anything
+            // else is tried as the text format.
             let trace = if bytes.starts_with(b"TLA") {
                 tlat_trace::codec::decode(&bytes)
             } else {
@@ -598,7 +598,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             };
             let trace = harness.store().test(&workload);
-            let bytes = tlat_trace::codec::encode(&trace);
+            let bytes = tlat_trace::codec::encode_v3(&trace);
             if let Err(e) = std::fs::write(path, &bytes) {
                 eprintln!("cannot write {path}: {e}");
                 return ExitCode::FAILURE;

@@ -9,10 +9,9 @@
 //! [`DiskCache::load_compiled`], can stream an entry straight into a
 //! [`CompiledTrace`] without materializing the per-branch records.
 //!
-//! Entries written by older builds in the TLA2 record format are still
-//! honoured: a miss on the `.tlat` name falls back to the legacy
-//! `.tla2` name, and a legacy hit is migrated in place (re-encoded as
-//! TLA3 under the new name, old file removed).
+//! TLA3 is the only format read: entries older builds wrote in the
+//! retired record format, under a different extension, are never
+//! opened. Such stale files can be deleted by hand.
 //!
 //! Cache entries live under `target/tlat-cache/` by default, or the
 //! directory named by the `TLAT_TRACE_CACHE` environment variable
@@ -106,18 +105,6 @@ impl TraceKey<'_> {
             self.fingerprint()
         )
     }
-
-    /// The file name older builds used for the same key (TLA2 record
-    /// format). Only consulted as a fallback when the `.tlat` entry is
-    /// absent; a hit there is migrated to [`file_name`](Self::file_name).
-    pub fn legacy_file_name(&self) -> String {
-        format!(
-            "{}-{}-{:016x}.tla2",
-            self.workload,
-            self.role,
-            self.fingerprint()
-        )
-    }
 }
 
 /// Incremental FNV-1a with field separators, shared by the trace-cache
@@ -148,17 +135,6 @@ impl Fnv {
     pub(crate) fn finish(self) -> u64 {
         self.0
     }
-}
-
-/// What one entry's recovering read produced.
-enum ReadOutcome<T> {
-    /// The entry decoded; serve it.
-    Hit(T),
-    /// The file does not exist — try a fallback name or regenerate.
-    Cold,
-    /// The file exists but cannot be served (corrupt and evicted, or
-    /// I/O retries exhausted) — regenerate, do not fall back.
-    Gone,
 }
 
 /// A directory of codec-serialized traces.
@@ -209,11 +185,6 @@ impl DiskCache {
         self.root.join(key.file_name())
     }
 
-    /// The on-disk path older builds used for the same key (TLA2).
-    pub fn legacy_path_for(&self, key: &TraceKey<'_>) -> PathBuf {
-        self.root.join(key.legacy_file_name())
-    }
-
     /// Reads and decodes the entry at `path` once, without recovery.
     /// This is the typed primitive the recovery loop builds its
     /// retry/evict policy on. A successful decode counts the file's
@@ -242,14 +213,14 @@ impl DiskCache {
     /// One entry's full read policy (see the module docs): transient
     /// read errors are retried with bounded backoff; a present-but-
     /// invalid file (corrupt, truncated, wrong magic) is reported on
-    /// stderr, evicted, and read as [`ReadOutcome::Gone`] so the
-    /// caller regenerates it. A missing file is [`ReadOutcome::Cold`].
+    /// stderr, evicted, and read as `None` so the caller regenerates
+    /// it. A missing file is a silent `None`.
     fn read_with_recovery<T>(
         &self,
         path: &Path,
         injected: Option<CacheFault>,
         decode: fn(&[u8]) -> Result<T, codec::DecodeError>,
-    ) -> ReadOutcome<T> {
+    ) -> Option<T> {
         let mut attempt = 0u32;
         loop {
             let result = if injected == Some(CacheFault::Transient) && attempt == 0 {
@@ -264,11 +235,11 @@ impl DiskCache {
                 self.try_read_with(path, decode)
             };
             match result {
-                Ok(decoded) => return ReadOutcome::Hit(decoded),
+                Ok(decoded) => return Some(decoded),
                 Err(SimError::Io { source, .. })
                     if source.kind() == std::io::ErrorKind::NotFound =>
                 {
-                    return ReadOutcome::Cold; // the common, silent case
+                    return None; // the common, silent case
                 }
                 Err(e @ SimError::Io { .. }) if attempt < READ_RETRIES => {
                     attempt += 1;
@@ -282,7 +253,7 @@ impl DiskCache {
                 }
                 Err(e @ SimError::Io { .. }) => {
                     eprintln!("warning: {e}; giving up on the cache entry and regenerating");
-                    return ReadOutcome::Gone;
+                    return None;
                 }
                 Err(e) => {
                     // Corrupt entry: evict (best-effort, no retry — a
@@ -298,23 +269,19 @@ impl DiskCache {
                             );
                         }
                     }
-                    return ReadOutcome::Gone;
+                    return None;
                 }
             }
         }
     }
 
-    /// The shared load path: primary `.tlat` entry first, then the
-    /// legacy `.tla2` fallback. A legacy hit is migrated — re-encoded
-    /// as TLA3 under the primary name, old file removed — before
-    /// `from_legacy` shapes the decoded records into the caller's
-    /// type. Exactly one of `CacheHits`/`CacheMisses` is bumped per
+    /// The shared load path: one recovering read of the key's `.tlat`
+    /// entry. Exactly one of `CacheHits`/`CacheMisses` is bumped per
     /// call.
     fn load_with<T>(
         &self,
         key: &TraceKey<'_>,
         decode: fn(&[u8]) -> Result<T, codec::DecodeError>,
-        from_legacy: impl FnOnce(Trace) -> T,
     ) -> Option<T> {
         let _span = metrics::span(Phase::CacheLoad);
         let path = self.path_for(key);
@@ -322,40 +289,13 @@ impl DiskCache {
         if injected == Some(CacheFault::Corrupt) {
             truncate_in_place(&path);
         }
-        match self.read_with_recovery(&path, injected, decode) {
-            ReadOutcome::Hit(decoded) => {
-                metrics::bump(Counter::CacheHits);
-                return Some(decoded);
-            }
-            ReadOutcome::Gone => {
-                metrics::bump(Counter::CacheMisses);
-                return None;
-            }
-            ReadOutcome::Cold => {}
-        }
-        // The entry may predate the packet format: fall back to the
-        // legacy name (no fault injection there — the plan already
-        // fired on the primary read above).
-        let legacy = self.legacy_path_for(key);
-        match self.read_with_recovery(&legacy, None, codec::decode) {
-            ReadOutcome::Hit(trace) => {
-                metrics::bump(Counter::CacheHits);
-                self.store(key, &trace);
-                if let Err(unlink) = std::fs::remove_file(&legacy) {
-                    if unlink.kind() != std::io::ErrorKind::NotFound {
-                        eprintln!(
-                            "warning: cannot remove migrated cache entry {}: {unlink}",
-                            legacy.display()
-                        );
-                    }
-                }
-                Some(from_legacy(trace))
-            }
-            ReadOutcome::Cold | ReadOutcome::Gone => {
-                metrics::bump(Counter::CacheMisses);
-                None
-            }
-        }
+        let loaded = self.read_with_recovery(&path, injected, decode);
+        metrics::bump(if loaded.is_some() {
+            Counter::CacheHits
+        } else {
+            Counter::CacheMisses
+        });
+        loaded
     }
 
     /// Loads the cached trace for `key`, or `None` on a cold miss.
@@ -365,19 +305,16 @@ impl DiskCache {
     /// (corrupt, truncated, wrong magic) is reported on stderr,
     /// evicted, and treated as a miss so the caller regenerates it.
     pub fn load(&self, key: &TraceKey<'_>) -> Option<Trace> {
-        self.load_with(key, codec::decode, |trace| trace)
+        self.load_with(key, codec::decode)
     }
 
     /// Loads the entry for `key` decoded straight into a
     /// [`CompiledTrace`] — the packet stream's site table and branch
     /// maps are consumed in place, so the per-branch record vector is
     /// never materialized. Recovery policy and counters match
-    /// [`load`](Self::load); a legacy TLA2 hit decodes as records,
-    /// migrates, and compiles.
+    /// [`load`](Self::load).
     pub fn load_compiled(&self, key: &TraceKey<'_>) -> Option<CompiledTrace> {
-        self.load_with(key, codec::decode_compiled, |trace| {
-            CompiledTrace::compile(&trace)
-        })
+        self.load_with(key, codec::decode_compiled)
     }
 
     /// Stores `trace` under `key`. Best-effort: an I/O failure is
@@ -473,30 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_tla2_entries_hit_and_migrate() {
-        let dir = scratch_dir("migrate");
-        let cache = DiskCache::new(&dir);
-        let input = DataSet::new("unit", 9, 2);
-        let trace = SyntheticStream::mixed(0x123, 16).generate(400);
-        let k = key(&input, 400);
-        // Seed the entry the way an older build would have written it:
-        // TLA2 record bytes under the `.tla2` name.
-        std::fs::create_dir_all(&dir).unwrap();
-        let legacy = cache.legacy_path_for(&k);
-        std::fs::write(&legacy, codec::encode(&trace)).unwrap();
-        assert_eq!(cache.load(&k).unwrap(), trace, "legacy entry must hit");
-        assert!(!legacy.exists(), "legacy entry must be removed after migration");
-        let migrated = std::fs::read(cache.path_for(&k)).unwrap();
-        assert!(
-            migrated.starts_with(b"TLA3"),
-            "a legacy hit must re-encode as TLA3 under the new name"
-        );
-        // The migrated entry then serves directly.
-        assert_eq!(cache.load(&k).unwrap(), trace);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn compiled_loads_match_compiling_the_records() {
         let dir = scratch_dir("compiled");
         let cache = DiskCache::new(&dir);
@@ -508,28 +421,6 @@ mod tests {
         assert_eq!(
             cache.load_compiled(&k).unwrap(),
             CompiledTrace::compile(&trace)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compiled_loads_migrate_legacy_entries_too() {
-        let dir = scratch_dir("compiled-migrate");
-        let cache = DiskCache::new(&dir);
-        let input = DataSet::new("unit", 6, 2);
-        let trace = SyntheticStream::mixed(0xfade, 8).generate(350);
-        let k = key(&input, 350);
-        std::fs::create_dir_all(&dir).unwrap();
-        let legacy = cache.legacy_path_for(&k);
-        std::fs::write(&legacy, codec::encode(&trace)).unwrap();
-        assert_eq!(
-            cache.load_compiled(&k).unwrap(),
-            CompiledTrace::compile(&trace)
-        );
-        assert!(!legacy.exists());
-        assert!(
-            std::fs::read(cache.path_for(&k)).unwrap().starts_with(b"TLA3"),
-            "legacy compiled hit must migrate the entry"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -112,11 +112,11 @@ mod tests {
     #[test]
     fn display_carries_context() {
         let e = SimError::io(
-            "reading cache entry x.tla2",
+            "reading cache entry x.tlat",
             std::io::Error::new(std::io::ErrorKind::PermissionDenied, "denied"),
         );
         let text = e.to_string();
-        assert!(text.contains("reading cache entry x.tla2"));
+        assert!(text.contains("reading cache entry x.tlat"));
         assert!(text.contains("denied"));
         assert!(std::error::Error::source(&e).is_some());
     }

@@ -33,7 +33,9 @@
 //! Set `TLAT_METRICS=<path>` (or pass `--metrics <path>` to the CLI,
 //! which sets the variable) to enable recording; the CLI writes the
 //! JSONL file at exit. `tlat stats <path>` renders a human summary and
-//! `tlat stats --check <path>` validates a file against the schema.
+//! `tlat stats --check <path>` validates a file against the schema
+//! ([`check`] reads each line once, through `tlat_trace::json::parse`,
+//! the workspace's one JSON reader).
 //! The full schema — every counter, span, and field, with stability
 //! notes — is documented in `OBSERVABILITY.md` at the repository root.
 //!
@@ -59,7 +61,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use tlat_trace::json::{self, JsonObject};
+use tlat_trace::json::{self, JsonObject, Value};
 
 /// Environment variable naming the telemetry output file. Setting it
 /// to a non-empty path (other than `0`/`off`) enables recording; the
@@ -99,11 +101,10 @@ pub enum Counter {
     CacheMisses,
     /// Corrupt disk-cache entries evicted (each also counts one miss).
     CacheEvictions,
-    /// Bytes read from disk-cache entries that decoded successfully
-    /// (sums over every format: TLA1, TLA2, TLA3).
+    /// Bytes read from disk-cache entries (TLA3) that decoded
+    /// successfully.
     CacheBytesRead,
-    /// Bytes written to disk-cache entries (TLA3 packets since the
-    /// format landed; migration re-encodes count here too).
+    /// Bytes written to disk-cache entries (TLA3).
     CacheBytesWritten,
     /// Sweep cells computed by simulation this process.
     CellsComputed,
@@ -622,10 +623,12 @@ pub struct MetricsFile {
 
 /// Parses and validates a telemetry file against the schema.
 ///
-/// Checks, per line: well-formed JSON, a known `kind`, required fields
-/// present with the right types, and (on the `meta` line, which must
-/// come first) a supported schema version. Unknown counter/span
-/// *names* are accepted — consumers must tolerate additions.
+/// Checks, per line: well-formed JSON (as `json::parse` reads it), a
+/// flat object (no array or object member values), a known `kind`,
+/// required fields present with the right types, and (on the `meta`
+/// line, which must come first) a supported schema version. Unknown
+/// counter/span *names* are accepted — consumers must tolerate
+/// additions.
 ///
 /// # Errors
 ///
@@ -639,25 +642,43 @@ pub fn check(text: &str) -> Result<MetricsFile, String> {
         if line.is_empty() {
             continue;
         }
-        if !json::validate(line) {
-            return Err(format!("line {lineno}: not well-formed JSON"));
-        }
-        let fields = parse_flat_object(line)
-            .ok_or_else(|| format!("line {lineno}: not a flat JSON object"))?;
-        let kind = fields
-            .str_field("kind")
+        let members = match json::parse(line) {
+            None => return Err(format!("line {lineno}: not well-formed JSON")),
+            Some(Value::Object(members))
+                if !members
+                    .iter()
+                    .any(|(_, v)| matches!(v, Value::Array(_) | Value::Object(_))) =>
+            {
+                members
+            }
+            Some(_) => return Err(format!("line {lineno}: not a flat JSON object")),
+        };
+        // A repeated key answers with its last value.
+        let field = |name: &str| {
+            members
+                .iter()
+                .rev()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| v)
+        };
+        let str_field = |name: &str| match field(name) {
+            Some(Value::Str(s)) => Some(s.as_str()),
+            _ => None,
+        };
+        let kind = str_field("kind")
             .ok_or_else(|| format!("line {lineno}: missing string field \"kind\""))?;
         if !saw_meta && kind != "meta" {
             return Err(format!("line {lineno}: first record must be kind \"meta\""));
         }
         let want = |name: &str| -> Result<u64, String> {
-            fields
-                .int_field(name)
-                .ok_or_else(|| format!("line {lineno}: {kind:?} record needs integer {name:?}"))
+            match field(name) {
+                Some(Value::Number(n)) => n.parse().ok(),
+                _ => None,
+            }
+            .ok_or_else(|| format!("line {lineno}: {kind:?} record needs integer {name:?}"))
         };
         let want_str = |name: &str| -> Result<String, String> {
-            fields
-                .str_field(name)
+            str_field(name)
                 .map(str::to_owned)
                 .ok_or_else(|| format!("line {lineno}: {kind:?} record needs string {name:?}"))
         };
@@ -668,7 +689,7 @@ pub fn check(text: &str) -> Result<MetricsFile, String> {
                 }
                 saw_meta = true;
                 file.schema = want("schema")?;
-                file.shard = fields.str_field("shard").map(str::to_owned);
+                file.shard = str_field("shard").map(str::to_owned);
                 if file.schema > SCHEMA_VERSION {
                     return Err(format!(
                         "line {lineno}: schema version {} is newer than this tool ({})",
@@ -744,23 +765,6 @@ pub fn summarize(file: &MetricsFile) -> String {
     for (name, value) in &file.counters {
         let _ = writeln!(out, "  {name:<20} {value:>12}");
     }
-    // A run that both read legacy bytes and wrote packet bytes (the
-    // cache-migration case) exposes the effective compression ratio
-    // directly: bytes in over bytes out.
-    let read = file.counters.get("cache_bytes_read").copied().unwrap_or(0);
-    let written = file
-        .counters
-        .get("cache_bytes_written")
-        .copied()
-        .unwrap_or(0);
-    if read > 0 && written > 0 {
-        let _ = writeln!(
-            out,
-            "  {:<20} {:>11.2}x  (cache_bytes_read / cache_bytes_written)",
-            "compression",
-            read as f64 / written as f64
-        );
-    }
     let _ = writeln!(out, "\nspans:");
     let _ = writeln!(out, "  {:<16} {:>8} {:>14} {:>12}", "phase", "count", "total ms", "mean µs");
     for (name, (count, total_ns)) in &file.spans {
@@ -790,109 +794,6 @@ pub fn summarize(file: &MetricsFile) -> String {
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// Flat-object JSON reader (the schema is deliberately flat so this
-// stays tiny; `json::validate` has already vetted the syntax)
-// ---------------------------------------------------------------------
-
-/// One parsed scalar member value.
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Str(String),
-    Int(u64),
-    Other,
-}
-
-#[derive(Debug, Default)]
-struct FlatObject(BTreeMap<String, Scalar>);
-
-impl FlatObject {
-    fn str_field(&self, name: &str) -> Option<&str> {
-        match self.0.get(name) {
-            Some(Scalar::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn int_field(&self, name: &str) -> Option<u64> {
-        match self.0.get(name) {
-            Some(Scalar::Int(v)) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-/// Reads one flat (no nesting) JSON object into field → scalar.
-/// Returns `None` on nesting or non-object input; non-integer numbers
-/// and literals parse as [`Scalar::Other`] so type mismatches surface
-/// as missing required fields.
-fn parse_flat_object(line: &str) -> Option<FlatObject> {
-    let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = FlatObject::default();
-    let mut rest = body.trim();
-    if rest.is_empty() {
-        return Some(fields);
-    }
-    loop {
-        let (key, after_key) = parse_json_string(rest)?;
-        rest = after_key.trim_start().strip_prefix(':')?.trim_start();
-        let (value, after_value) = if rest.starts_with('"') {
-            let (s, r) = parse_json_string(rest)?;
-            (Scalar::Str(s), r)
-        } else {
-            let end = rest
-                .find([',', '{', '['])
-                .unwrap_or(rest.len());
-            if rest[..end].contains(['{', '[']) || rest.starts_with(['{', '[']) {
-                return None; // nested value: not a flat object
-            }
-            let token = rest[..end].trim();
-            let scalar = token.parse::<u64>().map_or(Scalar::Other, Scalar::Int);
-            (scalar, &rest[end..])
-        };
-        fields.0.insert(key, value);
-        rest = after_value.trim_start();
-        match rest.strip_prefix(',') {
-            Some(r) => rest = r.trim_start(),
-            None => return rest.is_empty().then_some(fields),
-        }
-    }
-}
-
-/// Parses one leading JSON string literal, returning `(decoded,
-/// remainder)`.
-fn parse_json_string(input: &str) -> Option<(String, &str)> {
-    let rest = input.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, &rest[i + 1..])),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'b' => out.push('\u{8}'),
-                'f' => out.push('\u{c}'),
-                'u' => {
-                    let (j, _) = chars.next()?;
-                    let hex = rest.get(j..j + 4)?;
-                    out.push(char::from_u32(u32::from_str_radix(hex, 16).ok()?)?);
-                    for _ in 0..3 {
-                        chars.next()?;
-                    }
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -1001,28 +902,13 @@ mod tests {
     }
 
     #[test]
-    fn summary_reports_compression_when_both_byte_counters_are_present() {
-        let mut snap = Snapshot::default();
-        snap.counters[Counter::CacheBytesRead as usize] = 13_000;
-        snap.counters[Counter::CacheBytesWritten as usize] = 1_000;
-        let with_both =
-            summarize(&check(&render_jsonl_from(&snap, &BTreeMap::new(), None)).unwrap());
-        assert!(with_both.contains("cache_bytes_read"));
-        assert!(with_both.contains("cache_bytes_written"));
-        assert!(with_both.contains("compression"), "{with_both}");
-        assert!(with_both.contains("13.00x"), "{with_both}");
-        // With either counter at zero the ratio line is omitted.
-        snap.counters[Counter::CacheBytesWritten as usize] = 0;
-        let one_sided =
-            summarize(&check(&render_jsonl_from(&snap, &BTreeMap::new(), None)).unwrap());
-        assert!(!one_sided.contains("compression"), "{one_sided}");
-    }
-
-    #[test]
     fn check_rejects_malformed_files() {
-        let cases: [(&str, &str); 6] = [
+        let cases = [
             ("", "no meta"),
-            ("{\"kind\":\"counter\",\"name\":\"x\",\"value\":1}", "first record"),
+            (
+                "{\"kind\":\"counter\",\"name\":\"x\",\"value\":1}",
+                "first record",
+            ),
             ("not json", "not well-formed"),
             (
                 "{\"kind\":\"meta\",\"schema\":99,\"emitter\":\"t\"}",
@@ -1036,6 +922,25 @@ mod tests {
                 "{\"kind\":\"meta\",\"schema\":1}\n{\"kind\":\"counter\",\"name\":\"x\"}",
                 "needs integer",
             ),
+            ("{\"kind\":\"meta\",\"schema\":1.0}", "needs integer"),
+            (
+                "[{\"kind\":\"meta\",\"schema\":1}]",
+                "line 1: not a flat JSON object",
+            ),
+            (
+                "{\"kind\":\"meta\",\"schema\":1,\"x\":{\"n\":1}}",
+                "not a flat JSON object",
+            ),
+            (
+                "{\"kind\":\"meta\",\"schema\":1,\"x\":[1]}",
+                "not a flat JSON object",
+            ),
+            // A nested member is caught even when a repeated key later
+            // overrides it with a scalar.
+            (
+                "{\"kind\":\"meta\",\"schema\":1,\"x\":[1],\"x\":1}",
+                "not a flat JSON object",
+            ),
         ];
         for (text, want) in cases {
             let err = check(text).expect_err(text);
@@ -1044,22 +949,23 @@ mod tests {
     }
 
     #[test]
-    fn check_accepts_unknown_names_and_blank_lines() {
-        let text = "{\"kind\":\"meta\",\"schema\":1}\n\n\
-                    {\"kind\":\"counter\",\"name\":\"future_counter\",\"value\":3}\n";
-        let parsed = check(text).unwrap();
-        assert_eq!(parsed.counters["future_counter"], 3);
+    fn check_reports_deep_nesting_instead_of_overflowing_the_stack() {
+        let deep = format!(
+            "{{\"kind\":\"meta\",\"schema\":1}}\n{}{}",
+            "[".repeat(200_000),
+            "]".repeat(200_000)
+        );
+        assert_eq!(check(&deep), Err("line 2: not well-formed JSON".to_owned()));
     }
 
     #[test]
-    fn flat_parser_handles_escapes_and_rejects_nesting() {
-        let obj = parse_flat_object(r#"{"a":"x\"y","b":12,"c":1.5}"#).unwrap();
-        assert_eq!(obj.str_field("a"), Some("x\"y"));
-        assert_eq!(obj.int_field("b"), Some(12));
-        assert_eq!(obj.int_field("c"), None, "floats are not integers");
-        assert!(parse_flat_object(r#"{"a":{"n":1}}"#).is_none());
-        assert!(parse_flat_object(r#"{"a":[1]}"#).is_none());
-        assert!(parse_flat_object("{}").unwrap().0.is_empty());
+    fn check_accepts_unknown_names_and_blank_lines() {
+        let text = "{\"kind\":\"meta\",\"schema\":1}\n\n\
+                    {\"kind\":\"counter\",\"name\":\"future_counter\",\"value\":3}\n\
+                    {\"kind\":\"counter\",\"name\":\"x\\\"y\",\"value\":4}\n";
+        let parsed = check(text).unwrap();
+        assert_eq!(parsed.counters["future_counter"], 3);
+        assert_eq!(parsed.counters["x\"y"], 4, "escapes decode");
     }
 
     #[test]

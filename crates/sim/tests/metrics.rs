@@ -9,7 +9,8 @@
 use std::sync::Mutex;
 use tlat_core::{AutomatonKind, HrtConfig};
 use tlat_sim::metrics::{self, Counter};
-use tlat_sim::{Harness, SchemeConfig, TrainingData};
+use tlat_sim::{DiskCache, Harness, SchemeConfig, TraceKey, TrainingData};
+use tlat_workloads::DataSet;
 
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
@@ -122,4 +123,52 @@ fn disabled_recording_accumulates_nothing_across_a_sweep() {
     for counter in Counter::ALL {
         assert_eq!(snap.counter(counter), 0, "{} accumulated while off", counter.name());
     }
+}
+
+#[test]
+fn stale_tla2_entry_is_a_plain_miss() {
+    let _guard = lock();
+    let dir = std::env::temp_dir().join(format!("tlat-stale-entry-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = DiskCache::new(&dir);
+    let input = DataSet::new("unit", 9, 2);
+    let key = TraceKey {
+        workload: "synthetic",
+        role: "test",
+        input: &input,
+        budget: 400,
+    };
+    // What an older build left behind: an (empty) TLA2 record file,
+    // magic plus zeroed mix and record counts, under the old name.
+    let stale = cache.path_for(&key).with_extension("tla2");
+    let mut bytes = b"TLA2".to_vec();
+    bytes.resize(4 + 6 * 8, 0);
+    std::fs::write(&stale, &bytes).unwrap();
+
+    metrics::set_enabled(true);
+    metrics::reset();
+    let before = metrics::Snapshot::now();
+    assert!(cache.load(&key).is_none(), "a stale entry must not hit");
+    let after_load = metrics::Snapshot::now();
+    assert!(
+        cache.load_compiled(&key).is_none(),
+        "a stale entry must not hit"
+    );
+    let after_compiled = metrics::Snapshot::now();
+    metrics::set_enabled(false);
+    metrics::reset();
+
+    for delta in [after_load.since(&before), after_compiled.since(&after_load)] {
+        assert_eq!(delta.counter(Counter::CacheMisses), 1);
+        assert_eq!(delta.counter(Counter::CacheHits), 0);
+        assert_eq!(delta.counter(Counter::CacheBytesRead), 0);
+    }
+    assert_eq!(
+        std::fs::read(&stale).unwrap(),
+        bytes,
+        "the stale file is left untouched"
+    );
+    assert!(!cache.path_for(&key).exists(), "nothing is migrated");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,5 @@
 //! Branch and instruction classification types.
 
-use crate::cursor::{PutBytes, Reader};
 use crate::json::{JsonObject, ToJson};
 use std::fmt;
 
@@ -270,29 +269,6 @@ impl BranchRecord {
     pub fn outcome(&self) -> Outcome {
         Outcome::from(self.taken)
     }
-
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        out.put_u32_le(self.pc);
-        out.put_u32_le(self.target);
-        out.put_u8(self.class.code() | ((self.call as u8) << 6) | ((self.taken as u8) << 7));
-    }
-
-    pub(crate) fn decode_from(input: &mut Reader<'_>) -> Option<Self> {
-        if input.remaining() < 9 {
-            return None;
-        }
-        let pc = input.get_u32_le();
-        let target = input.get_u32_le();
-        let flags = input.get_u8();
-        let class = BranchClass::from_code(flags & 0x3f)?;
-        Some(BranchRecord {
-            pc,
-            target,
-            class,
-            taken: flags & 0x80 != 0,
-            call: flags & 0x40 != 0,
-        })
-    }
 }
 
 impl ToJson for BranchClass {
@@ -398,30 +374,6 @@ mod tests {
         assert!(cr.call);
         assert_eq!(cr.class, BranchClass::RegisterUnconditional);
         assert!(!BranchRecord::conditional(0, 4, true).call);
-    }
-
-    #[test]
-    fn record_binary_roundtrip() {
-        let records = [
-            BranchRecord::conditional(0xdead_bee0, 0x1234, false),
-            BranchRecord::subroutine_return(8, 0),
-            BranchRecord::unconditional_imm(u32::MAX, u32::MAX),
-            BranchRecord::call_imm(0x40, 0x80),
-            BranchRecord::call_reg(0x44, 0x90),
-        ];
-        for rec in records {
-            let mut buf = Vec::new();
-            rec.encode_into(&mut buf);
-            assert_eq!(buf.len(), 9);
-            let mut reader = Reader::new(&buf);
-            assert_eq!(BranchRecord::decode_from(&mut reader), Some(rec));
-        }
-    }
-
-    #[test]
-    fn decode_rejects_short_input() {
-        let mut short = Reader::new(&[1, 2, 3]);
-        assert_eq!(BranchRecord::decode_from(&mut short), None);
     }
 
     #[test]

@@ -1,9 +1,14 @@
-//! Compact binary serialization of traces.
+//! Trace serialization: the TLA3 packet format on disk, a text form
+//! for people and other tools, and the atomic file write the disk
+//! cache stores through.
 //!
 //! Trace generation (running the ISA interpreter over a workload) is much
 //! more expensive than prediction, so the experiment harness caches traces
-//! on disk between runs. The format is a small fixed header followed by
-//! nine bytes per branch record.
+//! on disk between runs. TLA3 ([`crate::packet`]) is the only binary
+//! format: [`encode_v3`], [`decode`] and [`decode_compiled`] are that
+//! module's functions under the names the rest of the workspace calls.
+//! Bytes that do not start with the TLA3 magic, older record-format
+//! files included, fail with [`DecodeError::BadMagic`].
 //!
 //! # Examples
 //!
@@ -12,32 +17,28 @@
 //!
 //! let mut t = Trace::new();
 //! t.push(BranchRecord::conditional(0x40, 0x10, true));
-//! let bytes = codec::encode(&t);
+//! let bytes = codec::encode_v3(&t);
 //! let back = codec::decode(&bytes)?;
 //! assert_eq!(t, back);
 //! # Ok::<(), codec::DecodeError>(())
 //! ```
 
 use crate::branch::{BranchRecord, InstClass};
-use crate::cursor::{PutBytes, Reader};
 use crate::stats::InstMix;
 use crate::trace::Trace;
 use std::error::Error;
 use std::fmt;
 
-/// Magic bytes of format v1 (no instruction-gap data; still readable).
-const MAGIC_V1: [u8; 4] = *b"TLA1";
-/// Magic bytes of format v2 (records carry the instruction gap).
-const MAGIC_V2: [u8; 4] = *b"TLA2";
+pub use crate::packet::{decode, decode_compiled, encode as encode_v3};
 
 /// Error returned when decoding a serialized trace fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The input does not start with the trace magic bytes.
+    /// The input does not start with the TLA3 magic bytes.
     BadMagic,
     /// The input ended before the declared number of records.
     Truncated,
-    /// A record contained an invalid branch-class code.
+    /// A packet or text line was malformed.
     BadRecord {
         /// Index of the malformed record.
         index: usize,
@@ -47,7 +48,7 @@ pub enum DecodeError {
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DecodeError::BadMagic => write!(f, "input is not a serialized trace"),
+            DecodeError::BadMagic => write!(f, "input is not a TLA3 trace (bad magic)"),
             DecodeError::Truncated => write!(f, "serialized trace is truncated"),
             DecodeError::BadRecord { index } => {
                 write!(f, "malformed branch record at index {index}")
@@ -58,140 +59,9 @@ impl fmt::Display for DecodeError {
 
 impl Error for DecodeError {}
 
-/// Serializes a trace to bytes (format v2: each record carries its
-/// instruction gap).
-pub fn encode(trace: &Trace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 8 * 6 + trace.len() * 13);
-    out.put_slice(&MAGIC_V2);
-    for class in InstClass::ALL {
-        out.put_u64_le(trace.inst_mix().get(class));
-    }
-    out.put_u64_le(trace.len() as u64);
-    for (record, &gap) in trace.iter().zip(trace.gaps()) {
-        record.encode_into(&mut out);
-        out.put_u32_le(gap);
-    }
-    out
-}
-
-/// Deserializes a trace from bytes.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] when the input is not a serialized trace, is
-/// truncated, or contains a malformed record.
-pub fn decode(input: &[u8]) -> Result<Trace, DecodeError> {
-    let mut input = Reader::new(input);
-    if input.remaining() < 4 {
-        return Err(DecodeError::BadMagic);
-    }
-    let has_gaps = if input.rest()[..4] == MAGIC_V2 {
-        true
-    } else if input.rest()[..4] == MAGIC_V1 {
-        false
-    } else if input.rest()[..4] == crate::packet::MAGIC {
-        return crate::packet::decode(input.rest());
-    } else {
-        return Err(DecodeError::BadMagic);
-    };
-    input.advance(4);
-    if input.remaining() < 8 * 6 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut mix = InstMix::default();
-    for class in InstClass::ALL {
-        mix.set_raw(class, input.get_u64_le());
-    }
-    let len = input.get_u64_le() as usize;
-    let record_bytes = if has_gaps { 13 } else { 9 };
-    // Check the whole declared body up front: a hostile or corrupt
-    // header cannot drive an over-allocation (the count must be backed
-    // by actual bytes), and the honest case pre-sizes both vectors
-    // exactly — no growth reallocations mid-decode.
-    let body = len
-        .checked_mul(record_bytes)
-        .ok_or(DecodeError::Truncated)?;
-    if input.remaining() < body {
-        return Err(DecodeError::Truncated);
-    }
-    let mut trace = Trace::with_capacity(len);
-    let mut gaps = Vec::with_capacity(len);
-    for index in 0..len {
-        match BranchRecord::decode_from(&mut input) {
-            Some(record) => trace.push(record),
-            None => return Err(DecodeError::BadRecord { index }),
-        }
-        gaps.push(if has_gaps { input.get_u32_le() } else { 0 });
-    }
-    // The pushes above re-counted branches into the mix; overwrite with
-    // the serialized counters, which also carry the non-branch classes.
-    trace.set_mix(mix);
-    trace.set_gaps(gaps);
-    Ok(trace)
-}
-
 // ---------------------------------------------------------------------
-// File helpers
+// Atomic file write
 // ---------------------------------------------------------------------
-
-/// Error returned by [`read_file`]: the file could not be read or its
-/// contents are not a valid serialized trace.
-#[derive(Debug)]
-pub enum FileError {
-    /// Reading the file failed.
-    Io(std::io::Error),
-    /// The file's contents failed to decode (wrong magic, truncation,
-    /// or a malformed record).
-    Decode(DecodeError),
-}
-
-impl fmt::Display for FileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FileError::Io(e) => write!(f, "cannot read trace file: {e}"),
-            FileError::Decode(e) => write!(f, "invalid trace file: {e}"),
-        }
-    }
-}
-
-impl Error for FileError {}
-
-/// Reads and decodes a binary trace file written by
-/// [`write_file_atomic`] (or any [`encode`] / [`encode_v3`] output —
-/// all three on-disk formats decode here).
-///
-/// # Errors
-///
-/// Returns [`FileError::Io`] when the file cannot be read and
-/// [`FileError::Decode`] when its contents are corrupt or truncated —
-/// callers treating the file as a cache should regenerate on either.
-pub fn read_file(path: &std::path::Path) -> Result<Trace, FileError> {
-    let bytes = std::fs::read(path).map_err(FileError::Io)?;
-    decode(&bytes).map_err(FileError::Decode)
-}
-
-/// Serializes a trace in the TLA3 packet format (see
-/// [`crate::packet`]) — the format the disk cache writes. [`decode`]
-/// and [`read_file`] read it back alongside TLA1/TLA2.
-pub fn encode_v3(trace: &Trace) -> Vec<u8> {
-    crate::packet::encode(trace)
-}
-
-/// Decodes any of the three binary formats straight into a
-/// [`crate::CompiledTrace`]: TLA3 takes the streaming path (no
-/// per-record vector is materialized), TLA1/TLA2 decode records and
-/// compile them.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] as [`decode`] would.
-pub fn decode_compiled(input: &[u8]) -> Result<crate::CompiledTrace, DecodeError> {
-    if input.len() >= 4 && input[..4] == crate::packet::MAGIC {
-        crate::packet::decode_compiled(input)
-    } else {
-        decode(input).map(|trace| crate::CompiledTrace::compile(&trace))
-    }
-}
 
 /// Temporary-file name for an atomic write of `path`: unique per
 /// process (pid) *and* per call (a process-wide counter), so two
@@ -245,98 +115,18 @@ pub fn write_bytes_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Resu
     Ok(())
 }
 
-/// [`encode`]s `trace` (format v2) and writes it atomically; see
-/// [`write_bytes_atomic`].
-///
-/// # Errors
-///
-/// Propagates any I/O error; the temporary file is removed on failure.
-pub fn write_file_atomic(path: &std::path::Path, trace: &Trace) -> std::io::Result<()> {
-    write_bytes_atomic(path, &encode(trace))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::branch::BranchRecord;
-
-    fn sample_trace() -> Trace {
-        let mut t = Trace::new();
-        t.push(BranchRecord::conditional(0x1000, 0x0f00, true));
-        t.push(BranchRecord::conditional(0x1004, 0x2000, false));
-        t.push(BranchRecord::subroutine_return(0x1008, 0x3000));
-        t.push(BranchRecord::unconditional_imm(0x100c, 0x1000));
-        t.push(BranchRecord::unconditional_reg(0x1010, 0x4000));
-        t.count_instruction(InstClass::IntAlu);
-        t.count_instruction(InstClass::FpAlu);
-        t.count_instruction(InstClass::Mem);
-        t.count_instruction(InstClass::Other);
-        t
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let t = sample_trace();
-        let bytes = encode(&t);
-        let back = decode(&bytes).unwrap();
-        assert_eq!(t, back);
-        assert_eq!(t.inst_mix(), back.inst_mix());
-        assert_eq!(t.conditional_len(), back.conditional_len());
-    }
-
-    #[test]
-    fn empty_trace_roundtrips() {
-        let t = Trace::new();
-        let back = decode(&encode(&t)).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        assert_eq!(decode(b"nope"), Err(DecodeError::BadMagic));
-        assert_eq!(decode(b""), Err(DecodeError::BadMagic));
-    }
-
-    #[test]
-    fn truncation_rejected() {
-        let bytes = encode(&sample_trace());
-        for cut in [5, 20, bytes.len() - 1] {
-            let err = decode(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, DecodeError::Truncated),
-                "cut at {cut} gave {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn bad_class_rejected() {
-        let mut bytes = encode(&sample_trace());
-        // Header is 4 (magic) + 48 (mix + len); the class/taken flags are
-        // the 9th byte of the first record.
-        let flags_offset = 4 + 48 + 8;
-        bytes[flags_offset] = 0x7f;
-        assert_eq!(decode(&bytes), Err(DecodeError::BadRecord { index: 0 }));
-    }
 
     #[test]
     fn decode_error_display() {
-        assert!(!DecodeError::BadMagic.to_string().is_empty());
+        // BadMagic names the one binary format that is read, so an old
+        // record-format dump handed to `tlat simulate` explains itself.
+        assert!(DecodeError::BadMagic.to_string().contains("TLA3"));
         assert!(DecodeError::BadRecord { index: 3 }
             .to_string()
             .contains('3'));
-    }
-
-    #[test]
-    fn decode_dispatches_on_the_tla3_magic() {
-        let t = sample_trace();
-        let bytes = encode_v3(&t);
-        assert_eq!(decode(&bytes).unwrap(), t);
-        // And the compiled fast path agrees with compile-after-decode,
-        // for every format.
-        let compiled = crate::CompiledTrace::compile(&t);
-        assert_eq!(decode_compiled(&bytes).unwrap(), compiled);
-        assert_eq!(decode_compiled(&encode(&t)).unwrap(), compiled);
     }
 
     #[test]
@@ -345,13 +135,13 @@ mod tests {
         // so two threads writing the same path clobbered each other's
         // half-written file. The suffix now carries a per-process
         // counter as well.
-        let path = std::path::Path::new("/x/y/trace.tla2");
+        let path = std::path::Path::new("/x/y/trace.tlat");
         let a = tmp_path(path);
         let b = tmp_path(path);
         assert_ne!(a, b);
         let name = a.file_name().unwrap().to_string_lossy().into_owned();
         assert!(
-            name.starts_with(&format!("trace.tla2.tmp{}.", std::process::id())),
+            name.starts_with(&format!("trace.tlat.tmp{}.", std::process::id())),
             "{name}"
         );
     }
@@ -360,7 +150,7 @@ mod tests {
     fn concurrent_writers_to_one_path_never_tear_the_file() {
         let dir = std::env::temp_dir().join(format!("tlat-codec-race-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("contended.tla2");
+        let path = dir.join("contended.tlat");
         let traces: Vec<Trace> = (0..4)
             .map(|i| {
                 (0..50 + i * 10)
@@ -371,15 +161,16 @@ mod tests {
         std::thread::scope(|s| {
             for t in &traces {
                 s.spawn(|| {
+                    let bytes = encode_v3(t);
                     for _ in 0..20 {
-                        write_file_atomic(&path, t).unwrap();
+                        write_bytes_atomic(&path, &bytes).unwrap();
                     }
                 });
             }
         });
         // Whichever write landed last, the file is a complete valid
         // trace equal to one of the writers' payloads.
-        let back = read_file(&path).unwrap();
+        let back = decode(&std::fs::read(&path).unwrap()).unwrap();
         assert!(traces.contains(&back));
         // No temporary files were left behind.
         let stray: Vec<_> = std::fs::read_dir(&dir)
@@ -388,27 +179,6 @@ mod tests {
             .filter(|n| n.contains(".tmp"))
             .collect();
         assert!(stray.is_empty(), "leftover temp files: {stray:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn file_roundtrip_and_corruption() {
-        let dir = std::env::temp_dir().join(format!("tlat-codec-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.tla2");
-        let t = sample_trace();
-        write_file_atomic(&path, &t).unwrap();
-        assert_eq!(read_file(&path).unwrap(), t);
-        // A missing file is an Io error; a corrupt one a Decode error.
-        assert!(matches!(
-            read_file(&dir.join("absent.tla2")),
-            Err(FileError::Io(_))
-        ));
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
-        let err = read_file(&path).unwrap_err();
-        assert!(matches!(err, FileError::Decode(DecodeError::Truncated)));
-        assert!(!err.to_string().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -564,7 +334,7 @@ mod text_tests {
     fn text_and_binary_agree() {
         let t = sample();
         let via_text = decode_text(&encode_text(&t)).unwrap();
-        let via_binary = decode(&encode(&t)).unwrap();
+        let via_binary = decode(&encode_v3(&t)).unwrap();
         assert_eq!(via_text, via_binary);
     }
 

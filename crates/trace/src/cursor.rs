@@ -12,10 +12,10 @@
 //! use tlat_trace::cursor::{PutBytes, Reader};
 //!
 //! let mut buf = Vec::new();
-//! buf.put_u32_le(0xdead_beef);
+//! buf.put_u64_le(0xdead_beef);
 //! buf.put_u8(7);
 //! let mut r = Reader::new(&buf);
-//! assert_eq!(r.get_u32_le(), 0xdead_beef);
+//! assert_eq!(r.get_u64_le(), 0xdead_beef);
 //! assert_eq!(r.get_u8(), 7);
 //! assert_eq!(r.remaining(), 0);
 //! ```
@@ -24,8 +24,6 @@
 pub trait PutBytes {
     /// Appends one byte.
     fn put_u8(&mut self, v: u8);
-    /// Appends a `u32` in little-endian order.
-    fn put_u32_le(&mut self, v: u32);
     /// Appends a `u64` in little-endian order.
     fn put_u64_le(&mut self, v: u64);
     /// Appends a byte slice verbatim.
@@ -35,10 +33,6 @@ pub trait PutBytes {
 impl PutBytes for Vec<u8> {
     fn put_u8(&mut self, v: u8) {
         self.push(v);
-    }
-
-    fn put_u32_le(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
     }
 
     fn put_u64_le(&mut self, v: u64) {
@@ -142,17 +136,6 @@ impl<'a> Reader<'a> {
         v
     }
 
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than four bytes remain.
-    pub fn get_u32_le(&mut self) -> u32 {
-        let (head, rest) = self.buf.split_at(4);
-        self.buf = rest;
-        u32::from_le_bytes(head.try_into().expect("split_at(4) is four bytes"))
-    }
-
     /// Reads a little-endian `u64`.
     ///
     /// # Panics
@@ -202,13 +185,11 @@ mod tests {
     fn writes_then_reads_roundtrip() {
         let mut buf = Vec::new();
         buf.put_u8(0xab);
-        buf.put_u32_le(123_456);
         buf.put_u64_le(u64::MAX - 1);
         buf.put_slice(b"xyz");
         let mut r = Reader::new(&buf);
-        assert_eq!(r.remaining(), 1 + 4 + 8 + 3);
+        assert_eq!(r.remaining(), 1 + 8 + 3);
         assert_eq!(r.get_u8(), 0xab);
-        assert_eq!(r.get_u32_le(), 123_456);
         assert_eq!(r.get_u64_le(), u64::MAX - 1);
         assert_eq!(r.rest(), b"xyz");
         r.advance(3);
@@ -218,9 +199,6 @@ mod tests {
     #[test]
     fn little_endian_layout_is_exact() {
         let mut buf = Vec::new();
-        buf.put_u32_le(0x0403_0201);
-        assert_eq!(buf, [1, 2, 3, 4]);
-        buf.clear();
         buf.put_u64_le(0x0807_0605_0403_0201);
         assert_eq!(buf, [1, 2, 3, 4, 5, 6, 7, 8]);
     }
@@ -229,7 +207,7 @@ mod tests {
     #[should_panic]
     fn reading_past_the_end_panics() {
         let mut r = Reader::new(&[1, 2]);
-        let _ = r.get_u32_le();
+        let _ = r.get_u64_le();
     }
 
     #[test]

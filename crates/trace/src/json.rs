@@ -3,8 +3,9 @@
 //!
 //! Every report-bearing type in the workspace implements [`ToJson`] by
 //! hand (the former `#[derive(Serialize)]` sites). The module also
-//! carries a small syntax [`validate`] used by tests and the bench
-//! harness to assert that emitted report lines are well-formed.
+//! carries the workspace's one JSON reader: [`parse`] turns text into a
+//! [`Value`], and [`validate`] (used by tests and the bench harness to
+//! assert that emitted report lines are well-formed) is defined on it.
 //!
 //! Conventions (matching what serde's derive would have produced):
 //!
@@ -180,21 +181,49 @@ impl JsonObject {
 }
 
 // ---------------------------------------------------------------------
-// Validation
+// Reading
 // ---------------------------------------------------------------------
 
-/// Checks that `text` is exactly one well-formed JSON value (with
-/// optional surrounding whitespace). Used by tests and the bench
-/// harness to guard emitted report lines.
-pub fn validate(text: &str) -> bool {
-    let bytes = text.as_bytes();
+/// Deepest array/object nesting the reader accepts. The workspace's
+/// [`ToJson`] types nest a handful of levels; the bound keeps hostile
+/// input (a line of 200 000 `[`) from overflowing the reader's stack.
+const MAX_DEPTH: usize = 128;
+
+/// One parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value<'a> {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// A number, kept as its source text so the caller picks the type:
+    /// `"12".parse::<u64>()` succeeds, `"1.5"` and `"-3"` do not.
+    Number(&'a str),
+    /// A string, escapes decoded.
+    Str(String),
+    /// An array.
+    Array(Vec<Value<'a>>),
+    /// An object's members in source order, repeated keys included.
+    Object(Vec<(String, Value<'a>)>),
+}
+
+/// Parses `text` as exactly one JSON value (with optional surrounding
+/// whitespace). Returns `None` for malformed input, for nesting deeper
+/// than 128 arrays/objects, and for `\u` escapes naming a UTF-16
+/// surrogate (a decoded string is a Rust `String`, which cannot hold
+/// one).
+pub fn parse(text: &str) -> Option<Value<'_>> {
     let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    if !parse_value(bytes, &mut pos) {
-        return false;
-    }
-    skip_ws(bytes, &mut pos);
-    pos == bytes.len()
+    skip_ws(text.as_bytes(), &mut pos);
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    (pos == text.len()).then_some(value)
+}
+
+/// Checks that `text` is exactly one JSON value [`parse`] accepts.
+/// Used by tests and the bench harness to guard emitted report lines.
+pub fn validate(text: &str) -> bool {
+    parse(text).is_some()
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -203,16 +232,19 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> bool {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(_) => parse_number(b, pos),
-        None => false,
+/// Parses the value at `*pos`, which sits inside `depth` arrays or
+/// objects.
+fn parse_value<'a>(t: &'a str, pos: &mut usize, depth: usize) -> Option<Value<'a>> {
+    let b = t.as_bytes();
+    match b.get(*pos)? {
+        b'{' | b'[' if depth == MAX_DEPTH => None,
+        b'{' => parse_object(t, pos, depth + 1),
+        b'[' => parse_array(t, pos, depth + 1),
+        b'"' => parse_string(t, pos).map(Value::Str),
+        b't' => parse_lit(b, pos, b"true").then_some(Value::Bool(true)),
+        b'f' => parse_lit(b, pos, b"false").then_some(Value::Bool(false)),
+        b'n' => parse_lit(b, pos, b"null").then_some(Value::Null),
+        _ => parse_number(t, pos),
     }
 }
 
@@ -225,57 +257,71 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> bool {
+/// Parses the string literal opening at `*pos`, decoding its escapes.
+fn parse_string(t: &str, pos: &mut usize) -> Option<String> {
+    let b = t.as_bytes();
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
-    while *pos < b.len() {
-        match b[*pos] {
+    let mut out = String::new();
+    let mut run = *pos; // start of the pending unescaped run
+    loop {
+        match *b.get(*pos)? {
             b'"' => {
+                out.push_str(&t[run..*pos]);
                 *pos += 1;
-                return true;
+                return Some(out);
             }
             b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if b.len() < *pos + 5
-                            || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return false;
+                out.push_str(&t[run..*pos]);
+                let c = match *b.get(*pos + 1)? {
+                    b'"' => '"',
+                    b'\\' => '\\',
+                    b'/' => '/',
+                    b'b' => '\u{8}',
+                    b'f' => '\u{c}',
+                    b'n' => '\n',
+                    b'r' => '\r',
+                    b't' => '\t',
+                    b'u' => {
+                        let hex = t.get(*pos + 2..*pos + 6)?;
+                        if !hex.bytes().all(|h| h.is_ascii_hexdigit()) {
+                            return None;
                         }
-                        *pos += 5;
+                        *pos += 4;
+                        char::from_u32(u32::from_str_radix(hex, 16).ok()?)?
                     }
-                    _ => return false,
-                }
+                    _ => return None,
+                };
+                out.push(c);
+                *pos += 2;
+                run = *pos;
             }
-            c if c < 0x20 => return false,
+            c if c < 0x20 => return None,
             _ => *pos += 1,
         }
     }
-    false
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> bool {
+fn parse_number<'a>(t: &'a str, pos: &mut usize) -> Option<Value<'a>> {
+    let b = t.as_bytes();
     let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits_start = *pos;
-    while *pos < b.len() && b[*pos].is_ascii_digit() {
-        *pos += 1;
-    }
-    if *pos == digits_start {
-        return false;
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let frac_start = *pos;
+    let digits = |pos: &mut usize| {
+        let from = *pos;
         while *pos < b.len() && b[*pos].is_ascii_digit() {
             *pos += 1;
         }
-        if *pos == frac_start {
-            return false;
+        *pos > from
+    };
+    if b.get(*pos) == Some(&b'-') {
+        *pos += 1;
+    }
+    if !digits(pos) {
+        return None;
+    }
+    if b.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if !digits(pos) {
+            return None;
         }
     }
     if matches!(b.get(*pos), Some(b'e' | b'E')) {
@@ -283,70 +329,67 @@ fn parse_number(b: &[u8], pos: &mut usize) -> bool {
         if matches!(b.get(*pos), Some(b'+' | b'-')) {
             *pos += 1;
         }
-        let exp_start = *pos;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        if *pos == exp_start {
-            return false;
+        if !digits(pos) {
+            return None;
         }
     }
-    *pos > start
+    Some(Value::Number(&t[start..*pos]))
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> bool {
+fn parse_array<'a>(t: &'a str, pos: &mut usize, depth: usize) -> Option<Value<'a>> {
+    let b = t.as_bytes();
     *pos += 1; // '['
+    let mut items = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b']') {
         *pos += 1;
-        return true;
+        return Some(Value::Array(items));
     }
     loop {
         skip_ws(b, pos);
-        if !parse_value(b, pos) {
-            return false;
-        }
+        items.push(parse_value(t, pos, depth)?);
         skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
+        match b.get(*pos)? {
+            b',' => *pos += 1,
+            b']' => {
                 *pos += 1;
-                return true;
+                return Some(Value::Array(items));
             }
-            _ => return false,
+            _ => return None,
         }
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> bool {
+fn parse_object<'a>(t: &'a str, pos: &mut usize, depth: usize) -> Option<Value<'a>> {
+    let b = t.as_bytes();
     *pos += 1; // '{'
+    let mut members = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return true;
+        return Some(Value::Object(members));
     }
     loop {
         skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') || !parse_string(b, pos) {
-            return false;
+        if b.get(*pos) != Some(&b'"') {
+            return None;
         }
+        let key = parse_string(t, pos)?;
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b':') {
-            return false;
+            return None;
         }
         *pos += 1;
         skip_ws(b, pos);
-        if !parse_value(b, pos) {
-            return false;
-        }
+        members.push((key, parse_value(t, pos, depth)?));
         skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
+        match b.get(*pos)? {
+            b',' => *pos += 1,
+            b'}' => {
                 *pos += 1;
-                return true;
+                return Some(Value::Object(members));
             }
-            _ => return false,
+            _ => return None,
         }
     }
 }
@@ -419,6 +462,64 @@ mod tests {
         ] {
             assert!(validate(ok), "{ok}");
         }
+    }
+
+    #[test]
+    fn parser_decodes_escapes_and_keeps_nesting() {
+        let num = |n| Value::Number(n);
+        assert_eq!(
+            parse(r#"{"a":"x\"y","b":12,"c":1.5}"#),
+            Some(Value::Object(vec![
+                ("a".to_owned(), Value::Str("x\"y".to_owned())),
+                ("b".to_owned(), num("12")),
+                ("c".to_owned(), num("1.5")),
+            ]))
+        );
+        assert_eq!("12".parse::<u64>(), Ok(12));
+        assert!("1.5".parse::<u64>().is_err(), "floats are not integers");
+        // Nested members come back as nested values, so a caller that
+        // wants flat records can tell and reject them.
+        assert_eq!(
+            parse(r#"{"a":{"n":1}}"#),
+            Some(Value::Object(vec![(
+                "a".to_owned(),
+                Value::Object(vec![("n".to_owned(), num("1"))])
+            )]))
+        );
+        assert_eq!(
+            parse(r#"{"a":[1]}"#),
+            Some(Value::Object(vec![(
+                "a".to_owned(),
+                Value::Array(vec![num("1")])
+            )]))
+        );
+        assert_eq!(parse("{}"), Some(Value::Object(Vec::new())));
+        assert_eq!(
+            parse(r#"["\u0041\/\n",true,null]"#),
+            Some(Value::Array(vec![
+                Value::Str("A/\n".to_owned()),
+                Value::Bool(true),
+                Value::Null
+            ]))
+        );
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_rejected_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(validate(&nested(MAX_DEPTH)));
+        assert!(!validate(&nested(MAX_DEPTH + 1)));
+        assert!(!validate(&nested(200_000)));
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(!validate(&objects));
+    }
+
+    #[test]
+    fn surrogate_escapes_are_rejected() {
+        // A decoded string is a Rust `String`, which has no surrogates.
+        assert!(!validate(r#""\ud800""#));
+        assert!(!validate(r#""\ud83d\ude00""#));
+        assert!(validate(r#""\u00e9""#));
     }
 
     #[test]

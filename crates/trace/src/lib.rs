@@ -20,7 +20,8 @@
 //! * [`CompiledTrace`] — a trace pre-digested for gang walks: interned
 //!   conditional-branch sites ([`SiteId`]), SoA outcome stream, and RAS
 //!   events.
-//! * [`codec`] — a compact binary serialization of traces.
+//! * [`codec`] — trace serialization: the TLA3 entry points, the text
+//!   format, and the atomic file write.
 //! * [`packet`] — the TLA3 packet format: site-dictionary compression
 //!   with branch-map outcome words and streaming decode straight into
 //!   [`CompiledTrace`].

@@ -1,9 +1,10 @@
 //! The TLA3 packet trace format: site-dictionary compression with
 //! branch-map outcome words and streaming decode.
 //!
-//! TLA2 spends 13 bytes on every dynamic branch, so a paper-fidelity
-//! 20M-branch trace costs ~280MB on disk and must be fully
-//! materialized as a record vector before the gang walk can compile
+//! TLA3 is the workspace's only binary trace format. A flat record
+//! format spends 13 bytes on every dynamic branch, so a paper-fidelity
+//! 20M-branch trace would cost ~280MB on disk and have to be fully
+//! materialized as a record vector before the gang walk could compile
 //! it. TLA3 follows the production E-Trace pattern instead: full
 //! addresses appear once, when a static branch is first seen, and
 //! every later occurrence is a dense site reference plus one outcome
@@ -61,13 +62,13 @@
 //!   running previous other-site). Deviating events fall back to a
 //!   plain OTHER packet.
 //!
-//! The decoder enforces the header's record and conditional counts,
-//! bounds-checks every site reference, and reports
-//! [`DecodeError::Truncated`] / [`DecodeError::BadRecord`] with the
-//! same discipline as the TLA1/TLA2 codec. Pre-allocation is capped
-//! by the input length (a conditional event costs at least one
-//! branch-map bit), so a hostile header cannot drive an
-//! over-allocation.
+//! The decoder rejects input without the `TLA3` magic as
+//! [`DecodeError::BadMagic`], enforces the header's record and
+//! conditional counts, bounds-checks every site reference, and reports
+//! [`DecodeError::Truncated`] / [`DecodeError::BadRecord`].
+//! Pre-allocation is capped by the input length (a conditional event
+//! costs at least one branch-map bit), so a hostile header cannot drive
+//! an over-allocation.
 //!
 //! # Examples
 //!

@@ -1,8 +1,9 @@
 //! Golden-vector tests pinning the TLA3 packet wire format.
 //!
-//! Like `golden.rs` for TLA1/TLA2: cached traces on disk must stay
-//! readable across releases, so any packet-codec change that breaks
-//! these vectors is a format break, not a refactor. The golden trace
+//! Cached traces on disk must stay readable across releases, so any
+//! packet-codec change that breaks these vectors is a format break,
+//! not a refactor. TLA3 is the only binary format: files in the older
+//! record formats must fail with `BadMagic`. The golden trace
 //! exercises every packet kind — SYNC, COND (both gap modes), OTHER,
 //! and ESC — plus both template-deviation causes.
 
@@ -78,7 +79,7 @@ fn decode_v3_golden_bytes() {
     assert_eq!(t.gaps(), &[2, 0, 1, 0, 0, 0, 0]);
     assert_eq!(t.inst_mix().get(InstClass::IntAlu), 2);
     assert_eq!(t.conditional_len(), 5);
-    // The generic entry point dispatches on the magic.
+    // The codec entry point is the packet decoder.
     assert_eq!(codec::decode(GOLDEN_V3).unwrap(), golden_trace());
 }
 
@@ -205,17 +206,67 @@ fn branch_map_straddles_byte_and_word_boundaries() {
 }
 
 #[test]
-fn decode_equals_legacy_roundtrip() {
-    // The TLA3 round-trip must agree with the TLA2 round-trip on the
-    // same trace — same records, same gaps, same mix — and the
-    // streaming decode must equal compile-after-decode of the legacy
-    // bytes.
+fn codec_entry_points_roundtrip_through_tla3() {
+    // The codec names are the packet codec: the round trip through
+    // them returns the same records, gaps and mix, and the streaming
+    // decode equals compile-after-decode.
     let t = golden_trace();
-    let via_v3 = packet::decode(&packet::encode(&t)).unwrap();
-    let via_v2 = codec::decode(&codec::encode(&t)).unwrap();
-    assert_eq!(via_v3, via_v2);
+    let bytes = codec::encode_v3(&t);
+    let back = codec::decode(&bytes).unwrap();
+    assert_eq!(back, t);
+    assert_eq!(back, packet::decode(&packet::encode(&t)).unwrap());
     assert_eq!(
-        packet::decode_compiled(&packet::encode(&t)).unwrap(),
-        CompiledTrace::compile(&via_v2)
+        codec::decode_compiled(&bytes).unwrap(),
+        CompiledTrace::compile(&back)
     );
+}
+
+#[test]
+fn bad_magic_variants() {
+    assert_eq!(codec::decode(b""), Err(DecodeError::BadMagic));
+    assert_eq!(codec::decode(b"TL"), Err(DecodeError::BadMagic));
+    // A bare magic with no header is truncation, not an unknown format.
+    assert_eq!(codec::decode(b"TLA3"), Err(DecodeError::Truncated));
+    assert_eq!(codec::decode(b"TLA4"), Err(DecodeError::BadMagic));
+    let mut wrong = GOLDEN_V3.to_vec();
+    wrong[3] = b'9';
+    assert_eq!(codec::decode(&wrong), Err(DecodeError::BadMagic));
+}
+
+/// A complete file in the retired TLA2 record format (magic, five u64
+/// LE mix counters, u64 LE record count, then 13 bytes per record).
+#[rustfmt::skip]
+const STALE_TLA2_FILE: &[u8] = &[
+    b'T', b'L', b'A', b'2',
+    2, 0, 0, 0, 0, 0, 0, 0,             // IntAlu = 2
+    0, 0, 0, 0, 0, 0, 0, 0,             // FpAlu  = 0
+    1, 0, 0, 0, 0, 0, 0, 0,             // Mem    = 1
+    3, 0, 0, 0, 0, 0, 0, 0,             // Branch = 3
+    0, 0, 0, 0, 0, 0, 0, 0,             // Other  = 0
+    3, 0, 0, 0, 0, 0, 0, 0,             // 3 records
+    0x00, 0x10, 0, 0, 0x00, 0x0f, 0, 0, 0x80, 2, 0, 0, 0, // cond taken, gap 2
+    0x08, 0x10, 0, 0, 0x00, 0x20, 0, 0, 0x81, 1, 0, 0, 0, // return, gap 1
+    0x0c, 0x10, 0, 0, 0x40, 0x00, 0, 0, 0xc2, 0, 0, 0, 0, // imm call, gap 0
+];
+
+/// A complete file in the retired TLA1 record format (9-byte records,
+/// no gap field).
+#[rustfmt::skip]
+const STALE_TLA1_FILE: &[u8] = &[
+    b'T', b'L', b'A', b'1',
+    1, 0, 0, 0, 0, 0, 0, 0,             // IntAlu = 1
+    0, 0, 0, 0, 0, 0, 0, 0,             // FpAlu  = 0
+    0, 0, 0, 0, 0, 0, 0, 0,             // Mem    = 0
+    1, 0, 0, 0, 0, 0, 0, 0,             // Branch = 1
+    0, 0, 0, 0, 0, 0, 0, 0,             // Other  = 0
+    1, 0, 0, 0, 0, 0, 0, 0,             // 1 record
+    0x10, 0, 0, 0, 0x20, 0, 0, 0, 0x00, // cond not taken
+];
+
+#[test]
+fn retired_record_formats_are_bad_magic() {
+    for stale in [STALE_TLA2_FILE, STALE_TLA1_FILE] {
+        assert_eq!(codec::decode(stale), Err(DecodeError::BadMagic));
+        assert_eq!(codec::decode_compiled(stale), Err(DecodeError::BadMagic));
+    }
 }

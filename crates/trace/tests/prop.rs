@@ -71,45 +71,15 @@ fn arb_record() -> Gen<BranchRecord> {
 
 #[test]
 fn codec_roundtrip() {
+    // TLA3 is lossless: an arbitrary trace decodes back to itself
+    // (`Trace` equality covers records, gaps and instruction mix), and
+    // the streaming compiled decode equals compiling the records.
     let inputs = gen::tuple3(
         gen::vec_of(arb_record(), 0, 255),
         gen::u8_in(0, 49),
         gen::u8_in(0, 49),
     );
     check("codec_roundtrip", &inputs, |(records, ints, mems)| {
-        let mut trace = Trace::new();
-        for r in records {
-            trace.push(*r);
-        }
-        for _ in 0..*ints {
-            trace.count_instruction(InstClass::IntAlu);
-        }
-        for _ in 0..*mems {
-            trace.count_instruction(InstClass::Mem);
-        }
-        let bytes = codec::encode(&trace);
-        let back = codec::decode(&bytes).unwrap();
-        prop_assert_eq!(&trace, &back);
-        Ok(())
-    });
-}
-
-#[test]
-fn decode_never_panics_on_garbage() {
-    let bytes = gen::vec_of(gen::u8_any(), 0, 511);
-    check("decode_never_panics_on_garbage", &bytes, |bytes| {
-        let _ = codec::decode(bytes);
-        Ok(())
-    });
-}
-
-#[test]
-fn tla3_roundtrip_equals_legacy_roundtrip() {
-    // The packet codec must be exactly as lossless as TLA2: the same
-    // arbitrary trace decodes identically through both formats, and
-    // the streaming compiled decode equals compiling the records.
-    let inputs = gen::tuple2(gen::vec_of(arb_record(), 0, 255), gen::u8_in(0, 49));
-    check("tla3_roundtrip_equals_legacy", &inputs, |(records, ints)| {
         let mut trace = Trace::new();
         for (i, r) in records.iter().enumerate() {
             for _ in 0..(i % 3) {
@@ -120,15 +90,25 @@ fn tla3_roundtrip_equals_legacy_roundtrip() {
         for _ in 0..*ints {
             trace.count_instruction(InstClass::IntAlu);
         }
-        let v3 = tlat_trace::packet::encode(&trace);
-        let via_v3 = codec::decode(&v3).unwrap();
-        let via_v2 = codec::decode(&codec::encode(&trace)).unwrap();
-        prop_assert_eq!(&via_v3, &via_v2);
-        prop_assert_eq!(&via_v3, &trace);
+        for _ in 0..*mems {
+            trace.count_instruction(InstClass::Mem);
+        }
+        let bytes = codec::encode_v3(&trace);
+        let back = codec::decode(&bytes).unwrap();
+        prop_assert_eq!(&back, &trace);
         prop_assert_eq!(
-            &tlat_trace::packet::decode_compiled(&v3).unwrap(),
+            &codec::decode_compiled(&bytes).unwrap(),
             &tlat_trace::CompiledTrace::compile(&trace)
         );
+        Ok(())
+    });
+}
+
+#[test]
+fn decode_never_panics_on_garbage() {
+    let bytes = gen::vec_of(gen::u8_any(), 0, 511);
+    check("decode_never_panics_on_garbage", &bytes, |bytes| {
+        let _ = codec::decode(bytes);
         Ok(())
     });
 }

@@ -174,7 +174,7 @@ fn trace_generation_is_deterministic_across_runs_and_threads() {
     use tlat_trace::codec;
 
     fn hash_of(w: &tlat_workloads::Workload) -> u64 {
-        fnv1a(&codec::encode(&w.trace_test(5_000).unwrap()))
+        fnv1a(&codec::encode_v3(&w.trace_test(5_000).unwrap()))
     }
 
     let workloads = all();

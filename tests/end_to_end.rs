@@ -26,7 +26,7 @@ fn every_workload_traces_deterministically() {
 fn traces_roundtrip_through_the_codec() {
     let w = by_name("li").unwrap();
     let trace = w.trace_test(10_000).unwrap();
-    let decoded = codec::decode(&codec::encode(&trace)).unwrap();
+    let decoded = codec::decode(&codec::encode_v3(&trace)).unwrap();
     assert_eq!(trace, decoded);
 }
 
