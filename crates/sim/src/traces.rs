@@ -321,12 +321,16 @@ impl TraceStore {
     ) -> Result<Trace, SimError> {
         self.generations.fetch_add(1, Ordering::Relaxed);
         metrics::bump(Counter::TraceGenerations);
-        let _span = metrics::span(Phase::TraceGen);
-        let trace = match which {
-            Which::Test => workload.trace_test(self.budget),
-            Which::Train => workload
-                .trace_train(self.budget)
-                .map(|t| t.expect("caller checked train_input")),
+        let trace = {
+            // The span covers interpretation only; the cache store
+            // (TLA3 encode and write) below is outside it.
+            let _span = metrics::span(Phase::TraceGen);
+            match which {
+                Which::Test => workload.trace_test(self.budget),
+                Which::Train => workload
+                    .trace_train(self.budget)
+                    .map(|t| t.expect("caller checked train_input")),
+            }
         }
         .map_err(|e| SimError::workload(workload.name, e))?;
         if let Some(disk) = &self.disk {

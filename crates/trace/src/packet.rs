@@ -135,21 +135,62 @@ struct OtherSite {
 // Encoder
 // ---------------------------------------------------------------------
 
+/// What an other-site histogram counts: a non-conditional event's
+/// `(target, gap, taken, call, class code)`. The tuple order is the
+/// tie-break order.
+type OtherKey = (u32, u32, bool, bool, u8);
+
+/// One site's histogram: each distinct value with its count, in
+/// first-seen order. On the workload traces at 500 k branches a
+/// conditional site carries at most four distinct gaps and an other
+/// site at most eight variants, so a linear scan is cheaper than
+/// hashing.
+type Histogram<K> = Vec<(K, u64)>;
+
+/// Counts one more event with value `key`.
+fn tally<K: PartialEq>(histo: &mut Histogram<K>, key: K) {
+    match histo.iter_mut().find(|(k, _)| *k == key) {
+        Some((_, count)) => *count += 1,
+        None => histo.push((key, 1)),
+    }
+}
+
+/// The most common value. Ties break toward the smaller value, so the
+/// choice depends on the counts alone, not on the order values were
+/// first seen.
+fn mode<K: Ord + Copy>(histo: &Histogram<K>) -> K {
+    histo
+        .iter()
+        .max_by_key(|&&(key, count)| (count, std::cmp::Reverse(key)))
+        .expect("an interned site has at least one event")
+        .0
+}
+
+/// A two-pass encoder. The statistics pass ([`Encoder::new`]) interns
+/// every pc into a dense first-appearance id and settles each id's
+/// template from a histogram of its events. The emission pass
+/// ([`Encoder::push`]) looks each pc up again and reads its template by
+/// id. Both passes assign ids in the same order, so an id equal to the
+/// count of templates defined so far marks a first appearance, where
+/// the SYNC or OSYNC packet goes out.
 struct Encoder<'a> {
     out: &'a mut Vec<u8>,
+    /// Conditional pc → dense site id.
     intern: PcMap,
-    /// Per-pc most-common conditional gap, precomputed over the whole
-    /// trace: the SYNC default-gap that minimizes the deviation
-    /// stream (a site's *first* gap is a poor model on workloads
-    /// whose warmup iterations differ from the steady state).
-    mode_gaps: std::collections::HashMap<u32, u32>,
-    /// Per-pc most-common non-conditional record + gap: the OSYNC
+    /// Site id → template: the first event's target and call flag, and
+    /// the site's most-common gap as the default (a site's *first* gap
+    /// is a poor model on workloads whose warmup iterations differ
+    /// from the steady state).
+    sites: Vec<Site>,
+    /// Non-conditional pc → dense other-site id.
+    other_intern: PcMap,
+    /// Other-site id → the pc's most-common record + gap: the OSYNC
     /// template that turns a repeated return/call into a one-delta
     /// OREF.
-    mode_others: std::collections::HashMap<u32, OtherSite>,
-    sites: Vec<Site>,
     osites: Vec<OtherSite>,
-    other_intern: PcMap,
+    /// SYNC and OSYNC packets written so far.
+    defined: u32,
+    odefined: u32,
     prev_site: i64,
     prev_osite: i64,
     prev_sync_pc: i64,
@@ -157,69 +198,108 @@ struct Encoder<'a> {
     prev_other_pc: i64,
     /// Pending COND batch: per-ref (site, run length) …
     refs: Vec<(u32, u64)>,
-    /// … per-event outcomes …
-    bits: Vec<bool>,
-    /// … per-event "gap deviates from the site default" flags …
-    deviates: Vec<bool>,
+    /// … its event count …
+    events: usize,
+    /// … the branch map and deviation map, packed LSB first as they go
+    /// on the wire (a deviation bit flags a gap other than the site
+    /// default) …
+    branch_map: Vec<u8>,
+    deviation_map: Vec<u8>,
     /// … and the deviating gaps only (gap-mode 1's exception stream).
     deviant_gaps: Vec<u32>,
 }
 
 impl<'a> Encoder<'a> {
-    fn new(
-        out: &'a mut Vec<u8>,
-        mode_gaps: std::collections::HashMap<u32, u32>,
-        mode_others: std::collections::HashMap<u32, OtherSite>,
-    ) -> Self {
+    /// The statistics pass over `trace`.
+    fn new(out: &'a mut Vec<u8>, trace: &Trace) -> Self {
+        let mut intern = PcMap::default();
+        let mut sites = Vec::new();
+        let mut gaps: Vec<Histogram<u32>> = Vec::new();
+        let mut other_intern = PcMap::default();
+        let mut other_pcs = Vec::new();
+        let mut variants: Vec<Histogram<OtherKey>> = Vec::new();
+        for (record, &gap) in trace.iter().zip(trace.gaps()) {
+            if record.class == BranchClass::Conditional {
+                let next = sites.len() as u32;
+                let site = *intern.entry(record.pc).or_insert(next);
+                if site == next {
+                    sites.push(Site {
+                        pc: record.pc,
+                        target: record.target,
+                        call: record.call,
+                        default_gap: 0,
+                    });
+                    gaps.push(Vec::new());
+                }
+                tally(&mut gaps[site as usize], gap);
+            } else {
+                let next = other_pcs.len() as u32;
+                let osite = *other_intern.entry(record.pc).or_insert(next);
+                if osite == next {
+                    other_pcs.push(record.pc);
+                    variants.push(Vec::new());
+                }
+                let key = (record.target, gap, record.taken, record.call, record.class.code());
+                tally(&mut variants[osite as usize], key);
+            }
+        }
+        for (site, gaps) in sites.iter_mut().zip(&gaps) {
+            site.default_gap = mode(gaps);
+        }
+        let osites = other_pcs
+            .into_iter()
+            .zip(&variants)
+            .map(|(pc, variants)| {
+                let (target, gap, taken, call, code) = mode(variants);
+                let class = BranchClass::from_code(code).expect("histogram keys carry valid codes");
+                let record = BranchRecord { pc, target, class, taken, call };
+                OtherSite { record, default_gap: gap }
+            })
+            .collect();
         Encoder {
             out,
-            intern: PcMap::default(),
-            mode_gaps,
-            mode_others,
-            sites: Vec::new(),
-            osites: Vec::new(),
-            other_intern: PcMap::default(),
+            intern,
+            sites,
+            other_intern,
+            osites,
+            defined: 0,
+            odefined: 0,
             prev_site: 0,
             prev_osite: 0,
             prev_sync_pc: 0,
             prev_osync_pc: 0,
             prev_other_pc: 0,
             refs: Vec::new(),
-            bits: Vec::new(),
-            deviates: Vec::new(),
+            events: 0,
+            branch_map: Vec::new(),
+            deviation_map: Vec::new(),
             deviant_gaps: Vec::new(),
         }
     }
 
+    /// Emits one record of the trace the statistics pass saw.
     fn push(&mut self, record: &BranchRecord, gap: u32) {
         if record.class != BranchClass::Conditional {
             self.push_other(record, gap);
             return;
         }
-        let next = self.sites.len() as u32;
-        let site = *self.intern.entry(record.pc).or_insert(next);
-        if site == next {
+        let site = self.intern[&record.pc];
+        let template = self.sites[site as usize];
+        if site == self.defined {
             // First appearance: flush so the SYNC lands before the
             // batch that references it, then define the template.
-            let default_gap = self.mode_gaps.get(&record.pc).copied().unwrap_or(gap);
             self.flush();
+            self.defined += 1;
             self.out.put_u8(TAG_SYNC);
-            put_varint(self.out, zigzag(i64::from(record.pc) - self.prev_sync_pc));
-            self.prev_sync_pc = i64::from(record.pc);
+            put_varint(self.out, zigzag(i64::from(template.pc) - self.prev_sync_pc));
+            self.prev_sync_pc = i64::from(template.pc);
             put_varint(
                 self.out,
-                zigzag(i64::from(record.target) - i64::from(record.pc)),
+                zigzag(i64::from(template.target) - i64::from(template.pc)),
             );
-            put_varint(self.out, u64::from(default_gap));
-            self.out.put_u8(record.call as u8);
-            self.sites.push(Site {
-                pc: record.pc,
-                target: record.target,
-                call: record.call,
-                default_gap,
-            });
+            put_varint(self.out, u64::from(template.default_gap));
+            self.out.put_u8(template.call as u8);
         }
-        let template = self.sites[site as usize];
         if record.target != template.target || record.call != template.call {
             // Deviates from the template: escape with explicit fields.
             self.flush();
@@ -236,32 +316,34 @@ impl<'a> Encoder<'a> {
             return;
         }
         let deviating = gap != template.default_gap;
-        self.deviates.push(deviating);
         if deviating {
             self.deviant_gaps.push(gap);
         }
+        let (byte, bit) = (self.events / 8, self.events % 8);
+        if bit == 0 {
+            self.branch_map.push(0);
+            self.deviation_map.push(0);
+        }
+        self.branch_map[byte] |= (record.taken as u8) << bit;
+        self.deviation_map[byte] |= (deviating as u8) << bit;
         match self.refs.last_mut() {
             Some((s, run)) if *s == site => *run += 1,
             _ => self.refs.push((site, 1)),
         }
-        self.bits.push(record.taken);
-        if self.bits.len() >= MAX_PACKET_EVENTS {
+        self.events += 1;
+        if self.events >= MAX_PACKET_EVENTS {
             self.flush();
         }
     }
 
     fn push_other(&mut self, record: &BranchRecord, gap: u32) {
         self.flush();
-        let next = self.osites.len() as u32;
-        let osite = *self.other_intern.entry(record.pc).or_insert(next);
-        if osite == next {
+        let osite = self.other_intern[&record.pc];
+        let template = self.osites[osite as usize];
+        if osite == self.odefined {
             // First appearance: define the template from the pc's
             // modal record so conforming OREFs stay the common case.
-            let template = self
-                .mode_others
-                .get(&record.pc)
-                .copied()
-                .unwrap_or(OtherSite { record: *record, default_gap: gap });
+            self.odefined += 1;
             self.out.put_u8(TAG_OSYNC);
             self.out.put_u8(
                 template.record.class.code()
@@ -278,9 +360,7 @@ impl<'a> Encoder<'a> {
                 zigzag(i64::from(template.record.target) - i64::from(record.pc)),
             );
             put_varint(self.out, u64::from(template.default_gap));
-            self.osites.push(template);
         }
-        let template = self.osites[osite as usize];
         if template.record == *record && template.default_gap == gap {
             self.out.put_u8(TAG_OREF);
             put_varint(self.out, zigzag(i64::from(osite) - self.prev_osite));
@@ -303,22 +383,8 @@ impl<'a> Encoder<'a> {
         put_varint(self.out, u64::from(gap));
     }
 
-    fn put_bitmap(out: &mut Vec<u8>, bits: &[bool]) {
-        let mut word = 0u8;
-        for (i, &bit) in bits.iter().enumerate() {
-            word |= (bit as u8) << (i % 8);
-            if i % 8 == 7 {
-                out.put_u8(word);
-                word = 0;
-            }
-        }
-        if bits.len() % 8 != 0 {
-            out.put_u8(word);
-        }
-    }
-
     fn flush(&mut self) {
-        if self.bits.is_empty() {
+        if self.events == 0 {
             return;
         }
         self.out.put_u8(TAG_COND);
@@ -337,81 +403,33 @@ impl<'a> Encoder<'a> {
                 put_varint(self.out, run - 2);
             }
         }
-        Self::put_bitmap(self.out, &self.bits);
+        self.out.put_slice(&self.branch_map);
         if !self.deviant_gaps.is_empty() {
-            Self::put_bitmap(self.out, &self.deviates);
+            self.out.put_slice(&self.deviation_map);
             for &gap in &self.deviant_gaps {
                 put_varint(self.out, u64::from(gap));
             }
         }
         self.refs.clear();
-        self.bits.clear();
-        self.deviates.clear();
+        self.events = 0;
+        self.branch_map.clear();
+        self.deviation_map.clear();
         self.deviant_gaps.clear();
     }
 }
 
-/// Each conditional pc's most-common gap, the default the SYNC packet
-/// advertises. Ties break toward the smaller gap so the choice is
-/// independent of hash-iteration order.
-fn mode_gaps(trace: &Trace) -> std::collections::HashMap<u32, u32> {
-    let mut histo: std::collections::HashMap<u32, std::collections::HashMap<u32, u64>> =
-        Default::default();
-    for (record, &gap) in trace.iter().zip(trace.gaps()) {
-        if record.class == BranchClass::Conditional {
-            *histo.entry(record.pc).or_default().entry(gap).or_insert(0) += 1;
-        }
-    }
-    histo
-        .into_iter()
-        .map(|(pc, gaps)| {
-            let (gap, _) = gaps
-                .into_iter()
-                .max_by_key(|&(gap, count)| (count, std::cmp::Reverse(gap)))
-                .expect("a histogrammed pc has at least one gap");
-            (pc, gap)
-        })
-        .collect()
-}
-
-/// Each non-conditional pc's most-common (record, gap) pair, the
-/// template its OSYNC packet advertises. Ties break toward the
-/// smaller (target, gap, flags) so the choice is independent of
-/// hash-iteration order.
-fn mode_others(trace: &Trace) -> std::collections::HashMap<u32, OtherSite> {
-    type Key = (u32, u32, bool, bool, u8);
-    let mut histo: std::collections::HashMap<u32, std::collections::HashMap<Key, u64>> =
-        Default::default();
-    for (record, &gap) in trace.iter().zip(trace.gaps()) {
-        if record.class != BranchClass::Conditional {
-            let key = (record.target, gap, record.taken, record.call, record.class.code());
-            *histo.entry(record.pc).or_default().entry(key).or_insert(0) += 1;
-        }
-    }
-    histo
-        .into_iter()
-        .map(|(pc, variants)| {
-            let ((target, gap, taken, call, code), _) = variants
-                .into_iter()
-                .max_by_key(|&(key, count)| (count, std::cmp::Reverse(key)))
-                .expect("a histogrammed pc has at least one variant");
-            let class = BranchClass::from_code(code).expect("histogram keys carry valid codes");
-            let record = BranchRecord { pc, target, class, taken, call };
-            (pc, OtherSite { record, default_gap: gap })
-        })
-        .collect()
-}
-
-/// Serializes a trace as TLA3 packets.
+/// Serializes a trace as TLA3 packets, in two passes over the records:
+/// statistics (dense ids and modal templates), then emission.
 pub fn encode(trace: &Trace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + trace.len() / 4);
+    // The workload traces average ~2 bytes per record.
+    let mut out = Vec::with_capacity(64 + 2 * trace.len());
     out.put_slice(&MAGIC);
     for class in InstClass::ALL {
         out.put_u64_le(trace.inst_mix().get(class));
     }
     out.put_u64_le(trace.len() as u64);
     out.put_u64_le(trace.conditional_len());
-    let mut enc = Encoder::new(&mut out, mode_gaps(trace), mode_others(trace));
+    let mut enc = Encoder::new(&mut out, trace);
     for (record, &gap) in trace.iter().zip(trace.gaps()) {
         enc.push(record, gap);
     }
@@ -945,6 +963,29 @@ mod tests {
         // The common-target returns really do compress to OREFs.
         let orefs = bytes.iter().filter(|&&b| b == TAG_OREF).count();
         assert!(orefs >= 6, "expected most returns as OREFs, saw {orefs}");
+    }
+
+    #[test]
+    fn other_site_template_ties_break_toward_the_smaller_key() {
+        // One return whose two targets tie at two events each, with
+        // equal gaps: the OSYNC template takes the smaller key (target
+        // 0x2000), not the first-seen 0x3000, so the first event goes
+        // out as a plain OTHER packet.
+        let mut t = Trace::new();
+        for target in [0x3000, 0x2000, 0x3000, 0x2000] {
+            t.push(BranchRecord::subroutine_return(0x1000, target));
+        }
+        let bytes = encode(&t);
+        let mut r = Reader::new(&bytes[60..]);
+        assert_eq!(r.get_u8(), TAG_OSYNC);
+        assert_eq!(r.get_u8(), BranchClass::Return.code() | 0x80); // taken return
+        let pc = unzigzag(r.get_varint().unwrap());
+        let target = pc + unzigzag(r.get_varint().unwrap());
+        assert_eq!((pc, target), (0x1000, 0x2000));
+        assert_eq!(r.get_varint(), Some(0)); // default gap
+        assert_eq!(r.get_u8(), TAG_OTHER);
+        assert_eq!(decode(&bytes).unwrap(), t);
+        assert_eq!(decode_compiled(&bytes).unwrap(), CompiledTrace::compile(&t));
     }
 
     #[test]

@@ -163,6 +163,50 @@ fn extra_li_guest_runs_on_the_same_vm() {
     assert_eq!(trace.conditional_len(), 10_000);
 }
 
+/// FNV-1a digests of `codec::encode_v3` over every workload trace at
+/// ci.sh's 20,000-branch smoke budget: the nine test traces, then the
+/// five train traces. A mismatch means one of two things. Either the
+/// TLA3 encoder now writes different bytes for the same trace, which
+/// is a cache-format break, or the interpreter now produces a different
+/// trace, which is a codegen change and needs a
+/// `tlat_workloads::CODEGEN_VERSION` bump so fingerprinted cache
+/// entries miss instead of serving the old traces.
+const TLA3_DIGESTS: [(&str, &str, u64); 14] = [
+    ("eqntott", "test", 0x11a2_e628_f86e_735b),
+    ("espresso", "test", 0xb002_f1c9_c868_e757),
+    ("gcc", "test", 0xf4d4_e8bd_17d4_db78),
+    ("li", "test", 0x0424_532b_1b97_aeb7),
+    ("doduc", "test", 0x9f96_b5bd_956b_e439),
+    ("fpppp", "test", 0x1da1_d4a0_9198_9394),
+    ("matrix300", "test", 0xc14e_8357_25df_2461),
+    ("spice2g6", "test", 0x8dfe_bfa9_a80d_d07c),
+    ("tomcatv", "test", 0xb4f5_95bc_c1ab_a961),
+    ("espresso", "train", 0xb90c_1777_d767_222a),
+    ("gcc", "train", 0x09b4_510a_d358_6403),
+    ("li", "train", 0x4d51_e271_4799_408d),
+    ("doduc", "train", 0x747e_6e34_4247_7532),
+    ("spice2g6", "train", 0xa7fc_6ff2_8162_b207),
+];
+
+#[test]
+fn tla3_bytes_of_every_workload_trace_are_pinned() {
+    use tlat_check::fnv1a;
+    use tlat_trace::codec;
+
+    const BUDGET: u64 = 20_000;
+    let mut actual = Vec::new();
+    for w in all() {
+        let test = w.trace_test(BUDGET).expect("workload runs");
+        actual.push((w.name, "test", fnv1a(&codec::encode_v3(&test))));
+    }
+    for w in all() {
+        if let Some(train) = w.trace_train(BUDGET).expect("workload runs") {
+            actual.push((w.name, "train", fnv1a(&codec::encode_v3(&train))));
+        }
+    }
+    assert_eq!(actual, TLA3_DIGESTS, "TLA3 digests changed");
+}
+
 #[test]
 fn trace_generation_is_deterministic_across_runs_and_threads() {
     // Every workload is a pure function of (program, input, budget):
