@@ -11,7 +11,8 @@
 //! so a load spike can never silently corrupt a report.
 //!
 //! Emits one `BENCHJSON` line per target with `rps`, `p50_ns`, and
-//! `p99_ns` (scraped into `BENCH_serve.json` by `scripts/ci.sh`).
+//! `p99_ns` (captured into `target/ci-bench/BENCH_serve.json` by
+//! `scripts/ci.sh` in smoke mode).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -10,7 +10,7 @@
 //! emitted (`fig10_per_config_baseline`, `fig10_gang_1thread`,
 //! `fig10_gang_pool`, `fig5_per_config_baseline`, `fig5_gang_pool`)
 //! plus derived speedup lines; `scripts/ci.sh` captures them into
-//! `BENCH_sweep.json` in smoke mode.
+//! `target/ci-bench/BENCH_sweep.json` in smoke mode.
 
 use tlat_bench::runner::Runner;
 use tlat_core::{AutomatonKind, HrtConfig};

@@ -23,7 +23,6 @@
 //! (state 3, or state 1 for Last-Time), because roughly 60 % of
 //! conditional branches are taken (§4.2 of the paper).
 
-use tlat_trace::json::ToJson;
 use std::fmt::Debug;
 
 /// A pattern-history finite-state machine (one pattern-table entry).
@@ -348,19 +347,6 @@ impl AnyAutomaton {
             AnyAutomaton::A3(a) => a.0,
             AnyAutomaton::A4(a) => a.0,
         }
-    }
-}
-
-impl ToJson for AutomatonKind {
-    fn write_json(&self, out: &mut String) {
-        let name = match self {
-            AutomatonKind::LastTime => "LastTime",
-            AutomatonKind::A1 => "A1",
-            AutomatonKind::A2 => "A2",
-            AutomatonKind::A3 => "A3",
-            AutomatonKind::A4 => "A4",
-        };
-        name.write_json(out);
     }
 }
 

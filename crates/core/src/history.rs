@@ -1,6 +1,5 @@
 //! Branch history registers (the first level of the two-level scheme).
 
-use tlat_trace::json::{JsonObject, ToJson};
 
 
 /// Maximum supported history length, in bits.
@@ -90,15 +89,6 @@ impl HistoryRegister {
     /// Number of distinct patterns (`2^len`) — the pattern-table size.
     pub fn pattern_count(self) -> usize {
         1usize << self.len
-    }
-}
-
-impl ToJson for HistoryRegister {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("bits", &self.bits)
-            .field("len", &self.len)
-            .finish_into(out);
     }
 }
 

@@ -14,7 +14,6 @@
 //!   the same slot share one entry, so history interference is higher,
 //!   but the tag store is saved.
 
-use tlat_trace::json::{JsonObject, ToJson};
 use tlat_trace::SiteId;
 use std::collections::HashMap;
 use std::fmt;
@@ -859,36 +858,6 @@ impl SiteResolver {
             std::collections::hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
             std::collections::hash_map::Entry::Vacant(v) => {
                 Arc::clone(v.insert(Arc::new(SiteKeys::build(config, &self.pcs))))
-            }
-        }
-    }
-}
-
-impl ToJson for HrtStats {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("accesses", &self.accesses)
-            .field("misses", &self.misses)
-            .finish_into(out);
-    }
-}
-
-impl ToJson for HrtConfig {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            HrtConfig::Ideal => "Ideal".write_json(out),
-            HrtConfig::Associative { entries, ways } => {
-                out.push_str("{\"Associative\":");
-                JsonObject::new()
-                    .field("entries", entries)
-                    .field("ways", ways)
-                    .finish_into(out);
-                out.push('}');
-            }
-            HrtConfig::Hashed { entries } => {
-                out.push_str("{\"Hashed\":");
-                JsonObject::new().field("entries", entries).finish_into(out);
-                out.push('}');
             }
         }
     }

@@ -13,7 +13,6 @@
 //!   branch. Combines per-address periodicity (the paper's scheme) with
 //!   global correlation (GAg/gshare).
 
-use tlat_trace::json::{JsonObject, ToJson};
 use crate::automaton::{AnyAutomaton, Automaton, AutomatonKind, A2};
 use crate::history::HistoryRegister;
 use crate::pattern::PatternTable;
@@ -182,15 +181,6 @@ impl Predictor for Tournament {
         }
         self.first.update(branch);
         self.second.update(branch);
-    }
-}
-
-impl ToJson for GshareConfig {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("history_bits", &self.history_bits)
-            .field("automaton", &self.automaton)
-            .finish_into(out);
     }
 }
 

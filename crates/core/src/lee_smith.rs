@@ -7,7 +7,6 @@
 //! the Last-Time automaton degenerates to "predict what this branch did
 //! last time".
 
-use tlat_trace::json::{JsonObject, ToJson};
 use crate::automaton::{AnyAutomaton, AutomatonKind};
 use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe, SiteKeys, SiteResolver};
 use crate::predictor::Predictor;
@@ -176,15 +175,6 @@ impl Predictor for LeeSmithBtb {
         let guess = entry.predict();
         *entry = entry.update(branch.taken);
         guess
-    }
-}
-
-impl ToJson for LeeSmithConfig {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("automaton", &self.automaton)
-            .field("hrt", &self.hrt)
-            .finish_into(out);
     }
 }
 

@@ -1,11 +1,10 @@
 //! The static comparison schemes: Always Taken, Always Not Taken,
 //! Backward-Taken/Forward-Not-taken, and opcode-bit profiling.
 
-use tlat_trace::json::{JsonObject, ToJson};
 use crate::hrt::SiteResolver;
 use crate::predictor::Predictor;
 use std::collections::HashMap;
-use tlat_trace::{BranchClass, BranchRecord, CompiledTrace, SiteId, Trace};
+use tlat_trace::{BranchClass, BranchRecord, CompiledTrace, Trace};
 
 /// Predicts every branch taken (~60 % accuracy on the paper's mix).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,8 +67,9 @@ impl Predictor for Btfn {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfilePredictor {
     bits: HashMap<u32, bool>,
-    /// Per-trace frozen bits by [`SiteId`], resolved by
-    /// [`bind_sites`](ProfilePredictor::bind_sites); empty until bound.
+    /// Per-trace frozen bits by [`SiteId`](tlat_trace::SiteId),
+    /// resolved by [`bind_sites`](ProfilePredictor::bind_sites); empty
+    /// until bound.
     site_bits: Vec<bool>,
 }
 
@@ -114,29 +114,15 @@ impl ProfilePredictor {
     }
 
     /// Binds this predictor to a compiled trace's interned sites: the
-    /// frozen per-pc bits are resolved into a dense `SiteId → bit`
-    /// table once, and
-    /// [`predict_update_site`](ProfilePredictor::predict_update_site)
-    /// becomes a single indexed load — no per-branch hashing.
+    /// frozen per-pc bits are resolved once into the dense
+    /// `SiteId → bit` table [`site_bits`](ProfilePredictor::site_bits)
+    /// returns, so scoring a walk needs no per-branch hashing.
     pub fn bind_sites(&mut self, resolver: &SiteResolver) {
         self.site_bits = resolver
             .site_pcs()
             .iter()
             .map(|pc| self.bits.get(pc).copied().unwrap_or(true))
             .collect();
-    }
-
-    /// [`Predictor::predict_update`] driven by an interned [`SiteId`]:
-    /// the same frozen bit [`predict`](Predictor::predict) would return
-    /// for the site's pc (unseen branches predict taken).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`bind_sites`](ProfilePredictor::bind_sites) ran
-    /// first (with the resolver of the stream driving this call).
-    #[inline]
-    pub fn predict_update_site(&mut self, site: SiteId, _taken: bool) -> bool {
-        self.site_bits[site as usize]
     }
 
     /// The bound per-site frozen bits (see
@@ -168,19 +154,6 @@ impl Predictor for ProfilePredictor {
     }
 
     fn update(&mut self, _branch: &BranchRecord) {}
-}
-
-impl ToJson for ProfilePredictor {
-    fn write_json(&self, out: &mut String) {
-        // Deterministic output: sort the frozen bits by branch address.
-        let mut entries: Vec<(u32, bool)> = self.bits.iter().map(|(k, v)| (*k, *v)).collect();
-        entries.sort_unstable();
-        let mut obj = JsonObject::new();
-        for (pc, taken) in &entries {
-            obj.field(&pc.to_string(), taken);
-        }
-        obj.finish_into(out);
-    }
 }
 
 #[cfg(test)]

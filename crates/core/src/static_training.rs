@@ -11,7 +11,6 @@
 //! tested on (`Same`, the scheme's best case) and trained on a different
 //! data set (`Diff`, the realistic case, where accuracy drops).
 
-use tlat_trace::json::{JsonObject, ToJson};
 use crate::history::HistoryRegister;
 use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe, SiteKeys, SiteResolver};
 use crate::predictor::Predictor;
@@ -294,16 +293,6 @@ impl Predictor for StaticTraining {
         let pattern = hr.pattern();
         hr.shift(branch.taken);
         self.preset[pattern]
-    }
-}
-
-impl ToJson for StaticTrainingConfig {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("history_bits", &self.history_bits)
-            .field("hrt", &self.hrt)
-            .field("data", &self.data)
-            .finish_into(out);
     }
 }
 

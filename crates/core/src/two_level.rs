@@ -13,7 +13,6 @@
 //! in the HRT entry, so the next prediction of that branch is a single
 //! table lookup.
 
-use tlat_trace::json::{JsonObject, ToJson};
 use crate::automaton::AutomatonKind;
 use crate::history::HistoryRegister;
 use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe, SiteKeys, SiteResolver};
@@ -357,19 +356,6 @@ impl Predictor for TwoLevelAdaptive {
         self.pattern_table.update(old_pattern, taken);
         entry.prediction = self.pattern_table.predict(new_pattern);
         guess
-    }
-}
-
-impl ToJson for TwoLevelConfig {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("history_bits", &self.history_bits)
-            .field("automaton", &self.automaton)
-            .field("hrt", &self.hrt)
-            .field("cached_prediction", &self.cached_prediction)
-            .field("reinit_on_replace", &self.reinit_on_replace)
-            .field("init_not_taken", &self.init_not_taken)
-            .finish_into(out);
     }
 }
 

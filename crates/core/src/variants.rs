@@ -21,7 +21,6 @@
 //! periodicity. The [`variants`](self) module exists to measure that
 //! trade-off on the paper's workloads (bench `ext_taxonomy`).
 
-use tlat_trace::json::{JsonObject, ToJson};
 use crate::automaton::AutomatonKind;
 use crate::history::HistoryRegister;
 use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats};
@@ -294,43 +293,6 @@ impl Predictor for TwoLevelVariant {
         };
         let table = self.table_index(branch.pc);
         self.tables[table].update(old_pattern, taken);
-    }
-}
-
-impl ToJson for HistoryScope {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            HistoryScope::Global => "Global".write_json(out),
-            HistoryScope::PerAddress(hrt) => {
-                out.push_str("{\"PerAddress\":");
-                hrt.write_json(out);
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl ToJson for PatternScope {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            PatternScope::Global => "Global".write_json(out),
-            PatternScope::PerSet { sets } => {
-                out.push_str("{\"PerSet\":");
-                JsonObject::new().field("sets", sets).finish_into(out);
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl ToJson for VariantConfig {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("history_bits", &self.history_bits)
-            .field("automaton", &self.automaton)
-            .field("history", &self.history)
-            .field("pattern", &self.pattern)
-            .finish_into(out);
     }
 }
 

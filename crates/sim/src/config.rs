@@ -10,7 +10,6 @@ use tlat_core::{
     Predictor, ProfilePredictor, StaticTraining, StaticTrainingConfig, TwoLevelAdaptive,
     TwoLevelConfig, TwoLevelVariant, VariantConfig,
 };
-use tlat_trace::json::{JsonObject, ToJson};
 use tlat_core::{Gshare, GshareConfig, Tournament};
 use tlat_trace::Trace;
 
@@ -261,54 +260,6 @@ pub fn taxonomy() -> Vec<SchemeConfig> {
             chooser_entries: 1024,
         },
     ]
-}
-
-impl ToJson for TrainingData {
-    fn write_json(&self, out: &mut String) {
-        self.label().write_json(out);
-    }
-}
-
-impl ToJson for SchemeConfig {
-    fn write_json(&self, out: &mut String) {
-        fn tagged(out: &mut String, tag: &str, inner: &dyn ToJson) {
-            out.push('{');
-            tlat_trace::json::write_escaped(tag, out);
-            out.push(':');
-            inner.write_json(out);
-            out.push('}');
-        }
-        match self {
-            SchemeConfig::TwoLevel(c) => tagged(out, "TwoLevel", c),
-            SchemeConfig::StaticTraining {
-                history_bits,
-                hrt,
-                data,
-            } => {
-                out.push_str("{\"StaticTraining\":");
-                JsonObject::new()
-                    .field("history_bits", history_bits)
-                    .field("hrt", hrt)
-                    .field("data", data)
-                    .finish_into(out);
-                out.push('}');
-            }
-            SchemeConfig::LeeSmith(c) => tagged(out, "LeeSmith", c),
-            SchemeConfig::Variant(c) => tagged(out, "Variant", c),
-            SchemeConfig::Gshare(c) => tagged(out, "Gshare", c),
-            SchemeConfig::Tournament { chooser_entries } => {
-                out.push_str("{\"Tournament\":");
-                JsonObject::new()
-                    .field("chooser_entries", chooser_entries)
-                    .finish_into(out);
-                out.push('}');
-            }
-            SchemeConfig::Profile => "Profile".write_json(out),
-            SchemeConfig::AlwaysTaken => "AlwaysTaken".write_json(out),
-            SchemeConfig::AlwaysNotTaken => "AlwaysNotTaken".write_json(out),
-            SchemeConfig::Btfn => "Btfn".write_json(out),
-        }
-    }
 }
 
 #[cfg(test)]

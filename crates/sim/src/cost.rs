@@ -7,9 +7,6 @@
 //! and speedups for a parameterized pipeline, quantifying the paper's
 //! "this reduction can lead directly to a large performance gain".
 
-use tlat_trace::json::{JsonObject, ToJson};
-
-
 /// A simple in-order pipeline cost model.
 ///
 /// `CPI = base_cpi + f_cond · miss_rate · flush_penalty`, where
@@ -70,15 +67,6 @@ impl PipelineModel {
 impl Default for PipelineModel {
     fn default() -> Self {
         PipelineModel::deep()
-    }
-}
-
-impl ToJson for PipelineModel {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("base_cpi", &self.base_cpi)
-            .field("flush_penalty", &self.flush_penalty)
-            .finish_into(out);
     }
 }
 

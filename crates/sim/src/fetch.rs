@@ -8,7 +8,6 @@
 //! direction predictor, a [`TargetBuffer`] and a return-address stack
 //! and scores the *next-address* correctness per branch class.
 
-use tlat_trace::json::{JsonObject, ToJson};
 use crate::stats::PredictionStats;
 use tlat_core::{HrtConfig, Predictor, TargetBuffer};
 use tlat_trace::{BranchClass, ReturnAddressStack, Trace};
@@ -112,17 +111,6 @@ pub fn simulate_fetch(
         }
     }
     result
-}
-
-impl ToJson for FetchResult {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("conditional", &self.conditional)
-            .field("returns", &self.returns)
-            .field("uncond_imm", &self.uncond_imm)
-            .field("uncond_reg", &self.uncond_reg)
-            .finish_into(out);
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! interact — so the gang engine walks the trace *once*, feeding every
 //! configuration's predictor in turn from the same hot `BranchRecord`.
 //!
-//! Five further savings fall out:
+//! Six further savings fall out:
 //!
 //! * **Monomorphization** — the common sweep schemes
 //!   ([`TwoLevelAdaptive`], [`LeeSmithBtb`], [`StaticTraining`],

@@ -4,7 +4,6 @@
 //! predictor predicted. The *operational* telemetry of the harness
 //! itself (counters, phase timings) lives in [`crate::metrics`].
 
-use tlat_trace::json::{JsonObject, ToJson};
 use tlat_trace::RasStats;
 
 /// Accuracy counters for one predictor on one trace.
@@ -59,24 +58,6 @@ impl SimResult {
     /// axis).
     pub fn accuracy(&self) -> f64 {
         self.conditional.accuracy()
-    }
-}
-
-impl ToJson for PredictionStats {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("predicted", &self.predicted)
-            .field("correct", &self.correct)
-            .finish_into(out);
-    }
-}
-
-impl ToJson for SimResult {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("conditional", &self.conditional)
-            .field("ras", &self.ras)
-            .finish_into(out);
     }
 }
 

@@ -8,7 +8,6 @@
 //! describes: "a prediction miss requires flushing of the speculative
 //! execution already in progress".
 
-use tlat_trace::json::{JsonObject, ToJson};
 use crate::stats::PredictionStats;
 use tlat_core::{HrtConfig, Predictor, TargetBuffer};
 use tlat_trace::{BranchClass, ReturnAddressStack, Trace};
@@ -142,28 +141,6 @@ pub fn simulate_timing(
         }
     }
     result
-}
-
-impl ToJson for TimingModel {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("fetch_width", &self.fetch_width)
-            .field("flush_penalty", &self.flush_penalty)
-            .field("ras_entries", &self.ras_entries)
-            .field("btb", &self.btb)
-            .finish_into(out);
-    }
-}
-
-impl ToJson for TimingResult {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("cycles", &self.cycles)
-            .field("instructions", &self.instructions)
-            .field("flushes", &self.flushes)
-            .field("conditional", &self.conditional)
-            .finish_into(out);
-    }
 }
 
 #[cfg(test)]

@@ -382,6 +382,10 @@ fn the_error_surface_and_registry_index_answer_correctly() {
     let (status, _, body) = http(port, "GET", "/sweeps");
     assert_eq!(status, 200);
     let index = String::from_utf8(body).expect("JSONL index");
+    assert_eq!(
+        index.lines().next(),
+        Some(r#"{"name":"fig5","title":"Figure 5: AT schemes using different state transition automata","configs":4,"cells":36}"#)
+    );
     for spec in tlat_sim::sweep_specs() {
         assert!(
             index.contains(&format!("\"name\":\"{}\"", spec.name)),
@@ -393,7 +397,11 @@ fn the_error_surface_and_registry_index_answer_correctly() {
     let (status, _, body) = http(port, "POST", "/sweep/nope");
     assert_eq!(status, 404);
     let body = String::from_utf8(body).expect("JSON error");
-    assert!(body.contains("\"error\":\"unknown_sweep\""), "{body}");
+    assert_eq!(
+        body,
+        "{\"error\":\"unknown_sweep\",\"detail\":\"no sweep `nope`; one of: \
+         fig5, fig6, fig7, fig8, fig9, fig10, taxonomy\"}\n"
+    );
 
     let (status, _, body) = http(port, "GET", "/status/999");
     assert_eq!(status, 404);

@@ -1,6 +1,5 @@
 //! Branch and instruction classification types.
 
-use crate::json::{JsonObject, ToJson};
 use std::fmt;
 
 /// The four branch classes of §4 of the paper.
@@ -111,57 +110,6 @@ impl fmt::Display for InstClass {
     }
 }
 
-/// The resolved direction of a branch.
-///
-/// A thin wrapper over `bool` kept for readability at call sites: the
-/// paper records `1` for taken and `0` for not taken in the history
-/// registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Outcome {
-    /// The branch was not taken (fall-through).
-    NotTaken,
-    /// The branch was taken.
-    Taken,
-}
-
-impl Outcome {
-    /// `true` when the branch was taken.
-    pub fn is_taken(self) -> bool {
-        matches!(self, Outcome::Taken)
-    }
-
-    /// The history-register bit the paper shifts in (`1` = taken).
-    pub fn bit(self) -> u32 {
-        self.is_taken() as u32
-    }
-}
-
-impl From<bool> for Outcome {
-    fn from(taken: bool) -> Self {
-        if taken {
-            Outcome::Taken
-        } else {
-            Outcome::NotTaken
-        }
-    }
-}
-
-impl From<Outcome> for bool {
-    fn from(o: Outcome) -> bool {
-        o.is_taken()
-    }
-}
-
-impl fmt::Display for Outcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.is_taken() {
-            "taken"
-        } else {
-            "not-taken"
-        })
-    }
-}
-
 /// One executed branch instruction in a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchRecord {
@@ -264,58 +212,6 @@ impl BranchRecord {
     pub fn is_backward(&self) -> bool {
         self.target < self.pc
     }
-
-    /// The branch outcome as an [`Outcome`].
-    pub fn outcome(&self) -> Outcome {
-        Outcome::from(self.taken)
-    }
-}
-
-impl ToJson for BranchClass {
-    fn write_json(&self, out: &mut String) {
-        let name = match self {
-            BranchClass::Conditional => "Conditional",
-            BranchClass::Return => "Return",
-            BranchClass::ImmediateUnconditional => "ImmediateUnconditional",
-            BranchClass::RegisterUnconditional => "RegisterUnconditional",
-        };
-        name.write_json(out);
-    }
-}
-
-impl ToJson for InstClass {
-    fn write_json(&self, out: &mut String) {
-        let name = match self {
-            InstClass::IntAlu => "IntAlu",
-            InstClass::FpAlu => "FpAlu",
-            InstClass::Mem => "Mem",
-            InstClass::Branch => "Branch",
-            InstClass::Other => "Other",
-        };
-        name.write_json(out);
-    }
-}
-
-impl ToJson for Outcome {
-    fn write_json(&self, out: &mut String) {
-        let name = match self {
-            Outcome::NotTaken => "NotTaken",
-            Outcome::Taken => "Taken",
-        };
-        name.write_json(out);
-    }
-}
-
-impl ToJson for BranchRecord {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("pc", &self.pc)
-            .field("target", &self.target)
-            .field("class", &self.class)
-            .field("taken", &self.taken)
-            .field("call", &self.call)
-            .finish_into(out);
-    }
 }
 
 #[cfg(test)]
@@ -328,16 +224,6 @@ mod tests {
             assert_eq!(BranchClass::from_code(class.code()), Some(class));
         }
         assert_eq!(BranchClass::from_code(9), None);
-    }
-
-    #[test]
-    fn outcome_conversions() {
-        assert!(Outcome::from(true).is_taken());
-        assert!(!Outcome::from(false).is_taken());
-        assert_eq!(Outcome::Taken.bit(), 1);
-        assert_eq!(Outcome::NotTaken.bit(), 0);
-        let b: bool = Outcome::Taken.into();
-        assert!(b);
     }
 
     #[test]
@@ -374,14 +260,6 @@ mod tests {
         assert!(cr.call);
         assert_eq!(cr.class, BranchClass::RegisterUnconditional);
         assert!(!BranchRecord::conditional(0, 4, true).call);
-    }
-
-    #[test]
-    fn records_serialize_as_json() {
-        let text = BranchRecord::call_imm(0x40, 0x80).to_json();
-        assert!(crate::json::validate(&text), "{text}");
-        assert!(text.contains("\"class\":\"ImmediateUnconditional\""));
-        assert!(text.contains("\"call\":true"));
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   `Vec<u32>` and outcomes as a packed bitvec, so the inner loop
 //!   streams 4 bytes + 1 bit per event.
 //!
-//! Returns, calls, and instruction gaps are carried alongside (as
-//! [`RasEvent`]s and a gap vector) for the shared return-address-stack
-//! and timing paths, so a walk never needs the original trace.
+//! Returns and calls are carried alongside as [`RasEvent`]s for the
+//! shared return-address stack, so a walk never needs the original
+//! trace. Instruction gaps are not carried: no walk reads them, and the
+//! timing model reads [`Trace::gaps`] from the record trace.
 //!
 //! # Examples
 //!
@@ -204,11 +205,11 @@ pub enum RasEvent {
 }
 
 /// A trace compiled for the gang hot loop: interned conditional sites,
-/// SoA outcome stream, RAS events, and instruction gaps.
+/// SoA outcome stream, and RAS events.
 ///
 /// Compilation is a single pass over the trace; see the module docs for
 /// why. The stream is self-contained — every consumer a gang walk has
-/// (predictor lanes, the shared RAS, timing) reads from here.
+/// (predictor lanes, the shared RAS) reads from here.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompiledTrace {
     /// `SiteId → pc`, in first-appearance order.
@@ -220,9 +221,6 @@ pub struct CompiledTrace {
     outcomes: PackedBits,
     /// Return/call events, in trace order.
     ras: Vec<RasEvent>,
-    /// Non-branch instructions before each branch record (a copy of
-    /// [`Trace::gaps`], for timing paths).
-    gaps: Vec<u32>,
     /// `SiteId → number of taken outcomes` over the stream.
     site_taken: Vec<u64>,
     /// `SiteId → number of dynamic executions` over the stream. With
@@ -249,7 +247,6 @@ impl CompiledTrace {
             cond_sites: Vec::with_capacity(n_cond),
             outcomes: PackedBits::with_capacity(n_cond),
             ras: Vec::new(),
-            gaps: trace.gaps().to_vec(),
             site_taken: Vec::new(),
             site_counts: Vec::new(),
             site_runs: 0,
@@ -325,11 +322,6 @@ impl CompiledTrace {
         &self.ras
     }
 
-    /// Non-branch instruction gaps, one per original branch record.
-    pub fn gaps(&self) -> &[u32] {
-        &self.gaps
-    }
-
     /// `SiteId → number of taken outcomes` over the stream.
     pub fn site_taken(&self) -> &[u64] {
         &self.site_taken
@@ -363,26 +355,23 @@ impl CompiledTrace {
 /// [`CompiledTrace::compile`]'s semantics event-by-event — interning
 /// order (the format's dense site ids already arrive in
 /// first-appearance order), per-site counters, run counting, RAS event
-/// ordering (a return that is also a call verifies before pushing),
-/// and the per-record gap vector.
+/// ordering (a return that is also a call verifies before pushing).
 #[derive(Debug, Default)]
 pub(crate) struct CompiledBuilder {
     c: CompiledTrace,
 }
 
 impl CompiledBuilder {
-    /// A builder pre-sized for `n_cond` conditional events and
-    /// `n_records` branch records. Callers cap both with a bound
-    /// derived from the input size, so a hostile header cannot drive an
-    /// over-allocation.
-    pub(crate) fn with_capacity(n_cond: usize, n_records: usize) -> Self {
+    /// A builder pre-sized for `n_cond` conditional events. Callers cap
+    /// it with a bound derived from the input size, so a hostile header
+    /// cannot drive an over-allocation.
+    pub(crate) fn with_capacity(n_cond: usize) -> Self {
         CompiledBuilder {
             c: CompiledTrace {
                 site_pcs: Vec::new(),
                 cond_sites: Vec::with_capacity(n_cond),
                 outcomes: PackedBits::with_capacity(n_cond),
                 ras: Vec::new(),
-                gaps: Vec::with_capacity(n_records),
                 site_taken: Vec::new(),
                 site_counts: Vec::new(),
                 site_runs: 0,
@@ -404,7 +393,7 @@ impl CompiledBuilder {
     ///
     /// Panics when `site` was never defined; the decoder bounds-checks
     /// site references before calling.
-    pub(crate) fn cond(&mut self, site: SiteId, taken: bool, call: bool, gap: u32) {
+    pub(crate) fn cond(&mut self, site: SiteId, taken: bool, call: bool) {
         let s = site as usize;
         self.c.site_taken[s] += taken as u64;
         self.c.site_counts[s] += 1;
@@ -413,7 +402,6 @@ impl CompiledBuilder {
         }
         self.c.cond_sites.push(site);
         self.c.outcomes.push(taken);
-        self.c.gaps.push(gap);
         if call {
             self.c.ras.push(RasEvent::Push {
                 return_addr: self.c.site_pcs[s].wrapping_add(4),
@@ -422,9 +410,8 @@ impl CompiledBuilder {
     }
 
     /// Appends one non-conditional branch record's effects: a RAS
-    /// verify for returns, a RAS push for calls (in that order), and
-    /// the record's gap.
-    pub(crate) fn other(&mut self, class: BranchClass, pc: u32, target: u32, call: bool, gap: u32) {
+    /// verify for returns, then a RAS push for calls.
+    pub(crate) fn other(&mut self, class: BranchClass, pc: u32, target: u32, call: bool) {
         if class == BranchClass::Return {
             self.c.ras.push(RasEvent::Verify { target });
         }
@@ -433,7 +420,6 @@ impl CompiledBuilder {
                 return_addr: pc.wrapping_add(4),
             });
         }
-        self.c.gaps.push(gap);
     }
 
     /// The finished compiled stream.
@@ -611,18 +597,6 @@ mod tests {
                 },
             ]
         );
-    }
-
-    #[test]
-    fn gaps_are_carried_through() {
-        use crate::branch::InstClass;
-        let mut t = Trace::new();
-        t.count_instruction(InstClass::IntAlu);
-        t.count_instruction(InstClass::Mem);
-        t.push(BranchRecord::conditional(0x10, 0x20, true));
-        t.push(BranchRecord::subroutine_return(0x30, 0x14));
-        let c = CompiledTrace::compile(&t);
-        assert_eq!(c.gaps(), t.gaps());
     }
 
     #[test]

@@ -1,19 +1,18 @@
-//! Hand-rolled JSON serialization — the workspace's replacement for
-//! `serde`/`serde_json`.
+//! Hand-rolled JSON — the workspace's replacement for `serde`/`serde_json`.
 //!
-//! Every report-bearing type in the workspace implements [`ToJson`] by
-//! hand (the former `#[derive(Serialize)]` sites). The module also
+//! The workspace writes three kinds of JSON, each a flat object of
+//! strings and numbers: telemetry JSONL (`tlat_sim::metrics`), `tlat
+//! serve`'s response bodies, and the bench runner's `BENCHJSON` lines.
+//! All three build their objects with [`JsonObject`], whose field
+//! values are the scalar [`ToJson`] impls below. The module also
 //! carries the workspace's one JSON reader: [`parse`] turns text into a
 //! [`Value`], and [`validate`] (used by tests and the bench harness to
-//! assert that emitted report lines are well-formed) is defined on it.
+//! assert that emitted lines are well-formed) is defined on it.
 //!
-//! Conventions (matching what serde's derive would have produced):
+//! Conventions:
 //!
-//! * structs → objects with the field names as keys;
-//! * unit enum variants → the variant name as a string;
-//! * data-carrying enum variants → externally tagged objects,
-//!   `{"Variant":{...}}`;
-//! * non-finite floats → `null`.
+//! * object members keep their insertion order;
+//! * `None` and non-finite floats → `null`.
 //!
 //! # Examples
 //!
@@ -112,31 +111,6 @@ impl<T: ToJson> ToJson for Option<T> {
     }
 }
 
-impl<T: ToJson> ToJson for [T] {
-    fn write_json(&self, out: &mut String) {
-        out.push('[');
-        for (i, v) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            v.write_json(out);
-        }
-        out.push(']');
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn write_json(&self, out: &mut String) {
-        self.as_slice().write_json(out);
-    }
-}
-
-impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn write_json(&self, out: &mut String) {
-        self.as_slice().write_json(out);
-    }
-}
-
 impl<T: ToJson + ?Sized> ToJson for &T {
     fn write_json(&self, out: &mut String) {
         (*self).write_json(out);
@@ -184,9 +158,9 @@ impl JsonObject {
 // Reading
 // ---------------------------------------------------------------------
 
-/// Deepest array/object nesting the reader accepts. The workspace's
-/// [`ToJson`] types nest a handful of levels; the bound keeps hostile
-/// input (a line of 200 000 `[`) from overflowing the reader's stack.
+/// Deepest array/object nesting the reader accepts. Every line the
+/// workspace writes is one flat object; the bound keeps hostile input
+/// (a line of 200 000 `[`) from overflowing the reader's stack.
 const MAX_DEPTH: usize = 128;
 
 /// One parsed JSON value.
@@ -410,8 +384,6 @@ mod tests {
         assert_eq!("hi".to_json(), "\"hi\"");
         assert_eq!(Option::<u32>::None.to_json(), "null");
         assert_eq!(Some(3u32).to_json(), "3");
-        assert_eq!(vec![1u32, 2, 3].to_json(), "[1,2,3]");
-        assert_eq!([1u64, 2].to_json(), "[1,2]");
     }
 
     #[test]
@@ -434,11 +406,9 @@ mod tests {
     #[test]
     fn object_builder_orders_fields() {
         let mut obj = JsonObject::new();
-        obj.field("a", &1u32)
-            .field("b", &"two")
-            .field("c", &vec![3.0f64]);
+        obj.field("a", &1u32).field("b", &"two").field("c", &3.0f64);
         let text = obj.finish();
-        assert_eq!(text, r#"{"a":1,"b":"two","c":[3.0]}"#);
+        assert_eq!(text, r#"{"a":1,"b":"two","c":3.0}"#);
         assert!(validate(&text));
     }
 

@@ -26,9 +26,10 @@
 //!   with branch-map outcome words and streaming decode straight into
 //!   [`CompiledTrace`].
 //! * [`cursor`] — the std-only byte cursor behind the codec.
-//! * [`json`] — hand-rolled JSON serialization ([`json::ToJson`]) used
-//!   by every report-bearing type in the workspace (the repo's
-//!   zero-dependency replacement for serde).
+//! * [`json`] — the hand-rolled JSON writer ([`json::JsonObject`])
+//!   behind the workspace's telemetry, serve and bench lines, and its
+//!   one JSON reader (the repo's zero-dependency replacement for
+//!   serde).
 //!
 //! # Examples
 //!
@@ -56,7 +57,7 @@ mod sink;
 mod stats;
 mod trace;
 
-pub use branch::{BranchClass, BranchRecord, InstClass, Outcome};
+pub use branch::{BranchClass, BranchRecord, InstClass};
 pub use compiled::{CompiledTrace, PackedBits, RasEvent, SiteId};
 pub use ras::{RasStats, ReturnAddressStack};
 pub use sink::{CountingSink, LimitSink, TraceSink};

@@ -484,13 +484,13 @@ impl PacketSink for CompiledSink {
         self.0.define_site(pc);
     }
 
-    fn cond(&mut self, site: u32, _pc: u32, _target: u32, taken: bool, call: bool, gap: u32) {
-        self.0.cond(site, taken, call, gap);
+    fn cond(&mut self, site: u32, _pc: u32, _target: u32, taken: bool, call: bool, _gap: u32) {
+        self.0.cond(site, taken, call);
     }
 
-    fn other(&mut self, record: BranchRecord, gap: u32) {
+    fn other(&mut self, record: BranchRecord, _gap: u32) {
         self.0
-            .other(record.class, record.pc, record.target, record.call, gap);
+            .other(record.class, record.pc, record.target, record.call);
     }
 }
 
@@ -829,11 +829,8 @@ pub fn decode(input: &[u8]) -> Result<Trace, DecodeError> {
 pub fn decode_compiled(input: &[u8]) -> Result<CompiledTrace, DecodeError> {
     let mut r = Reader::new(input);
     let header = read_header(&mut r)?;
-    let remaining = r.remaining();
-    let mut sink = CompiledSink(CompiledBuilder::with_capacity(
-        alloc_cap(header.n_cond, remaining),
-        alloc_cap(header.total, remaining),
-    ));
+    let cap = alloc_cap(header.n_cond, r.remaining());
+    let mut sink = CompiledSink(CompiledBuilder::with_capacity(cap));
     decode_packets(&mut r, header.total, header.n_cond, &mut sink)?;
     Ok(sink.0.finish())
 }

@@ -6,8 +6,6 @@
 //! target address when a return instruction is detected. The return
 //! address prediction may miss when the return address stack overflows."
 
-use crate::json::{JsonObject, ToJson};
-
 /// Statistics collected by a [`ReturnAddressStack`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RasStats {
@@ -30,17 +28,6 @@ impl RasStats {
         } else {
             self.correct as f64 / self.predictions as f64
         }
-    }
-}
-
-impl ToJson for RasStats {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("predictions", &self.predictions)
-            .field("correct", &self.correct)
-            .field("underflows", &self.underflows)
-            .field("overflows", &self.overflows)
-            .finish_into(out);
     }
 }
 

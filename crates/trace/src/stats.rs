@@ -1,7 +1,6 @@
 //! Derived trace statistics backing Table 1 and Figures 3–4.
 
 use crate::branch::{BranchClass, InstClass};
-use crate::json::{JsonObject, ToJson};
 use crate::trace::Trace;
 use std::collections::HashSet;
 
@@ -153,45 +152,6 @@ impl TraceStats {
     /// Fraction of dynamic instructions that are branches (any class).
     pub fn branch_fraction(&self) -> f64 {
         self.inst_mix.fraction(InstClass::Branch)
-    }
-}
-
-impl ToJson for InstMix {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new();
-        for class in InstClass::ALL {
-            obj.field(class.label(), &self.get(class));
-        }
-        obj.finish_into(out);
-    }
-}
-
-impl ToJson for ClassDistribution {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new();
-        for class in BranchClass::ALL {
-            obj.field(class.label(), &self.get(class));
-        }
-        obj.finish_into(out);
-    }
-}
-
-impl ToJson for TraceStats {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field(
-                "static_conditional_branches",
-                &self.static_conditional_branches,
-            )
-            .field("static_branches", &self.static_branches)
-            .field(
-                "dynamic_conditional_branches",
-                &self.dynamic_conditional_branches,
-            )
-            .field("class_distribution", &self.class_distribution)
-            .field("inst_mix", &self.inst_mix)
-            .field("taken_rate", &self.taken_rate)
-            .finish_into(out);
     }
 }
 

@@ -89,7 +89,6 @@ fn streaming_decode_of_golden_bytes_equals_compile() {
     assert_eq!(compiled, CompiledTrace::compile(&golden_trace()));
     assert_eq!(compiled.site_pcs(), &[0x1000, 0x1010]);
     assert_eq!(compiled.cond_sites(), &[0, 0, 1, 1, 0]);
-    assert_eq!(compiled.gaps(), &[2, 0, 1, 0, 0, 0, 0]);
 }
 
 #[test]
