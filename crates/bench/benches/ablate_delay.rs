@@ -14,7 +14,7 @@ use tlat_sim::{simulate_delayed, DelayOptions, Report};
 
 fn main() {
     tlat_bench::run_report("ablate_delay", |harness| {
-        harness.prewarm();
+        let traces = harness.test_traces();
         let delays = [0usize, 1, 2, 4, 8, 16];
         let mut report = Report::new(
             "Ablation: prediction accuracy vs outcome-resolution delay (AT, AHRT 512, 12SR, A2)",
@@ -26,12 +26,11 @@ fn main() {
         );
         for delay in delays {
             let mut row = Vec::new();
-            for w in harness.workloads() {
-                let trace = harness.store().test(w);
+            for trace in &traces {
                 let mut p = tlat_core::TwoLevelAdaptive::new(TwoLevelConfig::paper_default());
                 let out = simulate_delayed(
                     &mut p,
-                    &trace,
+                    trace,
                     DelayOptions {
                         resolve_delay: delay,
                         ras_entries: 16,

@@ -15,7 +15,7 @@ use tlat_sim::{simulate_timing, Report, TimingModel};
 
 fn main() {
     tlat_bench::run_report("ext_cpi", |harness| {
-        harness.prewarm();
+        let traces = harness.test_traces();
         let model = TimingModel::scalar_with_btb();
         let mut report = Report::new_raw(
             "Extension: measured CPI x100 (scalar pipeline, 5-cycle flush, 512-entry BTB)",
@@ -28,8 +28,7 @@ fn main() {
         let mut speedups = Vec::new();
         for scheme in ["AT", "LS", "AlwaysTaken"] {
             let mut row = Vec::new();
-            for w in harness.workloads() {
-                let trace = harness.store().test(w);
+            for trace in &traces {
                 let mut predictor: Box<dyn Predictor> = match scheme {
                     "AT" => Box::new(TwoLevelAdaptive::new(TwoLevelConfig::paper_default())),
                     "LS" => Box::new(LeeSmithBtb::new(LeeSmithConfig {
@@ -38,9 +37,9 @@ fn main() {
                     })),
                     _ => Box::new(AlwaysTaken),
                 };
-                let out = simulate_timing(predictor.as_mut(), &trace, model);
+                let out = simulate_timing(predictor.as_mut(), trace, model);
                 if scheme == "AT" {
-                    speedups.push((w.name, out));
+                    speedups.push(out);
                 }
                 row.push(Some(out.cpi() * 100.0));
             }
@@ -58,11 +57,9 @@ fn main() {
                 .collect(),
         );
         let mut row = Vec::new();
-        for (w, at_out) in &speedups {
-            let workload = tlat_workloads::by_name(w).unwrap();
-            let trace = harness.store().test(&workload);
+        for (at_out, trace) in speedups.iter().zip(&traces) {
             let mut ls = LeeSmithBtb::new(LeeSmithConfig::paper_default());
-            let ls_out = simulate_timing(&mut ls, &trace, model);
+            let ls_out = simulate_timing(&mut ls, trace, model);
             row.push(Some(at_out.speedup_over(&ls_out) * 100.0));
         }
         speedup_report.push_row("AT vs LS", row);

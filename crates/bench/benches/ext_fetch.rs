@@ -10,7 +10,7 @@ use tlat_sim::{simulate_fetch, FetchOptions, Report};
 
 fn main() {
     tlat_bench::run_report("ext_fetch", |harness| {
-        harness.prewarm();
+        let traces = harness.test_traces();
         let mut report = Report::new(
             "Extension: fetch-redirect accuracy (direction + BTB target + RAS)",
             vec![
@@ -21,10 +21,9 @@ fn main() {
                 "overall".to_owned(),
             ],
         );
-        for w in harness.workloads() {
-            let trace = harness.store().test(w);
+        for (w, trace) in harness.workloads().iter().zip(&traces) {
             let mut p = TwoLevelAdaptive::new(TwoLevelConfig::paper_default());
-            let out = simulate_fetch(&mut p, &trace, FetchOptions::default());
+            let out = simulate_fetch(&mut p, trace, FetchOptions::default());
             let cell = |s: tlat_sim::PredictionStats| {
                 if s.predicted == 0 {
                     None

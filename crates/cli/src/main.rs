@@ -344,9 +344,7 @@ fn main() -> ExitCode {
         Some("stats") => match args.get(1).map(String::as_str) {
             // No argument: the original per-benchmark trace statistics.
             None => {
-                harness.prewarm();
-                for w in harness.workloads() {
-                    let trace = harness.store().test(w);
+                for (w, trace) in harness.workloads().iter().zip(harness.test_traces()) {
                     let stats = trace.stats();
                     println!(
                         "{:<12} dyn-cond {:>9}  static-cond {:>6}  taken {:>6.2}%  branch-frac {:>6.2}%",

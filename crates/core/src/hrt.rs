@@ -851,6 +851,17 @@ impl SiteResolver {
         &self.pcs
     }
 
+    /// Every site's word address (`pc >> 2`) masked to `mask`: the
+    /// per-site index into a table selected by low branch-address bits
+    /// (GAs/PAs pattern sets, gshare's address term, a tournament
+    /// chooser), resolved once per trace instead of per event.
+    pub fn word_slots(&self, mask: usize) -> Vec<u32> {
+        self.pcs
+            .iter()
+            .map(|&pc| ((pc >> 2) as usize & mask) as u32)
+            .collect()
+    }
+
     /// The resolved keys for `config`, built on first request and
     /// shared afterwards.
     pub fn keys(&mut self, config: HrtConfig) -> Arc<SiteKeys> {

@@ -13,11 +13,13 @@
 //!   branch. Combines per-address periodicity (the paper's scheme) with
 //!   global correlation (GAg/gshare).
 
-use crate::automaton::{AnyAutomaton, Automaton, AutomatonKind, A2};
+use crate::automaton::{Automaton, AutomatonKind, A2};
 use crate::history::HistoryRegister;
+use crate::hrt::{HrtStats, Probe, SiteResolver};
 use crate::pattern::PatternTable;
 use crate::predictor::Predictor;
-use tlat_trace::BranchRecord;
+use crate::two_level::TwoLevelAdaptive;
+use tlat_trace::{BranchRecord, SiteId};
 
 /// Configuration of a [`Gshare`] predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +59,9 @@ pub struct Gshare {
     config: GshareConfig,
     history: HistoryRegister,
     table: PatternTable,
+    /// Per-site address term of the index, set by
+    /// [`bind_sites`](Gshare::bind_sites).
+    site_keys: Vec<u32>,
 }
 
 impl Gshare {
@@ -70,12 +75,39 @@ impl Gshare {
             config,
             history: HistoryRegister::new(config.history_bits),
             table: PatternTable::new(config.history_bits, config.automaton),
+            site_keys: Vec::new(),
         }
     }
 
     fn index(&self, pc: u32) -> usize {
         let mask = self.table.len() - 1;
         (self.history.pattern() ^ ((pc >> 2) as usize)) & mask
+    }
+
+    /// Binds this predictor to a compiled trace's interned sites: each
+    /// site's address term of the index is resolved once, and
+    /// [`predict_update_site`](Gshare::predict_update_site) becomes
+    /// available.
+    pub fn bind_sites(&mut self, resolver: &SiteResolver) {
+        self.site_keys = resolver.word_slots(self.table.len() - 1);
+    }
+
+    /// The predict → resolve → train cycle of
+    /// [`Predictor::predict_update`], driven by an interned [`SiteId`]:
+    /// the same guesses and state transitions, with the address term of
+    /// the index resolved per trace. (Both terms are already below the
+    /// table size, so their XOR needs no mask.)
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`bind_sites`](Gshare::bind_sites) ran first.
+    #[inline]
+    pub fn predict_update_site(&mut self, site: SiteId, taken: bool) -> bool {
+        let index = self.history.pattern() ^ self.site_keys[site as usize] as usize;
+        let guess = self.table.predict(index);
+        self.table.update(index, taken);
+        self.history.shift(taken);
+        guess
     }
 }
 
@@ -103,15 +135,22 @@ impl Predictor for Gshare {
 /// chooser of 2-bit counters.
 ///
 /// The chooser state moves toward the component that was right when
-/// they disagree; state ≥ 2 selects the second component.
-pub struct Tournament {
-    first: Box<dyn Predictor>,
-    second: Box<dyn Predictor>,
-    chooser: Vec<AnyAutomaton>,
+/// they disagree; state ≥ 2 selects the second component. Components
+/// are any [`Predictor`]s (boxed trait objects included); the paper's
+/// scheme against gshare, `Tournament<TwoLevelAdaptive, Gshare>`, also
+/// runs on a compiled event stream
+/// ([`predict_update_site`](Tournament::predict_update_site)).
+pub struct Tournament<A, B> {
+    first: A,
+    second: B,
+    chooser: Vec<A2>,
     chooser_mask: usize,
+    /// Per-site chooser index, set by
+    /// [`bind_sites`](Tournament::bind_sites).
+    site_choosers: Vec<u32>,
 }
 
-impl std::fmt::Debug for Tournament {
+impl<A: Predictor, B: Predictor> std::fmt::Debug for Tournament<A, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tournament")
             .field("first", &self.first.name())
@@ -121,18 +160,14 @@ impl std::fmt::Debug for Tournament {
     }
 }
 
-impl Tournament {
+impl<A: Predictor, B: Predictor> Tournament<A, B> {
     /// Combines two predictors with a `chooser_entries`-entry chooser
     /// (indexed by branch address).
     ///
     /// # Panics
     ///
     /// Panics unless `chooser_entries` is a power of two.
-    pub fn new(
-        first: Box<dyn Predictor>,
-        second: Box<dyn Predictor>,
-        chooser_entries: usize,
-    ) -> Self {
+    pub fn new(first: A, second: B, chooser_entries: usize) -> Self {
         assert!(
             chooser_entries.is_power_of_two(),
             "chooser size must be a power of two (got {chooser_entries})"
@@ -140,20 +175,92 @@ impl Tournament {
         Tournament {
             first,
             second,
-            // Neutral-ish start: weakly prefer the second component
-            // (conventionally the global/correlating one warms slower,
-            // but the chooser corrects within a few disagreements).
-            chooser: vec![AnyAutomaton::A2(A2::init_not_taken().update(true)); chooser_entries],
+            // Neutral-ish start: state 1 predicts not-taken, so every
+            // entry weakly prefers the first component, and one
+            // disagreement the second component wins flips it.
+            chooser: vec![A2::init_not_taken().update(true); chooser_entries],
             chooser_mask: chooser_entries - 1,
+            site_choosers: Vec::new(),
         }
     }
 
     fn chooser_index(&self, pc: u32) -> usize {
         ((pc >> 2) as usize) & self.chooser_mask
     }
+
+    /// Picks between the components' guesses `a` and `b` with chooser
+    /// entry `index`, then trains the entry toward the component that
+    /// was right when they disagree.
+    #[inline]
+    fn choose(&mut self, index: usize, a: bool, b: bool, taken: bool) -> bool {
+        let entry = &mut self.chooser[index];
+        let guess = if entry.predict() { b } else { a };
+        if a != b {
+            *entry = entry.update(b == taken);
+        }
+        guess
+    }
 }
 
-impl Predictor for Tournament {
+impl Tournament<TwoLevelAdaptive, Gshare> {
+    /// Binds both components and the chooser to a compiled trace's
+    /// interned sites (see [`TwoLevelAdaptive::bind_sites`] and
+    /// [`Gshare::bind_sites`]).
+    pub fn bind_sites(&mut self, resolver: &mut SiteResolver) {
+        self.first.bind_sites(resolver);
+        self.second.bind_sites(resolver);
+        self.site_choosers = resolver.word_slots(self.chooser_mask);
+    }
+
+    /// The predict → resolve → train cycle of
+    /// [`Predictor::predict_update`], driven by an interned [`SiteId`]:
+    /// one fused cycle per component, then the chooser. Observably
+    /// identical to the record path — there `update` re-asks both
+    /// components before training them, but a re-ask changes no
+    /// component's prediction (it re-probes the entry the ask just
+    /// found, which keeps every LRU order), so it yields the guesses
+    /// the prediction used.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`bind_sites`](Tournament::bind_sites) ran first.
+    #[inline]
+    pub fn predict_update_site(&mut self, site: SiteId, taken: bool) -> bool {
+        let a = self.first.predict_update_site(site, taken);
+        let b = self.second.predict_update_site(site, taken);
+        self.choose(self.site_choosers[site as usize] as usize, a, b, taken)
+    }
+
+    /// [`predict_update_site`](Tournament::predict_update_site) with
+    /// the first component's history-table probe replayed from a shared
+    /// [`SlotProbe`](crate::SlotProbe) of its geometry (see
+    /// [`TwoLevelAdaptive::predict_update_slot`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`bind_sites`](Tournament::bind_sites) ran first.
+    #[inline]
+    pub fn predict_update_slot(&mut self, site: SiteId, probe: Probe, taken: bool) -> bool {
+        let a = self.first.predict_update_slot(probe, taken);
+        let b = self.second.predict_update_site(site, taken);
+        self.choose(self.site_choosers[site as usize] as usize, a, b, taken)
+    }
+
+    /// The first (Two-Level) component, whose history table a slot
+    /// walk probes.
+    pub fn first(&self) -> &TwoLevelAdaptive {
+        &self.first
+    }
+
+    /// Folds a shared probe engine's access statistics into the first
+    /// component's history table (see
+    /// [`TwoLevelAdaptive::adopt_probe_stats`]).
+    pub fn adopt_probe_stats(&mut self, stats: HrtStats) {
+        self.first.adopt_probe_stats(stats);
+    }
+}
+
+impl<A: Predictor, B: Predictor> Predictor for Tournament<A, B> {
     fn name(&self) -> String {
         format!("tournament({} | {})", self.first.name(), self.second.name())
     }
@@ -173,12 +280,7 @@ impl Predictor for Tournament {
         // trained on the same answers the prediction used.
         let a = self.first.predict(branch);
         let b = self.second.predict(branch);
-        if a != b {
-            let index = self.chooser_index(branch.pc);
-            let entry = &mut self.chooser[index];
-            // Move toward the component that was right.
-            *entry = entry.update(b == branch.taken);
-        }
+        self.choose(self.chooser_index(branch.pc), a, b, branch.taken);
         self.first.update(branch);
         self.second.update(branch);
     }
@@ -323,6 +425,28 @@ mod tests {
         assert!(
             acc_t >= floor,
             "tournament {acc_t} below component floor {floor}"
+        );
+    }
+
+    #[test]
+    fn a_fresh_tournament_follows_its_first_component() {
+        // Chooser entries start in A2 state 1, which predicts
+        // not-taken: the first disagreement goes to the first
+        // component, and one disagreement the second wins flips it.
+        let mut t = Tournament::new(
+            crate::simple::AlwaysTaken,
+            crate::simple::AlwaysNotTaken,
+            64,
+        );
+        let b = cond(0x1000, false);
+        assert!(
+            t.predict(&b),
+            "a fresh tournament follows its first component"
+        );
+        t.update(&b);
+        assert!(
+            !t.predict(&b),
+            "one win for the second component flips the entry"
         );
     }
 

@@ -23,10 +23,11 @@
 
 use crate::automaton::AutomatonKind;
 use crate::history::HistoryRegister;
-use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats};
+use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe, SiteKeys, SiteResolver};
 use crate::pattern::PatternTable;
 use crate::predictor::Predictor;
-use tlat_trace::BranchRecord;
+use std::sync::Arc;
+use tlat_trace::{BranchRecord, SiteId};
 
 /// First-level (history) organization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,14 +134,9 @@ impl VariantConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct VariantEntry {
-    history: HistoryRegister,
-}
-
 enum Level1 {
     Global(HistoryRegister),
-    PerAddress(AnyHrt<VariantEntry>),
+    PerAddress(AnyHrt<HistoryRegister>),
 }
 
 impl std::fmt::Debug for Level1 {
@@ -184,6 +180,11 @@ pub struct TwoLevelVariant {
     level1: Level1,
     tables: Vec<PatternTable>,
     set_mask: usize,
+    /// Per-trace resolved coordinates, set by
+    /// [`bind_sites`](TwoLevelVariant::bind_sites): each site's pattern
+    /// set, and a per-address variant's history-table keys.
+    site_sets: Vec<u32>,
+    keys: Option<Arc<SiteKeys>>,
 }
 
 impl TwoLevelVariant {
@@ -211,9 +212,7 @@ impl TwoLevelVariant {
             HistoryScope::Global => Level1::Global(HistoryRegister::new(config.history_bits)),
             HistoryScope::PerAddress(hrt) => Level1::PerAddress(AnyHrt::build(
                 hrt,
-                VariantEntry {
-                    history: HistoryRegister::new(config.history_bits),
-                },
+                HistoryRegister::new(config.history_bits),
             )),
         };
         TwoLevelVariant {
@@ -221,6 +220,8 @@ impl TwoLevelVariant {
             level1,
             tables,
             set_mask: sets - 1,
+            site_sets: Vec::new(),
+            keys: None,
         }
     }
 
@@ -237,6 +238,86 @@ impl TwoLevelVariant {
         }
     }
 
+    /// The per-address history table's organization, or `None` for
+    /// the global-history variants (GAg/GAs).
+    pub fn hrt_config(&self) -> Option<HrtConfig> {
+        match self.config.history {
+            HistoryScope::Global => None,
+            HistoryScope::PerAddress(hrt) => Some(hrt),
+        }
+    }
+
+    /// Binds this predictor to a compiled trace's interned sites: each
+    /// site's pattern set and, for per-address variants, its
+    /// history-table coordinates are resolved once (the latter shared
+    /// with other same-geometry lanes via `resolver`), and
+    /// [`predict_update_site`](TwoLevelVariant::predict_update_site) /
+    /// [`predict_update_slot`](TwoLevelVariant::predict_update_slot)
+    /// become available.
+    pub fn bind_sites(&mut self, resolver: &mut SiteResolver) {
+        self.site_sets = resolver.word_slots(self.set_mask);
+        self.keys = self.hrt_config().map(|hrt| resolver.keys(hrt));
+    }
+
+    /// The predict → resolve → train cycle of
+    /// [`Predictor::predict_update`], driven by an interned [`SiteId`].
+    /// Observably identical to the record path — same guesses, same
+    /// state transitions, same [`HrtStats`] (`predict` probes the
+    /// history table once and `update` only peeks, so one probe per
+    /// event) — with the pattern set and table coordinates resolved
+    /// per trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`bind_sites`](TwoLevelVariant::bind_sites) ran
+    /// first.
+    #[inline]
+    pub fn predict_update_site(&mut self, site: SiteId, taken: bool) -> bool {
+        let table = &mut self.tables[self.site_sets[site as usize] as usize];
+        let history = match &mut self.level1 {
+            Level1::Global(hr) => hr,
+            Level1::PerAddress(t) => {
+                let keys = self
+                    .keys
+                    .as_ref()
+                    .expect("bind_sites must run before predict_update_site");
+                let bits = self.config.history_bits;
+                t.get_or_allocate_site(site, keys, || HistoryRegister::new(bits))
+                    .0
+            }
+        };
+        cycle(history, table, taken)
+    }
+
+    /// [`predict_update_site`](TwoLevelVariant::predict_update_site)
+    /// for a per-address variant, with the history-table probe decision
+    /// replayed from a shared [`SlotProbe`](crate::SlotProbe) of the
+    /// same geometry (see [`AnyHrt::slot_entry`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics for a global-history variant, or unless
+    /// [`bind_sites`](TwoLevelVariant::bind_sites) ran first.
+    #[inline]
+    pub fn predict_update_slot(&mut self, site: SiteId, probe: Probe, taken: bool) -> bool {
+        let table = &mut self.tables[self.site_sets[site as usize] as usize];
+        let Level1::PerAddress(t) = &mut self.level1 else {
+            panic!("global-history variants probe no history table");
+        };
+        let bits = self.config.history_bits;
+        let history = t.slot_entry(probe, || HistoryRegister::new(bits));
+        cycle(history, table, taken)
+    }
+
+    /// Folds a shared probe engine's access statistics into a
+    /// per-address variant's history table after a slot-replayed walk
+    /// (see [`AnyHrt::adopt_probe_stats`]); a no-op for global history.
+    pub fn adopt_probe_stats(&mut self, stats: HrtStats) {
+        if let Level1::PerAddress(t) = &mut self.level1 {
+            t.adopt_probe_stats(stats);
+        }
+    }
+
     fn table_index(&self, pc: u32) -> usize {
         ((pc >> 2) as usize) & self.set_mask
     }
@@ -246,14 +327,23 @@ impl TwoLevelVariant {
         match &mut self.level1 {
             Level1::Global(hr) => hr.pattern(),
             Level1::PerAddress(t) => t
-                .get_or_allocate(pc, || VariantEntry {
-                    history: HistoryRegister::new(bits),
-                })
+                .get_or_allocate(pc, || HistoryRegister::new(bits))
                 .0
-                .history
                 .pattern(),
         }
     }
+}
+
+/// One predict → resolve → train step on a resolved history register
+/// and pattern table: the guess reads the current pattern, which the
+/// outcome then trains before shifting in.
+#[inline]
+fn cycle(history: &mut HistoryRegister, table: &mut PatternTable, taken: bool) -> bool {
+    let pattern = history.pattern();
+    let guess = table.predict(pattern);
+    history.shift(taken);
+    table.update(pattern, taken);
+    guess
 }
 
 impl Predictor for TwoLevelVariant {
@@ -277,17 +367,15 @@ impl Predictor for TwoLevelVariant {
                 old
             }
             Level1::PerAddress(t) => {
-                let entry = match t.peek(branch.pc) {
-                    Some(entry) => entry,
+                let history = match t.peek(branch.pc) {
+                    Some(history) => history,
                     None => {
-                        t.get_or_allocate(branch.pc, || VariantEntry {
-                            history: HistoryRegister::new(bits),
-                        })
-                        .0
+                        t.get_or_allocate(branch.pc, || HistoryRegister::new(bits))
+                            .0
                     }
                 };
-                let old = entry.history.pattern();
-                entry.history.shift(taken);
+                let old = history.pattern();
+                history.shift(taken);
                 old
             }
         };

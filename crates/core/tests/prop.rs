@@ -3,9 +3,9 @@
 
 use tlat_check::{check, gen, prop_assert_eq, Gen};
 use tlat_core::{
-    Ahrt, AnyHrt, Automaton, AutomatonKind, HistoryRegister, HistoryTable, HrtConfig, Ihrt,
-    LeeSmithBtb, LeeSmithConfig, PatternTable, Predictor, SiteResolver, TwoLevelAdaptive,
-    TwoLevelConfig, A2,
+    Ahrt, AnyHrt, Automaton, AutomatonKind, Gshare, GshareConfig, HistoryRegister, HistoryTable,
+    HrtConfig, Ihrt, LeeSmithBtb, LeeSmithConfig, PatternTable, Predictor, SiteResolver, SlotProbe,
+    Tournament, TwoLevelAdaptive, TwoLevelConfig, TwoLevelVariant, VariantConfig, A2,
 };
 use tlat_trace::{BranchRecord, CompiledTrace, Trace};
 
@@ -265,6 +265,143 @@ fn site_driven_prediction_matches_record_driven_prediction() {
             }
             prop_assert_eq!(at_records.hrt_stats(), at_sites.hrt_stats());
             prop_assert_eq!(ls_records.table_stats(), ls_sites.table_stats());
+            Ok(())
+        },
+    );
+}
+
+/// The taxonomy's compiled entry points are observably identical to
+/// the record-driven path: every GAg/GAs/PAg/PAs variant, gshare and the
+/// AT+gshare tournament guess the same at every event, per-address
+/// variants end with the same history-table stats, and on associative
+/// geometries the slot path (probes replayed from one shared
+/// [`SlotProbe`], stats adopted afterwards) agrees too.
+#[test]
+fn taxonomy_site_and_slot_prediction_matches_record_driven_prediction() {
+    let geometries = [
+        HrtConfig::Ideal,
+        HrtConfig::ahrt(512),
+        HrtConfig::Associative {
+            entries: 16,
+            ways: 2,
+        },
+        HrtConfig::hhrt(8),
+    ];
+    let inputs = gen::tuple4(
+        gen::choose(&geometries),
+        gen::u8_in(1, 12),
+        gen::choose(&[1usize, 2, 16]),
+        gen::vec_of(gen::tuple2(gen::u32_in(0, 63), gen::bools()), 1, 999),
+    );
+    check(
+        "taxonomy_site_and_slot_prediction_matches_record_driven_prediction",
+        &inputs,
+        |(hrt, bits, sets, stream)| {
+            let mut trace = Trace::new();
+            for &(site, taken) in stream {
+                trace.push(BranchRecord::conditional(0x1000 + site * 4, 0x800, taken));
+            }
+            let compiled = CompiledTrace::compile(&trace);
+            let mut resolver = SiteResolver::new(compiled.site_pcs().to_vec());
+            let mut engine = SlotProbe::build(*hrt, &mut resolver);
+            let (bits, sets) = (*bits, *sets);
+            let configs = [
+                VariantConfig::gag(bits, AutomatonKind::A2),
+                VariantConfig::gas(bits, AutomatonKind::A3, sets),
+                VariantConfig::pag(bits, AutomatonKind::A2, *hrt),
+                VariantConfig::pas(bits, AutomatonKind::LastTime, *hrt, sets),
+            ];
+            let variants = || -> Vec<TwoLevelVariant> {
+                configs.iter().map(|&c| TwoLevelVariant::new(c)).collect()
+            };
+            let (mut records, mut sites, mut slots) = (variants(), variants(), variants());
+            for p in sites.iter_mut().chain(&mut slots) {
+                p.bind_sites(&mut resolver);
+            }
+            let gshare = GshareConfig {
+                history_bits: bits,
+                automaton: AutomatonKind::A2,
+            };
+            let tournament = || {
+                Tournament::new(
+                    TwoLevelAdaptive::new(TwoLevelConfig {
+                        history_bits: bits,
+                        hrt: *hrt,
+                        ..TwoLevelConfig::paper_default()
+                    }),
+                    Gshare::new(gshare),
+                    16,
+                )
+            };
+            let mut gshare_records = Gshare::new(gshare);
+            let mut gshare_sites = Gshare::new(gshare);
+            gshare_sites.bind_sites(&resolver);
+            let mut t_records = tournament();
+            let mut t_sites = tournament();
+            let mut t_slots = tournament();
+            t_sites.bind_sites(&mut resolver);
+            t_slots.bind_sites(&mut resolver);
+
+            for (record, (site, taken)) in trace.iter().zip(compiled.events()) {
+                let probe = engine.as_mut().map(|e| e.step(site));
+                for (i, config) in configs.iter().enumerate() {
+                    let want = records[i].predict_update(record);
+                    prop_assert_eq!(
+                        want,
+                        sites[i].predict_update_site(site, taken),
+                        "{} site path diverged at pc {:#x}",
+                        config.label(),
+                        record.pc
+                    );
+                    if let (Some(probe), Some(_)) = (probe, slots[i].hrt_config()) {
+                        prop_assert_eq!(
+                            want,
+                            slots[i].predict_update_slot(site, probe, taken),
+                            "{} slot path diverged at pc {:#x}",
+                            config.label(),
+                            record.pc
+                        );
+                    }
+                }
+                prop_assert_eq!(
+                    gshare_records.predict_update(record),
+                    gshare_sites.predict_update_site(site, taken),
+                    "gshare diverged at pc {:#x}",
+                    record.pc
+                );
+                let want = t_records.predict_update(record);
+                prop_assert_eq!(
+                    want,
+                    t_sites.predict_update_site(site, taken),
+                    "tournament site path diverged at pc {:#x}",
+                    record.pc
+                );
+                if let Some(probe) = probe {
+                    prop_assert_eq!(
+                        want,
+                        t_slots.predict_update_slot(site, probe, taken),
+                        "tournament slot path diverged at pc {:#x}",
+                        record.pc
+                    );
+                }
+            }
+            for (i, config) in configs.iter().enumerate() {
+                prop_assert_eq!(
+                    records[i].hrt_stats(),
+                    sites[i].hrt_stats(),
+                    "{}",
+                    config.label()
+                );
+                if let (Some(engine), Some(_)) = (&engine, slots[i].hrt_config()) {
+                    slots[i].adopt_probe_stats(engine.stats());
+                    prop_assert_eq!(
+                        records[i].hrt_stats(),
+                        slots[i].hrt_stats(),
+                        "{}",
+                        config.label()
+                    );
+                }
+            }
             Ok(())
         },
     );

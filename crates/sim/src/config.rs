@@ -167,11 +167,7 @@ impl SchemeConfig {
             SchemeConfig::LeeSmith(c) => Box::new(LeeSmithBtb::new(*c)),
             SchemeConfig::Variant(c) => Box::new(TwoLevelVariant::new(*c)),
             SchemeConfig::Gshare(c) => Box::new(Gshare::new(*c)),
-            SchemeConfig::Tournament { chooser_entries } => Box::new(Tournament::new(
-                Box::new(TwoLevelAdaptive::new(TwoLevelConfig::paper_default())),
-                Box::new(Gshare::new(GshareConfig::default_12bit())),
-                *chooser_entries,
-            )),
+            SchemeConfig::Tournament { chooser_entries } => Box::new(tournament(*chooser_entries)),
             SchemeConfig::Profile => {
                 let trace = training.expect("profiling requires a training trace");
                 Box::new(ProfilePredictor::train(trace))
@@ -205,6 +201,16 @@ impl SchemeConfig {
     pub fn ls(hrt: HrtConfig, automaton: AutomatonKind) -> Self {
         SchemeConfig::LeeSmith(LeeSmithConfig { automaton, hrt })
     }
+}
+
+/// The [`SchemeConfig::Tournament`] predictor: the paper's headline
+/// AT configuration against 12-bit gshare.
+pub(crate) fn tournament(chooser_entries: usize) -> Tournament<TwoLevelAdaptive, Gshare> {
+    Tournament::new(
+        TwoLevelAdaptive::new(TwoLevelConfig::paper_default()),
+        Gshare::new(GshareConfig::default_12bit()),
+        chooser_entries,
+    )
 }
 
 /// The paper's Table 2: every simulated configuration.

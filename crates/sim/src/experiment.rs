@@ -173,9 +173,19 @@ impl Harness {
         &self.store
     }
 
-    /// Pre-generates every trace in parallel.
+    /// Readies every trace a sweep reads, in parallel (see
+    /// [`TraceStore::prewarm`]).
     pub fn prewarm(&self) {
         self.store.prewarm(&self.workloads);
+    }
+
+    /// Every workload's test record trace, loaded in parallel: for the
+    /// reports that read records rather than compiled streams (Table 1,
+    /// Figures 3 and 4, the CPI table, trace statistics).
+    pub fn test_traces(&self) -> Vec<Arc<Trace>> {
+        pool::run_indexed_from_env(self.workloads.len(), |i| {
+            self.store.test(&self.workloads[i])
+        })
     }
 
     /// Simulates one configuration on one workload. Returns `None` when
@@ -403,25 +413,9 @@ impl Harness {
                 .on_cell(cell, &format!("{}/{}", configs[ci].label(), workload.name));
             ci
         };
-        // Every lane but a dyn scheme walks the compiled stream alone,
-        // so a warm TLA3 cache entry decodes straight into the stream
-        // and the per-branch record vector is never materialized. Test
-        // records load only for a column with dyn lanes, and before the
-        // stream, so it compiles from the resident records instead of
-        // decoding the cache entry a second time.
-        let dyn_lanes = missing.iter().any(|&ci| {
-            !matches!(
-                configs[ci],
-                SchemeConfig::TwoLevel(_)
-                    | SchemeConfig::LeeSmith(_)
-                    | SchemeConfig::StaticTraining { .. }
-                    | SchemeConfig::Profile
-            )
-        });
-        let test = match dyn_lanes.then(|| self.store.try_test(workload)).transpose() {
-            Ok(test) => test,
-            Err(e) => return fail_column(&e),
-        };
+        // Every lane walks the compiled stream alone, so a warm TLA3
+        // cache entry decodes straight into the stream and the
+        // per-branch record vector is never materialized.
         let compiled = match self.store.try_test_compiled(workload) {
             Ok(compiled) => compiled,
             Err(e) => return fail_column(&e),
@@ -433,7 +427,7 @@ impl Harness {
                 self.build_lane(&configs[ci], workload, &compiled)
             },
             &compiled,
-            test.as_deref(),
+            None,
         );
         Self::outcome_cells(missing, outcomes)
     }
@@ -491,12 +485,13 @@ impl Harness {
     /// Builds one gang lane, routing the trained schemes through the
     /// memoized training artifacts (the sequential reference path keeps
     /// retraining per cell, and the byte-identity tests pin the two
-    /// paths together). Same-data Static Training profiles and the
-    /// profiling bits come from the compiled stream
+    /// paths together). Static Training profiles and the profiling bits
+    /// come from compiled streams
     /// ([`TrainingProfile::collect_compiled`],
     /// [`ProfilePredictor::train_compiled`] — identical to the record
-    /// passes, pinned by tests); Diff training reads the workload's
-    /// training trace. Returns `None` exactly where
+    /// passes, pinned by tests): the test stream for Same training and
+    /// the profiling bits, the workload's compiled training stream for
+    /// Diff training. Returns `None` exactly where
     /// [`run_one`](Self::run_one) does.
     fn build_lane(
         &self,
@@ -521,8 +516,8 @@ impl Harness {
                         // computes the same pure function and the entry
                         // API keeps the first insertion.
                         let profile = Arc::new(if diff {
-                            let train = self.store.train(workload)?;
-                            TrainingProfile::collect(&train, *history_bits)
+                            let train = self.store.train_compiled(workload)?;
+                            TrainingProfile::collect_compiled(&train, *history_bits)
                         } else {
                             TrainingProfile::collect_compiled(compiled, *history_bits)
                         });
@@ -634,13 +629,13 @@ impl Harness {
 
     /// Table 1: static conditional branches per benchmark.
     pub fn table1(&self) -> Report {
-        self.prewarm();
+        let traces = self.test_traces();
         let mut report = Report::new_raw(
             "Table 1: static conditional branches per benchmark",
             vec!["measured".to_owned(), "paper".to_owned()],
         );
-        for w in &self.workloads {
-            let measured = self.store.test(w).stats().static_conditional_branches;
+        for (w, trace) in self.workloads.iter().zip(&traces) {
+            let measured = trace.stats().static_conditional_branches;
             report.push_row(
                 w.name,
                 vec![Some(measured as f64), Some(w.paper_static_branches as f64)],
@@ -656,7 +651,7 @@ impl Harness {
 
     /// Figure 3: dynamic instruction mix per benchmark.
     pub fn figure3(&self) -> Report {
-        self.prewarm();
+        let traces = self.test_traces();
         let classes = [
             InstClass::IntAlu,
             InstClass::FpAlu,
@@ -668,8 +663,7 @@ impl Harness {
             "Figure 3: distribution of dynamic instructions",
             classes.iter().map(|c| c.label().to_owned()).collect(),
         );
-        for w in &self.workloads {
-            let trace = self.store.test(w);
+        for (w, trace) in self.workloads.iter().zip(&traces) {
             let mix = *trace.inst_mix();
             report.push_row(
                 w.name,
@@ -683,7 +677,7 @@ impl Harness {
 
     /// Figure 4: dynamic branch-class distribution per benchmark.
     pub fn figure4(&self) -> Report {
-        self.prewarm();
+        let traces = self.test_traces();
         let mut report = Report::new(
             "Figure 4: distribution of dynamic branch instructions",
             BranchClass::ALL
@@ -691,8 +685,7 @@ impl Harness {
                 .map(|c| c.label().to_owned())
                 .collect(),
         );
-        for w in &self.workloads {
-            let trace = self.store.test(w);
+        for (w, trace) in self.workloads.iter().zip(&traces) {
             let dist = trace.stats().class_distribution;
             report.push_row(
                 w.name,
@@ -756,7 +749,7 @@ impl Harness {
             SchemeConfig::Profile,
             SchemeConfig::AlwaysTaken,
         ];
-        self.prewarm();
+        let traces = self.test_traces();
         let mut report = Report::new_raw(
             format!(
                 "Extension: cycles per instruction (base CPI {}, {}-cycle flush)",
@@ -766,9 +759,8 @@ impl Harness {
         );
         for config in &configs {
             let mut row = Vec::with_capacity(self.workloads.len());
-            for w in &self.workloads {
+            for (w, trace) in self.workloads.iter().zip(&traces) {
                 let cell = self.run_one(config, w).map(|result| {
-                    let trace = self.store.test(w);
                     let stats = trace.stats();
                     let cond_fraction = if trace.dynamic_instructions() == 0 {
                         0.0
@@ -1024,24 +1016,54 @@ mod tests {
 
     #[test]
     fn gang_engine_and_pool_match_sequential_byte_for_byte() {
+        // Every registered sweep, so every lane kind the harness builds
+        // is pinned to the per-config reference engine — fig8's Diff
+        // rows included, whose `None` cells sit on the four Table 3
+        // exclusions.
         let h = harness();
-        // A sweep exercising every lane kind — the monomorphized AT and
-        // LS fast paths, dyn fallbacks, and a Diff-training config that
-        // yields `None` cells on the four Table 3 exclusions.
-        let configs = vec![
-            SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
-            SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
-            SchemeConfig::st(HrtConfig::hhrt(512), 12, TrainingData::Diff),
-            SchemeConfig::Profile,
-            SchemeConfig::Btfn,
-        ];
-        let sequential = h.accuracy_table_sequential("determinism", &configs).to_string();
-        for threads in [1, 4] {
-            let ganged = h.accuracy_table_on("determinism", &configs, threads).to_string();
-            assert_eq!(ganged, sequential, "threads={threads}");
+        for spec in sweep_specs() {
+            let sequential = h
+                .accuracy_table_sequential(spec.title, &spec.configs)
+                .to_string();
+            for threads in [1, 4] {
+                let ganged = h
+                    .accuracy_table_on(spec.title, &spec.configs, threads)
+                    .to_string();
+                assert_eq!(ganged, sequential, "{} with threads={threads}", spec.name);
+            }
+            if spec.name == "fig8" {
+                assert!(sequential.contains('—'), "the Diff rows have blank cells");
+            }
         }
-        // The Diff row really does contain not-applicable cells.
-        assert!(sequential.contains('—'));
+    }
+
+    #[test]
+    fn sweeps_never_make_record_traces_resident() {
+        // Every sweep walks compiled streams alone: neither a cold
+        // in-memory harness nor one over a warm disk cache may leave a
+        // record trace in the store, test or training.
+        let budget = 3_000;
+        let run_all = |h: &Harness| -> Vec<String> {
+            sweep_specs()
+                .iter()
+                .map(|spec| h.run_sweep(spec).to_string())
+                .collect()
+        };
+        let memory = Harness::new(budget);
+        let reports = run_all(&memory);
+        assert_eq!(memory.store().resident_records(), 0, "in-memory harness");
+        let dir = std::env::temp_dir().join(format!("tlat-no-records-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Harness::over(TraceStore::new(budget).with_disk_cache(&dir)).prewarm();
+        let warm = Harness::over(TraceStore::new(budget).with_disk_cache(&dir));
+        assert_eq!(run_all(&warm), reports);
+        assert_eq!(warm.store().generations(), 0, "the cache was warm");
+        assert_eq!(
+            warm.store().resident_records(),
+            0,
+            "harness over a warm cache"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

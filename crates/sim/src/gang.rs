@@ -9,18 +9,20 @@
 //!
 //! Six further savings fall out:
 //!
-//! * **Monomorphization** — the common sweep schemes
-//!   ([`TwoLevelAdaptive`], [`LeeSmithBtb`], [`StaticTraining`],
-//!   [`ProfilePredictor`]) run as concrete enum variants of
-//!   [`GangLane`], so their per-branch predict/update is a direct
-//!   (inlinable) call; everything else takes the boxed dyn fallback
-//!   lane.
-//! * **Stream compilation** — monomorphized lanes are fed from a
+//! * **Monomorphization** — every registered scheme runs as a concrete
+//!   enum variant of [`GangLane`] ([`GangLane::from_config`] never
+//!   boxes), so its per-branch predict/update is a direct (inlinable)
+//!   call. The boxed [`GangLane::Dyn`] lane remains only for callers
+//!   that bring their own [`Predictor`].
+//! * **Stream compilation** — every lane but a dyn one is fed from a
 //!   site-interned SoA event stream ([`CompiledTrace`]), compiled once
 //!   per workload, and every lane's table coordinates are resolved per
-//!   static site up front ([`SiteResolver`]), so the hot loop does no
-//!   per-branch set/tag/hash arithmetic and touches ~5 bytes per event
-//!   instead of a 16-byte record (see DESIGN.md's "Hot-loop anatomy").
+//!   static site up front ([`SiteResolver`]): history-table keys,
+//!   GAs/PAs pattern sets, gshare's address term, the tournament's
+//!   chooser entry. So the hot loop does no per-branch set/tag/hash
+//!   arithmetic and touches ~5 bytes per event instead of a 16-byte
+//!   record (see DESIGN.md's "Hot-loop anatomy"), and a sweep never
+//!   needs the record trace.
 //! * **Shared probe engines** — associative lanes with the same table
 //!   geometry see identical tag/LRU decision sequences, so one
 //!   payload-free [`SlotProbe`] per geometry (built only when two or
@@ -48,11 +50,12 @@
 //!   loop branch's same-outcome tail applies in O(1) once every
 //!   history register saturates and every automaton sits at its
 //!   fixed point.
-//! * **Closed-form profile scoring** — a profile lane's frozen
-//!   per-site bits never change during a walk, so its score is a
-//!   weighted sum over the compiled stream's per-site taken counts:
-//!   per site, not per event, and identical to event-by-event
-//!   recording.
+//! * **Closed-form static scoring** — a profile lane's frozen per-site
+//!   bits never change during a walk, so its score is a weighted sum
+//!   over the compiled stream's per-site taken counts: per site, not
+//!   per event, and identical to event-by-event recording. Always
+//!   Taken and Always Not Taken read the same counts, and BTFN reads
+//!   the stream's count of events taken exactly when backward.
 //! * **Shared RAS** — return-address-stack behaviour depends only on
 //!   the trace, never on the direction predictor, so the gang simulates
 //!   the RAS once and stamps the same stats into every lane's result.
@@ -65,16 +68,16 @@
 //! record walk [`gang_simulate_records`], under every plan: each lane
 //! observes exactly the same predict/update sequence it would alone.
 
-use crate::config::SchemeConfig;
+use crate::config::{self, SchemeConfig};
 use crate::engine::SimOptions;
 use crate::metrics::{self, Counter, Phase};
 use crate::pool::{catch_cell, CellPanic};
 use crate::stats::{PredictionStats, SimResult};
 use std::collections::HashMap;
 use tlat_core::{
-    AtPack, HrtConfig, HrtStats, LanePack, LeeSmithBtb, Predictor, Probe, ProbeOutcome,
+    AtPack, Gshare, HrtConfig, HrtStats, LanePack, LeeSmithBtb, Predictor, Probe, ProbeOutcome,
     ProfilePredictor, SiteKeys, SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig,
-    TwoLevelAdaptive,
+    Tournament, TwoLevelAdaptive, TwoLevelVariant,
 };
 use tlat_trace::{
     BranchClass, BranchRecord, CompiledTrace, RasEvent, ReturnAddressStack, SiteId, Trace,
@@ -82,10 +85,10 @@ use tlat_trace::{
 
 /// One predictor riding a gang walk.
 ///
-/// The concrete variants exist purely so the per-branch inner loop can
-/// call them without dynamic dispatch (and, on the compiled stream,
-/// with site-resolved table coordinates); [`GangLane::Dyn`] carries
-/// every other scheme.
+/// The concrete variants exist so the per-branch inner loop can call
+/// them without dynamic dispatch and, on the compiled stream, with
+/// site-resolved table coordinates. Every [`SchemeConfig`] has one;
+/// [`GangLane::Dyn`] carries a caller's own predictor.
 pub enum GangLane {
     /// The paper's Two-Level Adaptive Training scheme, monomorphized.
     TwoLevel(TwoLevelAdaptive),
@@ -93,11 +96,52 @@ pub enum GangLane {
     LeeSmith(LeeSmithBtb),
     /// Lee & Smith's Static Training scheme, monomorphized.
     StaticTraining(StaticTraining),
+    /// A GAg/GAs/PAg/PAs predictor of the two-level taxonomy.
+    Variant(TwoLevelVariant),
+    /// gshare.
+    Gshare(Gshare),
+    /// The paper's scheme against gshare, with a per-branch chooser.
+    Tournament(Tournament<TwoLevelAdaptive, Gshare>),
     /// The §4.2 profiling scheme, monomorphized (its frozen per-branch
     /// bits resolve to a dense per-site table on the compiled stream).
     Profile(ProfilePredictor),
-    /// Any other predictor, behind the usual trait object.
+    /// Always Taken, Always Not Taken or BTFN, scored in closed form.
+    Fixed(FixedRule),
+    /// Any other predictor, behind the usual trait object, fed the
+    /// record stream.
     Dyn(Box<dyn Predictor>),
+}
+
+/// A static scheme whose guess is a fixed function of the branch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FixedRule {
+    /// Predict every branch taken.
+    AlwaysTaken,
+    /// Predict every branch not taken.
+    AlwaysNotTaken,
+    /// Backward taken, forward not taken.
+    Btfn,
+}
+
+impl FixedRule {
+    fn guess(self, branch: &BranchRecord) -> bool {
+        match self {
+            FixedRule::AlwaysTaken => true,
+            FixedRule::AlwaysNotTaken => false,
+            FixedRule::Btfn => branch.is_backward(),
+        }
+    }
+
+    /// The rule's correct guesses over the whole stream, from its
+    /// tallies: no per-event work at all.
+    fn correct(self, compiled: &CompiledTrace) -> u64 {
+        let taken: u64 = compiled.site_taken().iter().sum();
+        match self {
+            FixedRule::AlwaysTaken => taken,
+            FixedRule::AlwaysNotTaken => compiled.len() as u64 - taken,
+            FixedRule::Btfn => compiled.taken_iff_backward(),
+        }
+    }
 }
 
 impl std::fmt::Debug for GangLane {
@@ -107,8 +151,8 @@ impl std::fmt::Debug for GangLane {
 }
 
 impl GangLane {
-    /// Builds the lane for a configuration, picking the monomorphized
-    /// variant when one exists.
+    /// Builds the monomorphized lane for a configuration; never a
+    /// [`GangLane::Dyn`].
     ///
     /// # Panics
     ///
@@ -137,7 +181,14 @@ impl GangLane {
                 let trace = training.expect("profiling requires a training trace");
                 GangLane::Profile(ProfilePredictor::train(trace))
             }
-            other => GangLane::Dyn(other.build(training)),
+            SchemeConfig::Variant(c) => GangLane::Variant(TwoLevelVariant::new(*c)),
+            SchemeConfig::Gshare(c) => GangLane::Gshare(Gshare::new(*c)),
+            SchemeConfig::Tournament { chooser_entries } => {
+                GangLane::Tournament(config::tournament(*chooser_entries))
+            }
+            SchemeConfig::AlwaysTaken => GangLane::Fixed(FixedRule::AlwaysTaken),
+            SchemeConfig::AlwaysNotTaken => GangLane::Fixed(FixedRule::AlwaysNotTaken),
+            SchemeConfig::Btfn => GangLane::Fixed(FixedRule::Btfn),
         }
     }
 
@@ -147,7 +198,11 @@ impl GangLane {
             GangLane::TwoLevel(p) => p.name(),
             GangLane::LeeSmith(p) => p.name(),
             GangLane::StaticTraining(p) => p.name(),
+            GangLane::Variant(p) => p.name(),
+            GangLane::Gshare(p) => p.name(),
+            GangLane::Tournament(p) => p.name(),
             GangLane::Profile(p) => p.name(),
+            GangLane::Fixed(rule) => format!("{rule:?}"),
             GangLane::Dyn(p) => p.name(),
         }
     }
@@ -161,21 +216,29 @@ impl GangLane {
             GangLane::TwoLevel(p) => p.predict_update(branch),
             GangLane::LeeSmith(p) => p.predict_update(branch),
             GangLane::StaticTraining(p) => p.predict_update(branch),
+            GangLane::Variant(p) => p.predict_update(branch),
+            GangLane::Gshare(p) => p.predict_update(branch),
+            GangLane::Tournament(p) => p.predict_update(branch),
             GangLane::Profile(p) => p.predict_update(branch),
+            GangLane::Fixed(rule) => rule.guess(branch),
             GangLane::Dyn(p) => p.predict_update(branch),
         }
     }
 
-    /// The lane's history-table organization, for monomorphized lanes
-    /// that probe one (`None` for Profile and dyn lanes). Lanes sharing
-    /// an associative organization share a [`SlotProbe`] during a
-    /// compiled walk.
+    /// The per-address history table the lane probes once per event,
+    /// if any (a tournament's is its Two-Level component's). Lanes
+    /// sharing an associative organization share a [`SlotProbe`]
+    /// during a compiled walk.
     fn hrt_config(&self) -> Option<HrtConfig> {
         match self {
             GangLane::TwoLevel(p) => Some(p.config().hrt),
             GangLane::LeeSmith(p) => Some(p.config().hrt),
             GangLane::StaticTraining(p) => Some(p.config().hrt),
-            GangLane::Profile(_) | GangLane::Dyn(_) => None,
+            GangLane::Variant(p) => p.hrt_config(),
+            GangLane::Tournament(p) => Some(p.first().config().hrt),
+            GangLane::Gshare(_) | GangLane::Profile(_) | GangLane::Fixed(_) | GangLane::Dyn(_) => {
+                None
+            }
         }
     }
 
@@ -186,7 +249,96 @@ impl GangLane {
             GangLane::TwoLevel(p) => p.adopt_probe_stats(stats),
             GangLane::LeeSmith(p) => p.adopt_probe_stats(stats),
             GangLane::StaticTraining(p) => p.adopt_probe_stats(stats),
-            GangLane::Profile(_) | GangLane::Dyn(_) => unreachable!("only table lanes probe"),
+            GangLane::Variant(p) => p.adopt_probe_stats(stats),
+            GangLane::Tournament(p) => p.adopt_probe_stats(stats),
+            _ => unreachable!("only table lanes probe"),
+        }
+    }
+}
+
+/// A lane that steps event by event through a compiled walk: on the
+/// site path it probes its own table through site-resolved keys, on the
+/// slot path it replays a shared engine's probe for the event's site.
+trait ScalarLane {
+    /// Resolves the lane's per-site coordinates over `resolver`'s sites.
+    fn bind(&mut self, resolver: &mut SiteResolver);
+    fn site(&mut self, site: SiteId, taken: bool) -> bool;
+    fn slot(&mut self, site: SiteId, probe: Probe, taken: bool) -> bool;
+}
+
+/// Implements [`ScalarLane`] for each lane type through its inherent
+/// `bind_sites` and `predict_update_site`, with the slot step given as
+/// `|lane, site, probe, taken| expr`.
+macro_rules! scalar_lane {
+    ($($lane:ty => |$p:ident, $site:pat, $probe:ident, $taken:ident| $slot:expr;)*) => {$(
+        impl ScalarLane for $lane {
+            fn bind(&mut self, resolver: &mut SiteResolver) {
+                self.bind_sites(resolver);
+            }
+            #[inline]
+            fn site(&mut self, site: SiteId, taken: bool) -> bool {
+                self.predict_update_site(site, taken)
+            }
+            #[inline]
+            fn slot(&mut self, $site: SiteId, $probe: Probe, $taken: bool) -> bool {
+                let $p = self;
+                $slot
+            }
+        }
+    )*};
+}
+
+scalar_lane! {
+    TwoLevelAdaptive => |p, _, probe, taken| p.predict_update_slot(probe, taken);
+    LeeSmithBtb => |p, _, probe, taken| p.predict_update_slot(probe, taken);
+    StaticTraining => |p, _, probe, taken| p.predict_update_slot(probe, taken);
+    TwoLevelVariant => |p, site, probe, taken| p.predict_update_slot(site, probe, taken);
+    Tournament<TwoLevelAdaptive, Gshare> => |p, site, probe, taken| {
+        p.predict_update_slot(site, probe, taken)
+    };
+    Gshare => |_p, _, _probe, _taken| unreachable!("gshare probes no history table");
+}
+
+/// The scalar lanes of one type, split by path, so the per-event loop
+/// calls every lane directly with no lane-kind dispatch.
+struct Scalars<'a, P> {
+    sites: Vec<(&'a mut P, &'a mut PredictionStats)>,
+    /// Slot-path lanes, with the index of the engine they ride.
+    slots: Vec<(usize, &'a mut P, &'a mut PredictionStats)>,
+}
+
+impl<'a, P: ScalarLane> Scalars<'a, P> {
+    fn new() -> Self {
+        Scalars {
+            sites: Vec::new(),
+            slots: Vec::new(),
+        }
+    }
+
+    /// Binds `lane` to the walk's sites and adds it on `path`.
+    fn push(
+        &mut self,
+        lane: &'a mut P,
+        stat: &'a mut PredictionStats,
+        path: LanePath,
+        resolver: &mut SiteResolver,
+    ) {
+        lane.bind(resolver);
+        match path {
+            LanePath::Site => self.sites.push((lane, stat)),
+            LanePath::Slot(e) => self.slots.push((e, lane, stat)),
+            _ => unreachable!("only scalar paths step per event"),
+        }
+    }
+
+    /// One event for every lane of the group.
+    #[inline]
+    fn step(&mut self, site: SiteId, taken: bool, probes: &[Probe]) {
+        for (e, p, stat) in &mut self.slots {
+            stat.record(p.slot(site, probes[*e], taken) == taken);
+        }
+        for (p, stat) in &mut self.sites {
+            stat.record(p.site(site, taken) == taken);
         }
     }
 }
@@ -226,8 +378,9 @@ enum LanePath {
     Slot(usize),
     /// A member of pack `p`.
     Packed(usize),
-    /// A profile lane, scored in closed form from per-site tallies.
-    Profile,
+    /// A profile or fixed-rule lane, scored in closed form from the
+    /// stream's tallies.
+    ClosedForm,
     /// A dyn lane, fed the raw record stream.
     Dyn,
 }
@@ -365,7 +518,7 @@ fn plan(lanes: &[GangLane], loop_heavy: bool) -> WalkPlan {
     let mut paths: Vec<LanePath> = lanes
         .iter()
         .map(|lane| match (lane, lane.hrt_config().and_then(engine)) {
-            (GangLane::Profile(_), _) => LanePath::Profile,
+            (GangLane::Profile(_) | GangLane::Fixed(_), _) => LanePath::ClosedForm,
             (GangLane::Dyn(_), _) => LanePath::Dyn,
             (_, Some(e)) => LanePath::Slot(e),
             (_, None) => LanePath::Site,
@@ -616,27 +769,21 @@ fn execute(
     let mut stats = vec![PredictionStats::default(); lanes.len()];
     // Partition once so the per-event loop is free of lane-kind
     // dispatch: each group's calls are direct.
-    let (mut at_sites, mut ls_sites, mut st_sites) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut at_slots, mut ls_slots, mut st_slots) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut at, mut ls, mut st) = (Scalars::new(), Scalars::new(), Scalars::new());
+    let (mut var, mut gshare, mut tour) = (Scalars::new(), Scalars::new(), Scalars::new());
     for ((lane, stat), &path) in lanes.iter_mut().zip(&mut stats).zip(&plan.lanes) {
-        match (lane, path) {
-            (GangLane::TwoLevel(p), LanePath::Site) => {
-                p.bind_sites(&mut resolver);
-                at_sites.push((p, stat));
-            }
-            (GangLane::LeeSmith(p), LanePath::Site) => {
-                p.bind_sites(&mut resolver);
-                ls_sites.push((p, stat));
-            }
-            (GangLane::StaticTraining(p), LanePath::Site) => {
-                p.bind_sites(&mut resolver);
-                st_sites.push((p, stat));
-            }
-            (GangLane::TwoLevel(p), LanePath::Slot(e)) => at_slots.push((e, p, stat)),
-            (GangLane::LeeSmith(p), LanePath::Slot(e)) => ls_slots.push((e, p, stat)),
-            (GangLane::StaticTraining(p), LanePath::Slot(e)) => st_slots.push((e, p, stat)),
-            (_, LanePath::Packed(_) | LanePath::Profile | LanePath::Dyn) => {} // finished below
-            (lane, path) => unreachable!("{lane:?} cannot take the {path:?} path"),
+        if !matches!(path, LanePath::Site | LanePath::Slot(_)) {
+            continue; // finished below
+        }
+        let resolver = &mut resolver;
+        match lane {
+            GangLane::TwoLevel(p) => at.push(p, stat, path, resolver),
+            GangLane::LeeSmith(p) => ls.push(p, stat, path, resolver),
+            GangLane::StaticTraining(p) => st.push(p, stat, path, resolver),
+            GangLane::Variant(p) => var.push(p, stat, path, resolver),
+            GangLane::Gshare(p) => gshare.push(p, stat, path, resolver),
+            GangLane::Tournament(p) => tour.push(p, stat, path, resolver),
+            lane => unreachable!("{lane:?} cannot take the {path:?} path"),
         }
     }
     if !engines.is_empty() || plan.lanes.contains(&LanePath::Site) {
@@ -651,24 +798,12 @@ fn execute(
             for ((engine, log), slot) in engines.iter_mut().zip(&mut probes) {
                 *slot = probe(engine, log, site);
             }
-            for (e, p, stat) in &mut at_slots {
-                stat.record(p.predict_update_slot(probes[*e], taken) == taken);
-            }
-            for (e, p, stat) in &mut ls_slots {
-                stat.record(p.predict_update_slot(probes[*e], taken) == taken);
-            }
-            for (e, p, stat) in &mut st_slots {
-                stat.record(p.predict_update_slot(probes[*e], taken) == taken);
-            }
-            for (p, stat) in &mut at_sites {
-                stat.record(p.predict_update_site(site, taken) == taken);
-            }
-            for (p, stat) in &mut ls_sites {
-                stat.record(p.predict_update_site(site, taken) == taken);
-            }
-            for (p, stat) in &mut st_sites {
-                stat.record(p.predict_update_site(site, taken) == taken);
-            }
+            at.step(site, taken, &probes);
+            ls.step(site, taken, &probes);
+            st.step(site, taken, &probes);
+            var.step(site, taken, &probes);
+            gshare.step(site, taken, &probes);
+            tour.step(site, taken, &probes);
             step_packs(&mut ls_packs, &probes, taken);
             step_packs(&mut at_packs, &probes, taken);
         }
@@ -695,6 +830,10 @@ fn execute(
                     stat.predicted += n;
                     stat.correct += if bit { taken_n } else { n - taken_n };
                 }
+            }
+            (GangLane::Fixed(rule), _) => {
+                stat.predicted += compiled.len() as u64;
+                stat.correct += rule.correct(compiled);
             }
             // Dyn lanes take the record stream they have always seen; a
             // lane observes only its own predict/update sequence, so a
@@ -733,23 +872,22 @@ fn execute(
 /// every lane before the walk advances; returns and calls drive one
 /// shared return-address stack whose stats are replicated into every
 /// result (RAS behaviour is predictor-independent). Monomorphized lanes
-/// are fed from `compiled` alone, through
-/// [`TwoLevelAdaptive::predict_update_site`] /
-/// [`LeeSmithBtb::predict_update_site`] and the shared engines and
-/// packs the walk's plan picks for them; the stream's shape (its mean
-/// same-site run) is read O(1) from the compiled stream. `dyn_source`
-/// supplies the raw record stream for dyn lanes; the streaming sweep
-/// path — where a TLA3 cache entry was decoded straight into `compiled`
-/// and the records were never materialized — passes `None`, which is
-/// valid exactly when every lane is monomorphized. Results are bit-identical to
+/// are fed from `compiled` alone, through their `predict_update_site`
+/// entry points (e.g. [`TwoLevelAdaptive::predict_update_site`]), the
+/// shared engines and packs the walk's plan picks for them, or a
+/// closed-form score; the stream's shape (its mean same-site run) is
+/// read O(1) from the compiled stream. `dyn_source` supplies the raw
+/// record stream for [`GangLane::Dyn`] lanes, which
+/// [`GangLane::from_config`] never builds: the sweep path passes
+/// `None`, so a TLA3 cache entry decodes straight into `compiled` and
+/// the records are never materialized. Results are bit-identical to
 /// [`gang_simulate_records`], which is pinned by tests and kept as the
 /// reference walk.
 ///
 /// # Panics
 ///
 /// Panics if a [`GangLane::Dyn`] lane is present and `dyn_source` is
-/// `None` (callers gate on lane kinds before taking the record-free
-/// path).
+/// `None`.
 pub fn gang_simulate_compiled(
     lanes: &mut [GangLane],
     compiled: &CompiledTrace,
@@ -809,8 +947,8 @@ pub fn gang_simulate_records(
 pub type IsolatedLane = Option<Result<SimResult, CellPanic>>;
 
 /// [`gang_simulate_compiled`] with per-lane panic isolation, over a
-/// compiled stream and — only when some lane is dyn — its record
-/// source.
+/// compiled stream and — only when some lane is a [`GangLane::Dyn`] —
+/// its record source.
 ///
 /// `build(i)` constructs lane `i` (or `None` when the configuration is
 /// not applicable to this trace — the paper's Table 3 exclusions); it
@@ -881,7 +1019,7 @@ mod tests {
     use super::*;
     use crate::config::TrainingData;
     use crate::engine::simulate_with;
-    use tlat_core::AutomatonKind;
+    use tlat_core::{AutomatonKind, GshareConfig};
     use tlat_workloads::SyntheticStream;
 
     fn sweep() -> Vec<SchemeConfig> {
@@ -920,13 +1058,20 @@ mod tests {
         compiled.len() >= LOG_REPLAY_MIN_RUN * compiled.site_run_count()
     }
 
-    /// A lane's adopted table statistics, where it has a table.
+    /// A lane's adopted table statistics, where it has a table. (A
+    /// tournament's Two-Level component counts a re-ask per event on
+    /// the record path and reports no statistics of its own.)
     fn table_stats(lane: &GangLane) -> Option<HrtStats> {
         match lane {
             GangLane::TwoLevel(p) => Some(p.hrt_stats()),
             GangLane::LeeSmith(p) => Some(p.table_stats()),
             GangLane::StaticTraining(p) => Some(p.hrt_stats()),
-            GangLane::Profile(_) | GangLane::Dyn(_) => None,
+            GangLane::Variant(p) => p.hrt_config().map(|_| p.hrt_stats()),
+            GangLane::Gshare(_)
+            | GangLane::Tournament(_)
+            | GangLane::Profile(_)
+            | GangLane::Fixed(_)
+            | GangLane::Dyn(_) => None,
         }
     }
 
@@ -1031,25 +1176,77 @@ mod tests {
     }
 
     #[test]
-    fn dyn_only_gangs_match_the_record_walk() {
+    fn dyn_lanes_match_the_record_walk() {
+        // A caller's own boxed predictor rides the compiled walk on the
+        // record stream it is handed.
         let trace = SyntheticStream::mixed(0xd1, 16).generate(2_000);
-        let configs = vec![SchemeConfig::Btfn, SchemeConfig::AlwaysTaken];
-        assert_walk_matches_records(&configs, &trace, SimOptions::default());
+        let configs = vec![
+            SchemeConfig::Btfn,
+            SchemeConfig::AlwaysTaken,
+            SchemeConfig::Gshare(GshareConfig::default_12bit()),
+        ];
+        let mut lanes: Vec<GangLane> = configs
+            .iter()
+            .map(|c| GangLane::Dyn(c.build(Some(&trace))))
+            .collect();
+        let options = SimOptions::default();
+        let results = walk(&mut lanes, &trace, options);
+        assert_matches_records("dyn lanes", &configs, &trace, options, &lanes, &results);
     }
 
     #[test]
-    fn monomorphized_lanes_are_used_for_the_common_schemes() {
-        let lanes = lanes_for(&sweep(), &Trace::new());
-        assert!(matches!(lanes[0], GangLane::TwoLevel(_)));
-        assert!(matches!(lanes[1], GangLane::LeeSmith(_)));
-        assert!(matches!(lanes[2], GangLane::StaticTraining(_)));
-        assert!(matches!(lanes[3], GangLane::Dyn(_))); // BTFN
-        assert!(matches!(lanes[4], GangLane::Profile(_)));
+    fn every_scheme_gets_a_monomorphized_lane() {
+        let trace = Trace::new();
+        let specs = crate::experiment::sweep_specs();
+        let configs = specs
+            .iter()
+            .flat_map(|spec| spec.configs.iter())
+            .chain(&crate::config::table2())
+            .chain(&[SchemeConfig::AlwaysNotTaken])
+            .cloned()
+            .collect::<Vec<_>>();
+        for lane in lanes_for(&configs, &trace) {
+            assert!(!matches!(lane, GangLane::Dyn(_)), "{lane:?} is boxed");
+        }
+        let lanes = lanes_for(&sweep(), &trace);
+        assert!(matches!(lanes[3], GangLane::Fixed(FixedRule::Btfn)));
         // Lane names still come through for diagnostics.
         assert!(lanes[0].name().starts_with("AT("));
         assert!(format!("{:?}", lanes[1]).contains("LS("));
         assert!(lanes[2].name().starts_with("ST("));
+        assert_eq!(lanes[3].name(), "Btfn");
         assert_eq!(lanes[4].name(), "Profile");
+    }
+
+    #[test]
+    fn btfn_scores_escaped_targets_in_closed_form() {
+        // One pc alternates a backward and a forward target, so every
+        // other event deviates from its site template and rides a TLA3
+        // ESC packet; the streaming decoder must count BTFN exactly as
+        // compiling the records does, and the closed-form score must
+        // equal the record walk's.
+        let mut trace = Trace::new();
+        for i in 0..900u32 {
+            let target = if i % 2 == 0 { 0x0800 } else { 0x1800 };
+            trace.push(BranchRecord::conditional(0x1000, target, i % 3 != 0));
+            trace.push(BranchRecord::conditional(0x2000, 0x1f00, i % 5 != 0));
+        }
+        let compiled = CompiledTrace::compile(&trace);
+        let decoded = tlat_trace::packet::decode_compiled(&tlat_trace::packet::encode(&trace))
+            .expect("TLA3 round trip");
+        assert_eq!(decoded, compiled);
+        let configs = [SchemeConfig::Btfn];
+        let options = SimOptions::default();
+        let mut lanes = lanes_for(&configs, &trace);
+        let closed = gang_simulate_compiled(&mut lanes, &decoded, None, options);
+        assert_matches_records(
+            "closed-form BTFN",
+            &configs,
+            &trace,
+            options,
+            &lanes,
+            &closed,
+        );
     }
 
     #[test]
@@ -1533,7 +1730,7 @@ mod tests {
             let hrt = lane.hrt_config();
             let sharers = lanes.iter().filter(|l| l.hrt_config() == hrt).count();
             let path = match (lane, hrt) {
-                (GangLane::Profile(_), _) => LanePath::Profile,
+                (GangLane::Profile(_) | GangLane::Fixed(_), _) => LanePath::ClosedForm,
                 (GangLane::Dyn(_), _) => LanePath::Dyn,
                 (_, Some(hrt @ HrtConfig::Associative { .. })) if sharers >= 2 => {
                     LanePath::Slot(engine_for(&mut plan.engines, hrt))
@@ -1571,6 +1768,43 @@ mod tests {
         plan
     }
 
+    /// The taxonomy's lanes and the fixed rules beside an AT lane and
+    /// an LS lane. Per-address variants and the tournaments ride the
+    /// shared engines of the paper AHRT and the small table,
+    /// global-history lanes and gshare take the site path, and the
+    /// fixed rules score in closed form; per-address variants on the
+    /// ideal and hashed tables cover every organization.
+    fn taxonomy_and_fixed_rules() -> Vec<SchemeConfig> {
+        use tlat_core::VariantConfig;
+        use AutomatonKind::{LastTime, A2, A3, A4};
+        let ahrt = HrtConfig::ahrt(512);
+        vec![
+            SchemeConfig::Variant(VariantConfig::gag(12, A2)),
+            SchemeConfig::Variant(VariantConfig::gas(10, A3, 16)),
+            SchemeConfig::Variant(VariantConfig::pag(12, A2, ahrt)),
+            SchemeConfig::Variant(VariantConfig::pas(12, A2, ahrt, 16)),
+            SchemeConfig::Variant(VariantConfig::pag(8, A4, SMALL)),
+            SchemeConfig::Variant(VariantConfig::pas(6, LastTime, HrtConfig::Ideal, 4)),
+            SchemeConfig::Variant(VariantConfig::pas(8, A2, HrtConfig::hhrt(32), 8)),
+            SchemeConfig::at(ahrt, 12, A2),
+            SchemeConfig::ls(SMALL, A2),
+            SchemeConfig::Gshare(GshareConfig::default_12bit()),
+            SchemeConfig::Gshare(GshareConfig {
+                history_bits: 6,
+                automaton: A3,
+            }),
+            SchemeConfig::Tournament {
+                chooser_entries: 1024,
+            },
+            SchemeConfig::Tournament {
+                chooser_entries: 16,
+            },
+            SchemeConfig::Btfn,
+            SchemeConfig::AlwaysTaken,
+            SchemeConfig::AlwaysNotTaken,
+        ]
+    }
+
     #[test]
     fn every_forced_plan_matches_the_record_walk() {
         // The planner picks one strategy per stream shape; the executor
@@ -1589,6 +1823,8 @@ mod tests {
             at_packs_with_singletons(),
             at_evictions(),
             at_pack_only(),
+            taxonomy_and_fixed_rules(),
+            crate::config::taxonomy(),
         ];
         let options = SimOptions { ras_entries: 8 };
         for trace in [
@@ -1640,7 +1876,7 @@ mod tests {
                     LanePath::Slot(0),
                     LanePath::Slot(0),
                     LanePath::Packed(0),
-                    LanePath::Profile,
+                    LanePath::ClosedForm,
                     LanePath::Packed(0),
                 ],
                 engines: vec![ahrt],
@@ -1656,7 +1892,7 @@ mod tests {
                     LanePath::Packed(0),
                     LanePath::Slot(0),
                     LanePath::Packed(1),
-                    LanePath::Profile,
+                    LanePath::ClosedForm,
                     LanePath::Packed(1),
                 ],
                 engines: vec![ahrt],

@@ -79,7 +79,7 @@ impl Which {
 /// a later request (e.g. after fixing permissions) can try again.
 type Slot = Arc<Mutex<Option<Arc<Trace>>>>;
 
-/// Memoization slot for a compiled test-trace event stream (same
+/// Memoization slot for a compiled event stream (same
 /// in-flight-dedupe discipline as [`Slot`]).
 type CompiledSlot = Arc<Mutex<Option<Arc<CompiledTrace>>>>;
 
@@ -88,12 +88,13 @@ type CompiledSlot = Arc<Mutex<Option<Arc<CompiledTrace>>>>;
 pub struct TraceStore {
     budget: u64,
     cache: Mutex<HashMap<(String, Which), Slot>>,
-    /// Compiled test-trace event streams, keyed by workload name.
-    /// Deliberately separate from the record memo: the streaming path
-    /// ([`try_test_compiled`](Self::try_test_compiled)) decodes disk
+    /// Compiled test and training event streams, keyed like the
+    /// record memo. Deliberately separate from it: the streaming path
+    /// ([`try_test_compiled`](Self::try_test_compiled),
+    /// [`train_compiled`](Self::train_compiled)) decodes disk
     /// entries straight into a [`CompiledTrace`] and must not pin the
     /// per-branch record vector in memory alongside it.
-    compiled: Mutex<HashMap<String, CompiledSlot>>,
+    compiled: Mutex<HashMap<(String, Which), CompiledSlot>>,
     disk: Option<DiskCache>,
     /// Workload interpretations actually performed (disk-cache hits and
     /// in-memory hits do not count). Lets tests assert a warm cache
@@ -152,6 +153,15 @@ impl TraceStore {
     /// workload (as opposed to serving from memory or disk).
     pub fn generations(&self) -> u64 {
         self.generations.load(Ordering::Relaxed)
+    }
+
+    /// Record traces memoized so far, test and training alike.
+    #[cfg(test)]
+    pub(crate) fn resident_records(&self) -> usize {
+        lock_unpoisoned(&self.cache)
+            .values()
+            .filter(|slot| lock_unpoisoned(slot).is_some())
+            .count()
     }
 
     /// The test trace for `workload`, generating it on first use.
@@ -216,41 +226,7 @@ impl TraceStore {
     /// [`SimError::Workload`] if the trace must be generated and the
     /// workload program faults.
     pub fn try_test_compiled(&self, workload: &Workload) -> Result<Arc<CompiledTrace>, SimError> {
-        let slot = {
-            let mut compiled = lock_unpoisoned(&self.compiled);
-            Arc::clone(compiled.entry(workload.name.to_owned()).or_default())
-        };
-        let mut guard = lock_unpoisoned(&slot);
-        if let Some(hit) = guard.as_ref() {
-            return Ok(Arc::clone(hit));
-        }
-        // A test trace already resident in the record memo compiles
-        // directly — no disk read can beat memory.
-        if let Some(test) = self.peek_test(workload) {
-            let compiled = Arc::new(compile_records(&test));
-            *guard = Some(Arc::clone(&compiled));
-            return Ok(compiled);
-        }
-        let input = workload.test_input();
-        let key = TraceKey {
-            workload: workload.name,
-            role: Which::Test.role(),
-            input,
-            budget: self.budget,
-        };
-        if let Some(streamed) = self.disk.as_ref().and_then(|disk| disk.load_compiled(&key)) {
-            metrics::add(Counter::SitesInterned, streamed.num_sites() as u64);
-            let compiled = Arc::new(streamed);
-            *guard = Some(Arc::clone(&compiled));
-            return Ok(compiled);
-        }
-        // Cold cache: generate the records once (persisting them for
-        // next time), compile, and drop the record vector — it is not
-        // memoized on this path on purpose.
-        let test = self.generate(workload, Which::Test, &key)?;
-        let compiled = Arc::new(compile_records(&test));
-        *guard = Some(Arc::clone(&compiled));
-        Ok(compiled)
+        self.get_compiled(workload, Which::Test)
     }
 
     /// [`try_test_compiled`](Self::try_test_compiled), panicking on
@@ -264,15 +240,85 @@ impl TraceStore {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The memoized test trace, if one is already resident. Blocks on
+    /// The compiled event stream of `workload`'s training trace (Table
+    /// 3), through the same streaming path as
+    /// [`try_test_compiled`](Self::try_test_compiled), or `None` when
+    /// the paper lists no distinct training set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload program faults (a workload bug); a
+    /// sweep's lane build runs panic-isolated.
+    pub fn train_compiled(&self, workload: &Workload) -> Option<Arc<CompiledTrace>> {
+        workload.train_input()?;
+        Some(
+            self.get_compiled(workload, Which::Train)
+                .unwrap_or_else(|e| panic!("{e}")),
+        )
+    }
+
+    fn get_compiled(
+        &self,
+        workload: &Workload,
+        which: Which,
+    ) -> Result<Arc<CompiledTrace>, SimError> {
+        let slot = {
+            let mut compiled = lock_unpoisoned(&self.compiled);
+            Arc::clone(
+                compiled
+                    .entry((workload.name.to_owned(), which))
+                    .or_default(),
+            )
+        };
+        let mut guard = lock_unpoisoned(&slot);
+        if let Some(hit) = guard.as_ref() {
+            return Ok(Arc::clone(hit));
+        }
+        // A trace already resident in the record memo compiles
+        // directly — no disk read can beat memory.
+        if let Some(records) = self.peek(workload, which) {
+            let compiled = Arc::new(compile_records(&records));
+            *guard = Some(Arc::clone(&compiled));
+            return Ok(compiled);
+        }
+        let key = self.key(workload, which);
+        if let Some(streamed) = self.disk.as_ref().and_then(|disk| disk.load_compiled(&key)) {
+            metrics::add(Counter::SitesInterned, streamed.num_sites() as u64);
+            let compiled = Arc::new(streamed);
+            *guard = Some(Arc::clone(&compiled));
+            return Ok(compiled);
+        }
+        // Cold cache: generate the records once (persisting them for
+        // next time), compile, and drop the record vector — it is not
+        // memoized on this path on purpose.
+        let records = self.generate(workload, which, &key)?;
+        let compiled = Arc::new(compile_records(&records));
+        *guard = Some(Arc::clone(&compiled));
+        Ok(compiled)
+    }
+
+    /// The memoized record trace, if one is already resident. Blocks on
     /// an in-flight generation of the same trace, but never starts
     /// one.
-    fn peek_test(&self, workload: &Workload) -> Option<Arc<Trace>> {
+    fn peek(&self, workload: &Workload, which: Which) -> Option<Arc<Trace>> {
         let slot = lock_unpoisoned(&self.cache)
-            .get(&(workload.name.to_owned(), Which::Test))
+            .get(&(workload.name.to_owned(), which))
             .map(Arc::clone)?;
         let guard = lock_unpoisoned(&slot);
         guard.as_ref().map(Arc::clone)
+    }
+
+    /// The disk-cache key of one of `workload`'s traces.
+    fn key<'w>(&self, workload: &'w Workload, which: Which) -> TraceKey<'w> {
+        TraceKey {
+            workload: workload.name,
+            role: which.role(),
+            input: match which {
+                Which::Test => workload.test_input(),
+                Which::Train => workload.train_input().expect("caller checked train_input"),
+            },
+            budget: self.budget,
+        }
     }
 
     fn get(&self, workload: &Workload, which: Which) -> Result<Arc<Trace>, SimError> {
@@ -295,16 +341,7 @@ impl TraceStore {
     /// Loads a trace from the disk cache or generates (and persists)
     /// it.
     fn obtain(&self, workload: &Workload, which: Which) -> Result<Trace, SimError> {
-        let input = match which {
-            Which::Test => workload.test_input(),
-            Which::Train => workload.train_input().expect("caller checked train_input"),
-        };
-        let key = TraceKey {
-            workload: workload.name,
-            role: which.role(),
-            input,
-            budget: self.budget,
-        };
+        let key = self.key(workload, which);
         if let Some(cached) = self.disk.as_ref().and_then(|disk| disk.load(&key)) {
             return Ok(cached);
         }
@@ -339,8 +376,13 @@ impl TraceStore {
         Ok(trace)
     }
 
-    /// Pre-generates every trace for `workloads` on the bounded worker
-    /// pool (`TLAT_THREADS` workers).
+    /// Readies every test and training trace of `workloads` for the
+    /// sweeps, on the bounded worker pool (`TLAT_THREADS` workers).
+    /// Without a disk cache it memoizes each compiled stream, so no
+    /// record trace stays resident. With one it generates and persists
+    /// only the entries the cache lacks and memoizes nothing: sweeps
+    /// decode the entries straight into compiled streams when they
+    /// need them, and compiling here would be paid again there.
     ///
     /// # Panics
     ///
@@ -348,8 +390,19 @@ impl TraceStore {
     pub fn prewarm(&self, workloads: &[Workload]) {
         pool::run_indexed_from_env(workloads.len(), |i| {
             let w = &workloads[i];
-            self.test(w);
-            self.train(w);
+            let Some(disk) = &self.disk else {
+                self.test_compiled(w);
+                self.train_compiled(w);
+                return;
+            };
+            let roles = [Some(Which::Test), w.train_input().map(|_| Which::Train)];
+            for which in roles.into_iter().flatten() {
+                let key = self.key(w, which);
+                if !disk.path_for(&key).is_file() {
+                    self.generate(w, which, &key)
+                        .unwrap_or_else(|e| panic!("{e}"));
+                }
+            }
         });
     }
 }
@@ -405,8 +458,37 @@ mod tests {
         let store = TraceStore::new(500);
         let workloads = vec![by_name("eqntott").unwrap(), by_name("espresso").unwrap()];
         store.prewarm(&workloads);
-        assert_eq!(lock_unpoisoned(&store.cache).len(), 3); // 2 test + 1 train
+        assert_eq!(lock_unpoisoned(&store.compiled).len(), 3); // 2 test + 1 train
         assert_eq!(store.generations(), 3);
+        assert_eq!(
+            store.resident_records(),
+            0,
+            "prewarm keeps compiled streams only"
+        );
+    }
+
+    #[test]
+    fn prewarm_over_a_disk_cache_persists_only_what_it_lacks() {
+        let dir = scratch_dir("prewarm");
+        let workloads = vec![by_name("eqntott").unwrap(), by_name("espresso").unwrap()];
+        let cold = TraceStore::new(500).with_disk_cache(&dir);
+        cold.prewarm(&workloads);
+        assert_eq!(cold.generations(), 3);
+        assert_eq!(
+            lock_unpoisoned(&cold.compiled).len(),
+            0,
+            "a disk prewarm memoizes nothing"
+        );
+        assert_eq!(cold.resident_records(), 0);
+        let warm = TraceStore::new(500).with_disk_cache(&dir);
+        warm.prewarm(&workloads);
+        assert_eq!(warm.generations(), 0, "every entry is already on disk");
+        let espresso = &workloads[1];
+        assert_eq!(
+            *warm.train_compiled(espresso).unwrap(),
+            CompiledTrace::compile(&cold.train(espresso).unwrap())
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -487,7 +569,7 @@ mod tests {
         assert_eq!(*streamed, reference);
         assert_eq!(warm.generations(), 0, "warm cache must skip generation");
         assert!(
-            warm.peek_test(&w).is_none(),
+            warm.peek(&w, Which::Test).is_none(),
             "streaming decode must not materialize the record trace"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -501,7 +583,7 @@ mod tests {
         let compiled = store.test_compiled(&w);
         assert_eq!(store.generations(), 1);
         assert!(
-            store.peek_test(&w).is_none(),
+            store.peek(&w, Which::Test).is_none(),
             "cold streaming path must not memoize the records"
         );
         // The generation persisted: a second store streams it back.

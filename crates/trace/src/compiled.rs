@@ -233,6 +233,10 @@ pub struct CompiledTrace {
     /// loop-shaped the stream is — which run-chunked consumers use to
     /// decide whether chunking can pay for itself.
     site_runs: usize,
+    /// Number of conditional events taken exactly when their target
+    /// lies below their pc: BTFN's correct count, which a static
+    /// direction-from-target rule scores in closed form.
+    taken_iff_backward: u64,
 }
 
 impl CompiledTrace {
@@ -250,6 +254,7 @@ impl CompiledTrace {
             site_taken: Vec::new(),
             site_counts: Vec::new(),
             site_runs: 0,
+            taken_iff_backward: 0,
         };
         for branch in trace.iter() {
             match branch.class {
@@ -263,6 +268,7 @@ impl CompiledTrace {
                     }
                     compiled.site_taken[site as usize] += branch.taken as u64;
                     compiled.site_counts[site as usize] += 1;
+                    compiled.taken_iff_backward += u64::from(branch.taken == branch.is_backward());
                     if compiled.cond_sites.last() != Some(&site) {
                         compiled.site_runs += 1;
                     }
@@ -340,6 +346,13 @@ impl CompiledTrace {
         self.site_runs
     }
 
+    /// Number of conditional events whose outcome equals their
+    /// backward-ness (`target < pc`): what Backward-Taken/Forward-Not-
+    /// taken predicts correctly over the stream.
+    pub fn taken_iff_backward(&self) -> u64 {
+        self.taken_iff_backward
+    }
+
     /// Iterates the conditional stream as `(site, taken)` pairs.
     pub fn events(&self) -> impl Iterator<Item = (SiteId, bool)> + '_ {
         self.cond_sites
@@ -356,9 +369,18 @@ impl CompiledTrace {
 /// order (the format's dense site ids already arrive in
 /// first-appearance order), per-site counters, run counting, RAS event
 /// ordering (a return that is also a call verifies before pushing).
+///
+/// The BTFN count stays off the per-event path: an event that keeps
+/// its site template's target shares the template's direction, so
+/// [`finish`](CompiledBuilder::finish) scores those per site, and each
+/// escaped event corrects the score for its own target.
 #[derive(Debug, Default)]
 pub(crate) struct CompiledBuilder {
     c: CompiledTrace,
+    /// `SiteId →` whether the site template's target lies below its pc.
+    backward: Vec<bool>,
+    /// Escaped events' own BTFN outcome minus their template's.
+    escape_correction: i64,
 }
 
 impl CompiledBuilder {
@@ -375,16 +397,21 @@ impl CompiledBuilder {
                 site_taken: Vec::new(),
                 site_counts: Vec::new(),
                 site_runs: 0,
+                taken_iff_backward: 0,
             },
+            backward: Vec::new(),
+            escape_correction: 0,
         }
     }
 
-    /// Interns the next site (dense ids are assigned in call order,
-    /// which the TLA3 format guarantees is first-appearance order).
-    pub(crate) fn define_site(&mut self, pc: u32) {
+    /// Interns the next site with its template target (dense ids are
+    /// assigned in call order, which the TLA3 format guarantees is
+    /// first-appearance order).
+    pub(crate) fn define_site(&mut self, pc: u32, target: u32) {
         self.c.site_pcs.push(pc);
         self.c.site_taken.push(0);
         self.c.site_counts.push(0);
+        self.backward.push(target < pc);
     }
 
     /// Appends one conditional event at an already-defined site.
@@ -409,6 +436,16 @@ impl CompiledBuilder {
         }
     }
 
+    /// Appends one conditional event whose own `target` deviates from
+    /// its site template's (a TLA3 escape).
+    pub(crate) fn escape(&mut self, site: SiteId, target: u32, taken: bool, call: bool) {
+        self.cond(site, taken, call);
+        let s = site as usize;
+        let own = taken == (target < self.c.site_pcs[s]);
+        let template = taken == self.backward[s];
+        self.escape_correction += i64::from(own) - i64::from(template);
+    }
+
     /// Appends one non-conditional branch record's effects: a RAS
     /// verify for returns, then a RAS push for calls.
     pub(crate) fn other(&mut self, class: BranchClass, pc: u32, target: u32, call: bool) {
@@ -423,7 +460,16 @@ impl CompiledBuilder {
     }
 
     /// The finished compiled stream.
-    pub(crate) fn finish(self) -> CompiledTrace {
+    pub(crate) fn finish(mut self) -> CompiledTrace {
+        let by_template: u64 = self
+            .backward
+            .iter()
+            .zip(self.c.site_taken.iter().zip(&self.c.site_counts))
+            .map(|(&backward, (&taken, &n))| if backward { taken } else { n - taken })
+            .sum();
+        self.c.taken_iff_backward = by_template
+            .checked_add_signed(self.escape_correction)
+            .expect("escape corrections cancel template counts");
         self.c
     }
 }

@@ -443,12 +443,16 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
 
 /// What a packet stream lowers into: either a record [`Trace`]
 /// (compatibility) or a [`CompiledTrace`] (the gang streaming path).
-/// Site ids arrive dense and in first-appearance order; `cond` is
-/// called once per conditional event with the template (or escape)
-/// fields already resolved.
+/// Site ids arrive dense and in first-appearance order with their
+/// template target; `cond` is called once per template-conforming
+/// conditional event and `escape` once per deviating one, with the
+/// event's fields already resolved.
 trait PacketSink {
-    fn define_site(&mut self, pc: u32);
+    fn define_site(&mut self, pc: u32, target: u32);
     fn cond(&mut self, site: u32, pc: u32, target: u32, taken: bool, call: bool, gap: u32);
+    fn escape(&mut self, site: u32, pc: u32, target: u32, taken: bool, call: bool, gap: u32) {
+        self.cond(site, pc, target, taken, call, gap);
+    }
     fn other(&mut self, record: BranchRecord, gap: u32);
 }
 
@@ -458,7 +462,7 @@ struct RecordSink {
 }
 
 impl PacketSink for RecordSink {
-    fn define_site(&mut self, _pc: u32) {}
+    fn define_site(&mut self, _pc: u32, _target: u32) {}
 
     fn cond(&mut self, _site: u32, pc: u32, target: u32, taken: bool, call: bool, gap: u32) {
         self.trace.push(BranchRecord {
@@ -480,12 +484,16 @@ impl PacketSink for RecordSink {
 struct CompiledSink(CompiledBuilder);
 
 impl PacketSink for CompiledSink {
-    fn define_site(&mut self, pc: u32) {
-        self.0.define_site(pc);
+    fn define_site(&mut self, pc: u32, target: u32) {
+        self.0.define_site(pc, target);
     }
 
     fn cond(&mut self, site: u32, _pc: u32, _target: u32, taken: bool, call: bool, _gap: u32) {
         self.0.cond(site, taken, call);
+    }
+
+    fn escape(&mut self, site: u32, _pc: u32, target: u32, taken: bool, call: bool, _gap: u32) {
+        self.0.escape(site, target, taken, call);
     }
 
     fn other(&mut self, record: BranchRecord, _gap: u32) {
@@ -619,7 +627,7 @@ fn decode_packets<S: PacketSink>(
                     call: flags & 0x01 != 0,
                     default_gap,
                 });
-                sink.define_site(pc);
+                sink.define_site(pc, target);
             }
             TAG_COND => {
                 let n_refs = varint(r, index)?;
@@ -734,7 +742,7 @@ fn decode_packets<S: PacketSink>(
                 if records >= total {
                     return Err(bad());
                 }
-                sink.cond(
+                sink.escape(
                     site,
                     template.pc,
                     target,
@@ -922,6 +930,24 @@ mod tests {
         let back = decode(&bytes).unwrap();
         assert_eq!(t, back);
         assert_eq!(decode_compiled(&bytes).unwrap(), CompiledTrace::compile(&t));
+    }
+
+    #[test]
+    fn escaped_targets_keep_the_btfn_count() {
+        // One pc alternates a backward and a forward target, so every
+        // other event escapes its site template: the streaming decoder
+        // scores template events per site and must correct for each
+        // escape's own direction.
+        let mut t = Trace::new();
+        for i in 0..200u32 {
+            let target = if i % 2 == 0 { 0x0800 } else { 0x1800 };
+            t.push(BranchRecord::conditional(0x1000, target, i % 3 != 0));
+            t.push(BranchRecord::conditional(0x2000, 0x2400, i % 4 == 0));
+        }
+        let naive = t.iter().filter(|b| b.taken == b.is_backward()).count() as u64;
+        let compiled = CompiledTrace::compile(&t);
+        assert_eq!(compiled.taken_iff_backward(), naive);
+        assert_eq!(decode_compiled(&encode(&t)).unwrap(), compiled);
     }
 
     #[test]

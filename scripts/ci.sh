@@ -204,6 +204,19 @@ if ! diff -u "$smoke_dir/clean.txt" "$smoke_dir/sweep.txt"; then
     echo "error: tlat sweep fig10 differs from tlat fig 10" >&2
     exit 1
 fi
+# The sweeps whose lanes once read records (fig8's Diff training, fig9's
+# static schemes, the taxonomy) must render the same bytes from a cold
+# cache (generated traces, compiled in memory) and a warm one (TLA3
+# entries decoded straight into compiled streams).
+for sweep in fig8 fig9 taxonomy; do
+    rm -rf "$smoke_dir/sweep-cache"
+    TLAT_TRACE_CACHE="$smoke_dir/sweep-cache" "$tlat" sweep "$sweep" > "$smoke_dir/$sweep-cold.txt"
+    TLAT_TRACE_CACHE="$smoke_dir/sweep-cache" "$tlat" sweep "$sweep" > "$smoke_dir/$sweep-warm.txt"
+    if ! diff -u "$smoke_dir/$sweep-cold.txt" "$smoke_dir/$sweep-warm.txt"; then
+        echo "error: warm-cache tlat sweep $sweep differs from the cold run" >&2
+        exit 1
+    fi
+done
 rm -rf "$smoke_dir/cache/sweeps"                     # force a cold journal
 TLAT_THREADS=1 TLAT_FAULTS=abort@5:7 TLAT_METRICS="$smoke_dir/sup.jsonl" \
     "$tlat" sweep --workers 2 fig10 > "$smoke_dir/supervised.txt" 2> "$smoke_dir/sup.log"
@@ -322,6 +335,11 @@ serve_start "$smoke_dir/serve.log"
 serve_req "$serve_port" POST /sweep/fig10 "$smoke_dir/served.txt"
 if ! diff -u "$smoke_dir/sweep.txt" "$smoke_dir/served.txt"; then
     echo "error: served fig10 report differs from the batch sweep" >&2
+    exit 1
+fi
+serve_req "$serve_port" POST /sweep/taxonomy "$smoke_dir/served-taxonomy.txt"
+if ! diff -u "$smoke_dir/taxonomy-cold.txt" "$smoke_dir/served-taxonomy.txt"; then
+    echo "error: served taxonomy report differs from the batch sweep" >&2
     exit 1
 fi
 serve_req "$serve_port" GET /metrics "$smoke_dir/serve-metrics.jsonl"
