@@ -9,18 +9,18 @@
 //! workload); the once-per-workload compile cost is reported separately
 //! as `stream_compile`. Run with `cargo bench --bench gang_inner`;
 //! seven BENCHJSON lines are emitted (`inner_record_walk`,
-//! `inner_compiled_walk`, `stream_compile`, `inner_bitsliced_record`,
-//! `inner_bitsliced_walk`, `inner_at_pack_record`,
-//! `inner_at_pack_walk`) plus derived speedup lines. The bitsliced
-//! pair measures an all-Lee-&-Smith lane set that the gang engine
-//! packs into one two-plane [`tlat_core::LanePack`]; the AT-pack pair
-//! measures a fig10-shaped variant × history-length Two-Level grid
-//! that packs into one [`tlat_core::AtPack`] (shared history walk,
-//! pattern-table row planes) — each isolating its plane-stepped walk
+//! `inner_compiled_walk`, `stream_compile`, `inner_slot_major_record`,
+//! `inner_slot_major_walk`, `inner_at_pack_record`,
+//! `inner_at_pack_walk`) plus derived speedup lines. The slot-major
+//! pair measures a Lee & Smith and Static Training lane set that the
+//! gang engine replays slot by slot off the per-event loop; the
+//! AT-pack pair measures a fig10-shaped variant × history-length
+//! Two-Level grid that packs into one [`tlat_core::AtPack`] (shared
+//! history walk, pattern-table row planes) — each isolating its walk
 //! from the mixed-lane set above.
 
 use tlat_bench::runner::Runner;
-use tlat_core::{AutomatonKind, HrtConfig};
+use tlat_core::{AutomatonKind, HrtConfig, StaticTraining, StaticTrainingConfig, TrainingProfile};
 use tlat_sim::gang::{gang_simulate_compiled, gang_simulate_records, GangLane};
 use tlat_sim::{SchemeConfig, SimOptions};
 use tlat_workloads::SyntheticStream;
@@ -78,39 +78,42 @@ fn main() {
         );
     }
 
-    // All five automata as Lee & Smith lanes on one shared geometry:
-    // the gang engine packs them into a single LanePack, so the whole
-    // walk is one branchless plane step per event (plus run-chunked
-    // tails) instead of five scalar automaton steps.
-    let bs_configs: Vec<SchemeConfig> = AutomatonKind::ALL
-        .iter()
-        .map(|&a| SchemeConfig::ls(HrtConfig::ahrt(512), a))
-        .collect();
-    let bs_lanes = || -> Vec<GangLane> {
-        bs_configs
+    // All five automata as Lee & Smith lanes plus the paper's Static
+    // Training lane on one shared geometry: the gang engine buckets the
+    // stream by table slot once and steps each lane through every
+    // slot's same-outcome runs, off the per-event loop. The ST profile
+    // is collected once, outside the timed walks.
+    let st = StaticTrainingConfig::paper_default();
+    let st_profile = TrainingProfile::collect(&trace, st.history_bits);
+    let sm_lanes = || -> Vec<GangLane> {
+        AutomatonKind::ALL
             .iter()
-            .map(|c| GangLane::from_config(c, Some(&trace)))
+            .map(|&a| GangLane::from_config(&SchemeConfig::ls(st.hrt, a), None))
+            .chain([GangLane::StaticTraining(StaticTraining::with_profile(
+                st.clone(),
+                &st_profile,
+            ))])
             .collect()
     };
-    let bs_events = trace.conditional_len() as u64 * bs_configs.len() as u64;
+    let sm_events = trace.conditional_len() as u64 * (AutomatonKind::ALL.len() as u64 + 1);
     group.plan(1, 7);
-    let bs_records = group
-        .throughput(bs_events)
-        .bench("inner_bitsliced_record", || {
-            let mut lanes = bs_lanes();
+    let sm_records = group
+        .throughput(sm_events)
+        .bench("inner_slot_major_record", || {
+            let mut lanes = sm_lanes();
             gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
         });
     group.plan(1, 7);
-    let bitsliced = group
-        .throughput(bs_events)
-        .bench("inner_bitsliced_walk", || {
-            let mut lanes = bs_lanes();
+    let slot_major = group
+        .throughput(sm_events)
+        .bench("inner_slot_major_walk", || {
+            let mut lanes = sm_lanes();
             gang_simulate_compiled(&mut lanes, &stream, Some(&trace), SimOptions::default()).len()
         });
-    if bitsliced.median_ns > 0.0 {
+    if slot_major.median_ns > 0.0 {
         println!(
-            "[gang_inner] bitsliced pack vs record stream: {:.2}x",
-            bs_records.median_ns / bitsliced.median_ns
+            "[gang_inner] slot-major replay vs record stream: {:.2}x",
+            sm_records.median_ns / slot_major.median_ns
         );
     }
 

@@ -399,9 +399,16 @@ fn main() -> ExitCode {
                     }
                 }
                 if !checking {
-                    let file = match files.len() {
-                        1 => files.remove(0),
+                    let merged = match files.len() {
+                        1 => Ok(files.remove(0)),
                         _ => tlat_sim::metrics::merge(&files),
+                    };
+                    let file = match merged {
+                        Ok(file) => file,
+                        Err(e) => {
+                            eprintln!("cannot merge telemetry: {e}");
+                            return ExitCode::FAILURE;
+                        }
                     };
                     print!("{}", tlat_sim::metrics::summarize(&file));
                 }

@@ -1,27 +1,18 @@
-//! Bitsliced pattern-history automata: up to 64 lanes' two-bit states
-//! packed as two `u64` planes.
-//!
-//! A gang sweep steps one tiny automaton per lane per branch event.
-//! For Lee & Smith lanes the automaton *is* the whole per-event state,
-//! so lanes that share a table geometry — and therefore see identical
-//! slot sequences — can be stepped together: a [`LanePack`] keeps the
-//! high and low state bit of up to 64 lanes in two `u64` planes per
-//! table slot, and one [`LanePack::step`] evaluates the prediction
-//! function λ and the transition function δ for the whole pack with a
-//! handful of branchless ALU ops.
+//! Bitsliced pattern-history automata: up to 64 Two-Level lanes'
+//! pattern tables kept as two `u64` planes per row.
 //!
 //! Every automaton variant of the paper's Figure 2 (Last-Time and
 //! A1–A4) is expressed as a [`SliceTables`]: per-state λ/δ bit masks
 //! *derived* from the scalar [`Automaton`](crate::Automaton)
-//! implementations at construction time, so the plane algebra can
-//! never drift from `automaton.rs`. The derivation also asserts the
-//! convergence invariant that the run-chunked fast path
-//! ([`LanePack::apply_run`]) relies on: from any state, three
-//! same-outcome updates reach a fixed point whose prediction equals
-//! that outcome.
+//! implementations at construction time, so no consumer of the 2-bit
+//! state codes can drift from `automaton.rs`. The derivation also
+//! asserts the convergence invariant that run-chunked replays rely on:
+//! from any state, three same-outcome updates reach a fixed point whose
+//! prediction equals that outcome. The gang walk's slot-major replay
+//! steps Lee & Smith lanes through these codes one lane at a time; an
+//! [`AtPack`] steps up to 64 lanes of them at once.
 //!
-//! The Two-Level Adaptive lanes pack the same way, one level up: an
-//! [`AtPack`] rides up to 64 `AT` lanes whose HRT geometry matches,
+//! An [`AtPack`] rides up to 64 `AT` lanes whose HRT geometry matches,
 //! keeping every lane's *pattern table* as `2^k_max` rows of two
 //! `u64` planes and one shared history register per table slot. The
 //! level-one walk is shared because history registers depend only on
@@ -42,9 +33,8 @@ use crate::pattern::PatternTable;
 /// Bit `s` of each mask describes state code `s`:
 /// `predict` holds λ(s), `next_hi[t]`/`next_lo[t]` hold the two bits
 /// of δ(s, t). Derived from — never hand-written next to — the scalar
-/// automaton, so the exhaustive table test in `tests/bitslice_prop.rs`
-/// checks the *plane step* against `automaton.rs`, not the derivation
-/// against itself.
+/// automaton; `tests/bitslice_prop.rs` pins every mask against
+/// `automaton.rs` state by state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliceTables {
     /// The variant these tables encode.
@@ -176,201 +166,6 @@ impl VerticalCounter {
     }
 }
 
-/// Up to 64 same-geometry automaton lanes stepped as two `u64` planes
-/// per table slot.
-///
-/// Lane `k`'s 2-bit state in slot `i` is `(hi[i] >> k & 1) << 1 |
-/// (lo[i] >> k & 1)`. Lanes may mix automaton variants: the λ/δ masks
-/// are assembled per lane from each variant's [`SliceTables`], so one
-/// plane step serves a pack of, say, three A2 lanes and two Last-Time
-/// lanes. Slots map to history-table entries; the caller owns the
-/// slot discipline (probing, fills, growth) because that is table
-/// organization, not automaton state.
-#[derive(Debug, Clone)]
-pub struct LanePack {
-    lanes: usize,
-    lane_mask: u64,
-    /// `pred[s]`: lanes whose variant predicts taken in state `s`.
-    pred: [u64; 4],
-    /// `next_hi[t][s]` / `next_lo[t][s]`: lanes whose variant moves to
-    /// a state with that bit set on outcome `t` from state `s`.
-    next_hi: [[u64; 4]; 2],
-    next_lo: [[u64; 4]; 2],
-    init_hi: u64,
-    init_lo: u64,
-    hi: Vec<u64>,
-    lo: Vec<u64>,
-    counts: VerticalCounter,
-    /// Correct predictions shared uniformly by every lane: the tail of
-    /// each same-outcome run beyond the three explicit steps, where all
-    /// lanes sit at their fixed point and predict the run's direction.
-    uniform_correct: u64,
-    events: u64,
-}
-
-impl LanePack {
-    /// Builds a pack of `kinds.len()` lanes with `slots` table slots,
-    /// every slot starting in each lane's initial state (matching the
-    /// pre-warmed scalar tables).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ..= 64` lanes are requested.
-    pub fn new(kinds: &[AutomatonKind], slots: usize) -> Self {
-        assert!(
-            !kinds.is_empty() && kinds.len() <= 64,
-            "a pack holds 1..=64 lanes (got {})",
-            kinds.len()
-        );
-        let mut pred = [0u64; 4];
-        let mut next_hi = [[0u64; 4]; 2];
-        let mut next_lo = [[0u64; 4]; 2];
-        let mut init_hi = 0u64;
-        let mut init_lo = 0u64;
-        for (lane, &kind) in kinds.iter().enumerate() {
-            let tables = SliceTables::derive(kind);
-            for s in 0..4 {
-                pred[s] |= u64::from(tables.predict >> s & 1) << lane;
-                for t in 0..2 {
-                    next_hi[t][s] |= u64::from(tables.next_hi[t] >> s & 1) << lane;
-                    next_lo[t][s] |= u64::from(tables.next_lo[t] >> s & 1) << lane;
-                }
-            }
-            init_hi |= u64::from(tables.init >> 1 & 1) << lane;
-            init_lo |= u64::from(tables.init & 1) << lane;
-        }
-        let lane_mask = if kinds.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << kinds.len()) - 1
-        };
-        LanePack {
-            lanes: kinds.len(),
-            lane_mask,
-            pred,
-            next_hi,
-            next_lo,
-            init_hi,
-            init_lo,
-            hi: vec![init_hi; slots],
-            lo: vec![init_lo; slots],
-            counts: VerticalCounter::new(kinds.len()),
-            uniform_correct: 0,
-            events: 0,
-        }
-    }
-
-    /// Number of lanes in the pack.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of table slots currently held.
-    pub fn slots(&self) -> usize {
-        self.hi.len()
-    }
-
-    /// Steps every lane's automaton in `slot` on one resolved outcome,
-    /// counting correctness per lane. Returns the prediction mask (bit
-    /// `k`: lane `k` predicted taken).
-    ///
-    /// One call does the work of `lanes()` scalar predict + update
-    /// pairs: four state-indicator ANDs, a λ mux, two δ muxes, and a
-    /// carry-chain count — no per-lane loop, no branches on state.
-    #[inline]
-    pub fn step(&mut self, slot: usize, taken: bool) -> u64 {
-        let h = self.hi[slot];
-        let l = self.lo[slot];
-        let i0 = !h & !l;
-        let i1 = !h & l;
-        let i2 = h & !l;
-        let i3 = h & l;
-        let pred = (i0 & self.pred[0])
-            | (i1 & self.pred[1])
-            | (i2 & self.pred[2])
-            | (i3 & self.pred[3]);
-        let t = taken as usize;
-        self.hi[slot] = (i0 & self.next_hi[t][0])
-            | (i1 & self.next_hi[t][1])
-            | (i2 & self.next_hi[t][2])
-            | (i3 & self.next_hi[t][3]);
-        self.lo[slot] = (i0 & self.next_lo[t][0])
-            | (i1 & self.next_lo[t][1])
-            | (i2 & self.next_lo[t][2])
-            | (i3 & self.next_lo[t][3]);
-        let correct = if taken { pred } else { !pred } & self.lane_mask;
-        self.counts.add(correct);
-        self.events += 1;
-        pred & self.lane_mask
-    }
-
-    /// Applies a run of `n` identical outcomes to `slot` in O(1) work
-    /// beyond three plane steps.
-    ///
-    /// After at most three same-outcome steps every lane sits at a
-    /// fixed point that predicts the run's direction (asserted when
-    /// the tables are derived), so the remaining `n - 3` events leave
-    /// the planes untouched and are all correct for all lanes — a
-    /// single shared counter increment, no per-lane work at all.
-    pub fn apply_run(&mut self, slot: usize, taken: bool, n: u64) {
-        let explicit = n.min(3);
-        for _ in 0..explicit {
-            self.step(slot, taken);
-        }
-        self.uniform_correct += n - explicit;
-        self.events += n - explicit;
-    }
-
-    /// Resets `slot` to every lane's initial state — the pack-side
-    /// mirror of a history-table fill on a cold or invalid entry.
-    pub fn fill_slot(&mut self, slot: usize) {
-        self.hi[slot] = self.init_hi;
-        self.lo[slot] = self.init_lo;
-    }
-
-    /// Appends one freshly-initialized slot (ideal-table growth) and
-    /// returns its index.
-    pub fn push_slot(&mut self) -> usize {
-        self.hi.push(self.init_hi);
-        self.lo.push(self.init_lo);
-        self.hi.len() - 1
-    }
-
-    /// Lane `lane`'s 2-bit state code in `slot`.
-    pub fn state_bits(&self, slot: usize, lane: usize) -> u8 {
-        assert!(lane < self.lanes);
-        ((self.hi[slot] >> lane & 1) << 1 | (self.lo[slot] >> lane & 1)) as u8
-    }
-
-    /// Overwrites lane `lane`'s state in `slot` with an arbitrary
-    /// 2-bit code — test support for driving the plane step through
-    /// every state exhaustively, including codes a run from `init`
-    /// would never visit.
-    pub fn set_state(&mut self, slot: usize, lane: usize, bits: u8) {
-        assert!(lane < self.lanes);
-        let clear = !(1u64 << lane);
-        self.hi[slot] = self.hi[slot] & clear | u64::from(bits >> 1 & 1) << lane;
-        self.lo[slot] = self.lo[slot] & clear | u64::from(bits & 1) << lane;
-    }
-
-    /// Events stepped so far — each lane's `predicted` count.
-    pub fn predicted(&self) -> u64 {
-        self.events
-    }
-
-    /// Per-lane correct-prediction totals over every event stepped so
-    /// far (explicit steps via the vertical counters, run tails via
-    /// the shared uniform count).
-    pub fn correct_counts(&mut self) -> Vec<u64> {
-        self.counts.flush();
-        self.counts
-            .totals
-            .iter()
-            .map(|&t| t + self.uniform_correct)
-            .collect()
-    }
-}
-
 /// One Two-Level lane's pack-relevant shape: everything an [`AtPack`]
 /// needs to replicate the lane's scalar predict → train cycle
 /// exactly. HRT organization is *not* here — slot discipline belongs
@@ -405,21 +200,23 @@ struct AtGroup {
 /// planes over one shared per-slot history walk.
 ///
 /// Lane `k`'s pattern-table entry for pattern `p` is the 2-bit code
-/// `(rows_hi[p] >> k & 1) << 1 | rows_lo[p] >> k & 1` — the same
-/// plane encoding as [`LanePack`], with table *rows* in place of HRT
-/// slots. Per HRT slot the pack keeps one `k_max`-bit history
-/// register and a 64-lane cached-prediction plane; each step walks
-/// the history once and advances every lane's indexed automaton
-/// through the per-group masked rows. Lanes may mix automaton
-/// variants, history lengths, §3.2 caching, and init polarity; the
-/// caller owns the slot discipline (probing, fills, growth), exactly
-/// as for [`LanePack`].
+/// `(rows_hi[p] >> k & 1) << 1 | rows_lo[p] >> k & 1`. Per HRT slot
+/// the pack keeps one `k_max`-bit history register and a 64-lane
+/// cached-prediction plane; each step walks the history once and
+/// advances every lane's indexed automaton through the per-group
+/// masked rows. Lanes may mix automaton variants, history lengths,
+/// §3.2 caching, and init polarity: the λ/δ masks are assembled per
+/// lane from each variant's [`SliceTables`]. The caller owns the slot
+/// discipline (probing, fills, growth), because that is table
+/// organization, not automaton state.
 #[derive(Debug, Clone)]
 pub struct AtPack {
     specs: Vec<AtLaneConfig>,
     lane_mask: u64,
-    /// λ/δ masks, per state code, assembled per lane (see [`LanePack`]).
+    /// `pred[s]`: lanes whose variant predicts taken in state `s`.
     pred: [u64; 4],
+    /// `next_hi[t][s]` / `next_lo[t][s]`: lanes whose variant moves to
+    /// a state with that bit set on outcome `t` from state `s`.
     next_hi: [[u64; 4]; 2],
     next_lo: [[u64; 4]; 2],
     /// Lanes taking the §3.2 cached guess; the rest read λ(old row).
@@ -737,26 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_slots_and_fills_start_at_init() {
-        let kinds = [AutomatonKind::A2, AutomatonKind::LastTime];
-        let mut pack = LanePack::new(&kinds, 2);
-        for (lane, kind) in kinds.iter().enumerate() {
-            assert_eq!(pack.state_bits(0, lane), kind.init().state_bits());
-        }
-        pack.step(1, false);
-        pack.step(1, false);
-        pack.fill_slot(1);
-        for (lane, kind) in kinds.iter().enumerate() {
-            assert_eq!(pack.state_bits(1, lane), kind.init().state_bits());
-        }
-        let grown = pack.push_slot();
-        assert_eq!(grown, 2);
-        for (lane, kind) in kinds.iter().enumerate() {
-            assert_eq!(pack.state_bits(grown, lane), kind.init().state_bits());
-        }
-    }
-
-    #[test]
     fn vertical_counter_survives_a_flush_boundary() {
         // 1000 adds of a two-lane mask crosses the 255-add flush point
         // three times; totals must still be exact per lane.
@@ -767,23 +544,6 @@ mod tests {
         }
         c.flush();
         assert_eq!(c.totals, vec![1000, 500, 0]);
-    }
-
-    #[test]
-    fn a_full_64_lane_pack_masks_correctly() {
-        let kinds = vec![AutomatonKind::A2; 64];
-        let mut pack = LanePack::new(&kinds, 1);
-        // A2 init (weakly taken, state 2) predicts taken in all lanes.
-        let pred = pack.step(0, true);
-        assert_eq!(pred, u64::MAX);
-        assert_eq!(pack.correct_counts(), vec![1; 64]);
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=64 lanes")]
-    fn oversized_packs_are_rejected() {
-        let kinds = vec![AutomatonKind::A2; 65];
-        LanePack::new(&kinds, 1);
     }
 
     /// One scalar Two-Level lane driven through the exact fused

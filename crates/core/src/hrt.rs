@@ -336,47 +336,19 @@ impl<E: Clone> Ahrt<E> {
     /// The probe every lookup path shares: `base` is the set's first
     /// way index (`set * assoc`) and `tag` the pc's tag, either derived
     /// from the pc ([`HistoryTable::get_or_allocate`]) or precomputed
-    /// per site ([`SiteKeys`]). Statistics, LRU clocking, and victim
-    /// selection are identical either way.
+    /// per site ([`SiteKeys`]). The decision is
+    /// [`probe_slot`](Ahrt::probe_slot)'s, applied to the entry by
+    /// [`slot_entry`](Ahrt::slot_entry), so statistics, LRU clocking,
+    /// and victim selection are identical on every path.
     #[inline]
     fn probe(&mut self, base: usize, tag: u32, init: impl FnOnce() -> E) -> (&mut E, bool) {
-        self.stats.accesses += 1;
-        self.clock += 1;
-        let slots = &mut self.ways[base..base + self.assoc];
-
-        // Hit? (INVALID_TAG never matches a real tag.)
-        if let Some(i) = slots.iter().position(|w| w.tag == tag) {
-            slots[i].stamp = self.clock;
-            return (&mut slots[i].entry, true);
-        }
-
-        // Miss: prefer a never-filled way, else the LRU way.
-        self.stats.misses += 1;
-        let victim = slots
-            .iter()
-            .position(|w| w.tag == INVALID_TAG)
-            .unwrap_or_else(|| {
-                slots
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.stamp)
-                    .map(|(i, _)| i)
-                    .expect("associativity is non-zero")
-            });
-        let way = &mut slots[victim];
-        let was_invalid = way.tag == INVALID_TAG;
-        way.tag = tag;
-        way.stamp = self.clock;
-        if was_invalid || self.reinit_on_replace {
-            way.entry = init();
-        }
-        (&mut way.entry, false)
+        let probe = self.probe_slot(base, tag);
+        (self.slot_entry(probe, init), probe.outcome == ProbeOutcome::Hit)
     }
 
-    /// [`probe`](Ahrt::probe) with the decision externalized: the same
-    /// statistics, LRU clocking, tag matching, and victim selection,
-    /// but reported as a [`Probe`] instead of resolved to an entry.
-    /// Drives a [`SlotProbe`], whose table carries no payload.
+    /// One access's tag match or victim choice, with its statistics and
+    /// LRU clocking, reported as a [`Probe`] instead of resolved to an
+    /// entry. Drives a [`SlotProbe`], whose table carries no payload.
     #[inline]
     fn probe_slot(&mut self, base: usize, tag: u32) -> Probe {
         self.stats.accesses += 1;
@@ -411,18 +383,18 @@ impl<E: Clone> Ahrt<E> {
         }
     }
 
-    /// Applies a replayed [`Probe`] decision to this table: entry
-    /// initialization and every prediction that follows end up exactly
-    /// as [`probe`](Ahrt::probe) on the same access sequence would
-    /// leave them — the scan and victim search were paid once, by the
-    /// shared [`SlotProbe`].
+    /// Applies a [`Probe`] decision to this table's entry: a fill
+    /// initializes it, a replacement inherits it (or re-initializes it,
+    /// under [`Ahrt::set_reinit_on_replace`]). Replayed from a shared
+    /// [`SlotProbe`], the scan and victim search were paid once for
+    /// every lane of the geometry.
     ///
-    /// The lane's own tag/stamp metadata and access statistics are not
-    /// touched: the engine's copies are the source of truth for the
-    /// whole walk (a slot-replayed walk drives *every* access, so the
-    /// stale metadata is never consulted), and the engine's statistics
-    /// — identical for every lane in the group — are folded back once
-    /// via [`Ahrt::adopt_probe_stats`].
+    /// The table's own tag/stamp metadata and access statistics are not
+    /// touched: under a replay the engine's copies are the source of
+    /// truth for the whole walk (a slot-replayed walk drives *every*
+    /// access, so the stale metadata is never consulted), and the
+    /// engine's statistics — identical for every lane in the group —
+    /// are folded back once via [`Ahrt::adopt_probe_stats`].
     #[inline]
     fn slot_entry(&mut self, p: Probe, init: impl FnOnce() -> E) -> &mut E {
         let way = &mut self.ways[p.slot as usize];
@@ -642,11 +614,11 @@ impl<E: Clone> AnyHrt<E> {
 
     /// Accumulates externally-counted access statistics into this
     /// table, after a walk that probed on the table's behalf: a shared
-    /// [`SlotProbe`] for a slot-replayed walk, or the per-pack probe
-    /// driver of a bitsliced walk (any organization). Either way the
-    /// engine counted exactly what per-lane probing would have, so the
-    /// lane's [`stats`](HistoryTable::stats) report is unchanged by
-    /// the replay.
+    /// [`SlotProbe`] for a slot-replayed walk, or the slot driver of a
+    /// bitsliced pack or a slot-major replay (any organization). Either
+    /// way the engine counted exactly what per-lane probing would have,
+    /// so the lane's [`stats`](HistoryTable::stats) report is unchanged
+    /// by the replay.
     pub fn adopt_probe_stats(&mut self, stats: HrtStats) {
         let own = match self {
             AnyHrt::Ideal(t) => &mut t.stats,
@@ -703,8 +675,9 @@ impl SlotProbe {
     /// tag hits on the probed slot (the way holds the site's tag the
     /// moment the first probe returns). Statistics, LRU clock, and the
     /// way's stamp end up exactly as `n` calls to
-    /// [`step`](SlotProbe::step) would leave them. Feeds the bitsliced
-    /// pack walk, which consumes the event stream in same-site runs.
+    /// [`step`](SlotProbe::step) would leave them. Feeds the private
+    /// probe passes of the bitsliced pack walk and the slot-major
+    /// replay, which consume the event stream in same-site runs.
     #[inline]
     pub fn step_run(&mut self, site: SiteId, n: u64) -> Probe {
         debug_assert!(n >= 1, "a run has at least one access");

@@ -8,10 +8,9 @@
 //! last time".
 
 use crate::automaton::{AnyAutomaton, AutomatonKind};
-use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe, SiteKeys, SiteResolver};
+use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats};
 use crate::predictor::Predictor;
-use std::sync::Arc;
-use tlat_trace::{BranchRecord, SiteId};
+use tlat_trace::BranchRecord;
 
 /// Configuration of a [`LeeSmithBtb`] predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,9 +70,6 @@ impl Default for LeeSmithConfig {
 pub struct LeeSmithBtb {
     config: LeeSmithConfig,
     table: AnyHrt<AnyAutomaton>,
-    /// Per-trace resolved site keys; set by
-    /// [`bind_sites`](LeeSmithBtb::bind_sites).
-    keys: Option<Arc<SiteKeys>>,
 }
 
 impl LeeSmithBtb {
@@ -86,51 +82,12 @@ impl LeeSmithBtb {
         LeeSmithBtb {
             config,
             table: AnyHrt::build(config.hrt, config.automaton.init()),
-            keys: None,
         }
     }
 
-    /// Binds this predictor to a compiled trace's interned sites (see
-    /// [`TwoLevelAdaptive::bind_sites`](crate::TwoLevelAdaptive::bind_sites)).
-    pub fn bind_sites(&mut self, resolver: &mut SiteResolver) {
-        self.keys = Some(resolver.keys(self.config.hrt));
-    }
-
-    /// The fused [`Predictor::predict_update`] cycle driven by an
-    /// interned [`SiteId`]: observably identical, with the buffer
-    /// coordinates precomputed per trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`bind_sites`](LeeSmithBtb::bind_sites) ran first.
-    #[inline]
-    pub fn predict_update_site(&mut self, site: SiteId, taken: bool) -> bool {
-        let keys = self
-            .keys
-            .as_ref()
-            .expect("bind_sites must run before predict_update_site");
-        let kind = self.config.automaton;
-        let (entry, _) = self.table.get_or_allocate_site(site, keys, || kind.init());
-        let guess = entry.predict();
-        *entry = entry.update(taken);
-        guess
-    }
-
-    /// [`predict_update_site`](LeeSmithBtb::predict_update_site) with
-    /// the buffer probe decision replayed from a shared
-    /// [`SlotProbe`](crate::SlotProbe): observably identical, with the
-    /// per-lane way scan already paid.
-    #[inline]
-    pub fn predict_update_slot(&mut self, probe: Probe, taken: bool) -> bool {
-        let kind = self.config.automaton;
-        let entry = self.table.slot_entry(probe, || kind.init());
-        let guess = entry.predict();
-        *entry = entry.update(taken);
-        guess
-    }
-
-    /// Folds a shared probe engine's access statistics into this
-    /// predictor's buffer after a slot-replayed walk (see
+    /// Folds the access statistics of probing done on this predictor's
+    /// behalf into its buffer, after a walk that replayed its lane off
+    /// the buffer's slot sequence (see
     /// [`AnyHrt::adopt_probe_stats`](crate::AnyHrt::adopt_probe_stats)).
     pub fn adopt_probe_stats(&mut self, stats: HrtStats) {
         self.table.adopt_probe_stats(stats);

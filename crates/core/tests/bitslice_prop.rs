@@ -1,57 +1,24 @@
-//! Differential tests for the bitsliced automaton planes: every
+//! Differential tests for the bitsliced automaton planes: the derived
+//! [`SliceTables`] must agree with the scalar automata of
+//! `automaton.rs` over the whole state/outcome space, and every
 //! prediction, transition, and correctness count of
-//! [`tlat_core::LanePack`] and [`tlat_core::AtPack`] must agree with
-//! the scalar automata of `automaton.rs` (and, for AT packs, the
-//! scalar fused predict → train cycle over [`PatternTable`] +
-//! [`HistoryRegister`]) — exhaustively over the state/outcome space,
-//! and property-tested (with shrinking) over random outcome streams.
-//! This is the inner rail of the gang engine's byte-identity story;
-//! the outer rail is the gang-vs-sequential tests in `tlat-sim`.
+//! [`tlat_core::AtPack`] with the scalar fused predict → train cycle
+//! over [`PatternTable`] + [`HistoryRegister`], property-tested (with
+//! shrinking) over random outcome streams. This is the inner rail of
+//! the gang engine's byte-identity story; the outer rail is the
+//! gang-vs-record tests in `tlat-sim`.
 
 use tlat_check::{check, gen, prop_assert_eq, Gen};
-use tlat_core::{
-    AnyAutomaton, AtLaneConfig, AtPack, AutomatonKind, HistoryRegister, LanePack, PatternTable,
-    SliceTables,
-};
+use tlat_core::{AtLaneConfig, AtPack, AutomatonKind, HistoryRegister, PatternTable, SliceTables};
 
 fn arb_kind() -> Gen<AutomatonKind> {
     gen::choose(&AutomatonKind::ALL)
 }
 
-/// Satellite: exhaustive transition-table verification. All 4 state
-/// codes × 2 outcomes × every variant, driven through the *plane step*
-/// (not the table derivation, which would only test it against
-/// itself): the resulting prediction and next state must equal the
-/// scalar automaton's λ and δ.
-#[test]
-fn plane_step_matches_scalar_step_exhaustively() {
-    for kind in AutomatonKind::ALL {
-        for state in 0..4u8 {
-            for taken in [false, true] {
-                let scalar = kind.from_state_bits(state);
-                let mut pack = LanePack::new(&[kind], 1);
-                pack.set_state(0, 0, state);
-                let pred = pack.step(0, taken);
-                assert_eq!(
-                    pred & 1 != 0,
-                    scalar.predict(),
-                    "{}: λ({state}) diverged",
-                    kind.name()
-                );
-                assert_eq!(
-                    pack.state_bits(0, 0),
-                    scalar.update(taken).state_bits(),
-                    "{}: δ({state}, {taken}) diverged",
-                    kind.name()
-                );
-            }
-        }
-    }
-}
-
-/// The derived mask tables themselves, state by state, against the
-/// scalar automaton (the plane-level test above covers the muxing; this
-/// pins the per-variant masks directly).
+/// The derived mask tables, state by state, against the scalar
+/// automaton: exhaustive over all 4 state codes × 2 outcomes × every
+/// variant. These are the codes an AT pack's planes mux and the gang
+/// walk's slot-major replay steps Lee & Smith lanes through.
 #[test]
 fn derived_tables_match_scalar_lambda_and_delta() {
     for kind in AutomatonKind::ALL {
@@ -67,109 +34,6 @@ fn derived_tables_match_scalar_lambda_and_delta() {
         }
         assert_eq!(t.init, kind.init().state_bits(), "{} init", kind.name());
     }
-}
-
-/// Drives `outcomes` through a pack and the equivalent scalar automata
-/// side by side, checking every per-event prediction, the final state,
-/// and the correctness totals.
-fn assert_pack_matches_scalars(kinds: &[AutomatonKind], outcomes: &[bool]) -> Result<(), String> {
-    let mut pack = LanePack::new(kinds, 1);
-    let mut scalars: Vec<AnyAutomaton> = kinds.iter().map(|k| k.init()).collect();
-    let mut correct = vec![0u64; kinds.len()];
-    for (i, &taken) in outcomes.iter().enumerate() {
-        let pred = pack.step(0, taken);
-        for (lane, a) in scalars.iter_mut().enumerate() {
-            prop_assert_eq!(
-                pred >> lane & 1 != 0,
-                a.predict(),
-                "lane {lane} ({}) diverged at event {i}",
-                kinds[lane].name()
-            );
-            correct[lane] += (a.predict() == taken) as u64;
-            *a = a.update(taken);
-        }
-    }
-    for (lane, a) in scalars.iter().enumerate() {
-        prop_assert_eq!(
-            pack.state_bits(0, lane),
-            a.state_bits(),
-            "lane {lane} ({}) final state",
-            kinds[lane].name()
-        );
-    }
-    prop_assert_eq!(pack.predicted(), outcomes.len() as u64, "event count");
-    prop_assert_eq!(pack.correct_counts(), correct, "correct totals");
-    Ok(())
-}
-
-/// Satellite: per-variant differential property. Random bursty outcome
-/// sequences (long enough to cross the vertical counters' 255-add
-/// flush) stepped through the scalar automaton and a single-lane pack
-/// must agree on every prediction, the final state, and the counters —
-/// one independently-seeded property per variant, each shrinking to a
-/// minimal diverging run list.
-#[test]
-fn each_variant_matches_its_scalar_automaton_on_random_streams() {
-    for kind in AutomatonKind::ALL {
-        let runs = gen::outcome_runs(24, 90);
-        check(
-            &format!("bitslice_matches_scalar_{}", kind.name()),
-            &runs,
-            |runs| assert_pack_matches_scalars(&[kind], &gen::expand_runs(runs)),
-        );
-    }
-}
-
-/// Mixed packs: random lane counts (1–64, covering K<64 partial packs)
-/// mixing all five variants, random outcome streams — every lane must
-/// behave exactly as its solo scalar automaton.
-#[test]
-fn mixed_packs_match_scalar_automata_lane_for_lane() {
-    let inputs = gen::tuple2(gen::vec_of(arb_kind(), 1, 64), gen::outcome_runs(16, 70));
-    check(
-        "bitslice_mixed_pack_matches_scalars",
-        &inputs,
-        |(kinds, runs)| assert_pack_matches_scalars(kinds, &gen::expand_runs(runs)),
-    );
-}
-
-/// Satellite: word-chunk run application. Applying each `(direction,
-/// length)` run via `apply_run` — which takes at most three plane steps
-/// and accounts the tail in O(1) — must leave states, event counts,
-/// and per-lane correctness totals identical to stepping every event,
-/// including runs far longer than a 64-bit word and partial packs.
-#[test]
-fn run_application_equals_event_by_event_stepping() {
-    let inputs = gen::tuple2(gen::vec_of(arb_kind(), 1, 64), gen::outcome_runs(12, 200));
-    check(
-        "bitslice_apply_run_equals_stepping",
-        &inputs,
-        |(kinds, runs)| {
-            let mut chunked = LanePack::new(kinds, 1);
-            let mut stepped = LanePack::new(kinds, 1);
-            for &(taken, len) in runs {
-                chunked.apply_run(0, taken, len as u64);
-                for _ in 0..len {
-                    stepped.step(0, taken);
-                }
-            }
-            for lane in 0..kinds.len() {
-                prop_assert_eq!(
-                    chunked.state_bits(0, lane),
-                    stepped.state_bits(0, lane),
-                    "lane {lane} ({}) state after runs",
-                    kinds[lane].name()
-                );
-            }
-            prop_assert_eq!(chunked.predicted(), stepped.predicted(), "event counts");
-            prop_assert_eq!(
-                chunked.correct_counts(),
-                stepped.correct_counts(),
-                "correct totals"
-            );
-            Ok(())
-        },
-    );
 }
 
 /// A lane spec for AT-pack properties: all five variants, history
@@ -411,39 +275,4 @@ fn at_run_application_equals_event_by_event_stepping() {
             Ok(())
         },
     );
-}
-
-/// Slot independence: interleaving events across several slots keeps
-/// each slot's planes exactly as scalar per-slot automata would be —
-/// the shape a real table walk (sites mapping to different slots)
-/// exercises.
-#[test]
-fn slots_evolve_independently() {
-    let inputs = gen::tuple2(
-        gen::vec_of(arb_kind(), 1, 8),
-        gen::vec_of(gen::tuple2(gen::usize_in(0, 3), gen::bools()), 0, 200),
-    );
-    check("bitslice_slots_are_independent", &inputs, |(kinds, events)| {
-        let mut pack = LanePack::new(kinds, 4);
-        let mut scalars: Vec<Vec<AnyAutomaton>> = (0..4)
-            .map(|_| kinds.iter().map(|k| k.init()).collect())
-            .collect();
-        for &(slot, taken) in events {
-            let pred = pack.step(slot, taken);
-            for (lane, a) in scalars[slot].iter_mut().enumerate() {
-                prop_assert_eq!(pred >> lane & 1 != 0, a.predict(), "slot {slot} lane {lane}");
-                *a = a.update(taken);
-            }
-        }
-        for slot in 0..4 {
-            for (lane, a) in scalars[slot].iter().enumerate() {
-                prop_assert_eq!(
-                    pack.state_bits(slot, lane),
-                    a.state_bits(),
-                    "slot {slot} lane {lane} final state"
-                );
-            }
-        }
-        Ok(())
-    });
 }

@@ -7,7 +7,7 @@
 //! interact — so the gang engine walks the trace *once*, feeding every
 //! configuration's predictor in turn from the same hot `BranchRecord`.
 //!
-//! Six further savings fall out:
+//! Seven further savings fall out:
 //!
 //! * **Monomorphization** — every registered scheme runs as a concrete
 //!   enum variant of [`GangLane`] ([`GangLane::from_config`] never
@@ -30,26 +30,36 @@
 //!   event; each lane applies the replayed slot decision via a direct
 //!   indexed entry access, and the engine's access statistics are
 //!   folded back into every sharing lane once per walk.
-//! * **Bitsliced gang lanes** — same-geometry lanes whose per-event
-//!   state fits two-bit automata group into SWAR plane packs. LS
-//!   lanes pack per table slot (one automaton each,
-//!   [`tlat_core::LanePack`]); Two-Level lanes sharing an
-//!   [`HrtConfig`] pack per pattern-table row
+//! * **Slot-major replay** — a Lee & Smith (LS) lane keeps one
+//!   automaton per table slot and a Static Training (ST) lane one
+//!   history register per slot, read against preset bits frozen before
+//!   the walk. Neither reads another slot's state, neither
+//!   re-initializes a replaced way, and a way that fills was never
+//!   touched, so it still holds the pre-warmed initial state: each
+//!   slot's guesses depend only on that slot's outcomes, in order. So
+//!   every LS and ST lane leaves the per-event loop. Per geometry the
+//!   walk buckets the outcome bits by slot in one counting pass, then
+//!   steps each lane slot by slot through same-outcome runs: an LS
+//!   automaton takes at most three steps per run (it then sits at a
+//!   fixed point predicting the run), an ST register at most
+//!   `history_bits` shifts (it then reads all one direction, so the
+//!   rest of the run guesses one preset bit, which a profile may set
+//!   against the run).
+//! * **Bitsliced AT packs** — packable Two-Level lanes sharing an
+//!   [`HrtConfig`] group into SWAR plane packs per pattern-table row
 //!   ([`tlat_core::AtPack`]), where the level-one history walk is
 //!   shared once per pack — history registers depend only on the
-//!   outcome stream and HRT geometry, so one per-slot register
-//!   drives every lane's masked row index, and the variant ×
-//!   history-length grid of a fig10 sweep collapses into a handful
-//!   of packs. Both flavors share the slot drivers: ideal, hashed,
-//!   and private associative packs skip the per-event loop entirely
-//!   and replay the stream in `(site, outcome)` runs; packs riding a
-//!   mixed gang's shared probe engine either log each probe's slot
-//!   (loop-heavy streams; the pack replays the log in `(slot,
+//!   outcome stream and HRT geometry, so one per-slot register drives
+//!   every lane's masked row index, and the variant × history-length
+//!   grid of a fig10 sweep collapses into a handful of packs. Ideal,
+//!   hashed, and private associative packs skip the per-event loop
+//!   entirely and replay the stream in `(site, outcome)` runs; packs
+//!   riding a mixed gang's shared probe engine either log each probe's
+//!   slot (loop-heavy streams; the pack replays the log in `(slot,
 //!   outcome)` runs afterwards) or take one branchless plane step per
-//!   event in-loop (churny streams). In every run-replayed walk a
-//!   loop branch's same-outcome tail applies in O(1) once every
-//!   history register saturates and every automaton sits at its
-//!   fixed point.
+//!   event in-loop (churny streams). In every run-replayed walk a loop
+//!   branch's same-outcome tail applies in O(1) once every history
+//!   register saturates and every automaton sits at its fixed point.
 //! * **Closed-form static scoring** — a profile lane's frozen per-site
 //!   bits never change during a walk, so its score is a weighted sum
 //!   over the compiled stream's per-site taken counts: per site, not
@@ -62,8 +72,8 @@
 //!
 //! A compiled walk is decided before it runs: `plan` turns the lanes
 //! and the stream's shape into a `WalkPlan` value — each lane's path,
-//! the shared engines, and each pack's lanes and slot driver — and one
-//! executor runs any such plan. Results are bit-identical to driving
+//! the shared engines, and each pack's and slot-major replay's lanes
+//! and slot driver — and one executor runs any such plan. Results are bit-identical to driving
 //! [`crate::simulate_with`] once per predictor, and to the reference
 //! record walk [`gang_simulate_records`], under every plan: each lane
 //! observes exactly the same predict/update sequence it would alone.
@@ -75,12 +85,13 @@ use crate::pool::{catch_cell, CellPanic};
 use crate::stats::{PredictionStats, SimResult};
 use std::collections::HashMap;
 use tlat_core::{
-    AtPack, Gshare, HrtConfig, HrtStats, LanePack, LeeSmithBtb, Predictor, Probe, ProbeOutcome,
-    ProfilePredictor, SiteKeys, SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig,
-    Tournament, TwoLevelAdaptive, TwoLevelVariant,
+    AtLaneConfig, AtPack, Gshare, HrtConfig, HrtStats, LeeSmithBtb, Predictor, Probe, ProbeOutcome,
+    ProfilePredictor, SiteKeys, SiteResolver, SliceTables, SlotProbe, StaticTraining,
+    StaticTrainingConfig, Tournament, TwoLevelAdaptive, TwoLevelVariant,
 };
 use tlat_trace::{
-    BranchClass, BranchRecord, CompiledTrace, RasEvent, ReturnAddressStack, SiteId, Trace,
+    BranchClass, BranchRecord, CompiledTrace, PackedBits, RasEvent, ReturnAddressStack, SiteId,
+    Trace,
 };
 
 /// One predictor riding a gang walk.
@@ -243,7 +254,8 @@ impl GangLane {
     }
 
     /// Folds the access statistics of the probing done on this lane's
-    /// behalf (a shared engine or a pack's slot driver) into its table.
+    /// behalf (a shared engine, or a pack's or a replay's slot driver)
+    /// into its table.
     fn adopt_probe_stats(&mut self, stats: HrtStats) {
         match self {
             GangLane::TwoLevel(p) => p.adopt_probe_stats(stats),
@@ -290,8 +302,6 @@ macro_rules! scalar_lane {
 
 scalar_lane! {
     TwoLevelAdaptive => |p, _, probe, taken| p.predict_update_slot(probe, taken);
-    LeeSmithBtb => |p, _, probe, taken| p.predict_update_slot(probe, taken);
-    StaticTraining => |p, _, probe, taken| p.predict_update_slot(probe, taken);
     TwoLevelVariant => |p, site, probe, taken| p.predict_update_slot(site, probe, taken);
     Tournament<TwoLevelAdaptive, Gshare> => |p, site, probe, taken| {
         p.predict_update_slot(site, probe, taken)
@@ -347,15 +357,16 @@ impl<'a, P: ScalarLane> Scalars<'a, P> {
 const PACK_WIDTH: usize = 64;
 
 /// Mean same-site run length (in events) from which a stream counts
-/// as loop-heavy: a mixed gang's shared packs then switch from
+/// as loop-heavy: a mixed gang's shared AT packs then switch from
 /// stepping inside the per-event loop to replaying a logged slot
 /// stream in run chunks, and every packable Two-Level lane packs.
 /// Below it, runs are too short for chunking to amortize the log's
 /// write-and-rescan.
 const LOG_REPLAY_MIN_RUN: usize = 3;
 
-/// How many of a pack group's `count` candidate lanes go into bitsliced
-/// packs (the rest take the scalar site/slot path).
+/// How many of an AT pack group's `count` candidate lanes go into
+/// bitsliced packs on a churny stream (the rest take the scalar
+/// site/slot path).
 ///
 /// A single lane gains nothing from plane form, so groups need at
 /// least two lanes to pack at all, and when chunking by
@@ -376,8 +387,10 @@ enum LanePath {
     Site,
     /// Scalar, replaying shared engine `e`'s probe decisions.
     Slot(usize),
-    /// A member of pack `p`.
+    /// A member of AT pack `p`.
     Packed(usize),
+    /// A member of slot-major replay `r`: an LS or ST lane.
+    SlotMajor(usize),
     /// A profile or fixed-rule lane, scored in closed form from the
     /// stream's tallies.
     ClosedForm,
@@ -385,109 +398,111 @@ enum LanePath {
     Dyn,
 }
 
-/// The bitsliced pack flavors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Flavor {
-    /// Lee & Smith lanes on a [`LanePack`].
-    LeeSmith,
-    /// Two-Level lanes on an [`AtPack`].
-    TwoLevel,
-}
-
-/// Where a pack's slot sequence comes from.
+/// Where a pack's or a slot-major replay's slot sequence comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotDriver {
-    /// Ideal table: slot = site, a site's first run fills its slot.
+    /// Ideal table: slot = site, a site's first event fills its slot.
     Ideal,
     /// Hashed table: per-site slots, every access hits.
     Hashed,
-    /// Associative table: a pack-owned engine, advanced one real probe
-    /// per same-site run.
+    /// Associative table: an engine of the group's own, advanced one
+    /// real probe per same-site run.
     Private,
     /// Associative table: shared engine `e`, one plane step per event
-    /// inside the per-event loop.
+    /// inside the per-event loop (AT packs only).
     Stepped(usize),
     /// Associative table: shared engine `e`, whose probes the
-    /// per-event loop logs for the pack to replay in runs afterwards.
+    /// per-event loop logs for the group to replay afterwards.
     Logged(usize),
 }
 
-/// One bitsliced pack of a [`WalkPlan`].
+/// Lanes that ride one slot sequence: a bitsliced AT pack, or the LS
+/// and ST lanes of one slot-major replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct PackPlan {
-    flavor: Flavor,
+struct GroupPlan {
     /// The organization every member's table shares.
     hrt: HrtConfig,
-    /// Member lane indices, ascending; at most [`PACK_WIDTH`].
+    /// Member lane indices, ascending; a pack holds at most
+    /// [`PACK_WIDTH`].
     lanes: Vec<usize>,
     driver: SlotDriver,
 }
 
-/// Everything a compiled walk decides before it runs. Engines and
-/// packs are numbered in order of their first lane.
+/// Everything a compiled walk decides before it runs. Engines, packs
+/// and replays are numbered in order of their first lane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct WalkPlan {
     /// Each lane's path, in lane order.
     lanes: Vec<LanePath>,
     /// The geometry of each shared [`SlotProbe`].
     engines: Vec<HrtConfig>,
-    packs: Vec<PackPlan>,
+    /// Bitsliced AT packs.
+    packs: Vec<GroupPlan>,
+    /// Slot-major replays, one per organization with LS or ST lanes.
+    replays: Vec<GroupPlan>,
 }
 
 /// Decides how `lanes` ride a walk over a stream of the given shape.
 ///
-/// * **Packing.** LS lanes sharing an exact organization, and packable
-///   Two-Level lanes ([`tlat_core::TwoLevelConfig::pack_lane`]), group
-///   per flavor and organization and chunk [`PACK_WIDTH`] per pack in
-///   lane order, down to [`packed_quota`]'s strand rule. An AT pack's
-///   row arithmetic amortizes over lanes sharing a history *mask*:
-///   every distinct history length adds its own row visit per event,
-///   sixteen bytes of plane where the scalar fused cycle touches one.
-///   So on a churny stream an AT lane is a candidate only beside a
-///   mask-group partner; on a loop-heavy stream every packable AT lane
-///   packs, down to a lone one, because the pack leaves the per-event
-///   loop and collapses a same-outcome run to at most `history_bits +
-///   3` plane steps where scalar lanes pay every event.
+/// * **Slot-major replay.** Every LS and ST lane joins its
+///   organization's slot-major replay, on every stream shape and
+///   however many lanes share it.
+/// * **Packing.** Packable Two-Level lanes
+///   ([`tlat_core::TwoLevelConfig::pack_lane`]) group per organization
+///   and chunk [`PACK_WIDTH`] per pack in lane order. A pack's row
+///   arithmetic amortizes over lanes sharing a history *mask*: every
+///   distinct history length adds its own row visit per event, sixteen
+///   bytes of plane where the scalar fused cycle touches one. So on a
+///   churny stream a lane is a candidate only beside a mask-group
+///   partner, down to [`packed_quota`]'s strand rule; on a loop-heavy
+///   stream every packable lane packs, down to a lone one, because the
+///   pack leaves the per-event loop and collapses a same-outcome run
+///   to at most `history_bits + 3` plane steps where scalar lanes pay
+///   every event.
 /// * **Sharing.** Beside scalar per-event consumers, every associative
 ///   organization probed by two or more lanes gets a shared engine, and
 ///   every lane on it rides it: unpacked lanes replay its slot
-///   decisions, packs step off it in-loop on churny streams and log its
-///   probes on loop-heavy ones. Without scalar consumers there is no
-///   per-event loop to ride, and associative packs probe privately.
+///   decisions, slot-major replays read its probe log, and packs step
+///   off it in-loop on churny streams and log its probes on loop-heavy
+///   ones. Without scalar consumers there is no per-event loop to ride,
+///   and associative packs and replays probe privately.
 fn plan(lanes: &[GangLane], loop_heavy: bool) -> WalkPlan {
-    // The pack group each lane could join, with a Two-Level lane's
-    // history length: its mask group.
-    let keys: Vec<Option<(Flavor, HrtConfig, Option<u8>)>> = lanes
+    // Each packable Two-Level lane's organization and history length:
+    // its mask group.
+    let keys: Vec<Option<(HrtConfig, u8)>> = lanes
         .iter()
         .map(|lane| match lane {
-            GangLane::LeeSmith(p) => Some((Flavor::LeeSmith, p.config().hrt, None)),
-            GangLane::TwoLevel(p) => {
-                let bits = p.config().pack_lane()?.history_bits;
-                Some((Flavor::TwoLevel, p.config().hrt, Some(bits)))
-            }
+            GangLane::TwoLevel(p) => Some((p.config().hrt, p.config().pack_lane()?.history_bits)),
             _ => None,
         })
         .collect();
-    let mut groups: HashMap<(Flavor, HrtConfig), Vec<usize>> = HashMap::new();
+    let mut packed: HashMap<HrtConfig, Vec<usize>> = HashMap::new();
     for (i, key) in keys.iter().enumerate() {
-        let Some((flavor, hrt, mask)) = *key else {
+        let Some((hrt, _)) = *key else {
             continue;
         };
-        if mask.is_none() || loop_heavy || keys.iter().filter(|&other| other == key).count() >= 2 {
-            groups.entry((flavor, hrt)).or_default().push(i);
+        if loop_heavy || keys.iter().filter(|&other| other == key).count() >= 2 {
+            packed.entry(hrt).or_default().push(i);
         }
     }
-    for ((flavor, _), members) in &mut groups {
-        if *flavor == Flavor::LeeSmith || !loop_heavy {
+    if !loop_heavy {
+        for members in packed.values_mut() {
             members.truncate(packed_quota(members.len()));
         }
     }
+    let mut replayed: HashMap<HrtConfig, Vec<usize>> = HashMap::new();
+    for (i, lane) in lanes.iter().enumerate() {
+        if let GangLane::LeeSmith(_) | GangLane::StaticTraining(_) = lane {
+            let hrt = lane.hrt_config().expect("LS and ST lanes have a table");
+            replayed.entry(hrt).or_default().push(i);
+        }
+    }
     // Scalar per-event consumers remain exactly when some table lane
-    // went unpacked.
+    // is neither packed nor replayed.
     let table_lanes: Vec<HrtConfig> = lanes.iter().filter_map(GangLane::hrt_config).collect();
-    let packed: usize = groups.values().map(Vec::len).sum();
+    let grouped: usize = packed.values().chain(replayed.values()).map(Vec::len).sum();
     let mut engines: Vec<HrtConfig> = Vec::new();
-    if table_lanes.len() > packed {
+    if table_lanes.len() > grouped {
         for &hrt in &table_lanes {
             let shared = table_lanes.iter().filter(|&&other| other == hrt).count() >= 2;
             if shared && matches!(hrt, HrtConfig::Associative { .. }) && !engines.contains(&hrt) {
@@ -496,25 +511,33 @@ fn plan(lanes: &[GangLane], loop_heavy: bool) -> WalkPlan {
         }
     }
     let engine = |hrt: HrtConfig| engines.iter().position(|&shared| shared == hrt);
-    let mut packs: Vec<PackPlan> = Vec::new();
-    for ((flavor, hrt), members) in groups {
-        let driver = match (hrt, engine(hrt)) {
-            (HrtConfig::Ideal, _) => SlotDriver::Ideal,
-            (HrtConfig::Hashed { .. }, _) => SlotDriver::Hashed,
-            (_, None) => SlotDriver::Private,
-            (_, Some(e)) if loop_heavy => SlotDriver::Logged(e),
-            (_, Some(e)) => SlotDriver::Stepped(e),
-        };
+    let driver = |hrt: HrtConfig, in_loop: bool| match (hrt, engine(hrt)) {
+        (HrtConfig::Ideal, _) => SlotDriver::Ideal,
+        (HrtConfig::Hashed { .. }, _) => SlotDriver::Hashed,
+        (_, None) => SlotDriver::Private,
+        (_, Some(e)) if in_loop => SlotDriver::Stepped(e),
+        (_, Some(e)) => SlotDriver::Logged(e),
+    };
+    let mut packs: Vec<GroupPlan> = Vec::new();
+    for (hrt, members) in packed {
         for chunk in members.chunks(PACK_WIDTH) {
-            packs.push(PackPlan {
-                flavor,
+            packs.push(GroupPlan {
                 hrt,
                 lanes: chunk.to_vec(),
-                driver,
+                driver: driver(hrt, !loop_heavy),
             });
         }
     }
     packs.sort_by_key(|pack| pack.lanes[0]);
+    let mut replays: Vec<GroupPlan> = replayed
+        .into_iter()
+        .map(|(hrt, lanes)| GroupPlan {
+            hrt,
+            lanes,
+            driver: driver(hrt, false),
+        })
+        .collect();
+    replays.sort_by_key(|replay| replay.lanes[0]);
     let mut paths: Vec<LanePath> = lanes
         .iter()
         .map(|lane| match (lane, lane.hrt_config().and_then(engine)) {
@@ -529,92 +552,58 @@ fn plan(lanes: &[GangLane], loop_heavy: bool) -> WalkPlan {
             paths[i] = LanePath::Packed(p);
         }
     }
+    for (r, replay) in replays.iter().enumerate() {
+        for &i in &replay.lanes {
+            paths[i] = LanePath::SlotMajor(r);
+        }
+    }
     WalkPlan {
         lanes: paths,
         engines,
         packs,
+        replays,
     }
 }
 
-/// The plane operations both pack flavors share, so assembly, the
-/// slot drivers, run replay and fold-back are written once: a pack
-/// re-initializes a slot on a fill, steps a slot per event, applies
-/// same-outcome runs in O(1) past its convergence depth, and reports
-/// its per-lane correct counts (every pack predicts every event once).
-trait RunPack: Sized {
-    /// Planes for `members` of `lanes` (all of this pack's flavor) over
-    /// `slots` table slots.
-    fn assemble(lanes: &[GangLane], members: &[usize], slots: usize) -> Self;
-    fn fill_slot(&mut self, slot: usize);
-    fn step(&mut self, slot: usize, taken: bool) -> u64;
-    fn apply_run(&mut self, slot: usize, taken: bool, n: u64);
-    fn correct_counts(&mut self) -> Vec<u64>;
+/// How many slots `hrt`'s table holds over `compiled`: one per site
+/// for the ideal table (a site's first event fills its slot, which is
+/// what growing the table would do), the table's entries otherwise.
+fn table_slots(hrt: HrtConfig, compiled: &CompiledTrace) -> usize {
+    match hrt {
+        HrtConfig::Ideal => compiled.num_sites(),
+        HrtConfig::Associative { entries, .. } | HrtConfig::Hashed { entries } => entries,
+    }
 }
 
-/// Implements [`RunPack`] for a plane type through its same-named
-/// inherent methods, building it from each `GangLane::$lane` member's
-/// `$spec`.
-macro_rules! run_pack {
-    ($planes:ident, $lane:ident, $spec:expr) => {
-        impl RunPack for $planes {
-            fn assemble(lanes: &[GangLane], members: &[usize], slots: usize) -> Self {
-                let specs: Vec<_> = members
-                    .iter()
-                    .map(|&i| match &lanes[i] {
-                        GangLane::$lane(p) => $spec(p),
-                        _ => unreachable!("a pack carries one lane kind"),
-                    })
-                    .collect();
-                $planes::new(&specs, slots)
-            }
-            fn fill_slot(&mut self, slot: usize) {
-                $planes::fill_slot(self, slot);
-            }
-            fn step(&mut self, slot: usize, taken: bool) -> u64 {
-                $planes::step(self, slot, taken)
-            }
-            fn apply_run(&mut self, slot: usize, taken: bool, n: u64) {
-                $planes::apply_run(self, slot, taken, n);
-            }
-            fn correct_counts(&mut self) -> Vec<u64> {
-                $planes::correct_counts(self)
-            }
-        }
-    };
-}
-
-run_pack!(LanePack, LeeSmith, |p: &LeeSmithBtb| p.config().automaton);
-run_pack!(AtPack, TwoLevel, |p: &TwoLevelAdaptive| {
-    p.config().pack_lane().expect("only packable lanes pack")
-});
-
-/// Builds the planes of every `flavor` pack in `plan`. Ideal planes
-/// hold a slot per site (a site's first run fills it, which is what
-/// growing the table would do); the others are sized to the table.
-fn assemble<'p, P: RunPack>(
+/// Builds the planes of every AT pack in `plan`.
+fn assemble<'p>(
     plan: &'p WalkPlan,
-    flavor: Flavor,
     lanes: &[GangLane],
     compiled: &CompiledTrace,
-) -> Vec<(P, &'p PackPlan)> {
+) -> Vec<(AtPack, &'p GroupPlan)> {
     plan.packs
         .iter()
-        .filter(|pack| pack.flavor == flavor)
         .map(|pack| {
-            let slots = match pack.hrt {
-                HrtConfig::Ideal => compiled.num_sites(),
-                HrtConfig::Associative { entries, .. } | HrtConfig::Hashed { entries } => entries,
-            };
-            (P::assemble(lanes, &pack.lanes, slots), pack)
+            let specs: Vec<AtLaneConfig> = pack
+                .lanes
+                .iter()
+                .map(|&i| match &lanes[i] {
+                    GangLane::TwoLevel(p) => {
+                        p.config().pack_lane().expect("only packable lanes pack")
+                    }
+                    _ => unreachable!("only Two-Level lanes pack"),
+                })
+                .collect();
+            (AtPack::new(&specs, table_slots(pack.hrt, compiled)), pack)
         })
         .collect()
 }
 
 /// Advances a shared engine by one event, logging the probe when a pack
-/// replays it afterwards. Kept out of line on purpose: with the way
-/// scan inlined into the per-event loop, the scalar slot lanes beside
-/// it ran ~25 % slower (fig7's four Two-Level slot lanes, 500 k
-/// branches per trace).
+/// or a slot-major replay reads it afterwards. Kept out of line on
+/// purpose: with the way scan inlined into the per-event loop, the
+/// scalar slot lanes beside it ran ~25 % slower (fig7's four Two-Level
+/// slot lanes, 500 k branches per trace).
 #[inline(never)]
 fn probe(engine: &mut SlotProbe, log: &mut Option<Vec<Probe>>, site: SiteId) -> Probe {
     let probe = engine.step(site);
@@ -627,7 +616,7 @@ fn probe(engine: &mut SlotProbe, log: &mut Option<Vec<Probe>>, site: SiteId) -> 
 /// One in-loop event for every stepped pack: a branchless plane step
 /// off the probe its shared engine just made.
 #[inline]
-fn step_packs<P: RunPack>(packs: &mut [(P, &PackPlan)], probes: &[Probe], taken: bool) {
+fn step_packs(packs: &mut [(AtPack, &GroupPlan)], probes: &[Probe], taken: bool) {
     for (planes, pack) in packs {
         if let SlotDriver::Stepped(e) = pack.driver {
             let probe = probes[e];
@@ -646,8 +635,8 @@ fn step_packs<P: RunPack>(packs: &mut [(P, &PackPlan)], probes: &[Probe], taken:
 /// convergence depth is a single shared correct-count — every history
 /// register saturates and every automaton sits at its fixed point by
 /// then (asserted when the transition tables are derived).
-fn replay_runs<P: RunPack, K: Copy + PartialEq>(
-    planes: &mut P,
+fn replay_runs<K: Copy + PartialEq>(
+    planes: &mut AtPack,
     compiled: &CompiledTrace,
     keys: &[K],
     mut resolve: impl FnMut(K, u64) -> (usize, bool),
@@ -669,13 +658,13 @@ fn replay_runs<P: RunPack, K: Copy + PartialEq>(
     }
 }
 
-/// Completes every pack of one flavor: replays the packs that left
-/// the per-event loop, then folds each lane's counts and the driver's
-/// [`HrtStats`] back by lane index. A packed lane's own table payload
-/// goes stale (the pack owns it for the walk, as on the slot path);
-/// only predicted/correct and the adopted statistics are observable.
-fn finish_packs<P: RunPack>(
-    packs: Vec<(P, &PackPlan)>,
+/// Completes every AT pack: replays the packs that left the per-event
+/// loop, then folds each lane's counts and the driver's [`HrtStats`]
+/// back by lane index. A packed lane's own table payload goes stale
+/// (the pack owns it for the walk, as on the slot path); only
+/// predicted/correct and the adopted statistics are observable.
+fn finish_packs(
+    packs: Vec<(AtPack, &GroupPlan)>,
     engines: &[(SlotProbe, Option<Vec<Probe>>)],
     resolver: &mut SiteResolver,
     compiled: &CompiledTrace,
@@ -730,6 +719,194 @@ fn finish_packs<P: RunPack>(
     }
 }
 
+/// One LS or ST lane of a slot-major replay, with its state in the
+/// slot being replayed.
+struct SlotLane {
+    rule: SlotRule,
+    /// The current slot's automaton state code or history register.
+    state: u16,
+    correct: u64,
+}
+
+/// What a slot-major lane keeps per slot, and how it guesses.
+enum SlotRule {
+    /// An LS automaton, stepped through its derived state codes.
+    LeeSmith(SliceTables),
+    /// An ST history register, `mask` wide, indexing frozen preset
+    /// bits.
+    Static { mask: u16, preset: Vec<bool> },
+}
+
+impl SlotLane {
+    fn new(lane: &GangLane) -> Self {
+        let rule = match lane {
+            GangLane::LeeSmith(p) => SlotRule::LeeSmith(SliceTables::derive(p.config().automaton)),
+            GangLane::StaticTraining(p) => {
+                let bits = p.config().history_bits;
+                SlotRule::Static {
+                    mask: ((1u32 << bits) - 1) as u16,
+                    preset: (0..1 << bits).map(|pattern| p.preset(pattern)).collect(),
+                }
+            }
+            lane => unreachable!("{lane:?} keeps no slot-private state"),
+        };
+        SlotLane {
+            rule,
+            state: 0,
+            correct: 0,
+        }
+    }
+
+    /// Starts a slot in the table's pre-warmed state, which is where
+    /// every slot's first access finds it: no slot-major lane
+    /// re-initializes a replaced way, and a way that fills was never
+    /// touched.
+    fn enter_slot(&mut self) {
+        self.state = match &self.rule {
+            SlotRule::LeeSmith(tables) => u16::from(tables.init),
+            SlotRule::Static { mask, .. } => *mask,
+        };
+    }
+
+    /// A run of `n` events with outcome `taken` in the current slot.
+    #[inline]
+    fn run(&mut self, taken: bool, n: u64) {
+        match &self.rule {
+            // Within three steps every variant sits at a fixed point
+            // that predicts the run (`SliceTables::derive` asserts it),
+            // so the rest of the run is correct and leaves it there.
+            SlotRule::LeeSmith(tables) => {
+                let t = usize::from(taken);
+                let steps = n.min(3);
+                for _ in 0..steps {
+                    let s = self.state;
+                    self.correct += u64::from((tables.predict >> s & 1 == 1) == taken);
+                    self.state = u16::from(tables.next_hi[t] >> s & 1) << 1
+                        | u16::from(tables.next_lo[t] >> s & 1);
+                }
+                self.correct += n - steps;
+            }
+            // After `history_bits` shifts the register reads all one
+            // direction, so every further event guesses one preset bit,
+            // which a profile may set against the run.
+            SlotRule::Static { mask, preset } => {
+                let steps = n.min(u64::from(mask.count_ones()));
+                for _ in 0..steps {
+                    self.correct += u64::from(preset[usize::from(self.state)] == taken);
+                    self.state = (self.state << 1 | u16::from(taken)) & mask;
+                }
+                let saturated = if taken { *mask } else { 0 };
+                self.correct += (n - steps) * u64::from(preset[usize::from(saturated)] == taken);
+            }
+        }
+    }
+}
+
+/// The outcome bits regrouped by table slot, given each event's slot:
+/// slot `s`'s outcomes, still in event order, are bits `starts[s] ..
+/// starts[s + 1]` of the result. One counting pass sizes the buckets
+/// and one scatter pass fills them.
+fn bucket_by_slot(
+    outcomes: &PackedBits,
+    slot_count: usize,
+    slots: impl Iterator<Item = u32> + Clone,
+) -> (PackedBits, Vec<usize>) {
+    let mut starts = vec![0usize; slot_count + 1];
+    for slot in slots.clone() {
+        starts[slot as usize + 1] += 1;
+    }
+    let mut total = 0;
+    for start in &mut starts {
+        total += *start;
+        *start = total;
+    }
+    let mut next = starts.clone();
+    let ones = slots.zip(outcomes.iter()).filter_map(|(slot, taken)| {
+        let at = &mut next[slot as usize];
+        *at += 1;
+        taken.then_some(*at - 1)
+    });
+    (PackedBits::from_ones(outcomes.len(), ones), starts)
+}
+
+/// Runs one slot-major replay: buckets the outcome stream by table
+/// slot, steps every member through each slot's same-outcome runs, and
+/// folds each lane's counts and the driver's [`HrtStats`] back by lane
+/// index. The ideal table misses once per site and the hashed one
+/// never; an associative table's statistics are its engine's.
+fn replay_slot_major(
+    replay: &GroupPlan,
+    engines: &[(SlotProbe, Option<Vec<Probe>>)],
+    resolver: &mut SiteResolver,
+    compiled: &CompiledTrace,
+    lanes: &mut [GangLane],
+    stats: &mut [PredictionStats],
+) {
+    let (sites, outcomes) = (compiled.cond_sites(), compiled.outcomes());
+    let slot_count = table_slots(replay.hrt, compiled);
+    let events = compiled.len() as u64;
+    let counted = |misses| HrtStats {
+        accesses: events,
+        misses,
+    };
+    let ((bits, starts), probe_stats) = match replay.driver {
+        SlotDriver::Ideal => {
+            let slots = sites.iter().copied();
+            let misses = compiled.num_sites() as u64;
+            (bucket_by_slot(outcomes, slot_count, slots), counted(misses))
+        }
+        SlotDriver::Hashed => {
+            let keys = resolver.keys(replay.hrt);
+            let SiteKeys::Hashed { slot } = &*keys else {
+                unreachable!("a hashed table resolves hashed keys");
+            };
+            let slots = sites.iter().map(|&site| slot[site as usize]);
+            (bucket_by_slot(outcomes, slot_count, slots), counted(0))
+        }
+        SlotDriver::Private => {
+            let mut engine =
+                SlotProbe::build(replay.hrt, resolver).expect("private drivers are associative");
+            let mut slots = Vec::with_capacity(sites.len());
+            for run in sites.chunk_by(|a, b| a == b) {
+                let probe = engine.step_run(run[0], run.len() as u64);
+                slots.resize(slots.len() + run.len(), probe.slot);
+            }
+            let slots = slots.iter().copied();
+            (bucket_by_slot(outcomes, slot_count, slots), engine.stats())
+        }
+        SlotDriver::Logged(e) => {
+            let log = engines[e].1.as_deref().expect("a logged engine keeps its log");
+            let slots = log.iter().map(|probe| probe.slot);
+            (bucket_by_slot(outcomes, slot_count, slots), engines[e].0.stats())
+        }
+        SlotDriver::Stepped(_) => unreachable!("slot-major replays never step in the event loop"),
+    };
+    let mut members: Vec<SlotLane> = replay
+        .lanes
+        .iter()
+        .map(|&i| SlotLane::new(&lanes[i]))
+        .collect();
+    for bounds in starts.windows(2) {
+        let (mut i, end) = (bounds[0], bounds[1]);
+        for lane in &mut members {
+            lane.enter_slot();
+        }
+        while i < end {
+            let taken = bits.get(i);
+            let run = bits.run_len(i, end);
+            for lane in &mut members {
+                lane.run(taken, run as u64);
+            }
+            i += run;
+        }
+    }
+    for (&i, lane) in replay.lanes.iter().zip(members) {
+        stats[i].predicted += events;
+        stats[i].correct += lane.correct;
+        lanes[i].adopt_probe_stats(probe_stats);
+    }
+}
+
 /// Runs `plan` over `compiled`: the one executor behind every walk
 /// strategy.
 ///
@@ -737,9 +914,10 @@ fn finish_packs<P: RunPack>(
 /// decode and the shared engines' probes are paid once per event and
 /// amortized over all of them (the tables of a paper-sized sweep are
 /// small enough to stay cache-resident across lanes), and a plan with
-/// no per-event consumer skips that loop outright. Every other pack and
-/// lane finishes on its own afterwards. Lanes never interact, so any
-/// event-vs-lane loop order is observably identical.
+/// no per-event consumer skips that loop outright. Every other pack,
+/// every slot-major replay and every other lane finishes on its own
+/// afterwards. Lanes never interact, so any event-vs-lane loop order
+/// is observably identical.
 fn execute(
     lanes: &mut [GangLane],
     plan: &WalkPlan,
@@ -748,29 +926,31 @@ fn execute(
     options: SimOptions,
 ) -> Vec<SimResult> {
     let mut resolver = SiteResolver::new(compiled.site_pcs().to_vec());
-    // Each shared engine, with a log of its probes when a pack replays
-    // them.
+    // Each shared engine, with a log of its probes when a pack or a
+    // replay reads them afterwards.
     let mut engines: Vec<(SlotProbe, Option<Vec<Probe>>)> = plan
         .engines
         .iter()
         .enumerate()
         .map(|(e, &hrt)| {
             let engine = SlotProbe::build(hrt, &mut resolver).expect("engines are associative");
-            let logged = plan.packs.iter().any(|pack| pack.driver == SlotDriver::Logged(e));
+            let logged = plan
+                .packs
+                .iter()
+                .chain(&plan.replays)
+                .any(|group| group.driver == SlotDriver::Logged(e));
             (engine, logged.then(|| Vec::with_capacity(compiled.len())))
         })
         .collect();
-    let mut ls_packs = assemble::<LanePack>(plan, Flavor::LeeSmith, lanes, compiled);
-    let mut at_packs = assemble::<AtPack>(plan, Flavor::TwoLevel, lanes, compiled);
-    metrics::add(Counter::LsPacksFormed, ls_packs.len() as u64);
-    metrics::add(Counter::AtPacksFormed, at_packs.len() as u64);
+    let mut packs = assemble(plan, lanes, compiled);
+    metrics::add(Counter::AtPacksFormed, packs.len() as u64);
     let packed: usize = plan.packs.iter().map(|pack| pack.lanes.len()).sum();
     metrics::add(Counter::LanesPacked, packed as u64);
     let mut stats = vec![PredictionStats::default(); lanes.len()];
     // Partition once so the per-event loop is free of lane-kind
     // dispatch: each group's calls are direct.
-    let (mut at, mut ls, mut st) = (Scalars::new(), Scalars::new(), Scalars::new());
-    let (mut var, mut gshare, mut tour) = (Scalars::new(), Scalars::new(), Scalars::new());
+    let (mut at, mut var) = (Scalars::new(), Scalars::new());
+    let (mut gshare, mut tour) = (Scalars::new(), Scalars::new());
     for ((lane, stat), &path) in lanes.iter_mut().zip(&mut stats).zip(&plan.lanes) {
         if !matches!(path, LanePath::Site | LanePath::Slot(_)) {
             continue; // finished below
@@ -778,8 +958,6 @@ fn execute(
         let resolver = &mut resolver;
         match lane {
             GangLane::TwoLevel(p) => at.push(p, stat, path, resolver),
-            GangLane::LeeSmith(p) => ls.push(p, stat, path, resolver),
-            GangLane::StaticTraining(p) => st.push(p, stat, path, resolver),
             GangLane::Variant(p) => var.push(p, stat, path, resolver),
             GangLane::Gshare(p) => gshare.push(p, stat, path, resolver),
             GangLane::Tournament(p) => tour.push(p, stat, path, resolver),
@@ -799,17 +977,16 @@ fn execute(
                 *slot = probe(engine, log, site);
             }
             at.step(site, taken, &probes);
-            ls.step(site, taken, &probes);
-            st.step(site, taken, &probes);
             var.step(site, taken, &probes);
             gshare.step(site, taken, &probes);
             tour.step(site, taken, &probes);
-            step_packs(&mut ls_packs, &probes, taken);
-            step_packs(&mut at_packs, &probes, taken);
+            step_packs(&mut packs, &probes, taken);
         }
     }
-    finish_packs(ls_packs, &engines, &mut resolver, compiled, lanes, &mut stats);
-    finish_packs(at_packs, &engines, &mut resolver, compiled, lanes, &mut stats);
+    finish_packs(packs, &engines, &mut resolver, compiled, lanes, &mut stats);
+    for replay in &plan.replays {
+        replay_slot_major(replay, &engines, &mut resolver, compiled, lanes, &mut stats);
+    }
     for ((lane, stat), &path) in lanes.iter_mut().zip(&mut stats).zip(&plan.lanes) {
         match (lane, path) {
             // Slot-path lanes skipped their own per-event access
@@ -874,8 +1051,8 @@ fn execute(
 /// result (RAS behaviour is predictor-independent). Monomorphized lanes
 /// are fed from `compiled` alone, through their `predict_update_site`
 /// entry points (e.g. [`TwoLevelAdaptive::predict_update_site`]), the
-/// shared engines and packs the walk's plan picks for them, or a
-/// closed-form score; the stream's shape (its mean same-site run) is
+/// shared engines, packs and slot-major replays the walk's plan picks
+/// for them, or a closed-form score; the stream's shape (its mean same-site run) is
 /// read O(1) from the compiled stream. `dyn_source` supplies the raw
 /// record stream for [`GangLane::Dyn`] lanes, which
 /// [`GangLane::from_config`] never builds: the sweep path passes
@@ -1370,12 +1547,14 @@ mod tests {
         assert!(outcomes[2].as_ref().unwrap().is_ok());
     }
 
-    /// Packs form wherever ≥2 LS lanes share an exact geometry: five
+    /// LS lanes on every organization beside a lone AT lane: five
     /// automata on the paper AHRT, pairs on ideal / hashed / a small
-    /// eviction-heavy associative table, plus a singleton LS straggler
-    /// and a lone AT lane — both scalar on a churny stream (an AT lane
-    /// with no mask-group partner packs only on loop-heavy streams).
-    fn ls_packs_with_stragglers() -> Vec<SchemeConfig> {
+    /// eviction-heavy associative table, and one LS lane alone on
+    /// ahrt(256). On a churny stream the AT lane has no mask-group
+    /// partner, so it stays scalar and keeps the per-event loop alive:
+    /// the shared geometries' replays read their engine's probe log,
+    /// and the lone ahrt(256) replay probes privately.
+    fn ls_lanes_on_every_organization() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A1),
@@ -1388,26 +1567,32 @@ mod tests {
             SchemeConfig::ls(HrtConfig::hhrt(64), AutomatonKind::A4),
             SchemeConfig::ls(SMALL, AutomatonKind::A2),
             SchemeConfig::ls(SMALL, AutomatonKind::A3),
-            SchemeConfig::ls(HrtConfig::ahrt(256), AutomatonKind::A2), // straggler
+            SchemeConfig::ls(HrtConfig::ahrt(256), AutomatonKind::A2), // alone on its table
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
         ]
     }
 
     #[test]
-    fn bitsliced_packs_match_the_record_walk_across_organizations() {
-        // The synthetic stream visits sites at random, so same-site
-        // runs barely form and shared packs must take the in-loop
-        // plane-stepping strategy here.
+    fn slot_major_replays_match_the_record_walk_across_organizations() {
         let trace = SyntheticStream::mixed(0xb175, 80).generate(6_000);
         assert!(
             !is_loop_heavy(&trace),
-            "trace drifted loop-heavy; this test pins the stepped-pack path"
+            "trace drifted loop-heavy; this test pins the churny plan"
         );
-        assert_walk_matches_records(
-            &ls_packs_with_stragglers(),
-            &trace,
-            SimOptions { ras_entries: 8 },
+        let configs = ls_lanes_on_every_organization();
+        let plan = plan(&lanes_for(&configs, &trace), false);
+        let drivers: Vec<SlotDriver> = plan.replays.iter().map(|replay| replay.driver).collect();
+        assert_eq!(
+            drivers,
+            [
+                SlotDriver::Logged(0),
+                SlotDriver::Ideal,
+                SlotDriver::Hashed,
+                SlotDriver::Logged(1),
+                SlotDriver::Private,
+            ]
         );
+        assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
     /// A trace shaped like nested loops: each visit to a site emits a
@@ -1439,9 +1624,9 @@ mod tests {
 
     /// With a scalar consumer present (an unpackable reinit-on-replace
     /// AT lane, which stays scalar on every stream shape) the shared
-    /// packs ride the gang's probe engines; the tiny 2-way table forces
-    /// evictions and refills mid-stream.
-    fn shared_ls_packs() -> Vec<SchemeConfig> {
+    /// geometries' replays read the gang's probe logs; the tiny 2-way
+    /// table forces evictions and refills mid-stream.
+    fn shared_ls_replays() -> Vec<SchemeConfig> {
         vec![
             at_full(HrtConfig::ahrt(512), 12, AutomatonKind::A2, true, true, false),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
@@ -1457,30 +1642,27 @@ mod tests {
 
     #[test]
     fn mixed_gangs_on_loop_heavy_streams_replay_the_slot_log() {
-        // On a loop-heavy stream the shared packs take the log-replay
-        // strategy: record each probe during the event loop, then apply
-        // whole same-slot same-outcome runs in word-sized chunks
-        // afterwards; the fill flag rides the log too. Still
-        // bit-identical.
+        // The per-event loop records each shared probe, and the
+        // replays bucket the logged slots afterwards, fills and
+        // replacements included. Still bit-identical.
         let trace = loop_heavy_trace(6_000);
         assert!(
             is_loop_heavy(&trace),
             "trace must be loop-heavy enough to trip the log-replay gate"
         );
-        let configs = shared_ls_packs();
+        let configs = shared_ls_replays();
         let plan = plan(&lanes_for(&configs, &trace), true);
         assert!(plan
-            .packs
+            .replays
             .iter()
-            .any(|pack| matches!(pack.driver, SlotDriver::Logged(_))));
+            .any(|replay| matches!(replay.driver, SlotDriver::Logged(_))));
         assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
-    /// With no AT/ST lane and no unpacked LS lane, the per-event loop
-    /// has no consumers: every pack owns its probe (private engine for
-    /// associative geometries) and replays the stream in (site,
-    /// outcome) runs, word-chunked against the outcome bitvec.
-    fn ls_pack_only() -> Vec<SchemeConfig> {
+    /// With no lane but LS ones, the per-event loop has no consumers:
+    /// every replay owns its probe (a private engine for associative
+    /// geometries) and buckets the stream on its own.
+    fn ls_only() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A1),
@@ -1497,34 +1679,143 @@ mod tests {
     }
 
     #[test]
-    fn pack_only_gangs_take_the_chunked_run_walk() {
+    fn ls_only_gangs_skip_the_event_loop() {
         let trace = SyntheticStream::mixed(0x517e, 64).generate(6_000);
-        let configs = ls_pack_only();
+        let configs = ls_only();
         let plan = plan(&lanes_for(&configs, &trace), false);
-        assert!(plan.engines.is_empty() && plan.lanes.iter().all(|p| *p != LanePath::Site));
+        assert!(plan.engines.is_empty());
+        assert!(plan.lanes.iter().all(|p| matches!(p, LanePath::SlotMajor(_))));
         assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
     #[test]
-    fn packs_wider_than_a_word_chunk_and_strand_the_straggler() {
-        // 65 same-geometry LS lanes: one full 64-lane pack plus one
-        // scalar straggler (packed_quota refuses one-lane packs).
-        assert_eq!(packed_quota(0), 0);
-        assert_eq!(packed_quota(1), 0);
-        assert_eq!(packed_quota(2), 2);
-        assert_eq!(packed_quota(64), 64);
-        assert_eq!(packed_quota(65), 64);
-        assert_eq!(packed_quota(66), 66);
-        assert_eq!(packed_quota(129), 128);
+    fn slot_major_replays_take_any_number_of_lanes() {
+        // 65 same-geometry LS lanes: one replay, no chunking by
+        // PACK_WIDTH and no scalar straggler.
         let trace = SyntheticStream::mixed(0x65, 24).generate(2_000);
         let kinds = AutomatonKind::ALL;
         let configs: Vec<SchemeConfig> = (0..65)
             .map(|i| SchemeConfig::ls(HrtConfig::ahrt(512), kinds[i % kinds.len()]))
             .collect();
         let plan = plan(&lanes_for(&configs, &trace), false);
-        assert_eq!(plan.packs.len(), 1);
-        assert_eq!(plan.lanes[64], LanePath::Slot(0), "the straggler rides the pack's engine");
+        assert_eq!(plan.replays.len(), 1);
+        assert_eq!(plan.replays[0].lanes.len(), 65);
+        assert!(plan.engines.is_empty() && plan.packs.is_empty());
         assert_walk_matches_records(&configs, &trace, SimOptions::default());
+    }
+
+    /// Trained on a loop of 12 taken events then one not-taken, a
+    /// 12-bit ST lane presets the all-ones pattern not-taken. On a loop
+    /// of 40 taken then one not-taken its register saturates 12 events
+    /// into each run, and the other 28 taken events all guess
+    /// not-taken: a replay that credited a run's whole tail would score
+    /// them correct.
+    #[test]
+    fn static_training_tails_score_presets_set_against_the_run() {
+        let loop_of = |trips: usize| -> Trace {
+            (0..50)
+                .flat_map(|_| {
+                    (0..=trips).map(move |k| BranchRecord::conditional(0x1000, 0x0f00, k < trips))
+                })
+                .collect()
+        };
+        let (train, test) = (loop_of(12), loop_of(40));
+        let compiled = CompiledTrace::compile(&test);
+        for hrt in [HrtConfig::Ideal, HrtConfig::hhrt(8), HrtConfig::ahrt(512)] {
+            let config = SchemeConfig::st(hrt, 12, TrainingData::Diff);
+            let lane = || vec![GangLane::from_config(&config, Some(&train))];
+            let mut walked = lane();
+            let GangLane::StaticTraining(st) = &walked[0] else {
+                unreachable!("an ST configuration builds an ST lane");
+            };
+            assert!(!st.preset(0xfff), "the profile presets all-ones not-taken");
+            let options = SimOptions::default();
+            let results = gang_simulate_compiled(&mut walked, &compiled, None, options);
+            let mut reference = lane();
+            let records = gang_simulate_records(&mut reference, &test, options);
+            assert_eq!(results[0].conditional, records[0].conditional, "{hrt}");
+            assert_eq!(results[0].ras, records[0].ras, "{hrt}");
+            assert_eq!(table_stats(&walked[0]), table_stats(&reference[0]), "{hrt}");
+        }
+    }
+
+    /// A generated stream: `(loopy, bursts)`, each burst `(site, taken,
+    /// exits)` — `taken` taken events then `exits` not-taken ones at one
+    /// site. A churny stream caps `taken` below 3; a loopy one keeps it,
+    /// up to 200, so same-outcome runs cross 64-bit words.
+    fn burst_stream(&(loopy, ref bursts): &(bool, Vec<(u32, usize, usize)>)) -> Trace {
+        let mut trace = Trace::new();
+        for &(site, taken, exits) in bursts {
+            let pc = 0x1000 + site * 4;
+            let taken = if loopy { taken } else { taken % 3 };
+            for k in 0..taken + exits {
+                trace.push(BranchRecord::conditional(pc, pc + 0x40, k < taken));
+            }
+        }
+        trace
+    }
+
+    #[test]
+    fn slot_major_replays_match_the_record_walk() {
+        // One to six LS and ST lanes on one geometry, over churny and
+        // loopy streams, under the planned drivers and with every
+        // associative replay forced onto a shared engine's log. ST
+        // lanes train on a second stream, so presets can oppose runs.
+        use tlat_check::{check, gen, prop_assert_eq};
+        let geometries = [HrtConfig::Ideal, HrtConfig::hhrt(8), HrtConfig::ahrt(512), SMALL];
+        let lane = gen::tuple3(gen::bools(), gen::choose(&AutomatonKind::ALL), gen::u8_in(1, 12));
+        let bursts = gen::tuple3(gen::u32_in(0, 47), gen::usize_in(0, 200), gen::usize_in(0, 2));
+        let stream = gen::tuple2(gen::bools(), gen::vec_of(bursts, 1, 120));
+        let inputs = gen::tuple4(
+            gen::choose(&geometries),
+            gen::vec_of(lane, 1, 6),
+            stream.clone(),
+            stream,
+        );
+        check(
+            "slot_major_replays_match_the_record_walk",
+            &inputs,
+            |(hrt, lanes, test, train)| {
+                let (test, train) = (burst_stream(test), burst_stream(train));
+                let configs: Vec<SchemeConfig> = lanes
+                    .iter()
+                    .map(|&(ls, kind, bits)| match ls {
+                        true => SchemeConfig::ls(*hrt, kind),
+                        false => SchemeConfig::st(*hrt, bits, TrainingData::Diff),
+                    })
+                    .collect();
+                let build = || -> Vec<GangLane> {
+                    configs
+                        .iter()
+                        .map(|c| GangLane::from_config(c, Some(&train)))
+                        .collect()
+                };
+                let options = SimOptions::default();
+                let mut reference = build();
+                let records = gang_simulate_records(&mut reference, &test, options);
+                let compiled = CompiledTrace::compile(&test);
+                let chosen = plan(&build(), is_loop_heavy(&test));
+                for forced in [chosen.clone(), drive_packs(chosen, Some(SlotDriver::Logged))] {
+                    let mut walked = build();
+                    let results = execute(&mut walked, &forced, &compiled, None, options);
+                    for (i, config) in configs.iter().enumerate() {
+                        let label = config.label();
+                        prop_assert_eq!(
+                            results[i].conditional,
+                            records[i].conditional,
+                            "{label} under {forced:?}"
+                        );
+                        prop_assert_eq!(results[i].ras, records[i].ras, "{label} RAS");
+                        prop_assert_eq!(
+                            table_stats(&walked[i]),
+                            table_stats(&reference[i]),
+                            "{label} table stats under {forced:?}"
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     /// An AT configuration with the ablation flags spelled out, for
@@ -1557,7 +1848,7 @@ mod tests {
     /// reinit-on-replace lane is unpackable and must take the scalar
     /// path (becoming the gang's scalar consumer), a k=8 lane on the
     /// packing AHRT and an ahrt(256) lane are mask-singletons pinned
-    /// scalar by the churny gate, and an LS pack rides alongside.
+    /// scalar by the churny gate, and an LS replay rides alongside.
     fn at_packs_with_singletons() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
@@ -1594,8 +1885,7 @@ mod tests {
         assert!(plan
             .packs
             .iter()
-            .any(|pack| pack.flavor == Flavor::TwoLevel
-                && matches!(pack.driver, SlotDriver::Stepped(_))));
+            .any(|pack| matches!(pack.driver, SlotDriver::Stepped(_))));
         assert_eq!(plan.lanes[2], LanePath::Slot(0), "mask-singletons stay scalar");
         assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
@@ -1604,11 +1894,13 @@ mod tests {
     /// churns through fills, hits, and replacements, never seeing tags
     /// — only slot decisions. A replaced slot must inherit the victim's
     /// plane state and a filled slot must re-read its cached plane from
-    /// the *evolved* pattern tables, or predictions drift. The ST lane
-    /// keeps a scalar consumer in the gang. On a loop-heavy stream AT
-    /// singletons pack too: the lone ahrt(256) lane is alone on its
-    /// geometry and falls back to a private probe, and the lone ideal
-    /// and hashed singletons take their flavor's run replay.
+    /// the *evolved* pattern tables, or predictions drift. An
+    /// unpackable reinit-on-replace lane keeps a scalar consumer in the
+    /// gang, so the small table's packs and LS replay read a shared
+    /// engine's log. On a loop-heavy stream AT singletons pack too: the
+    /// lone ahrt(256) lane is alone on its geometry and falls back to a
+    /// private probe, and the lone ideal and hashed singletons take
+    /// their own run replay.
     fn at_evictions() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::st(HrtConfig::Ideal, 12, TrainingData::Same),
@@ -1622,6 +1914,7 @@ mod tests {
             SchemeConfig::at(HrtConfig::hhrt(32), 7, AutomatonKind::A4), // lone: hashed replay
             SchemeConfig::ls(SMALL, AutomatonKind::A2),
             SchemeConfig::ls(SMALL, AutomatonKind::A4),
+            at_full(HrtConfig::Ideal, 12, AutomatonKind::A2, true, true, false), // scalar
         ]
     }
 
@@ -1638,6 +1931,7 @@ mod tests {
             panic!("the lone ahrt(256) lane packs on a loop-heavy stream")
         };
         assert_eq!(plan.packs[lone].driver, SlotDriver::Private);
+        assert_eq!(plan.packs[0].driver, SlotDriver::Logged(0), "the small table's pack");
         assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
@@ -1676,9 +1970,16 @@ mod tests {
     fn at_packs_wider_than_a_word_chunk_and_strand_the_straggler() {
         // 65 same-organization AT lanes on a churny stream, a variant
         // × history-length grid whose every history mask holds ≥ 2
-        // lanes: all 65 are pack-eligible, so the LS strand rule
-        // applies — one full 64-lane pack plus one scalar straggler
-        // (a one-lane final chunk would be pure overhead here).
+        // lanes: all 65 are pack-eligible, so the strand rule applies —
+        // one full 64-lane pack plus one scalar straggler (a one-lane
+        // final chunk would be pure overhead here).
+        assert_eq!(packed_quota(0), 0);
+        assert_eq!(packed_quota(1), 0);
+        assert_eq!(packed_quota(2), 2);
+        assert_eq!(packed_quota(64), 64);
+        assert_eq!(packed_quota(65), 64);
+        assert_eq!(packed_quota(66), 66);
+        assert_eq!(packed_quota(129), 128);
         let trace = SyntheticStream::mixed(0xa65, 24).generate(2_000);
         let kinds = AutomatonKind::ALL;
         let configs: Vec<SchemeConfig> = (0..65)
@@ -1700,7 +2001,8 @@ mod tests {
     fn slot_log_replay_keeps_slots_past_sixteen_bits() {
         // A direct-mapped AHRT of 2^17 sets with every branch past set
         // 65,535: the slot-log replay must see the full slot, and a
-        // fill only where the probe filled.
+        // fill only where the probe filled. The unpackable reinit AT
+        // lane keeps the shared engine, and its log, in the walk.
         let trace = loop_heavy_trace_at(0x40000, 6_000);
         assert!(is_loop_heavy(&trace));
         let wide = HrtConfig::Associative {
@@ -1711,30 +2013,55 @@ mod tests {
             SchemeConfig::st(wide, 12, TrainingData::Same),
             SchemeConfig::ls(wide, AutomatonKind::A2),
             SchemeConfig::ls(wide, AutomatonKind::LastTime),
+            at_full(wide, 12, AutomatonKind::A2, true, true, false),
         ];
         let plan = plan(&lanes_for(&configs, &trace), true);
-        assert_eq!(plan.packs[0].driver, SlotDriver::Logged(0));
+        assert_eq!(plan.replays[0].driver, SlotDriver::Logged(0));
         assert_walk_matches_records(&configs, &trace, SimOptions::default());
     }
 
-    /// `plan` with packing off: every table lane scalar, riding a
-    /// shared engine wherever two or more lanes share an associative
-    /// organization.
+    /// `plan` with packing off: every Two-Level and taxonomy table lane
+    /// scalar, riding a shared engine wherever two or more lanes share
+    /// an associative organization, and every LS and ST lane in its
+    /// organization's slot-major replay, reading that engine's log.
     fn scalar_plan(lanes: &[GangLane]) -> WalkPlan {
         let mut plan = WalkPlan {
             lanes: Vec::new(),
             engines: Vec::new(),
             packs: Vec::new(),
+            replays: Vec::new(),
         };
-        for lane in lanes {
+        for (i, lane) in lanes.iter().enumerate() {
             let hrt = lane.hrt_config();
             let sharers = lanes.iter().filter(|l| l.hrt_config() == hrt).count();
-            let path = match (lane, hrt) {
-                (GangLane::Profile(_) | GangLane::Fixed(_), _) => LanePath::ClosedForm,
-                (GangLane::Dyn(_), _) => LanePath::Dyn,
-                (_, Some(hrt @ HrtConfig::Associative { .. })) if sharers >= 2 => {
-                    LanePath::Slot(engine_for(&mut plan.engines, hrt))
+            let engine = match hrt {
+                Some(hrt @ HrtConfig::Associative { .. }) if sharers >= 2 => {
+                    Some(engine_for(&mut plan.engines, hrt))
                 }
+                _ => None,
+            };
+            let path = match (lane, hrt, engine) {
+                (GangLane::Profile(_) | GangLane::Fixed(_), _, _) => LanePath::ClosedForm,
+                (GangLane::Dyn(_), _, _) => LanePath::Dyn,
+                (GangLane::LeeSmith(_) | GangLane::StaticTraining(_), Some(hrt), _) => {
+                    let r = match plan.replays.iter().position(|replay| replay.hrt == hrt) {
+                        Some(r) => r,
+                        None => {
+                            let driver = match (hrt, engine) {
+                                (HrtConfig::Ideal, _) => SlotDriver::Ideal,
+                                (HrtConfig::Hashed { .. }, _) => SlotDriver::Hashed,
+                                (_, Some(e)) => SlotDriver::Logged(e),
+                                (_, None) => SlotDriver::Private,
+                            };
+                            let lanes = Vec::new();
+                            plan.replays.push(GroupPlan { hrt, lanes, driver });
+                            plan.replays.len() - 1
+                        }
+                    };
+                    plan.replays[r].lanes.push(i);
+                    LanePath::SlotMajor(r)
+                }
+                (_, _, Some(e)) => LanePath::Slot(e),
                 _ => LanePath::Site,
             };
             plan.lanes.push(path);
@@ -1755,12 +2082,22 @@ mod tests {
 
     /// `plan` with every associative pack probing privately (`None`) or
     /// through `shared` on its geometry's shared engine, which is added
-    /// where the plan has none.
+    /// where the plan has none. Associative slot-major replays probe
+    /// privately or read that engine's log: they never step in the
+    /// event loop.
     fn drive_packs(mut plan: WalkPlan, shared: Option<fn(usize) -> SlotDriver>) -> WalkPlan {
         for pack in &mut plan.packs {
             if matches!(pack.hrt, HrtConfig::Associative { .. }) {
                 pack.driver = match shared {
                     Some(driver) => driver(engine_for(&mut plan.engines, pack.hrt)),
+                    None => SlotDriver::Private,
+                };
+            }
+        }
+        for replay in &mut plan.replays {
+            if matches!(replay.hrt, HrtConfig::Associative { .. }) {
+                replay.driver = match shared {
+                    Some(_) => SlotDriver::Logged(engine_for(&mut plan.engines, replay.hrt)),
                     None => SlotDriver::Private,
                 };
             }
@@ -1810,16 +2147,18 @@ mod tests {
         // The planner picks one strategy per stream shape; the executor
         // must be exact under all of them. Force each alternative on a
         // loop-heavy and a churny stream, for every lane mix above:
-        // the chosen plan, every lane scalar, every associative pack
-        // private / stepped / logged on a shared engine, and the other
-        // shape's plan (mask-singleton AT lanes packed on the churny
-        // stream, unpacked on the loop-heavy one) under each driver.
+        // the chosen plan, every lane scalar but the slot-major ones,
+        // every associative pack private / stepped / logged on a shared
+        // engine (replays private or logged), and the other shape's plan
+        // (mask-singleton AT lanes packed on the churny stream, unpacked
+        // on the loop-heavy one) under each driver. No plan ever steps
+        // an LS or ST lane per event.
         let mixes = [
             sweep(),
             organizations(),
-            ls_packs_with_stragglers(),
-            shared_ls_packs(),
-            ls_pack_only(),
+            ls_lanes_on_every_organization(),
+            shared_ls_replays(),
+            ls_only(),
             at_packs_with_singletons(),
             at_evictions(),
             at_pack_only(),
@@ -1846,6 +2185,15 @@ mod tests {
                     plans.push(("logged", drive_packs(base, Some(SlotDriver::Logged))));
                 }
                 for (what, forced) in plans {
+                    for (i, lane) in lanes.iter().enumerate() {
+                        if let GangLane::LeeSmith(_) | GangLane::StaticTraining(_) = lane {
+                            let path = forced.lanes[i];
+                            let LanePath::SlotMajor(r) = path else {
+                                panic!("{what} plan gives {lane:?} the {path:?} path");
+                            };
+                            assert!(forced.replays[r].lanes.contains(&i), "{what} plan");
+                        }
+                    }
                     let mut lanes = lanes_for(configs, &trace);
                     let results = execute(&mut lanes, &forced, &compiled, Some(&trace), options);
                     let what = format!("{what} plan {forced:?} (loop-heavy: {loop_heavy})");
@@ -1861,12 +2209,13 @@ mod tests {
             .expect("fig10 is registered")
             .configs;
         let ahrt = HrtConfig::ahrt(512);
-        let ls_pack = |driver| PackPlan {
-            flavor: Flavor::LeeSmith,
+        let replay = |driver| GroupPlan {
             hrt: ahrt,
-            lanes: vec![2, 4],
+            lanes: vec![1, 2, 4],
             driver,
         };
+        // Churny: the lone AT lane stays scalar on the shared engine,
+        // and the ST and LS lanes replay its probe log.
         let churny = SyntheticStream::mixed(0xf10, 64).generate(6_000);
         assert!(!is_loop_heavy(&churny));
         assert_eq!(
@@ -1874,15 +2223,18 @@ mod tests {
             WalkPlan {
                 lanes: vec![
                     LanePath::Slot(0),
-                    LanePath::Slot(0),
-                    LanePath::Packed(0),
+                    LanePath::SlotMajor(0),
+                    LanePath::SlotMajor(0),
                     LanePath::ClosedForm,
-                    LanePath::Packed(0),
+                    LanePath::SlotMajor(0),
                 ],
                 engines: vec![ahrt],
-                packs: vec![ls_pack(SlotDriver::Stepped(0))],
+                packs: vec![],
+                replays: vec![replay(SlotDriver::Logged(0))],
             }
         );
+        // Loop-heavy: the AT lane packs, no scalar lane is left, and
+        // the pack and the replay each probe privately.
         let loopy = loop_heavy_trace(6_000);
         assert!(is_loop_heavy(&loopy));
         assert_eq!(
@@ -1890,21 +2242,18 @@ mod tests {
             WalkPlan {
                 lanes: vec![
                     LanePath::Packed(0),
-                    LanePath::Slot(0),
-                    LanePath::Packed(1),
+                    LanePath::SlotMajor(0),
+                    LanePath::SlotMajor(0),
                     LanePath::ClosedForm,
-                    LanePath::Packed(1),
+                    LanePath::SlotMajor(0),
                 ],
-                engines: vec![ahrt],
-                packs: vec![
-                    PackPlan {
-                        flavor: Flavor::TwoLevel,
-                        hrt: ahrt,
-                        lanes: vec![0],
-                        driver: SlotDriver::Logged(0),
-                    },
-                    ls_pack(SlotDriver::Logged(0)),
-                ],
+                engines: vec![],
+                packs: vec![GroupPlan {
+                    hrt: ahrt,
+                    lanes: vec![0],
+                    driver: SlotDriver::Private,
+                }],
+                replays: vec![replay(SlotDriver::Private)],
             }
         );
     }

@@ -153,16 +153,16 @@ pub enum Counter {
     /// attached to an in-flight run or served from the memoized
     /// result. Engine-dependent: batch runs serve nothing.
     RequestsCoalesced,
-    /// Lanes riding a bitsliced plane pack (Lee & Smith and Two-Level
-    /// flavors both count) instead of the scalar walk, summed over
-    /// every gang walk. Engine-dependent: the sequential reference
-    /// path never packs.
+    /// Lanes riding a bitsliced Two-Level pack instead of the scalar
+    /// walk, summed over every gang walk. Engine-dependent: the
+    /// sequential reference path never packs.
     LanesPacked,
     /// Bitsliced Two-Level packs formed ([`tlat_core::AtPack`]).
     /// Engine-dependent.
     AtPacksFormed,
-    /// Bitsliced Lee & Smith packs formed ([`tlat_core::LanePack`]).
-    /// Engine-dependent.
+    /// Bitsliced Lee & Smith packs formed: always 0, since Lee & Smith
+    /// lanes take the gang walk's slot-major replay. Kept because the
+    /// repository benchmark reads it. Engine-dependent.
     LsPacksFormed,
 }
 
@@ -729,27 +729,40 @@ pub fn check(text: &str) -> Result<MetricsFile, String> {
 /// supervised sweep, typically — into one aggregate: counters, span
 /// totals, and cell tallies sum name-wise; the schema version is the
 /// newest seen; the shard tag is dropped (a merge spans shards).
-pub fn merge(files: &[MetricsFile]) -> MetricsFile {
+///
+/// # Errors
+///
+/// A description naming the field whose sum overflows a `u64`: every
+/// file may be valid on its own and still not add up.
+pub fn merge(files: &[MetricsFile]) -> Result<MetricsFile, String> {
+    fn add(total: &mut u64, value: u64, field: impl FnOnce() -> String) -> Result<(), String> {
+        *total = total
+            .checked_add(value)
+            .ok_or_else(|| format!("merged {} overflows a 64-bit count", field()))?;
+        Ok(())
+    }
     let mut out = MetricsFile::default();
     for file in files {
         out.schema = out.schema.max(file.schema);
-        for (name, value) in &file.counters {
-            *out.counters.entry(name.clone()).or_insert(0) += value;
+        for (name, &value) in &file.counters {
+            let total = out.counters.entry(name.clone()).or_insert(0);
+            add(total, value, || format!("counter {name:?}"))?;
         }
-        for (name, (count, total_ns)) in &file.spans {
+        for (name, &(count, total_ns)) in &file.spans {
             let slot = out.spans.entry(name.clone()).or_insert((0, 0));
-            slot.0 += count;
-            slot.1 += total_ns;
+            add(&mut slot.0, count, || format!("span {name:?} count"))?;
+            add(&mut slot.1, total_ns, || format!("span {name:?} total_ns"))?;
         }
-        for (key, (computed, replayed, failed, blank)) in &file.cells {
+        for (key, &(computed, replayed, failed, blank)) in &file.cells {
             let slot = out.cells.entry(key.clone()).or_insert((0, 0, 0, 0));
-            slot.0 += computed;
-            slot.1 += replayed;
-            slot.2 += failed;
-            slot.3 += blank;
+            let field = |tally: &str| format!("cells ({:?}, {:?}) {tally}", key.0, key.1);
+            add(&mut slot.0, computed, || field("computed"))?;
+            add(&mut slot.1, replayed, || field("replayed"))?;
+            add(&mut slot.2, failed, || field("failed"))?;
+            add(&mut slot.3, blank, || field("blank"))?;
         }
     }
-    out
+    Ok(out)
 }
 
 /// Renders a parsed telemetry file as a human summary: counters, span
@@ -906,7 +919,7 @@ mod tests {
         b.span_count[Phase::GangWalk as usize] = 2;
         let fa = check(&render_jsonl_from(&a, &sample_cells(), Some("0/2"))).unwrap();
         let fb = check(&render_jsonl_from(&b, &sample_cells(), Some("1/2"))).unwrap();
-        let merged = merge(&[fa, fb]);
+        let merged = merge(&[fa, fb]).expect("small sums");
         assert_eq!(merged.schema, SCHEMA_VERSION);
         assert_eq!(merged.shard, None, "a merge spans shards");
         assert_eq!(merged.counters["cells_computed"], 7);
@@ -917,6 +930,30 @@ mod tests {
             (4, 2, 0, 0)
         );
         assert!(summarize(&merged).contains("worker_restarts"));
+    }
+
+    #[test]
+    fn merge_reports_an_overflowing_sum_by_name() {
+        // Each file is valid alone; only their sum overflows.
+        let text = concat!(
+            r#"{"kind":"meta","schema":1,"emitter":"tlat_sim"}"#,
+            "\n",
+            r#"{"kind":"counter","name":"cache_hits","value":18446744073709551615}"#,
+            "\n",
+        );
+        let file = check(text).expect("a u64::MAX counter is valid");
+        let err = merge(&[file.clone(), file.clone()]).unwrap_err();
+        assert!(err.contains("\"cache_hits\""), "{err}");
+        let mut cells = file.clone();
+        cells.counters.clear();
+        cells.spans.insert("gang_walk".to_owned(), (1, u64::MAX));
+        cells.cells.insert(("gcc".to_owned(), "AT".to_owned()), (u64::MAX, 0, 0, 0));
+        let err = merge(&[cells.clone(), cells.clone()]).unwrap_err();
+        assert!(err.contains("\"gang_walk\" total_ns"), "{err}");
+        cells.spans.clear();
+        let err = merge(&[cells.clone(), cells]).unwrap_err();
+        assert!(err.contains("(\"gcc\", \"AT\") computed"), "{err}");
+        assert_eq!(merge(&[file]).expect("one file").counters["cache_hits"], u64::MAX);
     }
 
     #[test]

@@ -98,6 +98,23 @@ impl PackedBits {
         }
     }
 
+    /// A `len`-bit vector whose set bits are exactly those at `ones`,
+    /// given in any order: how a consumer regroups a stream's outcome
+    /// bits (a gang walk buckets them by table slot) in one scatter
+    /// pass instead of pushing them in their new order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a position is `>= len`.
+    pub fn from_ones(len: usize, ones: impl IntoIterator<Item = usize>) -> Self {
+        let mut words = vec![0u64; len.div_ceil(64)];
+        for index in ones {
+            assert!(index < len, "bit index {index} out of range");
+            words[index / 64] |= 1 << (index % 64);
+        }
+        PackedBits { words, len }
+    }
+
     /// Appends one bit.
     pub fn push(&mut self, bit: bool) {
         let word = self.len / 64;
@@ -505,6 +522,20 @@ mod tests {
             bits.push(b);
         }
         bits
+    }
+
+    #[test]
+    fn from_ones_sets_exactly_the_given_bits() {
+        let pattern: Vec<bool> = (0..150).map(|i| i % 7 == 0 || i % 11 == 3).collect();
+        let ones = pattern.iter().enumerate().rev().filter(|(_, &b)| b).map(|(i, _)| i);
+        assert_eq!(PackedBits::from_ones(150, ones), packed(&pattern));
+        assert_eq!(PackedBits::from_ones(0, []), PackedBits::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_ones_bounds_checked() {
+        PackedBits::from_ones(64, [64]);
     }
 
     #[test]

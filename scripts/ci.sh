@@ -79,7 +79,7 @@ grep -q '"bench":"serve/warm_sweep"' "$bench_dir/BENCH_serve.json" || {
 # live pipe exits at first match and the bench would die on SIGPIPE
 # printing its remaining lines.
 gang_inner_out=$(cargo bench -q --offline -p tlat-bench --bench gang_inner -- --test)
-for line in inner_compiled_walk inner_bitsliced_walk inner_at_pack_walk; do
+for line in inner_compiled_walk inner_slot_major_walk inner_at_pack_walk; do
     grep -q "^BENCHJSON .*$line" <<<"$gang_inner_out" || {
         echo "error: gang_inner bench emitted no $line BENCHJSON line" >&2
         exit 1
@@ -114,19 +114,23 @@ for gate in \
 done
 
 # Bitslice differential smoke at a pinned seed: the property suite that
-# proves the plane-stepped packs byte-identical to the scalar automata
-# must pass on a reproducible case set (the full suite also runs above
-# under per-property derived seeds; this pins one known-good seed so a
-# generator change cannot silently shift coverage).
+# proves the plane-stepped AT packs byte-identical to the scalar
+# automata must pass on a reproducible case set (the full suite also
+# runs above under per-property derived seeds; this pins one known-good
+# seed so a generator change cannot silently shift coverage).
 TLAT_PROP_SEED=20260807 TLAT_PROP_CASES=128 \
     cargo test -q --offline -p tlat-core --test bitslice_prop
+# The same for the slot-major replay of Lee & Smith and Static Training
+# lanes against the record walk.
+TLAT_PROP_SEED=20261018 TLAT_PROP_CASES=128 \
+    cargo test -q --offline -p tlat-sim --lib gang::tests::slot_major_replays_match_the_record_walk -- --exact
 
-# Bitslice discipline: inside crates/sim, Lee & Smith lanes grouped
-# into a pack must never fall back to stepping a scalar two-bit
+# Automaton discipline: inside crates/sim, Lee & Smith lanes replayed
+# slot-major must never fall back to stepping a scalar two-bit
 # automaton (that requires materializing an AnyAutomaton; the sim crate
-# legitimately handles only AutomatonKind tags and LanePack planes).
+# legitimately handles only AutomatonKind tags and SliceTables codes).
 if grep -rn 'AnyAutomaton' crates/sim/src; then
-    echo "error: crates/sim materializes a scalar AnyAutomaton; packed lanes must step through LanePack planes" >&2
+    echo "error: crates/sim materializes a scalar AnyAutomaton; LS lanes must step through SliceTables state codes" >&2
     exit 1
 fi
 
