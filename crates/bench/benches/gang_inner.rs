@@ -8,16 +8,19 @@
 //! matching the harness (which memoizes one [`CompiledTrace`] per
 //! workload); the once-per-workload compile cost is reported separately
 //! as `stream_compile`. Run with `cargo bench --bench gang_inner`;
-//! seven BENCHJSON lines are emitted (`inner_record_walk`,
+//! nine BENCHJSON lines are emitted (`inner_record_walk`,
 //! `inner_compiled_walk`, `stream_compile`, `inner_slot_major_record`,
 //! `inner_slot_major_walk`, `inner_at_pack_record`,
-//! `inner_at_pack_walk`) plus derived speedup lines. The slot-major
+//! `inner_at_pack_walk`, `inner_taxonomy_record`,
+//! `inner_taxonomy_walk`) plus derived speedup lines. The slot-major
 //! pair measures a Lee & Smith and Static Training lane set that the
 //! gang engine replays slot by slot off the per-event loop; the
 //! AT-pack pair measures a fig10-shaped variant × history-length
 //! Two-Level grid that packs into one [`tlat_core::AtPack`] (shared
-//! history walk, pattern-table row planes) — each isolating its walk
-//! from the mixed-lane set above.
+//! history walk, pattern-table row planes); the taxonomy pair measures
+//! the scalar level-two lanes of the taxonomy sweep, whose tournament
+//! replays only its chooser over its twins' guesses — each isolating
+//! its walk from the mixed-lane set above.
 
 use tlat_bench::runner::Runner;
 use tlat_core::{AutomatonKind, HrtConfig, StaticTraining, StaticTrainingConfig, TrainingProfile};
@@ -153,6 +156,39 @@ fn main() {
         println!(
             "[gang_inner] AT pack vs record stream: {:.2}x",
             at_records.median_ns / at_packed.median_ns
+        );
+    }
+
+    // The taxonomy sweep: GAg, GAs, PAg and PAs, the paper's scheme,
+    // gshare and the AT+gshare tournament, all scalar on this churny
+    // stream. The tournament derives its component guesses from the
+    // AT and gshare lanes and steps only its chooser.
+    let taxonomy = tlat_sim::taxonomy();
+    let tax_lanes = || -> Vec<GangLane> {
+        taxonomy
+            .iter()
+            .map(|c| GangLane::from_config(c, None))
+            .collect()
+    };
+    let tax_events = trace.conditional_len() as u64 * taxonomy.len() as u64;
+    group.plan(1, 7);
+    let tax_records = group
+        .throughput(tax_events)
+        .bench("inner_taxonomy_record", || {
+            let mut lanes = tax_lanes();
+            gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
+        });
+    group.plan(1, 7);
+    let tax_walk = group
+        .throughput(tax_events)
+        .bench("inner_taxonomy_walk", || {
+            let mut lanes = tax_lanes();
+            gang_simulate_compiled(&mut lanes, &stream, None, SimOptions::default()).len()
+        });
+    if tax_walk.median_ns > 0.0 {
+        println!(
+            "[gang_inner] taxonomy walk vs record stream: {:.2}x",
+            tax_records.median_ns / tax_walk.median_ns
         );
     }
 }

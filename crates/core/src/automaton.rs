@@ -275,6 +275,36 @@ impl AutomatonKind {
     }
 }
 
+/// λ and δ of one automaton kind over its 2-bit state codes (see
+/// [`AnyAutomaton::state_bits`]), derived by enumerating decode → step
+/// → encode over all four codes: no consumer of the codes writes a
+/// transition table by hand, so none can drift from this file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CodeTables {
+    /// Bit `s`: λ(s) — does state code `s` predict taken?
+    pub(crate) lambda: u8,
+    /// Entry `taken << 2 | s`: the code of δ(s, taken).
+    pub(crate) delta: [u8; 8],
+}
+
+impl CodeTables {
+    pub(crate) fn derive(kind: AutomatonKind) -> Self {
+        let mut tables = CodeTables {
+            lambda: 0,
+            delta: [0; 8],
+        };
+        for s in 0..4u8 {
+            let a = kind.from_state_bits(s);
+            tables.lambda |= u8::from(a.predict()) << s;
+            for taken in [false, true] {
+                tables.delta[usize::from(taken) << 2 | usize::from(s)] =
+                    a.update(taken).state_bits();
+            }
+        }
+        tables
+    }
+}
+
 impl std::fmt::Display for AutomatonKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())

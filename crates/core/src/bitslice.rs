@@ -24,7 +24,7 @@
 //! pattern masks of the shared register, grouped so one masked
 //! row-step serves every lane of a given history length.
 
-use crate::automaton::AutomatonKind;
+use crate::automaton::{AutomatonKind, CodeTables};
 use crate::pattern::PatternTable;
 
 /// Branchless λ/δ tables for one automaton variant, one bit per 2-bit
@@ -61,16 +61,14 @@ impl SliceTables {
     /// saturating machine can wander for at most three same-direction
     /// steps before pinning at the agreeing end).
     pub fn derive(kind: AutomatonKind) -> Self {
-        let mut predict = 0u8;
+        let codes = CodeTables::derive(kind);
         let mut next_hi = [0u8; 2];
         let mut next_lo = [0u8; 2];
-        for s in 0..4u8 {
-            let a = kind.from_state_bits(s);
-            predict |= (a.predict() as u8) << s;
-            for (ti, taken) in [false, true].into_iter().enumerate() {
-                let next = a.update(taken).state_bits();
-                next_hi[ti] |= (next >> 1 & 1) << s;
-                next_lo[ti] |= (next & 1) << s;
+        for (t, (hi, lo)) in next_hi.iter_mut().zip(&mut next_lo).enumerate() {
+            for s in 0..4 {
+                let next = codes.delta[t << 2 | s];
+                *hi |= (next >> 1 & 1) << s;
+                *lo |= (next & 1) << s;
             }
         }
         for s in 0..4u8 {
@@ -89,7 +87,7 @@ impl SliceTables {
         }
         SliceTables {
             kind,
-            predict,
+            predict: codes.lambda,
             next_hi,
             next_lo,
             init: kind.init().state_bits(),

@@ -79,6 +79,11 @@ impl Gshare {
         }
     }
 
+    /// This predictor's configuration.
+    pub fn config(&self) -> &GshareConfig {
+        &self.config
+    }
+
     fn index(&self, pc: u32) -> usize {
         let mask = self.table.len() - 1;
         (self.history.pattern() ^ ((pc >> 2) as usize)) & mask
@@ -246,10 +251,38 @@ impl Tournament<TwoLevelAdaptive, Gshare> {
         self.choose(self.site_choosers[site as usize] as usize, a, b, taken)
     }
 
+    /// Steps the chooser alone over a walk in which fresh twins of both
+    /// components, trained on every event as this tournament's own
+    /// components would be, made the component guesses.
+    /// `disagreements` yields, in event order, every event where the two
+    /// guesses differed, as `(site, second component's guess, outcome)`;
+    /// it returns how many of them the tournament guessed right. Where
+    /// the guesses agree the chooser does not move and the tournament's
+    /// guess is the common one, so the caller credits those events from
+    /// the twins' counts. The components themselves are not stepped.
+    pub fn replay_chooser(
+        &mut self,
+        resolver: &SiteResolver,
+        disagreements: impl IntoIterator<Item = (SiteId, bool, bool)>,
+    ) -> u64 {
+        let entries = resolver.word_slots(self.chooser_mask);
+        let mut correct = 0;
+        for (site, second, taken) in disagreements {
+            let index = entries[site as usize] as usize;
+            correct += u64::from(self.choose(index, !second, second, taken) == taken);
+        }
+        correct
+    }
+
     /// The first (Two-Level) component, whose history table a slot
     /// walk probes.
     pub fn first(&self) -> &TwoLevelAdaptive {
         &self.first
+    }
+
+    /// The second (gshare) component.
+    pub fn second(&self) -> &Gshare {
+        &self.second
     }
 
     /// Folds a shared probe engine's access statistics into the first

@@ -1,6 +1,13 @@
 //! The global pattern table (the second level of the two-level scheme).
+//!
+//! Each entry is kept as its automaton's 2-bit state code (see
+//! [`AnyAutomaton::state_bits`]), one byte per entry, and stepped
+//! branchlessly: λ reads one bit of a per-table mask and δ one byte of
+//! a per-table `(taken, state)` table. Both are derived once per table
+//! from `automaton.rs` by the same decode → step → encode enumeration
+//! the bitsliced planes use, so no transition is written here.
 
-use crate::automaton::{AnyAutomaton, AutomatonKind};
+use crate::automaton::{AnyAutomaton, AutomatonKind, CodeTables};
 
 /// The global pattern history table.
 ///
@@ -23,8 +30,12 @@ use crate::automaton::{AnyAutomaton, AutomatonKind};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternTable {
-    entries: Vec<AnyAutomaton>,
+    /// Each entry's state code.
+    entries: Vec<u8>,
     kind: AutomatonKind,
+    /// λ and δ of `kind` over the state codes (a function of `kind`, so
+    /// equality still means same kind and same states).
+    codes: CodeTables,
 }
 
 impl PatternTable {
@@ -54,8 +65,9 @@ impl PatternTable {
         );
         assert_eq!(init.kind(), kind, "init automaton of the wrong kind");
         PatternTable {
-            entries: vec![init; 1usize << history_bits],
+            entries: vec![init.state_bits(); 1usize << history_bits],
             kind,
+            codes: CodeTables::derive(kind),
         }
     }
 
@@ -79,8 +91,9 @@ impl PatternTable {
     /// # Panics
     ///
     /// Panics if `pattern` is out of range.
+    #[inline]
     pub fn predict(&self, pattern: usize) -> bool {
-        self.entries[pattern].predict()
+        self.codes.lambda >> self.entries[pattern] & 1 != 0
     }
 
     /// δ: folds the resolved outcome into the entry for `pattern`.
@@ -88,21 +101,23 @@ impl PatternTable {
     /// # Panics
     ///
     /// Panics if `pattern` is out of range.
+    #[inline]
     pub fn update(&mut self, pattern: usize, taken: bool) {
         let entry = &mut self.entries[pattern];
-        *entry = entry.update(taken);
+        // Codes stay below 4, so the mask only spares a bounds check.
+        *entry = self.codes.delta[(usize::from(taken) << 2 | usize::from(*entry)) & 7];
     }
 
     /// The raw entry for `pattern` (for inspection and tests).
     pub fn entry(&self, pattern: usize) -> AnyAutomaton {
-        self.entries[pattern]
+        self.kind.from_state_bits(self.entries[pattern])
     }
 
     /// Every entry's 2-bit state code, in pattern order — the plane
     /// export half of the bitsliced pack interchange (see
     /// [`from_state_bits`](PatternTable::from_state_bits)).
     pub fn state_bits(&self) -> Vec<u8> {
-        self.entries.iter().map(|e| e.state_bits()).collect()
+        self.entries.clone()
     }
 
     /// Rebuilds a table from per-pattern 2-bit state codes — the
@@ -110,6 +125,7 @@ impl PatternTable {
     /// [`AtPack`](crate::bitslice::AtPack) lane's plane columns freeze
     /// back into the `PatternTable` the scalar walk would have built,
     /// so identity tests can compare entry state, not just counts.
+    /// Codes decode as [`AutomatonKind::from_state_bits`] does.
     ///
     /// # Panics
     ///
@@ -124,7 +140,7 @@ impl PatternTable {
             table.entries.len()
         );
         for (entry, &bits) in table.entries.iter_mut().zip(states) {
-            *entry = kind.from_state_bits(bits);
+            *entry = kind.from_state_bits(bits).state_bits();
         }
         table
     }

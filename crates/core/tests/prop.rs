@@ -107,6 +107,41 @@ fn pattern_table_updates_are_local() {
     );
 }
 
+/// A pattern table's one-byte state codes, stepped through its derived
+/// λ mask and δ table, behave entry for entry like automata stepped by
+/// `automaton.rs`: for every kind and both initial polarities, the same
+/// predictions before each update and the same entries after it.
+#[test]
+fn pattern_table_matches_scalar_automata() {
+    let step = gen::tuple2(gen::u64_any(), gen::bools());
+    let inputs = gen::tuple3(gen::u8_in(1, 4), gen::bools(), gen::vec_of(step, 0, 200));
+    check(
+        "pattern_table_matches_scalar_automata",
+        &inputs,
+        |(bits, not_taken_init, steps)| {
+            for kind in AutomatonKind::ALL {
+                let init = match not_taken_init {
+                    true => kind.init_not_taken(),
+                    false => kind.init(),
+                };
+                let mut pt = PatternTable::with_init(*bits, kind, init);
+                let mut reference = vec![init; pt.len()];
+                for &(seed, taken) in steps {
+                    let pattern = seed as usize % pt.len();
+                    prop_assert_eq!(pt.predict(pattern), reference[pattern].predict(), "{kind}");
+                    pt.update(pattern, taken);
+                    reference[pattern] = reference[pattern].update(taken);
+                    prop_assert_eq!(pt.entry(pattern), reference[pattern], "{kind}");
+                }
+                for (p, automaton) in reference.iter().enumerate() {
+                    prop_assert_eq!(pt.entry(p), *automaton, "{kind} entry {p}");
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
 /// An AHRT with enough associativity for the working set never evicts:
 /// behaviour matches the ideal table.
 #[test]

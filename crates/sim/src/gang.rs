@@ -7,7 +7,7 @@
 //! interact — so the gang engine walks the trace *once*, feeding every
 //! configuration's predictor in turn from the same hot `BranchRecord`.
 //!
-//! Seven further savings fall out:
+//! Eight further savings fall out:
 //!
 //! * **Monomorphization** — every registered scheme runs as a concrete
 //!   enum variant of [`GangLane`] ([`GangLane::from_config`] never
@@ -60,6 +60,14 @@
 //!   event in-loop (churny streams). In every run-replayed walk a loop
 //!   branch's same-outcome tail applies in O(1) once every history
 //!   register saturates and every automaton sits at its fixed point.
+//! * **Derived lanes** — a tournament's components train on every event
+//!   whatever its chooser picks, so beside fresh twins of both (an
+//!   unpacked Two-Level lane and a gshare lane of equal configurations)
+//!   its component guesses are the twins' guesses, event for event.
+//!   The twins record them, one bit per event, and after the per-event
+//!   loop the tournament steps only its chooser, at the events where
+//!   the guesses disagree; the agreeing events are credited in bulk
+//!   from the twins' counts.
 //! * **Closed-form static scoring** — a profile lane's frozen per-site
 //!   bits never change during a walk, so its score is a weighted sum
 //!   over the compiled stream's per-site taken counts: per site, not
@@ -315,6 +323,10 @@ struct Scalars<'a, P> {
     sites: Vec<(&'a mut P, &'a mut PredictionStats)>,
     /// Slot-path lanes, with the index of the engine they ride.
     slots: Vec<(usize, &'a mut P, &'a mut PredictionStats)>,
+    /// Twins of derived lanes, on the slot path (with their engine) or
+    /// the site path: each also records its guesses, one bit per event.
+    /// Kept apart so that no other lane pays the store.
+    twins: Vec<(Option<usize>, &'a mut P, &'a mut PredictionStats, &'a mut PackedBits)>,
 }
 
 impl<'a, P: ScalarLane> Scalars<'a, P> {
@@ -322,21 +334,26 @@ impl<'a, P: ScalarLane> Scalars<'a, P> {
         Scalars {
             sites: Vec::new(),
             slots: Vec::new(),
+            twins: Vec::new(),
         }
     }
 
-    /// Binds `lane` to the walk's sites and adds it on `path`.
+    /// Binds `lane` to the walk's sites and adds it on `path`, recording
+    /// its guesses into `guesses` when a derived lane reads them.
     fn push(
         &mut self,
         lane: &'a mut P,
         stat: &'a mut PredictionStats,
         path: LanePath,
+        guesses: Option<&'a mut PackedBits>,
         resolver: &mut SiteResolver,
     ) {
         lane.bind(resolver);
-        match path {
-            LanePath::Site => self.sites.push((lane, stat)),
-            LanePath::Slot(e) => self.slots.push((e, lane, stat)),
+        match (path, guesses) {
+            (LanePath::Site, None) => self.sites.push((lane, stat)),
+            (LanePath::Slot(e), None) => self.slots.push((e, lane, stat)),
+            (LanePath::Site, Some(guesses)) => self.twins.push((None, lane, stat, guesses)),
+            (LanePath::Slot(e), Some(guesses)) => self.twins.push((Some(e), lane, stat, guesses)),
             _ => unreachable!("only scalar paths step per event"),
         }
     }
@@ -349,6 +366,14 @@ impl<'a, P: ScalarLane> Scalars<'a, P> {
         }
         for (p, stat) in &mut self.sites {
             stat.record(p.site(site, taken) == taken);
+        }
+        for (e, p, stat, guesses) in &mut self.twins {
+            let guess = match *e {
+                Some(e) => p.slot(site, probes[e], taken),
+                None => p.site(site, taken),
+            };
+            guesses.push(guess);
+            stat.record(guess == taken);
         }
     }
 }
@@ -391,6 +416,12 @@ enum LanePath {
     Packed(usize),
     /// A member of slot-major replay `r`: an LS or ST lane.
     SlotMajor(usize),
+    /// A tournament whose components have fresh twins in the walk: the
+    /// Two-Level lane `first` and the gshare lane `second`, both scalar.
+    /// The twins record their guesses, and after the per-event loop the
+    /// tournament steps only its chooser, at the events where they
+    /// disagree.
+    Derived { first: usize, second: usize },
     /// A profile or fixed-rule lane, scored in closed form from the
     /// stream's tallies.
     ClosedForm,
@@ -459,6 +490,11 @@ struct WalkPlan {
 ///   pack leaves the per-event loop and collapses a same-outcome run
 ///   to at most `history_bits + 3` plane steps where scalar lanes pay
 ///   every event.
+/// * **Derivation.** A tournament derives from the first unpacked
+///   Two-Level lane and the first gshare lane whose configurations
+///   equal its components', when both exist; otherwise it runs whole.
+///   A derived tournament probes nothing, so it counts toward no
+///   shared engine.
 /// * **Sharing.** Beside scalar per-event consumers, every associative
 ///   organization probed by two or more lanes gets a shared engine, and
 ///   every lane on it rides it: unpacked lanes replay its slot
@@ -497,9 +533,32 @@ fn plan(lanes: &[GangLane], loop_heavy: bool) -> WalkPlan {
             replayed.entry(hrt).or_default().push(i);
         }
     }
+    let derived: Vec<Option<LanePath>> = lanes
+        .iter()
+        .map(|lane| {
+            let GangLane::Tournament(t) = lane else {
+                return None;
+            };
+            let first = (0..lanes.len()).find(|&i| match &lanes[i] {
+                GangLane::TwoLevel(p) => {
+                    p.config() == t.first().config() && !packed.values().any(|m| m.contains(&i))
+                }
+                _ => false,
+            })?;
+            let second = lanes.iter().position(
+                |lane| matches!(lane, GangLane::Gshare(g) if g.config() == t.second().config()),
+            )?;
+            Some(LanePath::Derived { first, second })
+        })
+        .collect();
     // Scalar per-event consumers remain exactly when some table lane
-    // is neither packed nor replayed.
-    let table_lanes: Vec<HrtConfig> = lanes.iter().filter_map(GangLane::hrt_config).collect();
+    // is neither packed, replayed nor derived.
+    let table_lanes: Vec<HrtConfig> = lanes
+        .iter()
+        .zip(&derived)
+        .filter(|(_, derived)| derived.is_none())
+        .filter_map(|(lane, _)| lane.hrt_config())
+        .collect();
     let grouped: usize = packed.values().chain(replayed.values()).map(Vec::len).sum();
     let mut engines: Vec<HrtConfig> = Vec::new();
     if table_lanes.len() > grouped {
@@ -540,11 +599,14 @@ fn plan(lanes: &[GangLane], loop_heavy: bool) -> WalkPlan {
     replays.sort_by_key(|replay| replay.lanes[0]);
     let mut paths: Vec<LanePath> = lanes
         .iter()
-        .map(|lane| match (lane, lane.hrt_config().and_then(engine)) {
-            (GangLane::Profile(_) | GangLane::Fixed(_), _) => LanePath::ClosedForm,
-            (GangLane::Dyn(_), _) => LanePath::Dyn,
-            (_, Some(e)) => LanePath::Slot(e),
-            (_, None) => LanePath::Site,
+        .zip(derived)
+        .map(|(lane, derived)| {
+            derived.unwrap_or(match (lane, lane.hrt_config().and_then(engine)) {
+                (GangLane::Profile(_) | GangLane::Fixed(_), _) => LanePath::ClosedForm,
+                (GangLane::Dyn(_), _) => LanePath::Dyn,
+                (_, Some(e)) => LanePath::Slot(e),
+                (_, None) => LanePath::Site,
+            })
         })
         .collect();
     for (p, pack) in packs.iter().enumerate() {
@@ -599,16 +661,23 @@ fn assemble<'p>(
         .collect()
 }
 
+/// A logged probe's fill flag: a probe log keeps one `u32` per event,
+/// the slot with this bit set when the probe filled it. Slot-major
+/// replays read only the slot, and logged AT packs the slot and the
+/// flag.
+const FILLED: u32 = 1 << 31;
+
 /// Advances a shared engine by one event, logging the probe when a pack
 /// or a slot-major replay reads it afterwards. Kept out of line on
 /// purpose: with the way scan inlined into the per-event loop, the
 /// scalar slot lanes beside it ran ~25 % slower (fig7's four Two-Level
 /// slot lanes, 500 k branches per trace).
 #[inline(never)]
-fn probe(engine: &mut SlotProbe, log: &mut Option<Vec<Probe>>, site: SiteId) -> Probe {
+fn probe(engine: &mut SlotProbe, log: &mut Option<Vec<u32>>, site: SiteId) -> Probe {
     let probe = engine.step(site);
     if let Some(log) = log {
-        log.push(probe);
+        debug_assert!(probe.slot < FILLED, "slot {} overlaps the fill flag", probe.slot);
+        log.push(probe.slot | u32::from(probe.outcome == ProbeOutcome::Filled) * FILLED);
     }
     probe
 }
@@ -665,7 +734,7 @@ fn replay_runs<K: Copy + PartialEq>(
 /// predicted/correct and the adopted statistics are observable.
 fn finish_packs(
     packs: Vec<(AtPack, &GroupPlan)>,
-    engines: &[(SlotProbe, Option<Vec<Probe>>)],
+    engines: &[(SlotProbe, Option<Vec<u32>>)],
     resolver: &mut SiteResolver,
     compiled: &CompiledTrace,
     lanes: &mut [GangLane],
@@ -674,16 +743,18 @@ fn finish_packs(
     for (mut planes, pack) in packs {
         let probe_stats = match pack.driver {
             SlotDriver::Stepped(e) => engines[e].0.stats(),
-            // The probing is already paid: equal probes group into
-            // runs, and a fill applies once, up front — a filled way
-            // is valid by its next probe, so a fill cannot repeat
-            // within a run.
+            // The probing is already paid: equal logged probes group
+            // into runs, and a fill applies once, up front — a filled
+            // way is valid by its next probe, so a fill cannot repeat
+            // within a run. (A replacement inherits the victim's state,
+            // as packed lanes never re-initialize, so it steps like a
+            // hit.)
             SlotDriver::Logged(e) => {
                 let log = engines[e].1.as_deref().expect("a logged engine keeps its log");
-                replay_runs(&mut planes, compiled, log, |probe, n| {
-                    let filled = probe.outcome == ProbeOutcome::Filled;
+                replay_runs(&mut planes, compiled, log, |logged, n| {
+                    let filled = logged & FILLED != 0;
                     debug_assert!(n == 1 || !filled, "a filled way is valid on its next probe");
-                    (probe.slot as usize, filled)
+                    ((logged & !FILLED) as usize, filled)
                 });
                 engines[e].0.stats()
             }
@@ -836,7 +907,7 @@ fn bucket_by_slot(
 /// never; an associative table's statistics are its engine's.
 fn replay_slot_major(
     replay: &GroupPlan,
-    engines: &[(SlotProbe, Option<Vec<Probe>>)],
+    engines: &[(SlotProbe, Option<Vec<u32>>)],
     resolver: &mut SiteResolver,
     compiled: &CompiledTrace,
     lanes: &mut [GangLane],
@@ -876,7 +947,7 @@ fn replay_slot_major(
         }
         SlotDriver::Logged(e) => {
             let log = engines[e].1.as_deref().expect("a logged engine keeps its log");
-            let slots = log.iter().map(|probe| probe.slot);
+            let slots = log.iter().map(|&logged| logged & !FILLED);
             (bucket_by_slot(outcomes, slot_count, slots), engines[e].0.stats())
         }
         SlotDriver::Stepped(_) => unreachable!("slot-major replays never step in the event loop"),
@@ -907,6 +978,34 @@ fn replay_slot_major(
     }
 }
 
+/// A derived tournament's correct count, from its twins' recorded
+/// guesses and correct counts. Where the twins agree the chooser stays
+/// put and the tournament guesses what they guess; at each disagreement
+/// exactly one twin is right, so the agreeing events both got right
+/// number (first correct + second correct − disagreements) / 2. The
+/// chooser then steps at the disagreements alone, in event order.
+fn derived_correct(
+    tournament: &mut Tournament<TwoLevelAdaptive, Gshare>,
+    [(first, first_correct), (second, second_correct)]: [(&PackedBits, u64); 2],
+    resolver: &SiteResolver,
+    compiled: &CompiledTrace,
+) -> u64 {
+    let (sites, outcomes) = (compiled.cond_sites(), compiled.outcomes());
+    let differ = first.words().iter().zip(second.words()).map(|(a, b)| a ^ b);
+    let disagreed: u64 = differ.clone().map(|bits| u64::from(bits.count_ones())).sum();
+    let disagreements = differ.enumerate().flat_map(|(word, mut bits)| {
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let event = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                (sites[event], second.get(event), outcomes.get(event))
+            })
+        })
+    });
+    let both_right = (first_correct + second_correct - disagreed) / 2;
+    both_right + tournament.replay_chooser(resolver, disagreements)
+}
+
 /// Runs `plan` over `compiled`: the one executor behind every walk
 /// strategy.
 ///
@@ -928,7 +1027,7 @@ fn execute(
     let mut resolver = SiteResolver::new(compiled.site_pcs().to_vec());
     // Each shared engine, with a log of its probes when a pack or a
     // replay reads them afterwards.
-    let mut engines: Vec<(SlotProbe, Option<Vec<Probe>>)> = plan
+    let mut engines: Vec<(SlotProbe, Option<Vec<u32>>)> = plan
         .engines
         .iter()
         .enumerate()
@@ -947,20 +1046,33 @@ fn execute(
     let packed: usize = plan.packs.iter().map(|pack| pack.lanes.len()).sum();
     metrics::add(Counter::LanesPacked, packed as u64);
     let mut stats = vec![PredictionStats::default(); lanes.len()];
+    // The guesses of every twin a derived lane reads.
+    let mut guesses: Vec<Option<PackedBits>> = vec![None; lanes.len()];
+    let mut derived = 0;
+    for &path in &plan.lanes {
+        if let LanePath::Derived { first, second } = path {
+            derived += 1;
+            for twin in [first, second] {
+                guesses[twin].get_or_insert_with(|| PackedBits::with_capacity(compiled.len()));
+            }
+        }
+    }
+    metrics::add(Counter::LanesDerived, derived);
     // Partition once so the per-event loop is free of lane-kind
     // dispatch: each group's calls are direct.
     let (mut at, mut var) = (Scalars::new(), Scalars::new());
     let (mut gshare, mut tour) = (Scalars::new(), Scalars::new());
-    for ((lane, stat), &path) in lanes.iter_mut().zip(&mut stats).zip(&plan.lanes) {
+    let lanes_with_paths = lanes.iter_mut().zip(&mut stats).zip(&mut guesses).zip(&plan.lanes);
+    for (((lane, stat), guesses), &path) in lanes_with_paths {
         if !matches!(path, LanePath::Site | LanePath::Slot(_)) {
             continue; // finished below
         }
-        let resolver = &mut resolver;
+        let (guesses, resolver) = (guesses.as_mut(), &mut resolver);
         match lane {
-            GangLane::TwoLevel(p) => at.push(p, stat, path, resolver),
-            GangLane::Variant(p) => var.push(p, stat, path, resolver),
-            GangLane::Gshare(p) => gshare.push(p, stat, path, resolver),
-            GangLane::Tournament(p) => tour.push(p, stat, path, resolver),
+            GangLane::TwoLevel(p) => at.push(p, stat, path, guesses, resolver),
+            GangLane::Variant(p) => var.push(p, stat, path, guesses, resolver),
+            GangLane::Gshare(p) => gshare.push(p, stat, path, guesses, resolver),
+            GangLane::Tournament(p) => tour.push(p, stat, path, guesses, resolver),
             lane => unreachable!("{lane:?} cannot take the {path:?} path"),
         }
     }
@@ -1024,6 +1136,29 @@ fn execute(
             _ => {}
         }
     }
+    // Derived lanes last: their twins' counts and table statistics are
+    // final by now.
+    for (i, &path) in plan.lanes.iter().enumerate() {
+        let LanePath::Derived { first, second } = path else {
+            continue;
+        };
+        let GangLane::TwoLevel(twin) = &lanes[first] else {
+            unreachable!("a tournament's first twin is a Two-Level lane");
+        };
+        let twin_stats = twin.hrt_stats();
+        let GangLane::Tournament(tournament) = &mut lanes[i] else {
+            unreachable!("only tournaments derive");
+        };
+        let recorded = |twin: usize| {
+            let guesses = guesses[twin].as_ref().expect("twins record their guesses");
+            (guesses, stats[twin].correct)
+        };
+        let twins = [recorded(first), recorded(second)];
+        let correct = derived_correct(tournament, twins, &resolver, compiled);
+        stats[i].predicted += compiled.len() as u64;
+        stats[i].correct += correct;
+        tournament.adopt_probe_stats(twin_stats);
+    }
     // The RAS is predictor-independent; the compiler carried its
     // push/verify events in record order.
     let mut ras = ReturnAddressStack::new(options.ras_entries.max(1));
@@ -1060,6 +1195,12 @@ fn execute(
 /// the records are never materialized. Results are bit-identical to
 /// [`gang_simulate_records`], which is pinned by tests and kept as the
 /// reference walk.
+///
+/// Every lane must be fresh: as built, never yet stepped. The walk's
+/// shared engines start from a fresh probe state, AT packs from fresh
+/// planes, and a tournament beside twins of its components takes their
+/// guesses for its components' (see the module docs), which holds only
+/// when all of them start from the same state.
 ///
 /// # Panics
 ///
@@ -2142,6 +2283,77 @@ mod tests {
         ]
     }
 
+    /// Tournaments that lack a pair of fresh twins, so they run whole:
+    /// one beside an `AT(…,A3)` and a 10-bit gshare (neither equals its
+    /// components), one beside only its AT twin, and one beside only its
+    /// gshare twin.
+    fn tournaments_without_twin_pairs() -> [Vec<SchemeConfig>; 3] {
+        let tournament = SchemeConfig::Tournament {
+            chooser_entries: 1024,
+        };
+        let ahrt = HrtConfig::ahrt(512);
+        [
+            vec![
+                SchemeConfig::at(ahrt, 12, AutomatonKind::A3),
+                SchemeConfig::Gshare(GshareConfig {
+                    history_bits: 10,
+                    automaton: AutomatonKind::A2,
+                }),
+                tournament.clone(),
+            ],
+            vec![SchemeConfig::at(ahrt, 12, AutomatonKind::A2), tournament.clone()],
+            vec![tournament, SchemeConfig::Gshare(GshareConfig::default_12bit())],
+        ]
+    }
+
+    #[test]
+    fn tournaments_derive_only_beside_scalar_twins() {
+        // Churny: the taxonomy's AT lane stays scalar on the AHRT engine
+        // it shares with PAg and PAs, so the tournament derives from it
+        // and the gshare lane, and rides no engine itself.
+        let configs = crate::config::taxonomy();
+        let churny = SyntheticStream::mixed(0x7a0, 64).generate(6_000);
+        assert!(!is_loop_heavy(&churny));
+        let chosen = plan(&lanes_for(&configs, &churny), false);
+        assert_eq!(chosen.lanes[4], LanePath::Slot(0));
+        assert_eq!(chosen.lanes[5], LanePath::Site);
+        assert_eq!(chosen.lanes[6], LanePath::Derived { first: 4, second: 5 });
+        // It scores, and adopts the table statistics, as its whole walk.
+        let compiled = CompiledTrace::compile(&churny);
+        let tournament = |plan: &WalkPlan| {
+            let mut lanes = lanes_for(&configs, &churny);
+            let results = execute(&mut lanes, plan, &compiled, None, SimOptions::default());
+            let GangLane::Tournament(t) = &lanes[6] else {
+                unreachable!("the taxonomy's last lane is its tournament");
+            };
+            (results[6].conditional, t.first().hrt_stats())
+        };
+        let whole = scalar_plan(&lanes_for(&configs, &churny));
+        assert_eq!(tournament(&chosen), tournament(&whole));
+        // Two tournaments may share one pair of twins.
+        let mixed = taxonomy_and_fixed_rules();
+        let shared = plan(&lanes_for(&mixed, &churny), false);
+        assert_eq!(shared.lanes[11], LanePath::Derived { first: 7, second: 9 });
+        assert_eq!(shared.lanes[12], LanePath::Derived { first: 7, second: 9 });
+        // Loop-heavy: the AT lane packs, so the tournament has no scalar
+        // twin and runs whole on the AHRT engine.
+        let loopy = loop_heavy_trace(6_000);
+        assert!(is_loop_heavy(&loopy));
+        let packed = plan(&lanes_for(&configs, &loopy), true);
+        assert_eq!(packed.lanes[4], LanePath::Packed(0));
+        assert_eq!(packed.lanes[6], LanePath::Slot(0));
+        // Without both twins a tournament runs whole on either shape.
+        for configs in tournaments_without_twin_pairs() {
+            for loop_heavy in [false, true] {
+                let plan = plan(&lanes_for(&configs, &churny), loop_heavy);
+                assert!(
+                    !plan.lanes.iter().any(|path| matches!(path, LanePath::Derived { .. })),
+                    "{plan:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn every_forced_plan_matches_the_record_walk() {
         // The planner picks one strategy per stream shape; the executor
@@ -2152,7 +2364,9 @@ mod tests {
         // engine (replays private or logged), and the other shape's plan
         // (mask-singleton AT lanes packed on the churny stream, unpacked
         // on the loop-heavy one) under each driver. No plan ever steps
-        // an LS or ST lane per event.
+        // an LS or ST lane per event, and a derived lane's twins always
+        // step per event.
+        let [unequal_twins, at_twin_only, gshare_twin_only] = tournaments_without_twin_pairs();
         let mixes = [
             sweep(),
             organizations(),
@@ -2164,6 +2378,9 @@ mod tests {
             at_pack_only(),
             taxonomy_and_fixed_rules(),
             crate::config::taxonomy(),
+            unequal_twins,
+            at_twin_only,
+            gshare_twin_only,
         ];
         let options = SimOptions { ras_entries: 8 };
         for trace in [
@@ -2192,6 +2409,12 @@ mod tests {
                                 panic!("{what} plan gives {lane:?} the {path:?} path");
                             };
                             assert!(forced.replays[r].lanes.contains(&i), "{what} plan");
+                        }
+                        if let LanePath::Derived { first, second } = forced.lanes[i] {
+                            let scalar = |twin: usize| {
+                                matches!(forced.lanes[twin], LanePath::Site | LanePath::Slot(_))
+                            };
+                            assert!(scalar(first) && scalar(second), "{what} plan");
                         }
                     }
                     let mut lanes = lanes_for(configs, &trace);

@@ -99,6 +99,29 @@ fn an_injected_panic_fails_exactly_its_own_cell() {
 }
 
 #[test]
+fn a_tournament_whose_twin_failed_runs_whole() {
+    // The taxonomy's tournament (config 6) takes its component guesses
+    // from its fresh AT (config 4) and gshare (config 5) twins. Failing
+    // the AT lane at build time on one workload leaves the tournament
+    // there without a twin, so it runs whole and must score exactly as
+    // in the clean run.
+    let configs = tlat_sim::taxonomy();
+    let clean = Harness::new(BUDGET).accuracy_table("twin-smoke", &configs);
+    let wi = 2;
+    let cell = wi * configs.len() + 4;
+    let plan = Arc::new(Faults::parse(&format!("panic@{cell}:5")).unwrap());
+    let harness = Harness::new(BUDGET).with_faults(plan);
+    let faulted = harness.accuracy_table("twin-smoke", &configs);
+
+    let failed = faulted.failed_cells();
+    assert_eq!(failed.len(), 1, "exactly one cell must fail: {failed:?}");
+    assert_eq!(failed[0].0, configs[4].label());
+    assert_eq!(failed[0].1, harness.workloads()[wi].name);
+    assert_eq!(faulted.to_string().matches('✗').count(), 1);
+    assert_eq!(faulted.rows[6], clean.rows[6]);
+}
+
+#[test]
 fn a_fully_journaled_sweep_resumes_with_zero_work() {
     let cache = scratch_dir("resume-full");
     let sweeps = cache.join("sweeps");

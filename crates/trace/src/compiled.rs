@@ -136,6 +136,13 @@ impl PackedBits {
         (self.words[index / 64] >> (index % 64)) & 1 != 0
     }
 
+    /// The backing words: bit `i` is bit `i % 64` of word `i / 64`, and
+    /// bits past [`len`](PackedBits::len) are zero, so consumers can
+    /// combine two equal-length vectors word by word.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of bits stored.
     pub fn len(&self) -> usize {
         self.len
