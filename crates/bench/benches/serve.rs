@@ -109,7 +109,14 @@ fn main() {
     } else {
         (8, 64)
     };
-    load(port, "warm_sweep", "POST", "/sweep/fig10", clients, per_client);
+    load(
+        port,
+        "warm_sweep",
+        "POST",
+        "/sweep/fig10",
+        clients,
+        per_client,
+    );
     load(port, "sweeps_index", "GET", "/sweeps", clients, per_client);
 
     request(port, "POST", "/shutdown");

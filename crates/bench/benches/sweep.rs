@@ -33,15 +33,20 @@ fn main() {
 
     let mut group = Runner::new("sweep");
     group.plan(1, 5);
-    let baseline = group.throughput(cells).bench("fig10_per_config_baseline", || {
-        harness
-            .accuracy_table_sequential("fig10", &configs)
-            .to_string()
-            .len()
-    });
+    let baseline = group
+        .throughput(cells)
+        .bench("fig10_per_config_baseline", || {
+            harness
+                .accuracy_table_sequential("fig10", &configs)
+                .to_string()
+                .len()
+        });
     group.plan(1, 5);
     let gang = group.throughput(cells).bench("fig10_gang_1thread", || {
-        harness.accuracy_table_on("fig10", &configs, 1).to_string().len()
+        harness
+            .accuracy_table_on("fig10", &configs, 1)
+            .to_string()
+            .len()
     });
     group.plan(1, 5);
     let pooled = group.throughput(cells).bench("fig10_gang_pool", || {

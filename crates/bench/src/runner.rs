@@ -257,7 +257,11 @@ mod tests {
         // Under a smoke pass (`cargo bench -- --test`) the plan() call
         // is ignored and the smoke warmup runs; under `cargo test` the
         // explicit zero-warmup plan applies.
-        let warmup = if crate::is_test_pass() { SMOKE_WARMUP } else { 0 };
+        let warmup = if crate::is_test_pass() {
+            SMOKE_WARMUP
+        } else {
+            0
+        };
         assert_eq!(m.iters + warmup, calls);
         assert_eq!(m.elements, Some(100));
         assert!(m.ns_per_element().is_some());

@@ -15,7 +15,9 @@ impl Rng {
         let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        Rng { state: z ^ (z >> 31) | 1 }
+        Rng {
+            state: z ^ (z >> 31) | 1,
+        }
     }
 
     /// The next 64 uniformly distributed bits.

@@ -146,7 +146,11 @@ fn shrink<T: Clone + 'static>(
 ///
 /// Panics when the property fails, reporting the minimal shrunk
 /// counterexample and the seed.
-pub fn check<T: Clone + Debug + 'static>(name: &str, gen: &Gen<T>, prop: impl Fn(&T) -> Result<(), String>) {
+pub fn check<T: Clone + Debug + 'static>(
+    name: &str,
+    gen: &Gen<T>,
+    prop: impl Fn(&T) -> Result<(), String>,
+) {
     let config = Config::from_env(name);
     if let Err(failure) = check_with(&config, gen, prop) {
         panic!(

@@ -22,7 +22,10 @@ fn shrinking_finds_the_minimal_scalar() {
     })
     .expect_err("the planted bug must be found");
     assert_eq!(failure.minimal, 1000, "shrinker must reach the boundary");
-    assert!(failure.shrink_steps > 0, "some shrinking must have happened");
+    assert!(
+        failure.shrink_steps > 0,
+        "some shrinking must have happened"
+    );
 }
 
 #[test]

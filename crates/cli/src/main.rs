@@ -117,7 +117,9 @@ fn main() -> ExitCode {
                 args.drain(..2);
             }
             Some("--cache-dir") => {
-                let Some(dir) = args.get(1) else { return usage() };
+                let Some(dir) = args.get(1) else {
+                    return usage();
+                };
                 std::env::set_var("TLAT_TRACE_CACHE", dir);
                 args.drain(..2);
             }
@@ -140,7 +142,9 @@ fn main() -> ExitCode {
                 args.drain(..2);
             }
             Some("--metrics") => {
-                let Some(path) = args.get(1) else { return usage() };
+                let Some(path) = args.get(1) else {
+                    return usage();
+                };
                 std::env::set_var("TLAT_METRICS", path);
                 args.drain(..2);
             }
@@ -232,8 +236,7 @@ fn main() -> ExitCode {
                             return ExitCode::FAILURE;
                         }
                     };
-                    let metrics_base =
-                        std::env::var("TLAT_METRICS").ok().filter(|s| !s.is_empty());
+                    let metrics_base = std::env::var("TLAT_METRICS").ok().filter(|s| !s.is_empty());
                     let mut make_worker = |shard: tlat_sim::Shard| {
                         let mut cmd = std::process::Command::new(&exe);
                         cmd.arg("sweep").arg(name);

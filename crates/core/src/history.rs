@@ -1,7 +1,5 @@
 //! Branch history registers (the first level of the two-level scheme).
 
-
-
 /// Maximum supported history length, in bits.
 ///
 /// The paper simulates 6-, 8-, 10- and 12-bit registers; 16 gives

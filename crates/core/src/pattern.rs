@@ -202,7 +202,10 @@ mod tests {
     fn state_bits_round_trip_through_from_state_bits() {
         for kind in AutomatonKind::ALL {
             let mut pt = PatternTable::new(3, kind);
-            for (i, taken) in [true, false, false, true, false, true, false].iter().enumerate() {
+            for (i, taken) in [true, false, false, true, false, true, false]
+                .iter()
+                .enumerate()
+            {
                 pt.update(i % 8, *taken);
             }
             let rebuilt = PatternTable::from_state_bits(3, kind, &pt.state_bits());

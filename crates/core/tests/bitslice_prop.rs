@@ -25,11 +25,26 @@ fn derived_tables_match_scalar_lambda_and_delta() {
         let t = SliceTables::derive(kind);
         for s in 0..4u8 {
             let a = kind.from_state_bits(s);
-            assert_eq!(t.predict >> s & 1 != 0, a.predict(), "{} λ({s})", kind.name());
+            assert_eq!(
+                t.predict >> s & 1 != 0,
+                a.predict(),
+                "{} λ({s})",
+                kind.name()
+            );
             for (ti, taken) in [false, true].into_iter().enumerate() {
                 let next = a.update(taken).state_bits();
-                assert_eq!(t.next_hi[ti] >> s & 1, next >> 1, "{} δ({s},{taken}) hi", kind.name());
-                assert_eq!(t.next_lo[ti] >> s & 1, next & 1, "{} δ({s},{taken}) lo", kind.name());
+                assert_eq!(
+                    t.next_hi[ti] >> s & 1,
+                    next >> 1,
+                    "{} δ({s},{taken}) hi",
+                    kind.name()
+                );
+                assert_eq!(
+                    t.next_lo[ti] >> s & 1,
+                    next & 1,
+                    "{} δ({s},{taken}) lo",
+                    kind.name()
+                );
             }
         }
         assert_eq!(t.init, kind.init().state_bits(), "{} init", kind.name());
@@ -201,12 +216,14 @@ fn at_packs_match_the_scalar_two_level_cycle_lane_for_lane() {
 fn mixed_mask_packs_share_one_history_walk_exactly() {
     let specs: Vec<AtLaneConfig> = (1..=12u8)
         .flat_map(|bits| {
-            AutomatonKind::ALL.into_iter().map(move |kind| AtLaneConfig {
-                kind,
-                history_bits: bits,
-                cached_prediction: bits % 2 == 0,
-                init_not_taken: bits % 3 == 0,
-            })
+            AutomatonKind::ALL
+                .into_iter()
+                .map(move |kind| AtLaneConfig {
+                    kind,
+                    history_bits: bits,
+                    cached_prediction: bits % 2 == 0,
+                    init_not_taken: bits % 3 == 0,
+                })
         })
         .collect();
     assert_eq!(specs.len(), 60, "12 history lengths x 5 variants");

@@ -436,7 +436,10 @@ mod tests {
         let path = cache.path_for(&k);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(cache.load(&k).is_none(), "corrupt entry must read as a miss");
+        assert!(
+            cache.load(&k).is_none(),
+            "corrupt entry must read as a miss"
+        );
         assert!(!path.exists(), "corrupt entry must be evicted");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -449,8 +452,8 @@ mod tests {
         let k = key(&input, 300);
         DiskCache::new(&dir).store(&k, &trace);
         // Load 0 of this plan truncates the file in place.
-        let faulty = DiskCache::new(&dir)
-            .with_faults(Arc::new(Faults::parse("corrupt@0:1").unwrap()));
+        let faulty =
+            DiskCache::new(&dir).with_faults(Arc::new(Faults::parse("corrupt@0:1").unwrap()));
         assert!(faulty.load(&k).is_none(), "injected corruption must miss");
         assert!(!faulty.path_for(&k).exists(), "and must be evicted");
         // Regeneration (store + load) then round-trips cleanly.
@@ -466,8 +469,7 @@ mod tests {
         let trace = SyntheticStream::mixed(0xbee, 8).generate(250);
         let k = key(&input, 250);
         DiskCache::new(&dir).store(&k, &trace);
-        let faulty =
-            DiskCache::new(&dir).with_faults(Arc::new(Faults::parse("io@0:1").unwrap()));
+        let faulty = DiskCache::new(&dir).with_faults(Arc::new(Faults::parse("io@0:1").unwrap()));
         // The first attempt fails transiently; the bounded retry must
         // still serve the entry without regeneration.
         assert_eq!(faulty.load(&k).unwrap(), trace);

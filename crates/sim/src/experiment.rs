@@ -14,9 +14,9 @@ use crate::faults::Faults;
 use crate::gang::{gang_simulate_isolated_compiled, GangLane};
 use crate::journal::{self, SweepJournal};
 use crate::metrics::{self, CellOutcome, Counter, Phase};
-use crate::stats::SimResult;
 use crate::pool;
 use crate::report::{Cell, Report};
+use crate::stats::SimResult;
 use crate::supervisor::{self, Shard};
 use crate::traces::TraceStore;
 use std::collections::HashMap;
@@ -239,7 +239,12 @@ impl Harness {
     /// with the failure message footnoted, and — when resume is enabled
     /// — completed cells are journaled crash-safely and replayed instead
     /// of recomputed.
-    pub fn accuracy_table_on(&self, title: &str, configs: &[SchemeConfig], threads: usize) -> Report {
+    pub fn accuracy_table_on(
+        &self,
+        title: &str,
+        configs: &[SchemeConfig],
+        threads: usize,
+    ) -> Report {
         let journal = self.sweep_journal(title, configs);
         let fingerprint = journal.as_ref().map(SweepJournal::fingerprint);
         let replayed: HashMap<(usize, usize), Cell> =
@@ -332,9 +337,7 @@ impl Harness {
             results.keys().copied().collect();
         for ci in 0..configs.len() {
             for wi in 0..self.workloads.len() {
-                results
-                    .entry((ci, wi))
-                    .or_insert_with(|| missing(ci, wi));
+                results.entry((ci, wi)).or_insert_with(|| missing(ci, wi));
             }
         }
         self.account_cells(configs, &results, &replayed_keys);
@@ -507,7 +510,10 @@ impl Harness {
             } => {
                 let diff = *data == TrainingData::Diff;
                 let key = (workload.name.to_owned(), diff, *history_bits);
-                let memoized = lock_unpoisoned(&self.trained).profiles.get(&key).map(Arc::clone);
+                let memoized = lock_unpoisoned(&self.trained)
+                    .profiles
+                    .get(&key)
+                    .map(Arc::clone);
                 let profile = match memoized {
                     Some(profile) => profile,
                     None => {

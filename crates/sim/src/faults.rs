@@ -138,7 +138,9 @@ impl Faults {
             match kind {
                 "io" => plan.io.push(index.unwrap_or_else(|| derived(0x10))),
                 "corrupt" => plan.corrupt.push(index.unwrap_or_else(|| derived(0xC0))),
-                "panic" => plan.panic_cells.push(index.unwrap_or_else(|| derived(0xBA))),
+                "panic" => plan
+                    .panic_cells
+                    .push(index.unwrap_or_else(|| derived(0xBA))),
                 "abort" => plan.aborts.push(index.unwrap_or_else(|| derived(0xAB))),
                 other => return Err(format!("unknown fault kind {other:?} in {spec:?}")),
             }
@@ -310,8 +312,7 @@ mod tests {
     #[test]
     fn injected_panic_carries_cell_and_seed() {
         let plan = Faults::parse("panic@3:11").unwrap();
-        let caught = std::panic::catch_unwind(|| plan.maybe_panic_cell(3, "AT/gcc"))
-            .unwrap_err();
+        let caught = std::panic::catch_unwind(|| plan.maybe_panic_cell(3, "AT/gcc")).unwrap_err();
         let message = caught.downcast_ref::<String>().unwrap();
         assert!(message.contains("cell 3"));
         assert!(message.contains("seed 11"));

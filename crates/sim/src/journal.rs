@@ -289,7 +289,10 @@ pub fn gc(root: &Path, live: &[PathBuf], min_age: Duration) -> GcStats {
                 stats.removed += 1;
                 stats.bytes += bytes;
             }
-            Err(e) => eprintln!("warning: could not remove stale journal {}: {e}", path.display()),
+            Err(e) => eprintln!(
+                "warning: could not remove stale journal {}: {e}",
+                path.display()
+            ),
         }
     }
     stats
@@ -352,7 +355,10 @@ mod tests {
             ref other => panic!("expected value, got {other:?}"),
         }
         assert_eq!(cells[&(1, 0)], Cell::Blank);
-        assert!(!cells.contains_key(&(1, 1)), "failed cells are not journaled");
+        assert!(
+            !cells.contains_key(&(1, 1)),
+            "failed cells are not journaled"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -360,8 +366,7 @@ mod tests {
     fn fingerprint_separates_sweeps() {
         let root = scratch_dir("fp");
         let a = journal(&root);
-        let other_title =
-            SweepJournal::open(&root, "fig9", &["AT".to_owned()], &["gcc"], 10_000);
+        let other_title = SweepJournal::open(&root, "fig9", &["AT".to_owned()], &["gcc"], 10_000);
         let other_budget = SweepJournal::open(
             &root,
             "fig10",
@@ -385,9 +390,15 @@ mod tests {
         std::fs::write(&corrupt, b"v zzzz").unwrap();
         std::fs::write(j.dir().join("unrelated.txt"), b"ignore me").unwrap();
         let cells = j.load();
-        assert!(!cells.contains_key(&(0, 0)), "corrupt record must be dropped");
+        assert!(
+            !cells.contains_key(&(0, 0)),
+            "corrupt record must be dropped"
+        );
         assert_eq!(cells[&(0, 1)], Cell::Value(0.25));
-        assert!(!corrupt.exists(), "corrupt record must be evicted from disk");
+        assert!(
+            !corrupt.exists(),
+            "corrupt record must be evicted from disk"
+        );
         // Recompute + re-record heals the journal in place.
         j.record(0, 0, &Cell::Value(0.5));
         assert_eq!(j.load()[&(0, 0)], Cell::Value(0.5));
@@ -408,7 +419,10 @@ mod tests {
 
         // A payload flip that still parses as hex must be caught by the
         // checksum, not served as a wrong value.
-        let flipped = good.replace(&format!("{:016x}", v.to_bits()), &format!("{:016x}", (0.5f64).to_bits()));
+        let flipped = good.replace(
+            &format!("{:016x}", v.to_bits()),
+            &format!("{:016x}", (0.5f64).to_bits()),
+        );
         assert_ne!(flipped, good);
         std::fs::write(&path, flipped).unwrap();
         assert!(j.load().is_empty(), "bit-flipped record must be evicted");
@@ -446,7 +460,14 @@ mod tests {
 
         // Everything is brand new: the age guard keeps it all.
         let stats = gc(&root, &[], Duration::from_secs(3600));
-        assert_eq!(stats, GcStats { removed: 0, kept: 2, bytes: 0 });
+        assert_eq!(
+            stats,
+            GcStats {
+                removed: 0,
+                kept: 2,
+                bytes: 0
+            }
+        );
 
         // Zero age guard: only the live journal survives.
         let stats = gc(&root, &[live.dir().to_path_buf()], Duration::ZERO);
@@ -455,7 +476,10 @@ mod tests {
         assert!(stats.bytes > 0, "reclaimed bytes are reported");
         assert!(!stale.dir().exists());
         assert!(live.dir().exists());
-        assert!(root.join("not-a-sweep").exists(), "foreign dirs are never touched");
+        assert!(
+            root.join("not-a-sweep").exists(),
+            "foreign dirs are never touched"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

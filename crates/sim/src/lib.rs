@@ -95,10 +95,10 @@ pub use gang::{
     gang_simulate_compiled, gang_simulate_isolated_compiled, gang_simulate_records, GangLane,
 };
 pub use journal::SweepJournal;
-pub use stats::{PredictionStats, SimResult};
 pub use pool::{run_isolated, threads_from_env, CellPanic};
 pub use report::{Cell, Report, ReportRow};
 pub use serve::Server;
+pub use stats::{PredictionStats, SimResult};
 pub use supervisor::{run_supervised, Shard, ShardOutcome, SupervisorOptions};
 pub use timing::{simulate_timing, TimingModel, TimingResult};
 pub use traces::{branch_limit_from_env, TraceStore, DEFAULT_BRANCH_LIMIT};

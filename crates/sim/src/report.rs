@@ -140,7 +140,11 @@ impl Report {
         for row in &self.rows {
             for (c, cell) in row.values.iter().enumerate() {
                 if let Cell::Failed(message) = cell {
-                    out.push((row.label.as_str(), self.columns[c].as_str(), message.as_str()));
+                    out.push((
+                        row.label.as_str(),
+                        self.columns[c].as_str(),
+                        message.as_str(),
+                    ));
                 }
             }
         }

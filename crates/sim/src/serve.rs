@@ -230,9 +230,7 @@ impl ServeState {
     /// run and whether this request is *fresh* (started the
     /// computation) — a non-fresh attach is a coalesced request.
     fn attach(self: &Arc<Self>, spec: &SweepSpec) -> (Arc<Run>, bool) {
-        let fingerprint = self
-            .harness
-            .sweep_fingerprint(spec.title, &spec.configs);
+        let fingerprint = self.harness.sweep_fingerprint(spec.title, &spec.configs);
         let mut runs = lock_unpoisoned(&self.runs);
         if let Some(run) = runs.get(&fingerprint) {
             let run = Arc::clone(run);
@@ -474,12 +472,7 @@ fn respond(
 }
 
 /// Writes one single-line JSON error body: `{"error":code,"detail":…}`.
-fn respond_error(
-    stream: &TcpStream,
-    status: u16,
-    code: &str,
-    detail: &str,
-) -> std::io::Result<()> {
+fn respond_error(stream: &TcpStream, status: u16, code: &str, detail: &str) -> std::io::Result<()> {
     let reason = match status {
         400 => "Bad Request",
         404 => "Not Found",
@@ -492,7 +485,14 @@ fn respond_error(
         .field("detail", &detail)
         .finish();
     body.push('\n');
-    respond(stream, status, reason, "application/json", &[], body.as_bytes())
+    respond(
+        stream,
+        status,
+        reason,
+        "application/json",
+        &[],
+        body.as_bytes(),
+    )
 }
 
 /// Starts a chunked response; each subsequent [`write_chunk`] carries
@@ -549,13 +549,11 @@ fn handle_connection(state: &Arc<ServeState>, stream: TcpStream) {
 }
 
 /// Dispatches one parsed request to its endpoint.
-fn route(
-    state: &Arc<ServeState>,
-    stream: &TcpStream,
-    request: &Request,
-) -> std::io::Result<()> {
+fn route(state: &Arc<ServeState>, stream: &TcpStream, request: &Request) -> std::io::Result<()> {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => respond(stream, 200, "OK", "text/plain; charset=utf-8", &[], b"ok\n"),
+        ("GET", "/healthz") => {
+            respond(stream, 200, "OK", "text/plain; charset=utf-8", &[], b"ok\n")
+        }
         ("GET", "/sweeps") => {
             let mut body = String::new();
             for spec in sweep_specs() {
@@ -766,7 +764,10 @@ mod tests {
                     None => continue,
                 }
             };
-            assert!(bytes.ends_with(b"\n\n"), "report bytes end like batch stdout");
+            assert!(
+                bytes.ends_with(b"\n\n"),
+                "report bytes end like batch stdout"
+            );
         }
         let (again, fresh_again) = state.attach(&spec);
         assert!(!fresh_again, "memoized result keeps coalescing");

@@ -336,8 +336,13 @@ pub fn supervise(
                             Err(e) => {
                                 eprintln!("warning: cannot spawn worker for shard {shard}: {e}");
                                 shard_died(
-                                    &shard, landed_for(&shard), &mut strikes[i],
-                                    &mut outcomes[i], &mut last_landed[i], opts, false,
+                                    &shard,
+                                    landed_for(&shard),
+                                    &mut strikes[i],
+                                    &mut outcomes[i],
+                                    &mut last_landed[i],
+                                    opts,
+                                    false,
                                 )
                             }
                         }
@@ -359,8 +364,13 @@ pub fn supervise(
                                  checking journal progress"
                             );
                             shard_died(
-                                &shard, landed_for(&shard), &mut strikes[i],
-                                &mut outcomes[i], &mut last_landed[i], opts, false,
+                                &shard,
+                                landed_for(&shard),
+                                &mut strikes[i],
+                                &mut outcomes[i],
+                                &mut last_landed[i],
+                                opts,
+                                false,
                             )
                         }
                         Ok(None) => {
@@ -375,8 +385,13 @@ pub fn supervise(
                                 let _ = child.kill();
                                 let _ = child.wait();
                                 shard_died(
-                                    &shard, landed_for(&shard), &mut strikes[i],
-                                    &mut outcomes[i], &mut last_landed[i], opts, true,
+                                    &shard,
+                                    landed_for(&shard),
+                                    &mut strikes[i],
+                                    &mut outcomes[i],
+                                    &mut last_landed[i],
+                                    opts,
+                                    true,
                                 )
                             } else {
                                 ShardState::Running { child, spawned_at }
@@ -387,8 +402,13 @@ pub fn supervise(
                             let _ = child.kill();
                             let _ = child.wait();
                             shard_died(
-                                &shard, landed_for(&shard), &mut strikes[i],
-                                &mut outcomes[i], &mut last_landed[i], opts, false,
+                                &shard,
+                                landed_for(&shard),
+                                &mut strikes[i],
+                                &mut outcomes[i],
+                                &mut last_landed[i],
+                                opts,
+                                false,
                             )
                         }
                     }
@@ -502,8 +522,8 @@ pub fn run_supervised(
     let outcomes = supervise(&journal, n_configs, make_worker, opts);
 
     let landed = journal.load(); // checksummed read; evicts anything torn
-    let complete = (0..n_configs)
-        .all(|ci| (0..n_workloads).all(|wi| landed.contains_key(&(ci, wi))));
+    let complete =
+        (0..n_configs).all(|ci| (0..n_workloads).all(|wi| landed.contains_key(&(ci, wi))));
     let report = if complete {
         harness.accuracy_table(title, configs)
     } else {

@@ -539,7 +539,10 @@ mod tests {
         }
         let recovered = TraceStore::new(800).with_disk_cache(&dir);
         let regenerated = recovered.test(&w);
-        assert_eq!(*original, *regenerated, "regeneration must be deterministic");
+        assert_eq!(
+            *original, *regenerated,
+            "regeneration must be deterministic"
+        );
         assert_eq!(recovered.generations(), 1, "corrupt entry must regenerate");
         let _ = std::fs::remove_dir_all(&dir);
     }

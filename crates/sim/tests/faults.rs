@@ -47,7 +47,11 @@ fn recovered_cache_faults_leave_the_report_byte_identical() {
         "recovered faults must not fail cells: {:?}",
         faulted.failed_cells()
     );
-    assert_eq!(faulted.to_string(), clean, "recovery must be byte-invisible");
+    assert_eq!(
+        faulted.to_string(),
+        clean,
+        "recovery must be byte-invisible"
+    );
     let _ = std::fs::remove_dir_all(&cache);
 }
 
@@ -130,7 +134,9 @@ fn a_fully_journaled_sweep_resumes_with_zero_work() {
     assert_eq!(first.gang_walks(), first.workloads().len() as u64);
 
     let resumed = cached_harness(&cache).with_resume_root(&sweeps);
-    let replayed = resumed.accuracy_table("resume-smoke", &configs()).to_string();
+    let replayed = resumed
+        .accuracy_table("resume-smoke", &configs())
+        .to_string();
     assert_eq!(replayed, report, "replay must be byte-identical");
     assert_eq!(resumed.gang_walks(), 0, "no walk may re-run");
     assert_eq!(
@@ -179,7 +185,9 @@ fn resume_and_fault_injection_compose() {
     let cache = scratch_dir("resume-faulted");
     let sweeps = cache.join("sweeps");
     let first = cached_harness(&cache).with_resume_root(&sweeps);
-    let report = first.accuracy_table("compose-smoke", &configs()).to_string();
+    let report = first
+        .accuracy_table("compose-smoke", &configs())
+        .to_string();
 
     let journal_dir = std::fs::read_dir(&sweeps)
         .expect("journal root")

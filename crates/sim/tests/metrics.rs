@@ -15,7 +15,9 @@ use tlat_workloads::DataSet;
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    GLOBAL_STATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    GLOBAL_STATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// A small sweep exercising every cell-outcome class the telemetry
@@ -41,7 +43,10 @@ fn recording_never_changes_report_output() {
     let on = harness.accuracy_table("telemetry", &configs()).to_string();
     metrics::set_enabled(false);
     metrics::reset();
-    assert_eq!(on, off, "a metrics-enabled sweep must render byte-identically");
+    assert_eq!(
+        on, off,
+        "a metrics-enabled sweep must render byte-identically"
+    );
 }
 
 #[test]
@@ -70,7 +75,10 @@ fn gang_and_sequential_agree_on_invariant_counters() {
     );
     // The totals are real, not trivially zero.
     assert!(gang.counter(Counter::CellsComputed) > 0);
-    assert!(gang.counter(Counter::CellsBlank) > 0, "Diff rows have Table 3 blanks");
+    assert!(
+        gang.counter(Counter::CellsBlank) > 0,
+        "Diff rows have Table 3 blanks"
+    );
     assert!(gang.counter(Counter::TraceGenerations) > 0);
     // The engine-dependent class really is engine-dependent: the gang
     // engine walks once per workload, the sequential path once per
@@ -90,10 +98,7 @@ fn emitted_file_round_trips_through_check_and_summarize() {
     metrics::reset();
     let harness = Harness::new(2_000);
     harness.accuracy_table("roundtrip", &configs());
-    let path = std::env::temp_dir().join(format!(
-        "tlat-metrics-it-{}.jsonl",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("tlat-metrics-it-{}.jsonl", std::process::id()));
     metrics::write_jsonl(&path).expect("telemetry file must write");
     metrics::set_enabled(false);
     metrics::reset();
@@ -121,7 +126,12 @@ fn disabled_recording_accumulates_nothing_across_a_sweep() {
     harness.accuracy_table("off", &configs());
     let snap = metrics::Snapshot::now();
     for counter in Counter::ALL {
-        assert_eq!(snap.counter(counter), 0, "{} accumulated while off", counter.name());
+        assert_eq!(
+            snap.counter(counter),
+            0,
+            "{} accumulated while off",
+            counter.name()
+        );
     }
 }
 

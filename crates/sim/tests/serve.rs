@@ -166,7 +166,10 @@ fn http(port: u16, method: &str, path: &str) -> (u16, String, Vec<u8>) {
         .expect("status line")
         .parse()
         .expect("numeric status");
-    let body = if head.to_ascii_lowercase().contains("transfer-encoding: chunked") {
+    let body = if head
+        .to_ascii_lowercase()
+        .contains("transfer-encoding: chunked")
+    {
         decode_chunked(&body)
     } else {
         body
@@ -183,7 +186,9 @@ fn decode_chunked(mut body: &[u8]) -> Vec<u8> {
             .position(|w| w == b"\r\n")
             .expect("chunk size line");
         let size = usize::from_str_radix(
-            std::str::from_utf8(&body[..line_end]).expect("hex size").trim(),
+            std::str::from_utf8(&body[..line_end])
+                .expect("hex size")
+                .trim(),
             16,
         )
         .expect("hex chunk size");
@@ -341,13 +346,16 @@ fn streaming_events_carry_the_exact_report() {
     let (status, head, body) = http(server.port, "POST", "/sweep/fig5?stream=1");
     assert_eq!(status, 200);
     assert!(
-        head.to_ascii_lowercase().contains("transfer-encoding: chunked"),
+        head.to_ascii_lowercase()
+            .contains("transfer-encoding: chunked"),
         "streaming responses are chunked: {head}"
     );
     let text = String::from_utf8(body).expect("JSONL events");
     let events: Vec<&str> = text.lines().collect();
     assert!(
-        events.first().is_some_and(|e| e.contains("\"event\":\"accepted\"")),
+        events
+            .first()
+            .is_some_and(|e| e.contains("\"event\":\"accepted\"")),
         "first event must be `accepted`: {events:?}"
     );
     let done = events.last().expect("at least one event");
@@ -361,8 +369,8 @@ fn streaming_events_carry_the_exact_report() {
             "interior events are progress ticks: {middle}"
         );
     }
-    let start = done.find("\"report\":\"").expect("done carries the report")
-        + "\"report\":\"".len();
+    let start =
+        done.find("\"report\":\"").expect("done carries the report") + "\"report\":\"".len();
     let escaped = &done[start..done.rfind("\"}").expect("report closes the object")];
     assert_eq!(
         json_unescape(escaped).as_bytes(),
@@ -384,7 +392,9 @@ fn the_error_surface_and_registry_index_answer_correctly() {
     let index = String::from_utf8(body).expect("JSONL index");
     assert_eq!(
         index.lines().next(),
-        Some(r#"{"name":"fig5","title":"Figure 5: AT schemes using different state transition automata","configs":4,"cells":36}"#)
+        Some(
+            r#"{"name":"fig5","title":"Figure 5: AT schemes using different state transition automata","configs":4,"cells":36}"#
+        )
     );
     for spec in tlat_sim::sweep_specs() {
         assert!(
@@ -405,7 +415,9 @@ fn the_error_surface_and_registry_index_answer_correctly() {
 
     let (status, _, body) = http(port, "GET", "/status/999");
     assert_eq!(status, 404);
-    assert!(String::from_utf8(body).expect("JSON error").contains("unknown_job"));
+    assert!(String::from_utf8(body)
+        .expect("JSON error")
+        .contains("unknown_job"));
 
     let (status, _, _) = http(port, "DELETE", "/sweeps");
     assert_eq!(status, 405, "unknown methods are rejected");

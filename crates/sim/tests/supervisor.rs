@@ -13,9 +13,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
-use tlat_sim::{
-    supervisor, Faults, Harness, SchemeConfig, Shard, SupervisorOptions, TraceStore,
-};
+use tlat_sim::{supervisor, Faults, Harness, SchemeConfig, Shard, SupervisorOptions, TraceStore};
 
 const BUDGET: u64 = 20_000;
 
@@ -218,7 +216,10 @@ fn strike_limit_exhaustion_degrades_to_failed_cells() {
         "footnotes must name the exhausted shard: {failed:?}"
     );
     let rendered = report.to_string();
-    assert!(rendered.contains('✗'), "degraded cells render ✗:\n{rendered}");
+    assert!(
+        rendered.contains('✗'),
+        "degraded cells render ✗:\n{rendered}"
+    );
     let _ = std::fs::remove_dir_all(&cache);
 }
 

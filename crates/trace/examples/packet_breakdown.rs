@@ -17,7 +17,9 @@ fn varint_len(r: &mut Reader<'_>) -> usize {
 }
 
 fn main() {
-    let path = std::env::args().nth(1).expect("usage: packet_breakdown <file.tlat>");
+    let path = std::env::args()
+        .nth(1)
+        .expect("usage: packet_breakdown <file.tlat>");
     let bytes = std::fs::read(&path).expect("reading input");
     assert_eq!(&bytes[..4], b"TLA3", "not a TLA3 file");
     let mut r = Reader::new(&bytes[60..]);
@@ -93,7 +95,10 @@ fn main() {
                 orefs += 1;
                 oref_b += 1 + varint_len(&mut r);
             }
-            other => panic!("unknown tag {other:#x} at offset {}", bytes.len() - r.remaining()),
+            other => panic!(
+                "unknown tag {other:#x} at offset {}",
+                bytes.len() - r.remaining()
+            ),
         }
     }
 
@@ -101,19 +106,37 @@ fn main() {
     let pct = |b: usize| 100.0 * b as f64 / total as f64;
     println!("{path}: {total} bytes, {events} conditional events");
     println!("  header  {:>9} bytes ({:5.1}%)", 60, pct(60));
-    println!("  SYNC    {sync_b:>9} bytes ({:5.1}%)  {syncs} packets", pct(sync_b));
+    println!(
+        "  SYNC    {sync_b:>9} bytes ({:5.1}%)  {syncs} packets",
+        pct(sync_b)
+    );
     println!(
         "  COND    {:>9} bytes ({:5.1}%)  {conds} packets ({gap_mode1} in gap-mode 1)",
         cond_hdr_b + cond_ref_b + cond_map_b + cond_gap_b,
         pct(cond_hdr_b + cond_ref_b + cond_map_b + cond_gap_b)
     );
-    println!("    refs  {cond_ref_b:>9} bytes ({:5.1}%)  {run1} of the refs are length-1 runs", pct(cond_ref_b));
+    println!(
+        "    refs  {cond_ref_b:>9} bytes ({:5.1}%)  {run1} of the refs are length-1 runs",
+        pct(cond_ref_b)
+    );
     println!("    map   {cond_map_b:>9} bytes ({:5.1}%)", pct(cond_map_b));
     println!("    gaps  {cond_gap_b:>9} bytes ({:5.1}%)", pct(cond_gap_b));
-    println!("  OTHER   {other_b:>9} bytes ({:5.1}%)  {others} packets", pct(other_b));
-    println!("  OSYNC   {osync_b:>9} bytes ({:5.1}%)  {osyncs} packets", pct(osync_b));
-    println!("  OREF    {oref_b:>9} bytes ({:5.1}%)  {orefs} packets", pct(oref_b));
-    println!("  ESC     {esc_b:>9} bytes ({:5.1}%)  {escs} packets", pct(esc_b));
+    println!(
+        "  OTHER   {other_b:>9} bytes ({:5.1}%)  {others} packets",
+        pct(other_b)
+    );
+    println!(
+        "  OSYNC   {osync_b:>9} bytes ({:5.1}%)  {osyncs} packets",
+        pct(osync_b)
+    );
+    println!(
+        "  OREF    {oref_b:>9} bytes ({:5.1}%)  {orefs} packets",
+        pct(oref_b)
+    );
+    println!(
+        "  ESC     {esc_b:>9} bytes ({:5.1}%)  {escs} packets",
+        pct(esc_b)
+    );
     println!("  bits/event: {:.2}", 8.0 * total as f64 / events as f64);
 
     // Gap-model fit: how often a conditional's gap matches each

@@ -534,7 +534,12 @@ mod tests {
     #[test]
     fn from_ones_sets_exactly_the_given_bits() {
         let pattern: Vec<bool> = (0..150).map(|i| i % 7 == 0 || i % 11 == 3).collect();
-        let ones = pattern.iter().enumerate().rev().filter(|(_, &b)| b).map(|(i, _)| i);
+        let ones = pattern
+            .iter()
+            .enumerate()
+            .rev()
+            .filter(|(_, &b)| b)
+            .map(|(i, _)| i);
         assert_eq!(PackedBits::from_ones(150, ones), packed(&pattern));
         assert_eq!(PackedBits::from_ones(0, []), PackedBits::new());
     }

@@ -239,7 +239,13 @@ impl<'a> Encoder<'a> {
                     other_pcs.push(record.pc);
                     variants.push(Vec::new());
                 }
-                let key = (record.target, gap, record.taken, record.call, record.class.code());
+                let key = (
+                    record.target,
+                    gap,
+                    record.taken,
+                    record.call,
+                    record.class.code(),
+                );
                 tally(&mut variants[osite as usize], key);
             }
         }
@@ -252,8 +258,17 @@ impl<'a> Encoder<'a> {
             .map(|(pc, variants)| {
                 let (target, gap, taken, call, code) = mode(variants);
                 let class = BranchClass::from_code(code).expect("histogram keys carry valid codes");
-                let record = BranchRecord { pc, target, class, taken, call };
-                OtherSite { record, default_gap: gap }
+                let record = BranchRecord {
+                    pc,
+                    target,
+                    class,
+                    taken,
+                    call,
+                };
+                OtherSite {
+                    record,
+                    default_gap: gap,
+                }
             })
             .collect();
         Encoder {
@@ -350,10 +365,7 @@ impl<'a> Encoder<'a> {
                     | ((template.record.call as u8) << 6)
                     | ((template.record.taken as u8) << 7),
             );
-            put_varint(
-                self.out,
-                zigzag(i64::from(record.pc) - self.prev_osync_pc),
-            );
+            put_varint(self.out, zigzag(i64::from(record.pc) - self.prev_osync_pc));
             self.prev_osync_pc = i64::from(record.pc);
             put_varint(
                 self.out,
@@ -368,13 +380,9 @@ impl<'a> Encoder<'a> {
             return;
         }
         self.out.put_u8(TAG_OTHER);
-        self.out.put_u8(
-            record.class.code() | ((record.call as u8) << 6) | ((record.taken as u8) << 7),
-        );
-        put_varint(
-            self.out,
-            zigzag(i64::from(record.pc) - self.prev_other_pc),
-        );
+        self.out
+            .put_u8(record.class.code() | ((record.call as u8) << 6) | ((record.taken as u8) << 7));
+        put_varint(self.out, zigzag(i64::from(record.pc) - self.prev_other_pc));
         self.prev_other_pc = i64::from(record.pc);
         put_varint(
             self.out,
@@ -692,7 +700,14 @@ fn decode_packets<S: PacketSink>(
                         } else {
                             template.default_gap
                         };
-                        sink.cond(site, template.pc, template.target, taken, template.call, gap);
+                        sink.cond(
+                            site,
+                            template.pc,
+                            template.target,
+                            taken,
+                            template.call,
+                            gap,
+                        );
                         e += 1;
                     }
                 }
@@ -1093,10 +1108,7 @@ mod tests {
         let mut bytes = encode(&t);
         // Conditional count at offset 52.
         bytes[52] = 9;
-        assert!(matches!(
-            decode(&bytes),
-            Err(DecodeError::BadRecord { .. })
-        ));
+        assert!(matches!(decode(&bytes), Err(DecodeError::BadRecord { .. })));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! `tlat-check` harness.
 
 use tlat_check::{check, gen, prop_assert, prop_assert_eq, Gen};
-use tlat_trace::{codec, BranchClass, BranchRecord, InstClass, PackedBits, ReturnAddressStack, Trace};
+use tlat_trace::{
+    codec, BranchClass, BranchRecord, InstClass, PackedBits, ReturnAddressStack, Trace,
+};
 
 /// `PackedBits::run_len`'s word-level scan (invert, shift,
 /// `trailing_zeros`, cross word boundaries) must agree with a naive
@@ -27,7 +29,9 @@ fn packed_run_len_matches_a_naive_scan() {
                 .count();
             prop_assert_eq!(bits.run_len(start, pattern.len()), naive, "start {start}");
             // A cap below the natural run end truncates exactly there.
-            let cap = (start + naive.div_ceil(2)).max(start + 1).min(pattern.len());
+            let cap = (start + naive.div_ceil(2))
+                .max(start + 1)
+                .min(pattern.len());
             prop_assert_eq!(
                 bits.run_len(start, cap),
                 naive.min(cap - start),
