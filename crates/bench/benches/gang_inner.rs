@@ -8,18 +8,21 @@
 //! matching the harness (which memoizes one [`CompiledTrace`] per
 //! workload); the once-per-workload compile cost is reported separately
 //! as `stream_compile`. Run with `cargo bench --bench gang_inner`;
-//! nine BENCHJSON lines are emitted (`inner_record_walk`,
+//! eleven BENCHJSON lines are emitted (`inner_record_walk`,
 //! `inner_compiled_walk`, `stream_compile`, `inner_slot_major_record`,
 //! `inner_slot_major_walk`, `inner_at_pack_record`,
 //! `inner_at_pack_walk`, `inner_taxonomy_record`,
-//! `inner_taxonomy_walk`) plus derived speedup lines. The slot-major
-//! pair measures a Lee & Smith and Static Training lane set that the
-//! gang engine replays slot by slot off the per-event loop; the
-//! AT-pack pair measures a fig10-shaped variant × history-length
-//! Two-Level grid that packs into one [`tlat_core::AtPack`] (shared
-//! history walk, pattern-table row planes); the taxonomy pair measures
-//! the scalar level-two lanes of the taxonomy sweep, whose tournament
-//! replays only its chooser over its twins' guesses — each isolating
+//! `inner_taxonomy_walk`, `inner_fig6_record`, `inner_fig6_walk`) plus
+//! derived speedup lines. The slot-major pair measures a Lee & Smith
+//! and Static Training lane set that the gang engine replays slot by
+//! slot; the AT-pack pair measures a fig10-shaped variant ×
+//! history-length Two-Level grid that packs into one
+//! [`tlat_core::AtPack`] (shared history walk, pattern-table row
+//! planes); the taxonomy pair measures the scalar lanes of the taxonomy
+//! sweep, three of which read one shared probe log and whose tournament
+//! replays only its chooser over its twins' guesses; the fig6 pair
+//! measures five scalar Two-Level lanes, one per HRT organization, each
+//! walking the stream alone with its own slot source — each isolating
 //! its walk from the mixed-lane set above.
 
 use tlat_bench::runner::Runner;
@@ -84,8 +87,8 @@ fn main() {
     // All five automata as Lee & Smith lanes plus the paper's Static
     // Training lane on one shared geometry: the gang engine buckets the
     // stream by table slot once and steps each lane through every
-    // slot's same-outcome runs, off the per-event loop. The ST profile
-    // is collected once, outside the timed walks.
+    // slot's same-outcome runs. The ST profile is collected once,
+    // outside the timed walks.
     let st = StaticTrainingConfig::paper_default();
     let st_profile = TrainingProfile::collect(&trace, st.history_bits);
     let sm_lanes = || -> Vec<GangLane> {
@@ -161,8 +164,9 @@ fn main() {
 
     // The taxonomy sweep: GAg, GAs, PAg and PAs, the paper's scheme,
     // gshare and the AT+gshare tournament, all scalar on this churny
-    // stream. The tournament derives its component guesses from the
-    // AT and gshare lanes and steps only its chooser.
+    // stream; PAg, PAs and AT read one shared probe log of their AHRT.
+    // The tournament derives its component guesses from the AT and
+    // gshare lanes and steps only its chooser.
     let taxonomy = tlat_sim::taxonomy();
     let tax_lanes = || -> Vec<GangLane> {
         taxonomy
@@ -189,6 +193,38 @@ fn main() {
         println!(
             "[gang_inner] taxonomy walk vs record stream: {:.2}x",
             tax_records.median_ns / tax_walk.median_ns
+        );
+    }
+
+    // Figure 6: the paper's AT lane on each of the five HRT
+    // organizations. On this churny stream none shares an engine or
+    // packs, so each walks alone: the ideal table by site, the hashed
+    // ones by their per-site slot, the associative ones probing inline.
+    let fig6 = tlat_sim::sweep_spec("fig6")
+        .expect("fig6 is registered")
+        .configs;
+    let fig6_lanes = || -> Vec<GangLane> {
+        fig6.iter()
+            .map(|c| GangLane::from_config(c, None))
+            .collect()
+    };
+    let fig6_events = trace.conditional_len() as u64 * fig6.len() as u64;
+    group.plan(1, 7);
+    let fig6_records = group
+        .throughput(fig6_events)
+        .bench("inner_fig6_record", || {
+            let mut lanes = fig6_lanes();
+            gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
+        });
+    group.plan(1, 7);
+    let fig6_walk = group.throughput(fig6_events).bench("inner_fig6_walk", || {
+        let mut lanes = fig6_lanes();
+        gang_simulate_compiled(&mut lanes, &stream, None, SimOptions::default()).len()
+    });
+    if fig6_walk.median_ns > 0.0 {
+        println!(
+            "[gang_inner] fig6 walk vs record stream: {:.2}x",
+            fig6_records.median_ns / fig6_walk.median_ns
         );
     }
 }

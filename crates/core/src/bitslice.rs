@@ -546,7 +546,7 @@ mod tests {
 
     /// One scalar Two-Level lane driven through the exact fused
     /// predict → resolve → train cycle of
-    /// `TwoLevelAdaptive::predict_update_slot`, minus the HRT (the
+    /// `TwoLevelAdaptive::predict_update`, minus the HRT lookup (the
     /// caller owns slot discipline for packs too).
     struct ScalarAtLane {
         spec: AtLaneConfig,
