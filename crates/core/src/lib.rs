@@ -72,8 +72,11 @@ pub use hrt::{
 pub use hybrid::{Gshare, GshareConfig, Tournament};
 pub use lee_smith::{LeeSmithBtb, LeeSmithConfig};
 pub use pattern::PatternTable;
-pub use predictor::Predictor;
+pub use predictor::{Predictor, Walker};
 pub use simple::{AlwaysNotTaken, AlwaysTaken, Btfn, ProfilePredictor};
 pub use static_training::{StaticTraining, StaticTrainingConfig, TrainingProfile};
-pub use two_level::{TwoLevelAdaptive, TwoLevelConfig};
-pub use variants::{HistoryScope, PatternScope, TwoLevelVariant, VariantConfig};
+pub use two_level::{TwoLevelAdaptive, TwoLevelConfig, TwoLevelWalk};
+pub use variants::{
+    GlobalWalk, HistoryScope, PatternScope, PerAddressWalk, TwoLevelVariant, VariantConfig,
+    VariantWalk,
+};

@@ -1,6 +1,7 @@
-//! The common predictor interface.
+//! The common predictor interface, and the lean walk of a compiled
+//! event stream.
 
-use tlat_trace::BranchRecord;
+use tlat_trace::{BranchRecord, SiteId};
 
 /// A conditional-branch direction predictor.
 ///
@@ -42,6 +43,29 @@ pub trait Predictor {
         self.update(branch);
         guess
     }
+}
+
+/// A predictor's lean walk-local state, for walking a compiled event
+/// stream alone.
+///
+/// Level one's slot decisions — which table slot an event's branch
+/// occupies, and whether the access filled or replaced it — depend only
+/// on the stream and the table's geometry, so a compiled walk makes
+/// them apart from the predictor and hands each event's decision in as
+/// a probe word ([`Probe::word`](crate::Probe::word)). A walker keeps
+/// the rest: its history registers (one per slot, with a Two-Level
+/// lane's §3.2 cached bit, or one global register) and its one-byte
+/// pattern tables. Each predictor builds its walker from a fresh
+/// predictor ([`TwoLevelAdaptive::walker`](crate::TwoLevelAdaptive::walker),
+/// [`TwoLevelVariant::walker`](crate::TwoLevelVariant::walker),
+/// [`Gshare::walker`](crate::Gshare::walker)), and the walker guesses
+/// event for event as the predictor's
+/// [`predict_update`](Predictor::predict_update) would over the same
+/// branches, leaving the predictor itself untouched.
+pub trait Walker {
+    /// One event at `site` in the slot of probe word `word`: the guess,
+    /// made before `taken` trains the walker.
+    fn step(&mut self, word: u32, site: SiteId, taken: bool) -> bool;
 }
 
 impl<P: Predictor + ?Sized> Predictor for Box<P> {
