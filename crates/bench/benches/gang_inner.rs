@@ -10,15 +10,14 @@
 //! as `stream_compile`. Run with `cargo bench --bench gang_inner`;
 //! eleven BENCHJSON lines are emitted (`inner_record_walk`,
 //! `inner_compiled_walk`, `stream_compile`, `inner_slot_major_record`,
-//! `inner_slot_major_walk`, `inner_at_pack_record`,
-//! `inner_at_pack_walk`, `inner_taxonomy_record`,
+//! `inner_slot_major_walk`, `inner_at_grid_record`,
+//! `inner_at_grid_walk`, `inner_taxonomy_record`,
 //! `inner_taxonomy_walk`, `inner_fig6_record`, `inner_fig6_walk`) plus
 //! derived speedup lines. The slot-major pair measures a Lee & Smith
 //! and Static Training lane set that the gang engine replays slot by
-//! slot; the AT-pack pair measures a fig10-shaped variant ×
-//! history-length Two-Level grid that packs into one
-//! [`tlat_core::AtPack`] (shared history walk, pattern-table row
-//! planes); the taxonomy pair measures the scalar lanes of the taxonomy
+//! slot; the AT-grid pair measures a variant × history-length
+//! Two-Level grid whose lanes each walk the stream alone on one shared
+//! probe log; the taxonomy pair measures the scalar lanes of the taxonomy
 //! sweep, three of which read one shared probe log and whose tournament
 //! replays only its chooser over its twins' guesses; the fig6 pair
 //! measures five scalar Two-Level lanes, one per HRT organization, each
@@ -123,11 +122,10 @@ fn main() {
         );
     }
 
-    // A fig10-shaped Two-Level grid — every automaton variant crossed
-    // with four history lengths on one shared AHRT organization: the
-    // gang engine packs all 20 lanes into a single AtPack, so the
-    // whole walk is one shared history shift plus a handful of masked
-    // row-plane steps per event instead of 20 scalar fused cycles.
+    // A Two-Level grid — every automaton variant crossed with four
+    // history lengths on one shared AHRT organization: the shared
+    // engine probes the stream once into a log, and each of the 20
+    // lanes walks the stream alone, reading its slots from that log.
     let at_configs: Vec<SchemeConfig> = AutomatonKind::ALL
         .iter()
         .flat_map(|&a| {
@@ -146,19 +144,19 @@ fn main() {
     group.plan(1, 7);
     let at_records = group
         .throughput(at_events)
-        .bench("inner_at_pack_record", || {
+        .bench("inner_at_grid_record", || {
             let mut lanes = at_lanes();
             gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
         });
     group.plan(1, 7);
-    let at_packed = group.throughput(at_events).bench("inner_at_pack_walk", || {
+    let at_grid = group.throughput(at_events).bench("inner_at_grid_walk", || {
         let mut lanes = at_lanes();
         gang_simulate_compiled(&mut lanes, &stream, Some(&trace), SimOptions::default()).len()
     });
-    if at_packed.median_ns > 0.0 {
+    if at_grid.median_ns > 0.0 {
         println!(
-            "[gang_inner] AT pack vs record stream: {:.2}x",
-            at_records.median_ns / at_packed.median_ns
+            "[gang_inner] AT grid vs record stream: {:.2}x",
+            at_records.median_ns / at_grid.median_ns
         );
     }
 
@@ -197,9 +195,9 @@ fn main() {
     }
 
     // Figure 6: the paper's AT lane on each of the five HRT
-    // organizations. On this churny stream none shares an engine or
-    // packs, so each walks alone: the ideal table by site, the hashed
-    // ones by their per-site slot, the associative ones probing inline.
+    // organizations. None shares an engine, so each walks alone: the
+    // ideal table by site, the hashed ones by their per-site slot, the
+    // associative ones probing inline.
     let fig6 = tlat_sim::sweep_spec("fig6")
         .expect("fig6 is registered")
         .configs;

@@ -1,10 +1,9 @@
 //! Sweep throughput: the Figure 10 head-to-head sweep through the
 //! single-pass gang engine (with and without the worker pool) against
 //! the per-configuration baseline that walks the trace once per cell,
-//! plus the Figure 5 automaton sweep — four Two-Level variants at one
-//! history length, i.e. one history-mask group that rides a single
-//! bitsliced `AtPack` (shared history walk, one masked pattern row
-//! per event), the sweep-level showcase of the AT plane packs.
+//! plus the Figure 5 automaton sweep — four Two-Level lanes on one
+//! AHRT geometry, each walking the stream alone on one shared probe
+//! log.
 //!
 //! Run with `cargo bench --bench sweep`. Five BENCHJSON lines are
 //! emitted (`fig10_per_config_baseline`, `fig10_gang_1thread`,
@@ -55,13 +54,10 @@ fn main() {
 
     // The Figure 5 sweep: four state-transition automata of the
     // paper's AT scheme at one history length on one AHRT geometry.
-    // All four lanes share a single history mask, so the gang walks
-    // the whole grid as one bitsliced AtPack — a shared history
-    // register per slot and one masked pattern-row visit per event
-    // feeding all four automata — making this the sweep-level measure
-    // of the AT plane packs (Figure 10 above packs only its lone AT
-    // lane, and only on loop-heavy workloads; Figure 7's
-    // distinct-history grid stays scalar by the mask-group gate).
+    // The geometry's engine probes each stream once into a log, and
+    // each of the four lanes walks the stream alone, reading its slots
+    // from that log: the sweep-level measure of several scalar
+    // Two-Level walks sharing one probe log.
     let fig5_configs: Vec<SchemeConfig> = [
         AutomatonKind::A2,
         AutomatonKind::A3,
@@ -106,7 +102,7 @@ fn main() {
     );
     if fig5_pooled.median_ns > 0.0 {
         println!(
-            "[sweep] fig5 AT-pack gang + pool vs per-config baseline: {:.2}x",
+            "[sweep] fig5 gang + pool vs per-config baseline: {:.2}x",
             fig5_baseline.median_ns / fig5_pooled.median_ns
         );
     }

@@ -262,8 +262,8 @@ impl AutomatonKind {
     /// Bits above the low two are ignored. Last-Time is a 1-bit
     /// machine, so its decode also ignores bit 1 (its own encodings
     /// never set it); codes 2 and 3 alias 0 and 1, which keeps the
-    /// function total — the bitsliced transition tables are derived
-    /// over all four codes even though only two are reachable.
+    /// function total — the code transition tables are derived over
+    /// all four codes even though only two are reachable.
     pub fn from_state_bits(self, bits: u8) -> AnyAutomaton {
         match self {
             AutomatonKind::LastTime => AnyAutomaton::LastTime(LastTime(bits & 1 != 0)),
@@ -364,9 +364,10 @@ impl AnyAutomaton {
         }
     }
 
-    /// Encodes the state as a 2-bit code — the representation the
-    /// bitsliced planes of [`crate::bitslice`] use, bit 1 being the
-    /// high plane and bit 0 the low plane. Round-trips through
+    /// Encodes the state as a 2-bit code — the representation pattern
+    /// tables store and [`crate::SliceTables`] masks are indexed by,
+    /// bit 1 being the high bit of δ's code and bit 0 the low bit.
+    /// Round-trips through
     /// [`AutomatonKind::from_state_bits`]. Last-Time, a 1-bit machine,
     /// only ever produces codes 0 and 1.
     pub fn state_bits(self) -> u8 {

@@ -521,10 +521,10 @@ impl<E: Clone> AnyHrt<E> {
     /// Accumulates externally-counted access statistics into this
     /// table, after a compiled walk that probed on the table's behalf:
     /// through a slot source of its own, a shared engine's probe log,
-    /// or the slot driver of a bitsliced pack or a slot-major replay
-    /// (any organization). Either way the driver counted exactly what
-    /// the table would have, so its [`stats`](HistoryTable::stats)
-    /// report is unchanged by the walk.
+    /// or the slot driver of a slot-major replay (any organization).
+    /// Either way the driver counted exactly what the table would have,
+    /// so its [`stats`](HistoryTable::stats) report is unchanged by the
+    /// walk.
     pub fn adopt_probe_stats(&mut self, stats: HrtStats) {
         let own = match self {
             AnyHrt::Ideal(t) => &mut t.stats,
@@ -582,9 +582,9 @@ impl SlotProbe {
     /// tag hits on the probed slot (the way holds the site's tag the
     /// moment the first probe returns). Statistics, LRU clock, and the
     /// way's stamp end up exactly as `n` calls to
-    /// [`step`](SlotProbe::step) would leave them. Feeds the private
-    /// probe passes of the bitsliced pack walk and the slot-major
-    /// replay, which consume the event stream in same-site runs.
+    /// [`step`](SlotProbe::step) would leave them. Feeds the gang
+    /// walk's probe logs, which probe the event stream once per
+    /// same-site run.
     #[inline]
     pub fn step_run(&mut self, site: SiteId, n: u64) -> Probe {
         debug_assert!(n >= 1, "a run has at least one access");

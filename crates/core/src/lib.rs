@@ -62,7 +62,7 @@ mod two_level;
 mod variants;
 
 pub use automaton::{AnyAutomaton, Automaton, AutomatonKind, LastTime, A1, A2, A3, A4};
-pub use bitslice::{AtLaneConfig, AtPack, SliceTables};
+pub use bitslice::SliceTables;
 pub use btb::TargetBuffer;
 pub use history::{HistoryRegister, MAX_HISTORY_BITS};
 pub use hrt::{

@@ -5,7 +5,8 @@
 //! branchlessly: λ reads one bit of a per-table mask and δ one byte of
 //! a per-table `(taken, state)` table. Both are derived once per table
 //! from `automaton.rs` by the same decode → step → encode enumeration
-//! the bitsliced planes use, so no transition is written here.
+//! the slot-major replay's [`SliceTables`](crate::SliceTables) use, so
+//! no transition is written here.
 
 use crate::automaton::{AnyAutomaton, AutomatonKind, CodeTables};
 
@@ -112,38 +113,6 @@ impl PatternTable {
     pub fn entry(&self, pattern: usize) -> AnyAutomaton {
         self.kind.from_state_bits(self.entries[pattern])
     }
-
-    /// Every entry's 2-bit state code, in pattern order — the plane
-    /// export half of the bitsliced pack interchange (see
-    /// [`from_state_bits`](PatternTable::from_state_bits)).
-    pub fn state_bits(&self) -> Vec<u8> {
-        self.entries.clone()
-    }
-
-    /// Rebuilds a table from per-pattern 2-bit state codes — the
-    /// import half of the bitsliced pack interchange: an
-    /// [`AtPack`](crate::bitslice::AtPack) lane's plane columns freeze
-    /// back into the `PatternTable` the scalar walk would have built,
-    /// so identity tests can compare entry state, not just counts.
-    /// Codes decode as [`AutomatonKind::from_state_bits`] does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `history_bits` is out of range or `states` is not
-    /// exactly `2^history_bits` codes long.
-    pub fn from_state_bits(history_bits: u8, kind: AutomatonKind, states: &[u8]) -> Self {
-        let mut table = PatternTable::new(history_bits, kind);
-        assert_eq!(
-            states.len(),
-            table.entries.len(),
-            "a {history_bits}-bit table has {} entries",
-            table.entries.len()
-        );
-        for (entry, &bits) in table.entries.iter_mut().zip(states) {
-            *entry = kind.from_state_bits(bits).state_bits();
-        }
-        table
-    }
 }
 
 #[cfg(test)]
@@ -196,26 +165,5 @@ mod tests {
         for kind in AutomatonKind::ALL {
             assert_eq!(PatternTable::new(2, kind).kind(), kind);
         }
-    }
-
-    #[test]
-    fn state_bits_round_trip_through_from_state_bits() {
-        for kind in AutomatonKind::ALL {
-            let mut pt = PatternTable::new(3, kind);
-            for (i, taken) in [true, false, false, true, false, true, false]
-                .iter()
-                .enumerate()
-            {
-                pt.update(i % 8, *taken);
-            }
-            let rebuilt = PatternTable::from_state_bits(3, kind, &pt.state_bits());
-            assert_eq!(rebuilt, pt, "{}", kind.name());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "entries")]
-    fn mis_sized_state_import_panics() {
-        let _ = PatternTable::from_state_bits(4, AutomatonKind::A2, &[0u8; 8]);
     }
 }

@@ -81,29 +81,6 @@ impl TwoLevelConfig {
         }
         label
     }
-
-    /// The lane shape an [`AtPack`](crate::bitslice::AtPack) needs to
-    /// ride this configuration, or `None` if the lane must stay
-    /// scalar.
-    ///
-    /// The one unpackable flag is `reinit_on_replace`: a reinit lane
-    /// wipes its history register on *replacement* but not on a plain
-    /// fill, and the pack's shared fill discipline can't tell the two
-    /// apart per lane — the ablation is rare enough that a second
-    /// pack flavor isn't worth it, so those lanes take the scalar
-    /// straggler path. Cached-vs-two-lookup and init polarity mix
-    /// freely inside a pack.
-    pub fn pack_lane(&self) -> Option<crate::bitslice::AtLaneConfig> {
-        if self.reinit_on_replace {
-            return None;
-        }
-        Some(crate::bitslice::AtLaneConfig {
-            kind: self.automaton,
-            history_bits: self.history_bits,
-            cached_prediction: self.cached_prediction,
-            init_not_taken: self.init_not_taken,
-        })
-    }
 }
 
 impl Default for TwoLevelConfig {

@@ -8,7 +8,7 @@
 //! configuration over the same compact event stream, sharing whatever
 //! depends on the stream alone.
 //!
-//! Eight further savings fall out:
+//! Seven further savings fall out:
 //!
 //! * **Monomorphization** — every registered scheme runs as a concrete
 //!   enum variant of [`GangLane`] ([`GangLane::from_config`] never
@@ -27,12 +27,12 @@
 //! * **Lane-major scalar walks** — in the paper's scheme level one
 //!   (the history registers) depends only on the branch stream and the
 //!   table geometry, and each lane owns its level two, so a scalar
-//!   lane — an unpacked Two-Level lane, a GAg/GAs/PAg/PAs lane or
-//!   gshare — walks the whole stream alone, in one loop monomorphized
-//!   over its slot source: the ideal table's slot is the site (a site's
-//!   first event fills it), a hashed table's is the site's slot, and an
-//!   associative table's comes from a [`SlotProbe`] the lane probes
-//!   inline or from a shared engine's probe log. The lane keeps lean
+//!   lane — a Two-Level lane, a GAg/GAs/PAg/PAs lane or gshare — walks
+//!   the whole stream alone, in one loop monomorphized over its slot
+//!   source: the ideal table's slot is the site (a site's first event
+//!   fills it), a hashed table's is the site's slot, and an associative
+//!   table's comes from a [`SlotProbe`] the lane probes inline or from
+//!   a shared engine's probe log. The lane keeps lean
 //!   walk-local state in its predictor's [`Walker`] — one `u16` history
 //!   register per slot (or one global register), a Two-Level lane's
 //!   §3.2 cached bit per slot, and its one-byte pattern tables — which
@@ -40,12 +40,13 @@
 //!   keeps only the plan, the slot sources and the loop. Only the lane's
 //!   counts and adopted table statistics are observable afterwards.
 //! * **Shared probe logs** — associative lanes with the same table
-//!   geometry see identical tag/LRU decision sequences, so where two or
-//!   more lanes share a geometry one payload-free [`SlotProbe`] probes
-//!   the stream once into a log, one `u32` per event (the slot, with
-//!   fill and replacement flags), that every lane, pack and replay on
-//!   the geometry reads; the engine's access statistics are folded back
-//!   into every sharing lane.
+//!   geometry see identical tag/LRU decision sequences, so where a
+//!   geometry has two or more consumers (its scalar lanes, one each,
+//!   and its slot-major replay, one) one payload-free [`SlotProbe`]
+//!   probes the stream once into a log, one `u32` per event (the slot,
+//!   with fill and replacement flags), that every consumer reads; the
+//!   engine's access statistics are folded back into every sharing
+//!   lane.
 //! * **Slot-major replay** — a Lee & Smith (LS) lane keeps one
 //!   automaton per table slot and a Static Training (ST) lane one
 //!   history register per slot, read against preset bits frozen before
@@ -60,22 +61,11 @@
 //!   `history_bits` shifts (it then reads all one direction, so the
 //!   rest of the run guesses one preset bit, which a profile may set
 //!   against the run).
-//! * **Bitsliced AT packs** — packable Two-Level lanes sharing an
-//!   [`HrtConfig`] group into SWAR plane packs per pattern-table row
-//!   ([`tlat_core::AtPack`]), where the level-one history walk is
-//!   shared once per pack: one per-slot register drives every lane's
-//!   masked row index, and the variant × history-length grid of a fig10
-//!   sweep collapses into a handful of packs. Ideal, hashed, and private
-//!   associative packs replay the stream in `(site, outcome)` runs, and
-//!   packs on a shared engine replay its probe log in `(slot, outcome)`
-//!   runs. In every run a loop branch's same-outcome tail applies in
-//!   O(1) once every history register saturates and every automaton
-//!   sits at its fixed point.
 //! * **Derived lanes** — a tournament's components train on every event
 //!   whatever its chooser picks, so its component guesses are those of
-//!   separate walks of its components, event for event: fresh twins (an
-//!   unpacked Two-Level lane and a gshare lane of equal configurations)
-//!   where the gang has them, its own components otherwise. Those walks
+//!   separate walks of its components, event for event: fresh twins (a
+//!   Two-Level lane and a gshare lane of equal configurations) where
+//!   the gang has them, its own components otherwise. Those walks
 //!   record their guesses, one bit per event, and the tournament then
 //!   steps only its chooser, at the events where the guesses disagree;
 //!   the agreeing events are credited in bulk from the walks' counts.
@@ -90,13 +80,12 @@
 //!   the RAS once and stamps the same stats into every lane's result.
 //!
 //! A compiled walk is decided before it runs: `plan` turns the lanes
-//! and the stream's shape into a `WalkPlan` value — each lane's path,
-//! the shared engines, and each pack's and slot-major replay's lanes
-//! and slot driver — and one executor runs any such plan. Results are
-//! bit-identical to driving [`crate::simulate_with`] once per
-//! predictor, and to the reference record walk
-//! [`gang_simulate_records`], under every plan: each lane observes
-//! exactly the same predict/update sequence it would alone.
+//! into a `WalkPlan` value — each lane's path, the shared engines, and
+//! each slot-major replay's lanes and slot driver — and one executor
+//! runs any such plan. Results are bit-identical to driving
+//! [`crate::simulate_with`] once per predictor, and to the reference
+//! record walk [`gang_simulate_records`], under every plan: each lane
+//! observes exactly the same predict/update sequence it would alone.
 
 use crate::config::{self, SchemeConfig};
 use crate::engine::SimOptions;
@@ -105,9 +94,9 @@ use crate::pool::{catch_cell, CellPanic};
 use crate::stats::{PredictionStats, SimResult};
 use std::collections::HashMap;
 use tlat_core::{
-    AtLaneConfig, AtPack, Gshare, HrtConfig, HrtStats, LeeSmithBtb, Predictor, Probe, ProbeOutcome,
-    ProfilePredictor, SiteKeys, SiteResolver, SliceTables, SlotProbe, StaticTraining,
-    StaticTrainingConfig, Tournament, TwoLevelAdaptive, TwoLevelVariant, VariantWalk, Walker,
+    Gshare, HrtConfig, HrtStats, LeeSmithBtb, Predictor, Probe, ProfilePredictor, SiteKeys,
+    SiteResolver, SliceTables, SlotProbe, StaticTraining, StaticTrainingConfig, Tournament,
+    TwoLevelAdaptive, TwoLevelVariant, VariantWalk, Walker,
 };
 use tlat_trace::{
     BranchClass, BranchRecord, CompiledTrace, PackedBits, RasEvent, ReturnAddressStack, SiteId,
@@ -274,8 +263,8 @@ impl GangLane {
     }
 
     /// Folds the access statistics of the probing done on this lane's
-    /// behalf (a shared engine, or a pack's or a replay's slot driver)
-    /// into its table.
+    /// behalf (a shared engine, or a replay's slot driver) into its
+    /// table.
     fn adopt_probe_stats(&mut self, stats: HrtStats) {
         match self {
             GangLane::TwoLevel(p) => p.adopt_probe_stats(stats),
@@ -288,29 +277,6 @@ impl GangLane {
     }
 }
 
-/// Lanes per bitsliced pack: one bit of each `u64` plane.
-const PACK_WIDTH: usize = 64;
-
-/// Mean same-site run length (in events) from which a stream counts
-/// as loop-heavy: every packable Two-Level lane then packs, down to a
-/// lone one (see [`plan`]).
-const LOOP_HEAVY_MIN_RUN: usize = 3;
-
-/// How many of an AT pack group's `count` candidate lanes go into
-/// bitsliced packs on a churny stream (the rest walk as scalar lanes).
-///
-/// A single lane gains nothing from plane form, so groups need at
-/// least two lanes to pack at all, and when chunking by
-/// [`PACK_WIDTH`] would strand exactly one lane in the final chunk,
-/// that straggler stays scalar instead of becoming a one-lane pack.
-fn packed_quota(count: usize) -> usize {
-    match count {
-        0 | 1 => 0,
-        n if n % PACK_WIDTH == 1 => n - 1,
-        n => n,
-    }
-}
-
 /// How one lane rides a compiled walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LanePath {
@@ -320,8 +286,6 @@ enum LanePath {
     /// component's) come from the driver; a global-history lane has
     /// no table and no driver.
     Scalar(Option<SlotDriver>),
-    /// A member of AT pack `p`.
-    Packed(usize),
     /// A member of slot-major replay `r`: an LS or ST lane.
     SlotMajor(usize),
     /// A tournament whose components have fresh twins in the walk: the
@@ -336,8 +300,8 @@ enum LanePath {
     Dyn,
 }
 
-/// Where a lane's, a pack's or a slot-major replay's slot sequence
-/// comes from.
+/// Where a scalar lane's or a slot-major replay's slot sequence comes
+/// from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotDriver {
     /// Ideal table: slot = site, a site's first event fills its slot.
@@ -346,27 +310,26 @@ enum SlotDriver {
     Hashed,
     /// Associative table: an engine of the consumer's own, probed
     /// inline event by event by a scalar lane, once per same-site run
-    /// by a pack or a replay.
+    /// by a replay.
     Private,
     /// Associative table: shared engine `e`'s probe log, read event by
-    /// event by scalar lanes and in runs by packs and replays.
+    /// event by scalar lanes and bucketed by slot by a replay.
     Logged(usize),
 }
 
-/// Lanes that ride one slot sequence: a bitsliced AT pack, or the LS
-/// and ST lanes of one slot-major replay.
+/// The LS and ST lanes of one slot-major replay, which ride one slot
+/// sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct GroupPlan {
+struct ReplayPlan {
     /// The organization every member's table shares.
     hrt: HrtConfig,
-    /// Member lane indices, ascending; a pack holds at most
-    /// [`PACK_WIDTH`].
+    /// Member lane indices, ascending.
     lanes: Vec<usize>,
     driver: SlotDriver,
 }
 
-/// Everything a compiled walk decides before it runs. Engines, packs
-/// and replays are numbered in order of their first lane.
+/// Everything a compiled walk decides before it runs. Engines and
+/// replays are numbered in order of their first lane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct WalkPlan {
     /// Each lane's path, in lane order.
@@ -374,73 +337,29 @@ struct WalkPlan {
     /// The geometry of each shared engine, whose probes are logged once
     /// for every consumer.
     engines: Vec<HrtConfig>,
-    /// Bitsliced AT packs.
-    packs: Vec<GroupPlan>,
     /// Slot-major replays, one per organization with LS or ST lanes.
-    replays: Vec<GroupPlan>,
+    replays: Vec<ReplayPlan>,
 }
 
-/// Decides how `lanes` ride a walk over a stream of the given shape.
+/// Decides how `lanes` ride a walk.
 ///
 /// * **Slot-major replay.** Every LS and ST lane joins its
-///   organization's slot-major replay, on every stream shape and
-///   however many lanes share it.
-/// * **Packing.** Packable Two-Level lanes
-///   ([`tlat_core::TwoLevelConfig::pack_lane`]) group per organization
-///   and chunk [`PACK_WIDTH`] per pack in lane order. A pack's row
-///   arithmetic amortizes over lanes sharing a history *mask*: every
-///   distinct history length adds its own row visit per event, sixteen
-///   bytes of plane where a scalar lane's step touches one. So on a
-///   churny stream a lane is a candidate only beside a mask-group
-///   partner, down to [`packed_quota`]'s strand rule; on a loop-heavy
-///   stream every packable lane packs, down to a lone one, because the
-///   pack collapses a same-outcome run to at most `history_bits + 3`
-///   plane steps where a scalar lane pays every event.
-/// * **Derivation.** A tournament derives from the first unpacked
-///   Two-Level lane and the first gshare lane whose configurations
-///   equal its components', when both exist; otherwise it walks its
-///   own components as a scalar lane. A derived tournament probes
-///   nothing, so it counts toward no shared engine.
+///   organization's slot-major replay, however many lanes share it.
+/// * **Derivation.** A tournament derives from the first Two-Level lane
+///   and the first gshare lane whose configurations equal its
+///   components', when both exist; otherwise it walks its own
+///   components as a scalar lane. A derived tournament probes nothing,
+///   so it counts toward no shared engine.
 /// * **Scalar lanes.** Every other Two-Level, taxonomy and gshare lane,
 ///   and every tournament that does not derive, walks the stream alone.
-/// * **Sharing.** Beside scalar lanes, every associative organization
-///   probed by two or more lanes gets a shared engine, which probes the
-///   stream once into a log that every lane on it reads: scalar lanes
-///   and slot-major replays read it event by event, and packs replay it
-///   in `(slot, outcome)` runs. Without scalar lanes, associative packs
-///   and replays probe privately, once per same-site run; so does a
-///   scalar lane alone on its organization, inline, event by event.
-///
-///   The test for scalar lanes is over the whole gang, not per
-///   organization: it dates from the per-event loop this walk replaced,
-///   in which only scalar lanes made the loop run and packs probed in
-///   it. It is kept so that every plan keeps the engines it had; whether
-///   each organization's own consumers should decide its sharing is
-///   open (ROADMAP).
-fn plan(lanes: &[GangLane], loop_heavy: bool) -> WalkPlan {
-    // Each packable Two-Level lane's organization and history length:
-    // its mask group.
-    let keys: Vec<Option<(HrtConfig, u8)>> = lanes
-        .iter()
-        .map(|lane| match lane {
-            GangLane::TwoLevel(p) => Some((p.config().hrt, p.config().pack_lane()?.history_bits)),
-            _ => None,
-        })
-        .collect();
-    let mut packed: HashMap<HrtConfig, Vec<usize>> = HashMap::new();
-    for (i, key) in keys.iter().enumerate() {
-        let Some((hrt, _)) = *key else {
-            continue;
-        };
-        if loop_heavy || keys.iter().filter(|&other| other == key).count() >= 2 {
-            packed.entry(hrt).or_default().push(i);
-        }
-    }
-    if !loop_heavy {
-        for members in packed.values_mut() {
-            members.truncate(packed_quota(members.len()));
-        }
-    }
+/// * **Sharing.** An associative organization's consumers are its
+///   scalar lanes, one each, and its slot-major replay, one. An
+///   organization with two or more consumers gets a shared engine,
+///   which probes the stream once into a log that every consumer reads:
+///   scalar lanes event by event, the replay to bucket the stream by
+///   slot. A lone scalar lane probes inline, event by event; a lone
+///   replay probes privately, once per same-site run.
+fn plan(lanes: &[GangLane]) -> WalkPlan {
     let mut replayed: HashMap<HrtConfig, Vec<usize>> = HashMap::new();
     for (i, lane) in lanes.iter().enumerate() {
         if let GangLane::LeeSmith(_) | GangLane::StaticTraining(_) = lane {
@@ -454,34 +373,35 @@ fn plan(lanes: &[GangLane], loop_heavy: bool) -> WalkPlan {
             let GangLane::Tournament(t) = lane else {
                 return None;
             };
-            let first = (0..lanes.len()).find(|&i| match &lanes[i] {
-                GangLane::TwoLevel(p) => {
-                    p.config() == t.first().config() && !packed.values().any(|m| m.contains(&i))
-                }
-                _ => false,
-            })?;
+            let first = lanes.iter().position(
+                |lane| matches!(lane, GangLane::TwoLevel(p) if p.config() == t.first().config()),
+            )?;
             let second = lanes.iter().position(
                 |lane| matches!(lane, GangLane::Gshare(g) if g.config() == t.second().config()),
             )?;
             Some(LanePath::Derived { first, second })
         })
         .collect();
-    // Scalar table lanes remain exactly when some table lane is
-    // neither packed, replayed nor derived.
-    let table_lanes: Vec<HrtConfig> = lanes
+    // Every table's consumers, in lane order: each scalar lane, and
+    // each replay once, at its first lane.
+    let consumers: Vec<HrtConfig> = lanes
         .iter()
         .zip(&derived)
-        .filter(|(_, derived)| derived.is_none())
-        .filter_map(|(lane, _)| lane.hrt_config())
+        .enumerate()
+        .filter_map(|(i, (lane, derived))| {
+            let hrt = lane.hrt_config()?;
+            let counts = match lane {
+                GangLane::LeeSmith(_) | GangLane::StaticTraining(_) => replayed[&hrt][0] == i,
+                _ => derived.is_none(),
+            };
+            counts.then_some(hrt)
+        })
         .collect();
-    let grouped: usize = packed.values().chain(replayed.values()).map(Vec::len).sum();
     let mut engines: Vec<HrtConfig> = Vec::new();
-    if table_lanes.len() > grouped {
-        for &hrt in &table_lanes {
-            let shared = table_lanes.iter().filter(|&&other| other == hrt).count() >= 2;
-            if shared && matches!(hrt, HrtConfig::Associative { .. }) && !engines.contains(&hrt) {
-                engines.push(hrt);
-            }
+    for &hrt in &consumers {
+        let shared = consumers.iter().filter(|&&other| other == hrt).count() >= 2;
+        if shared && matches!(hrt, HrtConfig::Associative { .. }) && !engines.contains(&hrt) {
+            engines.push(hrt);
         }
     }
     let engine = |hrt: HrtConfig| engines.iter().position(|&shared| shared == hrt);
@@ -491,20 +411,9 @@ fn plan(lanes: &[GangLane], loop_heavy: bool) -> WalkPlan {
         (_, None) => SlotDriver::Private,
         (_, Some(e)) => SlotDriver::Logged(e),
     };
-    let mut packs: Vec<GroupPlan> = Vec::new();
-    for (hrt, members) in packed {
-        for chunk in members.chunks(PACK_WIDTH) {
-            packs.push(GroupPlan {
-                hrt,
-                lanes: chunk.to_vec(),
-                driver: driver(hrt),
-            });
-        }
-    }
-    packs.sort_by_key(|pack| pack.lanes[0]);
-    let mut replays: Vec<GroupPlan> = replayed
+    let mut replays: Vec<ReplayPlan> = replayed
         .into_iter()
-        .map(|(hrt, lanes)| GroupPlan {
+        .map(|(hrt, lanes)| ReplayPlan {
             hrt,
             lanes,
             driver: driver(hrt),
@@ -522,11 +431,6 @@ fn plan(lanes: &[GangLane], loop_heavy: bool) -> WalkPlan {
             })
         })
         .collect();
-    for (p, pack) in packs.iter().enumerate() {
-        for &i in &pack.lanes {
-            paths[i] = LanePath::Packed(p);
-        }
-    }
     for (r, replay) in replays.iter().enumerate() {
         for &i in &replay.lanes {
             paths[i] = LanePath::SlotMajor(r);
@@ -535,7 +439,6 @@ fn plan(lanes: &[GangLane], loop_heavy: bool) -> WalkPlan {
     WalkPlan {
         lanes: paths,
         engines,
-        packs,
         replays,
     }
 }
@@ -552,7 +455,7 @@ fn table_slots(hrt: HrtConfig, compiled: &CompiledTrace) -> usize {
 
 /// One associative organization probed over the whole stream: every
 /// event's probe word, and what the probing counted. A shared engine's
-/// log is read by every lane, pack and replay on its organization.
+/// log is read by every lane and replay on its organization.
 struct ProbeLog {
     words: Vec<u32>,
     stats: HrtStats,
@@ -822,107 +725,6 @@ fn walk_scalar(
     }
 }
 
-/// Replays the stream into one pack in runs of equal `keys` (one key
-/// per event): `resolve` maps a run's key and length to its slot and
-/// whether the slot fills first. Within a run each same-outcome
-/// stretch beyond the pack's convergence depth is a single shared
-/// correct-count — every history register saturates and every
-/// automaton sits at its fixed point by then (asserted when the
-/// transition tables are derived).
-fn replay_runs<K: Copy + PartialEq>(
-    planes: &mut AtPack,
-    compiled: &CompiledTrace,
-    keys: &[K],
-    mut resolve: impl FnMut(K, u64) -> (usize, bool),
-) {
-    let outcomes = compiled.outcomes();
-    let mut i = 0;
-    for run in keys.chunk_by(|a, b| a == b) {
-        let j = i + run.len();
-        let (slot, filled) = resolve(run[0], run.len() as u64);
-        if filled {
-            planes.fill_slot(slot);
-        }
-        while i < j {
-            let taken = outcomes.get(i);
-            let same = outcomes.run_len(i, j);
-            planes.apply_run(slot, taken, same as u64);
-            i += same;
-        }
-    }
-}
-
-/// Runs every AT pack in `plan`, then folds each lane's counts and the
-/// driver's [`HrtStats`] back by lane index. A packed lane's own table
-/// payload goes stale (the pack owns it for the walk, as a scalar
-/// lane's walk does); only predicted/correct and the adopted statistics
-/// are observable. Packed lanes never re-initialize a replaced slot, so
-/// a replacement steps like a hit.
-fn run_packs(
-    plan: &WalkPlan,
-    logs: &[ProbeLog],
-    resolver: &mut SiteResolver,
-    compiled: &CompiledTrace,
-    lanes: &mut [GangLane],
-    stats: &mut [PredictionStats],
-) {
-    metrics::add(Counter::AtPacksFormed, plan.packs.len() as u64);
-    let packed: usize = plan.packs.iter().map(|pack| pack.lanes.len()).sum();
-    metrics::add(Counter::LanesPacked, packed as u64);
-    for pack in &plan.packs {
-        let specs: Vec<AtLaneConfig> = pack
-            .lanes
-            .iter()
-            .map(|&i| match &lanes[i] {
-                GangLane::TwoLevel(p) => p.config().pack_lane().expect("only packable lanes pack"),
-                _ => unreachable!("only Two-Level lanes pack"),
-            })
-            .collect();
-        let mut planes = AtPack::new(&specs, table_slots(pack.hrt, compiled));
-        let probe_stats = match pack.driver {
-            // Equal probe words group into runs, and a fill applies
-            // once, up front: a filled way is valid by its next probe,
-            // so a fill cannot repeat within a run.
-            SlotDriver::Logged(e) => {
-                replay_runs(&mut planes, compiled, &logs[e].words, |word, n| {
-                    let filled = word & Probe::FILLED != 0;
-                    debug_assert!(n == 1 || !filled, "a filled way is valid on its next probe");
-                    ((word & Probe::SLOT) as usize, filled)
-                });
-                logs[e].stats
-            }
-            SlotDriver::Ideal | SlotDriver::Hashed | SlotDriver::Private => {
-                let keys = resolver.keys(pack.hrt);
-                let mut engine = SlotProbe::build(pack.hrt, resolver);
-                let mut counted = HrtStats::default();
-                replay_runs(&mut planes, compiled, compiled.cond_sites(), |site, n| {
-                    counted.accesses += n;
-                    match (&mut engine, &*keys) {
-                        (Some(engine), _) => {
-                            let probe = engine.step_run(site, n);
-                            (probe.slot as usize, probe.outcome == ProbeOutcome::Filled)
-                        }
-                        (None, SiteKeys::Hashed { slot }) => (slot[site as usize] as usize, false),
-                        // Sites intern in first-appearance order, so
-                        // the next fresh site is the count seen so far.
-                        (None, _) => {
-                            let fresh = u64::from(site) == counted.misses;
-                            counted.misses += u64::from(fresh);
-                            (site as usize, fresh)
-                        }
-                    }
-                });
-                engine.map_or(counted, |engine| engine.stats())
-            }
-        };
-        for (&i, correct) in pack.lanes.iter().zip(planes.correct_counts()) {
-            stats[i].predicted += compiled.len() as u64;
-            stats[i].correct += correct;
-            lanes[i].adopt_probe_stats(probe_stats);
-        }
-    }
-}
-
 /// One LS or ST lane of a slot-major replay, with its state in the
 /// slot being replayed.
 struct SlotLane {
@@ -1039,7 +841,7 @@ fn bucket_by_slot(
 /// index. The ideal table misses once per site and the hashed one
 /// never; an associative table's statistics are its engine's.
 fn replay_slot_major(
-    replay: &GroupPlan,
+    replay: &ReplayPlan,
     logs: &[ProbeLog],
     resolver: &mut SiteResolver,
     compiled: &CompiledTrace,
@@ -1139,10 +941,10 @@ fn derived_correct(
 /// strategy.
 ///
 /// Every shared engine first probes the stream once into its log. Then
-/// each consumer walks the whole stream on its own: every pack, every
-/// slot-major replay, and every scalar lane in a loop of its own,
-/// monomorphized over its lane type and slot source, with its state in
-/// lean walk-local vectors and registers. Lanes never interact, so this
+/// each consumer walks the whole stream on its own: every slot-major
+/// replay, and every scalar lane in a loop of its own, monomorphized
+/// over its lane type and slot source, with its state in lean
+/// walk-local vectors and registers. Lanes never interact, so this
 /// lane-major order is observably identical to any event-major one.
 /// Derived tournaments finish last, from their twins' guesses.
 fn execute(
@@ -1159,7 +961,6 @@ fn execute(
         .map(|&hrt| ProbeLog::probe(hrt, &mut resolver, compiled))
         .collect();
     let mut stats = vec![PredictionStats::default(); lanes.len()];
-    run_packs(plan, &logs, &mut resolver, compiled, lanes, &mut stats);
     for replay in &plan.replays {
         replay_slot_major(replay, &logs, &mut resolver, compiled, lanes, &mut stats);
     }
@@ -1268,22 +1069,20 @@ fn execute(
 /// stack whose stats are replicated into every result (RAS behaviour is
 /// predictor-independent). Monomorphized lanes are fed from `compiled`
 /// alone — each scalar lane walking the stream on its own, beside the
-/// shared probe logs, packs and slot-major replays the walk's plan
-/// picks for the others, and closed-form scores — and the stream's
-/// shape (its mean same-site run) is read O(1) from the compiled
-/// stream. `dyn_source` supplies the raw record stream for
-/// [`GangLane::Dyn`] lanes, which [`GangLane::from_config`] never
-/// builds: the sweep path passes `None`, so a TLA3 cache entry decodes
-/// straight into `compiled` and the records are never materialized.
+/// shared probe logs and slot-major replays the walk's plan picks for
+/// the others, and closed-form scores. `dyn_source` supplies the raw
+/// record stream for [`GangLane::Dyn`] lanes, which
+/// [`GangLane::from_config`] never builds: the sweep path passes
+/// `None`, so a TLA3 cache entry decodes straight into `compiled` and
+/// the records are never materialized.
 /// Results are bit-identical to [`gang_simulate_records`], which is
 /// pinned by tests and kept as the reference walk.
 ///
 /// Every lane must be fresh: as built, never yet stepped. Each walk
 /// starts from the lane's initial state (its probes from a fresh probe
-/// state, AT packs from fresh planes), and a tournament beside twins of
-/// its components takes their guesses for its components' (see the
-/// module docs), which holds only when all of them start from the same
-/// state. Afterwards only a lane's counts and table statistics are
+/// state), and a tournament beside twins of its components takes their
+/// guesses for its components' (see the module docs), which holds only
+/// when all of them start from the same state. Afterwards only a lane's counts and table statistics are
 /// meaningful: the walk kept its state apart.
 ///
 /// # Panics
@@ -1298,14 +1097,7 @@ pub fn gang_simulate_compiled(
 ) -> Vec<SimResult> {
     metrics::bump(Counter::TraceWalks);
     let _span = metrics::span(Phase::GangWalk);
-    let loop_heavy = compiled.len() >= LOOP_HEAVY_MIN_RUN * compiled.site_run_count();
-    execute(
-        lanes,
-        &plan(lanes, loop_heavy),
-        compiled,
-        dyn_source,
-        options,
-    )
+    execute(lanes, &plan(lanes), compiled, dyn_source, options)
 }
 
 /// The reference gang walk: every lane — monomorphized or dyn — is fed
@@ -1457,13 +1249,6 @@ mod tests {
     /// The compiled walk over `trace`'s stream, as the harness runs it.
     fn walk(lanes: &mut [GangLane], trace: &Trace, options: SimOptions) -> Vec<SimResult> {
         gang_simulate_compiled(lanes, &CompiledTrace::compile(trace), Some(trace), options)
-    }
-
-    /// Whether `trace` compiles to a stream the walk treats as
-    /// loop-heavy.
-    fn is_loop_heavy(trace: &Trace) -> bool {
-        let compiled = CompiledTrace::compile(trace);
-        compiled.len() >= LOOP_HEAVY_MIN_RUN * compiled.site_run_count()
     }
 
     /// A lane's adopted table statistics, where it has a table. (A
@@ -1785,10 +1570,10 @@ mod tests {
     /// LS lanes on every organization beside a lone AT lane: five
     /// automata on the paper AHRT, pairs on ideal / hashed / a small
     /// eviction-heavy associative table, and one LS lane alone on
-    /// ahrt(256). On a churny stream the AT lane has no mask-group
-    /// partner, so it stays a scalar lane, beside which the shared
-    /// geometries' replays read their engine's probe log and the lone
-    /// ahrt(256) replay probes privately.
+    /// ahrt(256). The AT lane and the paper AHRT's replay are that
+    /// geometry's two consumers, so both read its engine's probe log;
+    /// the small table's and ahrt(256)'s replays are their geometries'
+    /// only consumers and probe privately.
     fn ls_lanes_on_every_organization() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
@@ -1810,12 +1595,8 @@ mod tests {
     #[test]
     fn slot_major_replays_match_the_record_walk_across_organizations() {
         let trace = SyntheticStream::mixed(0xb175, 80).generate(6_000);
-        assert!(
-            !is_loop_heavy(&trace),
-            "trace drifted loop-heavy; this test pins the churny plan"
-        );
         let configs = ls_lanes_on_every_organization();
-        let plan = plan(&lanes_for(&configs, &trace), false);
+        let plan = plan(&lanes_for(&configs, &trace));
         let drivers: Vec<SlotDriver> = plan.replays.iter().map(|replay| replay.driver).collect();
         assert_eq!(
             drivers,
@@ -1823,9 +1604,13 @@ mod tests {
                 SlotDriver::Logged(0),
                 SlotDriver::Ideal,
                 SlotDriver::Hashed,
-                SlotDriver::Logged(1),
+                SlotDriver::Private,
                 SlotDriver::Private,
             ]
+        );
+        assert_eq!(
+            plan.lanes[12],
+            LanePath::Scalar(Some(SlotDriver::Logged(0)))
         );
         assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
@@ -1857,10 +1642,10 @@ mod tests {
         loop_heavy_trace_at(0x2000, events)
     }
 
-    /// With a scalar consumer present (an unpackable reinit-on-replace
-    /// AT lane, which stays scalar on every stream shape) the shared
-    /// geometries' replays read the gang's probe logs; the tiny 2-way
-    /// table forces evictions and refills mid-stream.
+    /// A reinit-on-replace AT lane beside LS replays: it and the paper
+    /// AHRT's replay read one probe log, while the tiny 2-way table,
+    /// which forces evictions and refills mid-stream, has only its
+    /// replay and probes privately.
     fn shared_ls_replays() -> Vec<SchemeConfig> {
         vec![
             at_full(
@@ -1888,21 +1673,22 @@ mod tests {
         // bucket the logged slots, fills and replacements included.
         // Still bit-identical.
         let trace = loop_heavy_trace(6_000);
-        assert!(
-            is_loop_heavy(&trace),
-            "trace must be loop-heavy enough to trip the log-replay gate"
-        );
         let configs = shared_ls_replays();
-        let plan = plan(&lanes_for(&configs, &trace), true);
-        assert!(plan
-            .replays
-            .iter()
-            .any(|replay| matches!(replay.driver, SlotDriver::Logged(_))));
+        let plan = plan(&lanes_for(&configs, &trace));
+        let drivers: Vec<SlotDriver> = plan.replays.iter().map(|replay| replay.driver).collect();
+        assert_eq!(
+            drivers,
+            [
+                SlotDriver::Logged(0),
+                SlotDriver::Private,
+                SlotDriver::Ideal
+            ]
+        );
         assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
-    /// With no lane but LS ones there is no scalar lane to share an
-    /// engine with: every replay owns its probe (a private engine for
+    /// With no lane but LS ones each geometry's one consumer is its
+    /// replay: every replay owns its probe (a private engine for
     /// associative geometries) and buckets the stream on its own.
     fn ls_only() -> Vec<SchemeConfig> {
         vec![
@@ -1924,7 +1710,7 @@ mod tests {
     fn ls_only_gangs_share_no_engine() {
         let trace = SyntheticStream::mixed(0x517e, 64).generate(6_000);
         let configs = ls_only();
-        let plan = plan(&lanes_for(&configs, &trace), false);
+        let plan = plan(&lanes_for(&configs, &trace));
         assert!(plan.engines.is_empty());
         assert!(plan
             .lanes
@@ -1935,17 +1721,18 @@ mod tests {
 
     #[test]
     fn slot_major_replays_take_any_number_of_lanes() {
-        // 65 same-geometry LS lanes: one replay, no chunking by
-        // PACK_WIDTH and no scalar straggler.
+        // 65 same-geometry LS lanes, more than one word of lanes: one
+        // replay, and no engine, since the replay is its geometry's
+        // only consumer.
         let trace = SyntheticStream::mixed(0x65, 24).generate(2_000);
         let kinds = AutomatonKind::ALL;
         let configs: Vec<SchemeConfig> = (0..65)
             .map(|i| SchemeConfig::ls(HrtConfig::ahrt(512), kinds[i % kinds.len()]))
             .collect();
-        let plan = plan(&lanes_for(&configs, &trace), false);
+        let plan = plan(&lanes_for(&configs, &trace));
         assert_eq!(plan.replays.len(), 1);
         assert_eq!(plan.replays[0].lanes.len(), 65);
-        assert!(plan.engines.is_empty() && plan.packs.is_empty());
+        assert!(plan.engines.is_empty());
         assert_walk_matches_records(&configs, &trace, SimOptions::default());
     }
 
@@ -2052,7 +1839,7 @@ mod tests {
                 let mut reference = build();
                 let records = gang_simulate_records(&mut reference, &test, options);
                 let compiled = CompiledTrace::compile(&test);
-                let chosen = plan(&build(), is_loop_heavy(&test));
+                let chosen = plan(&build());
                 for forced in [chosen.clone(), force_drivers(chosen, &build(), true)] {
                     let mut walked = build();
                     let results = execute(&mut walked, &forced, &compiled, None, options);
@@ -2077,7 +1864,7 @@ mod tests {
     }
 
     /// An AT configuration with the ablation flags spelled out, for
-    /// exercising pack-lane mixes the `at` convenience hides.
+    /// exercising the lane mixes the `at` convenience hides.
     fn at_full(
         hrt: HrtConfig,
         history_bits: u8,
@@ -2096,22 +1883,17 @@ mod tests {
         })
     }
 
-    /// AT packs form wherever ≥2 packable Two-Level lanes share a
-    /// history mask on one HRT organization (on a churny stream a
-    /// mask-singleton has nothing to amortize its row planes over, so
-    /// it stays scalar). The paper-AHRT pack mixes automaton variants,
-    /// two history lengths (masked rows of the shared register), §3.2
-    /// caching vs pure two-lookup, and init polarity; ideal / hashed /
-    /// eviction-heavy associative same-mask pairs pack too. A
-    /// reinit-on-replace lane is unpackable and must take the scalar
-    /// path (becoming the gang's scalar consumer), a k=8 lane on the
-    /// packing AHRT and an ahrt(256) lane are mask-singletons pinned
-    /// scalar by the churny gate, and an LS replay rides alongside.
-    fn at_packs_with_singletons() -> Vec<SchemeConfig> {
+    /// Two-Level lanes on every organization: on the paper AHRT a mix of
+    /// automaton variants, three history lengths, §3.2 caching vs pure
+    /// two-lookup, init polarity and a reinit-on-replace lane, all on
+    /// one probe log with an LS replay; ideal, hashed and
+    /// eviction-heavy associative pairs; and an ahrt(256) lane alone on
+    /// its geometry, probing inline.
+    fn at_lane_mix() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A3),
-            SchemeConfig::at(HrtConfig::ahrt(512), 8, AutomatonKind::A3), // mask-singleton
+            SchemeConfig::at(HrtConfig::ahrt(512), 8, AutomatonKind::A3),
             SchemeConfig::at(HrtConfig::ahrt(512), 6, AutomatonKind::LastTime),
             at_full(
                 HrtConfig::ahrt(512),
@@ -2143,47 +1925,36 @@ mod tests {
                 true,
                 false,
             ),
-            SchemeConfig::at(HrtConfig::ahrt(256), 12, AutomatonKind::A2), // mask-singleton
+            SchemeConfig::at(HrtConfig::ahrt(256), 12, AutomatonKind::A2), // alone: inline probe
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A2),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
         ]
     }
 
     #[test]
-    fn bitsliced_at_packs_match_the_record_walk_across_organizations() {
-        // Random site visits: shared packs replay their engine's probe
-        // log in runs of mostly one event here (the reinit lane is the
-        // scalar lane that keeps the engines shared).
-        let trace = SyntheticStream::mixed(0xa7b1, 80).generate(6_000);
-        assert!(
-            !is_loop_heavy(&trace),
-            "trace drifted loop-heavy; this test pins packs on a churny log"
-        );
-        let configs = at_packs_with_singletons();
-        let plan = plan(&lanes_for(&configs, &trace), false);
-        assert!(plan
-            .packs
-            .iter()
-            .any(|pack| matches!(pack.driver, SlotDriver::Logged(_))));
-        assert_eq!(
-            plan.lanes[2],
-            LanePath::Scalar(Some(SlotDriver::Logged(0))),
-            "mask-singletons stay scalar"
-        );
-        assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
+    fn at_lane_mixes_match_the_record_walk_on_both_stream_shapes() {
+        let configs = at_lane_mix();
+        let plan = plan(&lanes_for(&configs, &Trace::new()));
+        assert_eq!(plan.engines, [HrtConfig::ahrt(512), SMALL]);
+        assert_eq!(plan.lanes[2], LanePath::Scalar(Some(SlotDriver::Logged(0))));
+        assert_eq!(plan.lanes[13], LanePath::Scalar(Some(SlotDriver::Private)));
+        for trace in [
+            SyntheticStream::mixed(0xa7b1, 80).generate(6_000),
+            loop_heavy_trace(6_000),
+        ] {
+            assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
+        }
     }
 
-    /// The eviction-interplay mix: AT packs on a tiny 2-way AHRT that
-    /// churns through fills, hits, and replacements, never seeing tags
-    /// — only slot decisions. A replaced slot must inherit the victim's
-    /// plane state and a filled slot must re-read its cached plane from
-    /// the *evolved* pattern tables, or predictions drift. An
-    /// unpackable reinit-on-replace lane keeps a scalar consumer in the
-    /// gang, so the small table's packs and LS replay read a shared
-    /// engine's log. On a loop-heavy stream AT singletons pack too: the
-    /// lone ahrt(256) lane is alone on its geometry and falls back to a
-    /// private probe, and the lone ideal and hashed singletons take
-    /// their own run replay.
+    /// The eviction-interplay mix: AT lanes on a tiny 2-way AHRT that
+    /// churns through fills, hits, and replacements, reading only the
+    /// slot decisions of a shared probe log, never tags. A replaced
+    /// slot must inherit the victim's history and cached bit, and a
+    /// filled slot must re-read its cached bit from the *evolved*
+    /// pattern table, or predictions drift; the small table's LS
+    /// replay reads the same log. The lone ahrt(256) lane probes
+    /// inline, the lone ideal and hashed lanes take their own slot
+    /// sources, and a reinit-on-replace lane rides the ideal table.
     fn at_evictions() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::st(HrtConfig::Ideal, 12, TrainingData::Same),
@@ -2192,43 +1963,39 @@ mod tests {
             at_full(SMALL, 4, AutomatonKind::LastTime, false, false, false),
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
             SchemeConfig::at(HrtConfig::ahrt(512), 10, AutomatonKind::A4),
-            SchemeConfig::at(HrtConfig::ahrt(256), 10, AutomatonKind::A3), // lone: private probe
-            SchemeConfig::at(HrtConfig::Ideal, 9, AutomatonKind::A2),      // lone: ideal replay
-            SchemeConfig::at(HrtConfig::hhrt(32), 7, AutomatonKind::A4),   // lone: hashed replay
+            SchemeConfig::at(HrtConfig::ahrt(256), 10, AutomatonKind::A3), // lone: inline probe
+            SchemeConfig::at(HrtConfig::Ideal, 9, AutomatonKind::A2),
+            SchemeConfig::at(HrtConfig::hhrt(32), 7, AutomatonKind::A4), // lone: hashed slots
             SchemeConfig::ls(SMALL, AutomatonKind::A2),
             SchemeConfig::ls(SMALL, AutomatonKind::A4),
-            at_full(HrtConfig::Ideal, 12, AutomatonKind::A2, true, true, false), // scalar
+            at_full(HrtConfig::Ideal, 12, AutomatonKind::A2, true, true, false),
         ]
     }
 
     #[test]
-    fn at_packs_replay_ahrt_evictions_from_the_slot_log_byte_for_byte() {
-        let trace = loop_heavy_trace(6_000);
-        assert!(
-            is_loop_heavy(&trace),
-            "trace must be loop-heavy enough to trip the log-replay gate"
-        );
+    fn at_lanes_inherit_replaced_slots_on_a_shared_log() {
         let configs = at_evictions();
-        let plan = plan(&lanes_for(&configs, &trace), true);
-        let LanePath::Packed(lone) = plan.lanes[6] else {
-            panic!("the lone ahrt(256) lane packs on a loop-heavy stream")
-        };
-        assert_eq!(plan.packs[lone].driver, SlotDriver::Private);
-        assert_eq!(
-            plan.packs[0].driver,
-            SlotDriver::Logged(0),
-            "the small table's pack"
-        );
-        assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
+        let plan = plan(&lanes_for(&configs, &Trace::new()));
+        assert_eq!(plan.engines, [SMALL, HrtConfig::ahrt(512)]);
+        for lane in 1..=3 {
+            assert_eq!(
+                plan.lanes[lane],
+                LanePath::Scalar(Some(SlotDriver::Logged(0)))
+            );
+        }
+        assert_eq!(plan.lanes[6], LanePath::Scalar(Some(SlotDriver::Private)));
+        for trace in [
+            SyntheticStream::mixed(0xe71c, 80).generate(6_000),
+            loop_heavy_trace(6_000),
+        ] {
+            assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
+        }
     }
 
-    /// Every conditional consumer packs: no scalar lane remains, so no
-    /// engine is shared and the associative AT packs own private probe
-    /// engines, replaying the stream in (site, outcome) runs —
-    /// including evictions on the tiny 2-way table. Each
-    /// geometry's pair shares a history mask so the churny gate packs
-    /// them too.
-    fn at_pack_only() -> Vec<SchemeConfig> {
+    /// Nothing but AT lanes, a pair on each organization: each
+    /// associative pair shares one probe log, including evictions on
+    /// the tiny 2-way table.
+    fn at_only() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A3),
@@ -2242,32 +2009,20 @@ mod tests {
     }
 
     #[test]
-    fn pack_only_at_gangs_take_the_chunked_run_walk() {
-        // Run on both stream shapes, since the private path chunks
-        // same-site runs either way.
+    fn at_only_gangs_match_the_record_walk_on_both_stream_shapes() {
         for trace in [
             SyntheticStream::mixed(0x9ac7, 64).generate(6_000),
             loop_heavy_trace(6_000),
         ] {
-            assert_walk_matches_records(&at_pack_only(), &trace, SimOptions { ras_entries: 8 });
+            assert_walk_matches_records(&at_only(), &trace, SimOptions { ras_entries: 8 });
         }
     }
 
     #[test]
-    fn at_packs_wider_than_a_word_chunk_and_strand_the_straggler() {
-        // 65 same-organization AT lanes on a churny stream, a variant
-        // × history-length grid whose every history mask holds ≥ 2
-        // lanes: all 65 are pack-eligible, so the strand rule applies —
-        // one full 64-lane pack plus one scalar straggler (a one-lane
-        // final chunk would be pure overhead here).
-        assert_eq!(packed_quota(0), 0);
-        assert_eq!(packed_quota(1), 0);
-        assert_eq!(packed_quota(2), 2);
-        assert_eq!(packed_quota(64), 64);
-        assert_eq!(packed_quota(65), 64);
-        assert_eq!(packed_quota(66), 66);
-        assert_eq!(packed_quota(129), 128);
-        let trace = SyntheticStream::mixed(0xa65, 24).generate(2_000);
+    fn wide_at_grids_walk_every_lane_on_one_log() {
+        // 65 same-organization AT lanes, a variant × history-length
+        // grid more than a word of lanes wide: every lane walks alone
+        // on the geometry's one probe log.
         let kinds = AutomatonKind::ALL;
         let configs: Vec<SchemeConfig> = (0..65)
             .map(|i| {
@@ -2278,24 +2033,28 @@ mod tests {
                 )
             })
             .collect();
-        let plan = plan(&lanes_for(&configs, &trace), false);
-        assert_eq!(plan.packs.len(), 1);
-        assert_eq!(
-            plan.lanes[64],
-            LanePath::Scalar(Some(SlotDriver::Logged(0))),
-            "the straggler reads the pack's engine log"
-        );
-        assert_walk_matches_records(&configs, &trace, SimOptions::default());
+        let plan = plan(&lanes_for(&configs, &Trace::new()));
+        assert_eq!(plan.engines, [HrtConfig::ahrt(512)]);
+        assert!(plan
+            .lanes
+            .iter()
+            .all(|&path| path == LanePath::Scalar(Some(SlotDriver::Logged(0)))));
+        for trace in [
+            SyntheticStream::mixed(0xa65, 24).generate(2_000),
+            loop_heavy_trace(2_000),
+        ] {
+            assert_walk_matches_records(&configs, &trace, SimOptions::default());
+        }
     }
 
     #[test]
     fn slot_log_replay_keeps_slots_past_sixteen_bits() {
         // A direct-mapped AHRT of 2^17 sets with every branch past set
         // 65,535: the slot-log replay must see the full slot, and a
-        // fill only where the probe filled. The unpackable reinit AT
-        // lane keeps the shared engine, and its log, in the walk.
+        // fill only where the probe filled. The reinit AT lane and the
+        // replay are the geometry's two consumers, so they share one
+        // log.
         let trace = loop_heavy_trace_at(0x40000, 6_000);
-        assert!(is_loop_heavy(&trace));
         let wide = HrtConfig::Associative {
             entries: 1 << 17,
             ways: 1,
@@ -2306,21 +2065,20 @@ mod tests {
             SchemeConfig::ls(wide, AutomatonKind::LastTime),
             at_full(wide, 12, AutomatonKind::A2, true, true, false),
         ];
-        let plan = plan(&lanes_for(&configs, &trace), true);
+        let plan = plan(&lanes_for(&configs, &trace));
         assert_eq!(plan.replays[0].driver, SlotDriver::Logged(0));
         assert_walk_matches_records(&configs, &trace, SimOptions::default());
     }
 
-    /// `plan` with packing and derivation off: every Two-Level,
-    /// taxonomy, gshare and tournament lane scalar, reading a shared
-    /// engine's log wherever two or more lanes share an associative
-    /// organization, and every LS and ST lane in its organization's
-    /// slot-major replay, reading that log too.
+    /// `plan` with derivation off and sharing counted per lane: every
+    /// Two-Level, taxonomy, gshare and tournament lane scalar, reading a
+    /// shared engine's log wherever two or more lanes share an
+    /// associative organization, and every LS and ST lane in its
+    /// organization's slot-major replay, reading that log too.
     fn scalar_plan(lanes: &[GangLane]) -> WalkPlan {
         let mut plan = WalkPlan {
             lanes: Vec::new(),
             engines: Vec::new(),
-            packs: Vec::new(),
             replays: Vec::new(),
         };
         for (i, lane) in lanes.iter().enumerate() {
@@ -2340,7 +2098,7 @@ mod tests {
                         Some(r) => r,
                         None => {
                             let lanes = Vec::new();
-                            plan.replays.push(GroupPlan { hrt, lanes, driver });
+                            plan.replays.push(ReplayPlan { hrt, lanes, driver });
                             plan.replays.len() - 1
                         }
                     };
@@ -2365,18 +2123,17 @@ mod tests {
         }
     }
 
-    /// `plan` with every associative pack, slot-major replay and scalar
-    /// lane probing privately, or, when `shared`, reading its
-    /// geometry's shared engine's log, the engine added where the plan
-    /// has none.
+    /// `plan` with every associative slot-major replay and scalar lane
+    /// probing privately, or, when `shared`, reading its geometry's
+    /// shared engine's log, the engine added where the plan has none.
     fn force_drivers(mut plan: WalkPlan, lanes: &[GangLane], shared: bool) -> WalkPlan {
         let force = |hrt: HrtConfig, engines: &mut Vec<HrtConfig>| match shared {
             true => SlotDriver::Logged(engine_for(engines, hrt)),
             false => SlotDriver::Private,
         };
-        for group in plan.packs.iter_mut().chain(&mut plan.replays) {
-            if matches!(group.hrt, HrtConfig::Associative { .. }) {
-                group.driver = force(group.hrt, &mut plan.engines);
+        for replay in &mut plan.replays {
+            if matches!(replay.hrt, HrtConfig::Associative { .. }) {
+                replay.driver = force(replay.hrt, &mut plan.engines);
             }
         }
         for (path, lane) in plan.lanes.iter_mut().zip(lanes) {
@@ -2457,40 +2214,44 @@ mod tests {
 
     #[test]
     fn tournaments_derive_only_beside_scalar_twins() {
-        // Churny: the taxonomy's AT lane stays scalar on the AHRT engine
-        // it shares with PAg and PAs, so the tournament derives from it
-        // and the gshare lane, and rides no engine itself.
+        // The taxonomy's AT lane walks alone on the AHRT engine it
+        // shares with PAg and PAs, on every stream shape, so the
+        // tournament derives from it and the gshare lane, and rides no
+        // engine itself.
         let configs = crate::config::taxonomy();
         let churny = SyntheticStream::mixed(0x7a0, 64).generate(6_000);
-        assert!(!is_loop_heavy(&churny));
-        let chosen = plan(&lanes_for(&configs, &churny), false);
-        assert_eq!(
-            chosen.lanes[4],
-            LanePath::Scalar(Some(SlotDriver::Logged(0)))
-        );
-        assert_eq!(chosen.lanes[5], LanePath::Scalar(None));
-        assert_eq!(
-            chosen.lanes[6],
-            LanePath::Derived {
-                first: 4,
-                second: 5
-            }
-        );
-        // It scores, and adopts the table statistics, as its whole walk.
-        let compiled = CompiledTrace::compile(&churny);
-        let tournament = |plan: &WalkPlan| {
-            let mut lanes = lanes_for(&configs, &churny);
-            let results = execute(&mut lanes, plan, &compiled, None, SimOptions::default());
-            let GangLane::Tournament(t) = &lanes[6] else {
-                unreachable!("the taxonomy's last lane is its tournament");
+        let loopy = loop_heavy_trace(6_000);
+        for trace in [&churny, &loopy] {
+            let chosen = plan(&lanes_for(&configs, trace));
+            assert_eq!(
+                chosen.lanes[4],
+                LanePath::Scalar(Some(SlotDriver::Logged(0)))
+            );
+            assert_eq!(chosen.lanes[5], LanePath::Scalar(None));
+            assert_eq!(
+                chosen.lanes[6],
+                LanePath::Derived {
+                    first: 4,
+                    second: 5
+                }
+            );
+            // It scores, and adopts the table statistics, as its whole
+            // walk.
+            let compiled = CompiledTrace::compile(trace);
+            let tournament = |plan: &WalkPlan| {
+                let mut lanes = lanes_for(&configs, trace);
+                let results = execute(&mut lanes, plan, &compiled, None, SimOptions::default());
+                let GangLane::Tournament(t) = &lanes[6] else {
+                    unreachable!("the taxonomy's last lane is its tournament");
+                };
+                (results[6].conditional, t.first().hrt_stats())
             };
-            (results[6].conditional, t.first().hrt_stats())
-        };
-        let whole = scalar_plan(&lanes_for(&configs, &churny));
-        assert_eq!(tournament(&chosen), tournament(&whole));
+            let whole = scalar_plan(&lanes_for(&configs, trace));
+            assert_eq!(tournament(&chosen), tournament(&whole));
+        }
         // Two tournaments may share one pair of twins.
         let mixed = taxonomy_and_fixed_rules();
-        let shared = plan(&lanes_for(&mixed, &churny), false);
+        let shared = plan(&lanes_for(&mixed, &churny));
         assert_eq!(
             shared.lanes[11],
             LanePath::Derived {
@@ -2505,46 +2266,31 @@ mod tests {
                 second: 9
             }
         );
-        // Loop-heavy: the AT lane packs, so the tournament has no scalar
-        // twin and runs whole on the AHRT engine.
-        let loopy = loop_heavy_trace(6_000);
-        assert!(is_loop_heavy(&loopy));
-        let packed = plan(&lanes_for(&configs, &loopy), true);
-        assert_eq!(packed.lanes[4], LanePath::Packed(0));
-        assert_eq!(
-            packed.lanes[6],
-            LanePath::Scalar(Some(SlotDriver::Logged(0)))
-        );
-        // Without both twins a tournament runs whole on either shape.
+        // Without both twins a tournament runs whole.
         for configs in tournaments_without_twin_pairs() {
-            for loop_heavy in [false, true] {
-                let plan = plan(&lanes_for(&configs, &churny), loop_heavy);
-                assert!(
-                    !plan
-                        .lanes
-                        .iter()
-                        .any(|path| matches!(path, LanePath::Derived { .. })),
-                    "{plan:?}"
-                );
-            }
+            let plan = plan(&lanes_for(&configs, &churny));
+            assert!(
+                !plan
+                    .lanes
+                    .iter()
+                    .any(|path| matches!(path, LanePath::Derived { .. })),
+                "{plan:?}"
+            );
         }
     }
 
     #[test]
     fn every_forced_plan_matches_the_record_walk() {
-        // The planner picks one strategy per stream shape; the executor
+        // The planner picks one strategy per lane mix; the executor
         // must be exact under all of them. Force each alternative on a
         // loop-heavy and a churny stream, for every lane mix above:
         // the chosen plan, every lane scalar but the slot-major ones,
-        // every associative pack, replay and scalar lane private, or
+        // and every associative replay and scalar lane private, or
         // every one logged on a shared engine (a lone associative lane,
-        // such as the ahrt(256) lane beside the AT packs, forced onto a
+        // such as the ahrt(256) lane of the AT lane mix, forced onto a
         // shared log, and a lane on a shared geometry forced to probe
-        // inline), and the other shape's plan
-        // (mask-singleton AT lanes packed on the churny stream, unpacked
-        // on the loop-heavy one) under each driver. No plan ever walks
-        // an LS or ST lane event by event, and a derived lane's twins
-        // are always scalar lanes.
+        // inline). No plan ever walks an LS or ST lane event by event,
+        // and a derived lane's twins are always scalar lanes.
         let [unequal_twins, at_twin_only, gshare_twin_only] = tournaments_without_twin_pairs();
         let mixes = [
             sweep(),
@@ -2552,9 +2298,9 @@ mod tests {
             ls_lanes_on_every_organization(),
             shared_ls_replays(),
             ls_only(),
-            at_packs_with_singletons(),
+            at_lane_mix(),
             at_evictions(),
-            at_pack_only(),
+            at_only(),
             taxonomy_and_fixed_rules(),
             crate::config::taxonomy(),
             unequal_twins,
@@ -2567,18 +2313,15 @@ mod tests {
             SyntheticStream::mixed(0xf0ce, 80).generate(6_000),
         ] {
             let compiled = CompiledTrace::compile(&trace);
-            let loop_heavy = is_loop_heavy(&trace);
             for configs in &mixes {
                 let lanes = lanes_for(configs, &trace);
-                let mut plans = vec![("all lanes scalar", scalar_plan(&lanes))];
-                for (shape, base) in [
-                    ("chosen", plan(&lanes, loop_heavy)),
-                    ("other shape's", plan(&lanes, !loop_heavy)),
-                ] {
-                    plans.push((shape, base.clone()));
-                    plans.push(("private", force_drivers(base.clone(), &lanes, false)));
-                    plans.push(("logged", force_drivers(base, &lanes, true)));
-                }
+                let chosen = plan(&lanes);
+                let plans = [
+                    ("all lanes scalar", scalar_plan(&lanes)),
+                    ("private", force_drivers(chosen.clone(), &lanes, false)),
+                    ("logged", force_drivers(chosen.clone(), &lanes, true)),
+                    ("chosen", chosen),
+                ];
                 for (what, forced) in plans {
                     for (i, lane) in lanes.iter().enumerate() {
                         if let GangLane::LeeSmith(_) | GangLane::StaticTraining(_) = lane {
@@ -2596,7 +2339,7 @@ mod tests {
                     }
                     let mut lanes = lanes_for(configs, &trace);
                     let results = execute(&mut lanes, &forced, &compiled, Some(&trace), options);
-                    let what = format!("{what} plan {forced:?} (loop-heavy: {loop_heavy})");
+                    let what = format!("{what} plan {forced:?}");
                     assert_matches_records(&what, configs, &trace, options, &lanes, &results);
                 }
             }
@@ -2604,58 +2347,71 @@ mod tests {
     }
 
     #[test]
-    fn fig10_lone_at_lane_packs_only_on_loop_heavy_streams() {
+    fn fig10_shares_one_log_on_every_stream_shape() {
+        // The AT lane and the ST and LS lanes' replay are the paper
+        // AHRT's two consumers, so they read one probe log, whatever
+        // the stream's shape.
         let configs = crate::experiment::sweep_spec("fig10")
             .expect("fig10 is registered")
             .configs;
         let ahrt = HrtConfig::ahrt(512);
-        let replay = |driver| GroupPlan {
-            hrt: ahrt,
-            lanes: vec![1, 2, 4],
-            driver,
+        let expected = WalkPlan {
+            lanes: vec![
+                LanePath::Scalar(Some(SlotDriver::Logged(0))),
+                LanePath::SlotMajor(0),
+                LanePath::SlotMajor(0),
+                LanePath::ClosedForm,
+                LanePath::SlotMajor(0),
+            ],
+            engines: vec![ahrt],
+            replays: vec![ReplayPlan {
+                hrt: ahrt,
+                lanes: vec![1, 2, 4],
+                driver: SlotDriver::Logged(0),
+            }],
         };
-        // Churny: the lone AT lane stays scalar on the shared engine,
-        // and the ST and LS lanes replay its probe log.
-        let churny = SyntheticStream::mixed(0xf10, 64).generate(6_000);
-        assert!(!is_loop_heavy(&churny));
-        assert_eq!(
-            plan(&lanes_for(&configs, &churny), false),
-            WalkPlan {
-                lanes: vec![
-                    LanePath::Scalar(Some(SlotDriver::Logged(0))),
-                    LanePath::SlotMajor(0),
-                    LanePath::SlotMajor(0),
-                    LanePath::ClosedForm,
-                    LanePath::SlotMajor(0),
-                ],
-                engines: vec![ahrt],
-                packs: vec![],
-                replays: vec![replay(SlotDriver::Logged(0))],
-            }
-        );
-        // Loop-heavy: the AT lane packs, no scalar lane is left, and
-        // the pack and the replay each probe privately.
-        let loopy = loop_heavy_trace(6_000);
-        assert!(is_loop_heavy(&loopy));
-        assert_eq!(
-            plan(&lanes_for(&configs, &loopy), true),
-            WalkPlan {
-                lanes: vec![
-                    LanePath::Packed(0),
-                    LanePath::SlotMajor(0),
-                    LanePath::SlotMajor(0),
-                    LanePath::ClosedForm,
-                    LanePath::SlotMajor(0),
-                ],
-                engines: vec![],
-                packs: vec![GroupPlan {
-                    hrt: ahrt,
-                    lanes: vec![0],
-                    driver: SlotDriver::Private,
-                }],
-                replays: vec![replay(SlotDriver::Private)],
-            }
-        );
+        for trace in [
+            SyntheticStream::mixed(0xf10, 64).generate(6_000),
+            loop_heavy_trace(6_000),
+        ] {
+            assert_eq!(plan(&lanes_for(&configs, &trace)), expected);
+        }
+    }
+
+    #[test]
+    fn every_sweep_shares_an_engine_where_a_geometry_has_two_consumers() {
+        // fig5, fig7, fig10 and the taxonomy each put two or more
+        // consumers on the paper AHRT; fig6 has one lane per geometry,
+        // and fig8's and fig9's associative lanes form one replay.
+        let trace = SyntheticStream::mixed(0x5eed, 32).generate(2_000);
+        let ahrt = HrtConfig::ahrt(512);
+        for spec in crate::experiment::sweep_specs() {
+            let expected: &[HrtConfig] = match spec.name {
+                "fig5" | "fig7" | "fig10" | "taxonomy" => &[ahrt],
+                "fig6" | "fig8" | "fig9" => &[],
+                name => panic!("no expected engines for sweep {name}"),
+            };
+            let plan = plan(&lanes_for(&spec.configs, &trace));
+            assert_eq!(plan.engines, expected, "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn a_lone_replay_probes_privately_beside_other_geometries() {
+        // Another geometry's scalar lane does not make the paper AHRT's
+        // replay share its probes: the replay is that geometry's only
+        // consumer.
+        let configs = [
+            SchemeConfig::at(HrtConfig::hhrt(64), 12, AutomatonKind::A2),
+            SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A2),
+            SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
+        ];
+        let trace = SyntheticStream::mixed(0x10e, 64).generate(4_000);
+        let plan = plan(&lanes_for(&configs, &trace));
+        assert!(plan.engines.is_empty());
+        assert_eq!(plan.lanes[0], LanePath::Scalar(Some(SlotDriver::Hashed)));
+        assert_eq!(plan.replays[0].driver, SlotDriver::Private);
+        assert_walk_matches_records(&configs, &trace, SimOptions::default());
     }
 
     /// A stream of `(site, taken)` events, site `s` branching at
@@ -2862,9 +2618,9 @@ mod tests {
         // One to six scalar lanes on one table organization — AT lanes
         // under every ablation flag, the four taxonomy variants, gshare,
         // and tournaments beside both, one or none of their twins —
-        // over churny and burst streams, under the chosen plan, the
-        // other shape's, every lane scalar, and every associative
-        // consumer forced onto private probes or a shared log.
+        // over churny and burst streams, under the chosen plan, every
+        // lane scalar, and every associative consumer forced onto
+        // private probes or a shared log.
         use tlat_check::{check, gen, prop_assert_eq};
         let geometries = [
             HrtConfig::Ideal,
@@ -2903,13 +2659,11 @@ mod tests {
                 let records = gang_simulate_records(&mut reference, &trace, options);
                 let compiled = CompiledTrace::compile(&trace);
                 let lanes = lanes_for(&configs, &trace);
-                let loop_heavy = is_loop_heavy(&trace);
-                let chosen = plan(&lanes, loop_heavy);
+                let chosen = plan(&lanes);
                 let plans = [
                     force_drivers(chosen.clone(), &lanes, false),
                     force_drivers(chosen.clone(), &lanes, true),
                     chosen,
-                    plan(&lanes, !loop_heavy),
                     scalar_plan(&lanes),
                 ];
                 for forced in plans {

@@ -153,12 +153,13 @@ pub enum Counter {
     /// attached to an in-flight run or served from the memoized
     /// result. Engine-dependent: batch runs serve nothing.
     RequestsCoalesced,
-    /// Lanes riding a bitsliced Two-Level pack instead of the scalar
-    /// walk, summed over every gang walk. Engine-dependent: the
-    /// sequential reference path never packs.
+    /// Lanes riding a bitsliced Two-Level pack: always 0, since every
+    /// Two-Level lane walks the stream alone. Kept because the
+    /// repository benchmark reads it. Engine-dependent.
     LanesPacked,
-    /// Bitsliced Two-Level packs formed ([`tlat_core::AtPack`]).
-    /// Engine-dependent.
+    /// Bitsliced Two-Level packs formed: always 0, as
+    /// [`Counter::LanesPacked`]. Kept because the repository benchmark
+    /// reads it. Engine-dependent.
     AtPacksFormed,
     /// Bitsliced Lee & Smith packs formed: always 0, since Lee & Smith
     /// lanes take the gang walk's slot-major replay. Kept because the

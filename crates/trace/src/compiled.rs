@@ -170,8 +170,8 @@ impl PackedBits {
     /// Scans word-at-a-time — one XOR-invert plus a `trailing_zeros`
     /// per 64 bits, crossing word boundaries as needed — so detecting
     /// a loop branch's same-outcome run costs O(run/64), not O(run).
-    /// This is what lets a bitsliced gang walk consume the outcome
-    /// stream in word-sized chunks.
+    /// This is what lets the gang walk's slot-major replay consume a
+    /// slot's outcomes in same-outcome runs.
     ///
     /// # Panics
     ///

@@ -64,7 +64,7 @@ cargo bench -q --offline -p tlat-bench --bench sweep -- --test \
     exit 1
 }
 grep -q '"bench":"sweep/fig5_gang_pool"' "$bench_dir/BENCH_sweep.json" || {
-    echo "error: sweep bench emitted no fig5 AT-pack measurement" >&2
+    echo "error: sweep bench emitted no fig5 gang + pool measurement" >&2
     exit 1
 }
 
@@ -89,7 +89,7 @@ grep -q '"bench":"serve/warm_sweep"' "$bench_dir/BENCH_serve.json" || {
 # live pipe exits at first match and the bench would die on SIGPIPE
 # printing its remaining lines.
 gang_inner_out=$(cargo bench -q --offline -p tlat-bench --bench gang_inner -- --test)
-for line in inner_compiled_walk inner_slot_major_walk inner_at_pack_walk inner_taxonomy_walk \
+for line in inner_compiled_walk inner_slot_major_walk inner_at_grid_walk inner_taxonomy_walk \
     inner_fig6_walk; do
     grep -q "^BENCHJSON .*$line" <<<"$gang_inner_out" || {
         echo "error: gang_inner bench emitted no $line BENCHJSON line" >&2
@@ -124,15 +124,12 @@ for gate in \
     }
 done
 
-# Bitslice differential smoke at a pinned seed: the property suite that
-# proves the plane-stepped AT packs byte-identical to the scalar
-# automata must pass on a reproducible case set (the full suite also
-# runs above under per-property derived seeds; this pins one known-good
-# seed so a generator change cannot silently shift coverage).
-TLAT_PROP_SEED=20260807 TLAT_PROP_CASES=128 \
-    cargo test -q --offline -p tlat-core --test bitslice_prop
-# The same for the slot-major replay of Lee & Smith and Static Training
-# lanes against the record walk, and for the scalar lanes' walks.
+# Differential smoke at pinned seeds: the property suites that prove the
+# slot-major replay of Lee & Smith and Static Training lanes, and the
+# scalar lanes' walks, byte-identical to the record walk must pass on a
+# reproducible case set (the full suites also run above under
+# per-property derived seeds; this pins one known-good seed each so a
+# generator change cannot silently shift coverage).
 TLAT_PROP_SEED=20261018 TLAT_PROP_CASES=128 \
     cargo test -q --offline -p tlat-sim --lib gang::tests::slot_major_replays_match_the_record_walk -- --exact
 TLAT_PROP_SEED=20261019 TLAT_PROP_CASES=128 \
@@ -235,17 +232,21 @@ for sweep in fig8 fig9 taxonomy; do
     fi
 done
 # The taxonomy's tournament derives its component guesses from its AT
-# and gshare twins: a --metrics run must render the same bytes and
-# count the derived lanes.
+# and gshare twins on every workload: a --metrics run must render the
+# same bytes and derive one lane per trace walk.
 TLAT_TRACE_CACHE="$smoke_dir/sweep-cache" "$tlat" --metrics "$smoke_dir/taxonomy.jsonl" \
     sweep taxonomy > "$smoke_dir/taxonomy-metered.txt"
 if ! diff -u "$smoke_dir/taxonomy-cold.txt" "$smoke_dir/taxonomy-metered.txt"; then
     echo "error: --metrics changed the taxonomy report" >&2
     exit 1
 fi
-if ! grep '"kind":"counter","name":"lanes_derived"' "$smoke_dir/taxonomy.jsonl" \
-    | grep -vq '"value":0'; then
-    echo "error: the taxonomy sweep derived no lanes" >&2
+counter() { # <name> <jsonl>: the counter's value
+    sed -n 's/.*"kind":"counter","name":"'"$1"'","value":\([0-9]*\).*/\1/p' "$2"
+}
+derived=$(counter lanes_derived "$smoke_dir/taxonomy.jsonl")
+walks=$(counter trace_walks "$smoke_dir/taxonomy.jsonl")
+if [[ -z "$walks" || "$walks" == 0 || "$derived" != "$walks" ]]; then
+    echo "error: the taxonomy sweep derived $derived lanes over $walks trace walks" >&2
     exit 1
 fi
 rm -rf "$smoke_dir/cache/sweeps"                     # force a cold journal
