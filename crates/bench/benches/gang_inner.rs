@@ -8,12 +8,13 @@
 //! matching the harness (which memoizes one [`CompiledTrace`] per
 //! workload); the once-per-workload compile cost is reported separately
 //! as `stream_compile`. Run with `cargo bench --bench gang_inner`;
-//! eleven BENCHJSON lines are emitted (`inner_record_walk`,
+//! thirteen BENCHJSON lines are emitted (`inner_record_walk`,
 //! `inner_compiled_walk`, `stream_compile`, `inner_slot_major_record`,
 //! `inner_slot_major_walk`, `inner_at_grid_record`,
 //! `inner_at_grid_walk`, `inner_taxonomy_record`,
-//! `inner_taxonomy_walk`, `inner_fig6_record`, `inner_fig6_walk`) plus
-//! derived speedup lines. The slot-major pair measures a Lee & Smith
+//! `inner_taxonomy_walk`, `inner_fig6_record`, `inner_fig6_walk`,
+//! `inner_loop_heavy_record`, `inner_loop_heavy_walk`) plus derived
+//! speedup lines. The slot-major pair measures a Lee & Smith
 //! and Static Training lane set that the gang engine replays slot by
 //! slot; the AT-grid pair measures a variant × history-length
 //! Two-Level grid whose lanes each walk the stream alone on one shared
@@ -22,13 +23,34 @@
 //! replays only its chooser over its twins' guesses; the fig6 pair
 //! measures five scalar Two-Level lanes, one per HRT organization, each
 //! walking the stream alone with its own slot source — each isolating
-//! its walk from the mixed-lane set above.
+//! its walk from the mixed-lane set above. The loop-heavy pair walks
+//! fig6's lanes over a stream of long same-outcome loop runs, as
+//! matrix300's inner loops are, where every walk credits each run's
+//! tail past its lane's bound without stepping it.
 
 use tlat_bench::runner::Runner;
 use tlat_core::{AutomatonKind, HrtConfig, StaticTraining, StaticTrainingConfig, TrainingProfile};
 use tlat_sim::gang::{gang_simulate_compiled, gang_simulate_records, GangLane};
 use tlat_sim::{SchemeConfig, SimOptions};
+use tlat_trace::{BranchRecord, Trace};
 use tlat_workloads::SyntheticStream;
+
+/// `branches` conditional branches shaped like matrix300's inner
+/// loops: each visit to one of 64 sites is a loop of 20–60 trips, taken
+/// until its exit.
+fn loop_heavy(branches: u64) -> Trace {
+    let mut trace = Trace::new();
+    let mut visit = 0u32;
+    while (trace.len() as u64) < branches {
+        let pc = 0x4000 + (visit * 37 % 64) * 4;
+        let trips = 20 + visit * 13 % 41;
+        for trip in 1..=trips {
+            trace.push(BranchRecord::conditional(pc, pc - 0x40, trip < trips));
+        }
+        visit += 1;
+    }
+    trace
+}
 
 fn main() {
     let branches: u64 = if tlat_bench::is_test_pass() {
@@ -223,6 +245,31 @@ fn main() {
         println!(
             "[gang_inner] fig6 walk vs record stream: {:.2}x",
             fig6_records.median_ns / fig6_walk.median_ns
+        );
+    }
+
+    // The same five lanes over long same-outcome loop runs.
+    let loops = loop_heavy(branches);
+    let loop_stream = tlat_trace::CompiledTrace::compile(&loops);
+    let loop_events = loops.conditional_len() as u64 * fig6.len() as u64;
+    group.plan(1, 7);
+    let loop_records = group
+        .throughput(loop_events)
+        .bench("inner_loop_heavy_record", || {
+            let mut lanes = fig6_lanes();
+            gang_simulate_records(&mut lanes, &loops, SimOptions::default()).len()
+        });
+    group.plan(1, 7);
+    let loop_walk = group
+        .throughput(loop_events)
+        .bench("inner_loop_heavy_walk", || {
+            let mut lanes = fig6_lanes();
+            gang_simulate_compiled(&mut lanes, &loop_stream, None, SimOptions::default()).len()
+        });
+    if loop_walk.median_ns > 0.0 {
+        println!(
+            "[gang_inner] loop-heavy walk vs record stream: {:.2}x",
+            loop_records.median_ns / loop_walk.median_ns
         );
     }
 }

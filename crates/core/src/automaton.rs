@@ -279,16 +279,37 @@ impl AutomatonKind {
 /// [`AnyAutomaton::state_bits`]), derived by enumerating decode → step
 /// → encode over all four codes: no consumer of the codes writes a
 /// transition table by hand, so none can drift from this file.
+///
+/// The pattern tables step these codes, and so does the gang walk's
+/// slot-major replay of Lee & Smith lanes. The derivation also asserts
+/// the convergence that every collapse of a same-outcome run rests on:
+/// from any state, [`CodeTables::CONVERGENCE`] updates with one outcome
+/// reach a fixed point that predicts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CodeTables {
+pub struct CodeTables {
     /// Bit `s`: λ(s) — does state code `s` predict taken?
-    pub(crate) lambda: u8,
+    lambda: u8,
     /// Entry `taken << 2 | s`: the code of δ(s, taken).
-    pub(crate) delta: [u8; 8],
+    delta: [u8; 8],
 }
 
 impl CodeTables {
-    pub(crate) fn derive(kind: AutomatonKind) -> Self {
+    /// How many same-outcome updates take any state of any Figure 2
+    /// automaton to a fixed point that predicts that outcome: a 2-bit
+    /// saturating machine can wander for at most three same-direction
+    /// steps before it pins at the agreeing end. Past this many updates
+    /// every further one is a correct guess that changes nothing, which
+    /// is what lets a walk credit a long run's tail without stepping it.
+    pub const CONVERGENCE: usize = 3;
+
+    /// Derives the tables for `kind`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the variant violates the convergence invariant:
+    /// δ(δⁿ(s, t), t) = δⁿ(s, t) and λ(δⁿ(s, t)) = t for every state
+    /// `s` and outcome `t`, where n is [`CodeTables::CONVERGENCE`].
+    pub fn derive(kind: AutomatonKind) -> Self {
         let mut tables = CodeTables {
             lambda: 0,
             delta: [0; 8],
@@ -301,7 +322,32 @@ impl CodeTables {
                     a.update(taken).state_bits();
             }
         }
+        for s in 0..4u8 {
+            for taken in [false, true] {
+                let fixed = (0..Self::CONVERGENCE).fold(s, |code, _| tables.next(code, taken));
+                assert!(
+                    tables.next(fixed, taken) == fixed && tables.predict(fixed) == taken,
+                    "{}: state {s} does not converge to a {taken}-predicting fixed point \
+                     within {} same-outcome steps",
+                    kind.name(),
+                    Self::CONVERGENCE,
+                );
+            }
+        }
         tables
+    }
+
+    /// λ: does state code `code` predict taken?
+    #[inline]
+    pub fn predict(&self, code: u8) -> bool {
+        self.lambda >> code & 1 != 0
+    }
+
+    /// δ: the code that state code `code` steps to on `taken`.
+    #[inline]
+    pub fn next(&self, code: u8, taken: bool) -> u8 {
+        // Codes stay below 4, so the mask only spares a bounds check.
+        self.delta[(usize::from(taken) << 2 | usize::from(code)) & 7]
     }
 }
 
@@ -365,9 +411,7 @@ impl AnyAutomaton {
     }
 
     /// Encodes the state as a 2-bit code — the representation pattern
-    /// tables store and [`crate::SliceTables`] masks are indexed by,
-    /// bit 1 being the high bit of δ's code and bit 0 the low bit.
-    /// Round-trips through
+    /// tables store and [`CodeTables`] index. Round-trips through
     /// [`AutomatonKind::from_state_bits`]. Last-Time, a 1-bit machine,
     /// only ever produces codes 0 and 1.
     pub fn state_bits(self) -> u8 {
@@ -541,5 +585,80 @@ mod tests {
             }
             assert!(a.predict(), "{kind} failed to learn taken");
         }
+    }
+
+    #[test]
+    fn state_bits_round_trip_through_from_state_bits() {
+        for kind in AutomatonKind::ALL {
+            // Walk every state reachable from init.
+            let mut frontier = vec![kind.init(), kind.init_not_taken()];
+            let mut seen: Vec<AnyAutomaton> = Vec::new();
+            while let Some(a) = frontier.pop() {
+                if seen.contains(&a) {
+                    continue;
+                }
+                seen.push(a);
+                assert_eq!(kind.from_state_bits(a.state_bits()), a);
+                frontier.push(a.update(false));
+                frontier.push(a.update(true));
+            }
+        }
+    }
+
+    /// The derived code tables, state by state, against the scalar
+    /// automaton: exhaustive over all 4 state codes × 2 outcomes × every
+    /// variant. Pattern tables and the slot-major replay of Lee & Smith
+    /// lanes step these codes.
+    #[test]
+    fn derived_tables_match_scalar_lambda_and_delta() {
+        for kind in AutomatonKind::ALL {
+            let t = CodeTables::derive(kind);
+            for s in 0..4u8 {
+                let a = kind.from_state_bits(s);
+                assert_eq!(t.predict(s), a.predict(), "{kind} λ({s})");
+                for taken in [false, true] {
+                    let next = a.update(taken).state_bits();
+                    assert_eq!(t.next(s, taken), next, "{kind} δ({s},{taken})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn last_time_never_leaves_the_low_codes() {
+        // Last-Time is a 1-bit machine: its init and every transition
+        // stay on codes 0 and 1.
+        let t = CodeTables::derive(AutomatonKind::LastTime);
+        assert!(t.delta.iter().all(|&code| code < 2), "{:?}", t.delta);
+        assert!(AutomatonKind::LastTime.init().state_bits() < 2);
+    }
+
+    #[test]
+    fn convergence_bound_is_sufficient_and_tight() {
+        // Every variant, from every state code, reaches a fixed point
+        // predicting the outcome within `CONVERGENCE` same-outcome
+        // updates (`derive` asserts it); and some variant needs all of
+        // them, so no smaller bound would be exact.
+        let steps = |t: &CodeTables, s: u8, taken: bool| {
+            let mut code = s;
+            let mut n = 0;
+            while !(t.next(code, taken) == code && t.predict(code) == taken) {
+                code = t.next(code, taken);
+                n += 1;
+            }
+            n
+        };
+        let mut slowest = 0;
+        for kind in AutomatonKind::ALL {
+            let t = CodeTables::derive(kind);
+            for s in 0..4u8 {
+                for taken in [false, true] {
+                    let n = steps(&t, s, taken);
+                    assert!(n <= CodeTables::CONVERGENCE, "{kind} from {s} on {taken}");
+                    slowest = slowest.max(n);
+                }
+            }
+        }
+        assert_eq!(slowest, CodeTables::CONVERGENCE);
     }
 }

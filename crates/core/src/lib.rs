@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 mod automaton;
-mod bitslice;
 mod btb;
 mod history;
 mod hrt;
@@ -61,8 +60,7 @@ mod static_training;
 mod two_level;
 mod variants;
 
-pub use automaton::{AnyAutomaton, Automaton, AutomatonKind, LastTime, A1, A2, A3, A4};
-pub use bitslice::SliceTables;
+pub use automaton::{AnyAutomaton, Automaton, AutomatonKind, CodeTables, LastTime, A1, A2, A3, A4};
 pub use btb::TargetBuffer;
 pub use history::{HistoryRegister, MAX_HISTORY_BITS};
 pub use hrt::{

@@ -4,9 +4,8 @@
 //! [`AnyAutomaton::state_bits`]), one byte per entry, and stepped
 //! branchlessly: λ reads one bit of a per-table mask and δ one byte of
 //! a per-table `(taken, state)` table. Both are derived once per table
-//! from `automaton.rs` by the same decode → step → encode enumeration
-//! the slot-major replay's [`SliceTables`](crate::SliceTables) use, so
-//! no transition is written here.
+//! from `automaton.rs` as [`CodeTables`], the codes the slot-major
+//! replay steps too, so no transition is written here.
 
 use crate::automaton::{AnyAutomaton, AutomatonKind, CodeTables};
 
@@ -94,7 +93,7 @@ impl PatternTable {
     /// Panics if `pattern` is out of range.
     #[inline]
     pub fn predict(&self, pattern: usize) -> bool {
-        self.codes.lambda >> self.entries[pattern] & 1 != 0
+        self.codes.predict(self.entries[pattern])
     }
 
     /// δ: folds the resolved outcome into the entry for `pattern`.
@@ -105,8 +104,7 @@ impl PatternTable {
     #[inline]
     pub fn update(&mut self, pattern: usize, taken: bool) {
         let entry = &mut self.entries[pattern];
-        // Codes stay below 4, so the mask only spares a bounds check.
-        *entry = self.codes.delta[(usize::from(taken) << 2 | usize::from(*entry)) & 7];
+        *entry = self.codes.next(*entry, taken);
     }
 
     /// The raw entry for `pattern` (for inspection and tests).

@@ -1,6 +1,7 @@
 //! The common predictor interface, and the lean walk of a compiled
 //! event stream.
 
+use crate::automaton::CodeTables;
 use tlat_trace::{BranchRecord, SiteId};
 
 /// A conditional-branch direction predictor.
@@ -66,6 +67,20 @@ pub trait Walker {
     /// One event at `site` in the slot of probe word `word`: the guess,
     /// made before `taken` trains the walker.
     fn step(&mut self, word: u32, site: SiteId, taken: bool) -> bool;
+
+    /// How many events of a same-site, same-outcome run this walker
+    /// steps before it sits at a fixed point that guesses the run: its
+    /// history bits, after which the register it reads holds only the
+    /// run's outcome, plus [`CodeTables::CONVERGENCE`] updates of the
+    /// one pattern entry that register then indexes. Every later event
+    /// of the run is a correct guess that changes no walker state, so a
+    /// walk may credit it without a step.
+    fn run_bound(&self) -> usize;
+}
+
+/// [`Walker::run_bound`] of a walker whose registers are `mask` wide.
+pub(crate) fn run_bound(mask: u16) -> usize {
+    mask.count_ones() as usize + CodeTables::CONVERGENCE
 }
 
 impl<P: Predictor + ?Sized> Predictor for Box<P> {
@@ -102,6 +117,45 @@ mod tests {
             self.0
         }
         fn update(&mut self, _: &BranchRecord) {}
+    }
+
+    #[test]
+    fn the_long_run_floor_is_the_shortest_lanes_bound() {
+        // Each walker's bound is its history bits plus the automata's
+        // one convergence bound, and the compiled stream's long-run
+        // index keeps every run longer than the bound of the shortest
+        // legal register, one bit: so it holds every run any lane can
+        // collapse.
+        use crate::{
+            AutomatonKind, Gshare, GshareConfig, HrtConfig, SiteResolver, TwoLevelAdaptive,
+            TwoLevelConfig, TwoLevelVariant, VariantConfig, VariantWalk,
+        };
+        assert_eq!(tlat_trace::LONG_RUN_FLOOR, 1 + CodeTables::CONVERGENCE);
+        let resolver = SiteResolver::new(vec![0x1000]);
+        for bits in [1, 6, 12, crate::MAX_HISTORY_BITS] {
+            let want = usize::from(bits) + CodeTables::CONVERGENCE;
+            let at = TwoLevelAdaptive::new(TwoLevelConfig {
+                history_bits: bits,
+                ..TwoLevelConfig::paper_default()
+            });
+            assert_eq!(at.walker(1).run_bound(), want);
+            let kind = AutomatonKind::A2;
+            let pag = TwoLevelVariant::new(VariantConfig::pag(bits, kind, HrtConfig::Ideal));
+            let gag = TwoLevelVariant::new(VariantConfig::gag(bits, kind));
+            for walk in [pag.walker(1, &resolver), gag.walker(0, &resolver)] {
+                let bound = match walk {
+                    VariantWalk::PerAddress(w) => w.run_bound(),
+                    VariantWalk::Global(w) => w.run_bound(),
+                };
+                assert_eq!(bound, want);
+            }
+            let gshare = Gshare::new(GshareConfig {
+                history_bits: bits,
+                automaton: kind,
+            });
+            assert_eq!(gshare.walker(&resolver).run_bound(), want);
+            assert!(want >= tlat_trace::LONG_RUN_FLOOR);
+        }
     }
 
     #[test]

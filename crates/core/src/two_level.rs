@@ -17,7 +17,7 @@ use crate::automaton::AutomatonKind;
 use crate::history::HistoryRegister;
 use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe};
 use crate::pattern::PatternTable;
-use crate::predictor::{Predictor, Walker};
+use crate::predictor::{run_bound, Predictor, Walker};
 use tlat_trace::{BranchRecord, SiteId};
 
 /// Configuration of a [`TwoLevelAdaptive`] predictor.
@@ -315,6 +315,14 @@ impl Walker for TwoLevelWalk {
         self.table.update(old, taken);
         *cached = self.table.predict(usize::from(*history));
         guess
+    }
+
+    /// A run uses one slot, and only its first event can fill or
+    /// replace that slot. The §3.2 cached bit caches the run's outcome
+    /// at the same step as the table entry reaches its fixed point, and
+    /// a two-lookup lane reads that entry.
+    fn run_bound(&self) -> usize {
+        run_bound(self.mask)
     }
 }
 

@@ -25,7 +25,7 @@ use crate::automaton::AutomatonKind;
 use crate::history::HistoryRegister;
 use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe, SiteResolver};
 use crate::pattern::PatternTable;
-use crate::predictor::{Predictor, Walker};
+use crate::predictor::{run_bound, Predictor, Walker};
 use tlat_trace::{BranchRecord, SiteId};
 
 /// First-level (history) organization.
@@ -360,6 +360,11 @@ impl Walker for PerAddressWalk {
         table.update(pattern, taken);
         guess
     }
+
+    /// A run uses one slot and one pattern set.
+    fn run_bound(&self) -> usize {
+        run_bound(self.mask)
+    }
 }
 
 /// A global-history [`Walker`]: one register. GAg and GAs index the
@@ -405,6 +410,12 @@ impl Walker for GlobalWalk {
         self.history = (self.history << 1 | u16::from(taken)) & self.mask;
         table.update(index, taken);
         guess
+    }
+
+    /// A run shifts only its own site's outcomes into the register, and
+    /// uses one pattern set and one address term.
+    fn run_bound(&self) -> usize {
+        run_bound(self.mask)
     }
 }
 

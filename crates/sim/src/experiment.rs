@@ -1043,6 +1043,46 @@ mod tests {
         }
     }
 
+    /// Every registered sweep's lanes, built as the harness builds
+    /// them, walk each of the nine test streams to the same results and
+    /// adopted table statistics whether the walk credits long runs'
+    /// tails or steps every event. The budget is `TLAT_BRANCH_LIMIT`
+    /// when set (the CI script runs this at the default 500,000) and
+    /// 20,000 otherwise.
+    #[test]
+    fn collapsing_long_runs_changes_nothing_on_the_real_streams() {
+        use crate::engine::SimOptions;
+        use crate::gang::{gang_simulate_compiled, tests::table_stats, without_collapsing};
+        let budget = std::env::var("TLAT_BRANCH_LIMIT")
+            .ok()
+            .and_then(|raw| raw.parse().ok())
+            .unwrap_or(20_000);
+        let h = Harness::new(budget);
+        for workload in &h.workloads {
+            let compiled = h.store.test_compiled(workload);
+            if workload.name == "matrix300" {
+                assert!(!compiled.long_runs().is_empty(), "matrix300 has long runs");
+            }
+            for spec in sweep_specs() {
+                let walk = || {
+                    let mut lanes: Vec<GangLane> = spec
+                        .configs
+                        .iter()
+                        .filter_map(|config| h.build_lane(config, workload, &compiled))
+                        .collect();
+                    let options = SimOptions::default();
+                    let results = gang_simulate_compiled(&mut lanes, &compiled, None, options);
+                    let lanes = lanes.iter().map(table_stats);
+                    let results = results.iter().map(|r| (r.conditional, r.ras));
+                    results.zip(lanes).collect::<Vec<_>>()
+                };
+                let collapsed = walk();
+                let stepped = without_collapsing(walk);
+                assert_eq!(collapsed, stepped, "{} on {}", spec.name, workload.name);
+            }
+        }
+    }
+
     #[test]
     fn sweeps_never_make_record_traces_resident() {
         // Every sweep walks compiled streams alone: neither a cold

@@ -8,7 +8,7 @@
 //! configuration over the same compact event stream, sharing whatever
 //! depends on the stream alone.
 //!
-//! Seven further savings fall out:
+//! Eight further savings fall out:
 //!
 //! * **Monomorphization** — every registered scheme runs as a concrete
 //!   enum variant of [`GangLane`] ([`GangLane::from_config`] never
@@ -39,6 +39,12 @@
 //!   tlat-core builds beside the predictor's own rules, so this module
 //!   keeps only the plan, the slot sources and the loop. Only the lane's
 //!   counts and adopted table statistics are observable afterwards.
+//! * **Run collapsing** — a run of one site's events with one outcome
+//!   stops changing a scalar lane's state once its register reads the
+//!   outcome throughout and the pattern entry it indexes has converged
+//!   ([`Walker::run_bound`] events in), so the walk credits the rest of
+//!   each such run the stream indexes ([`CompiledTrace::long_runs`])
+//!   without stepping it.
 //! * **Shared probe logs** — associative lanes with the same table
 //!   geometry see identical tag/LRU decision sequences, so where a
 //!   geometry has two or more consumers (its scalar lanes, one each,
@@ -94,8 +100,8 @@ use crate::pool::{catch_cell, CellPanic};
 use crate::stats::{PredictionStats, SimResult};
 use std::collections::HashMap;
 use tlat_core::{
-    Gshare, HrtConfig, HrtStats, LeeSmithBtb, Predictor, Probe, ProfilePredictor, SiteKeys,
-    SiteResolver, SliceTables, SlotProbe, StaticTraining, StaticTrainingConfig, Tournament,
+    CodeTables, Gshare, HrtConfig, HrtStats, LeeSmithBtb, Predictor, Probe, ProfilePredictor,
+    SiteKeys, SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig, Tournament,
     TwoLevelAdaptive, TwoLevelVariant, VariantWalk, Walker,
 };
 use tlat_trace::{
@@ -484,6 +490,11 @@ impl ProbeLog {
 trait Slots {
     /// The probe word of the next event, at `site`.
     fn next(&mut self, site: SiteId) -> u32;
+    /// Passes over the next `n` events, all at `site`, which continue a
+    /// same-site run that [`Slots::next`] has already stepped into: each
+    /// is a hit on that run's slot. Only a source that counts or
+    /// remembers its accesses event by event has anything to do.
+    fn skip(&mut self, _site: SiteId, _n: u64) {}
     /// What the table counted over the walk.
     fn stats(&self) -> HrtStats;
 }
@@ -540,6 +551,10 @@ impl Slots for SlotProbe {
         self.step(site).word()
     }
 
+    fn skip(&mut self, site: SiteId, n: u64) {
+        self.step_run(site, n);
+    }
+
     fn stats(&self) -> HrtStats {
         SlotProbe::stats(self)
     }
@@ -558,6 +573,11 @@ impl Slots for LoggedSlots<'_> {
             .words
             .next()
             .expect("a probe log holds one word per event")
+    }
+
+    fn skip(&mut self, _site: SiteId, n: u64) {
+        let rest = self.words.as_slice();
+        self.words = rest[n as usize..].iter();
     }
 
     fn stats(&self) -> HrtStats {
@@ -590,37 +610,118 @@ fn walk<W: Walker, S: Slots>(
     compiled: &CompiledTrace,
     guesses: Option<&mut Vec<u64>>,
 ) -> (u64, HrtStats) {
-    let correct = match guesses {
+    let (correct, collapsed) = match guesses {
         None => walk_words(lane, &mut slots, compiled, |_| {}),
         Some(words) => walk_words(lane, &mut slots, compiled, |word| words.push(word)),
     };
+    metrics::add(Counter::EventsCollapsed, collapsed);
     (correct, slots.stats())
+}
+
+/// The long same-site, same-outcome runs a walk of `compiled` may
+/// collapse: every one the stream indexes, unless a test has forced
+/// collapsing off on this thread.
+fn collapsible(compiled: &CompiledTrace) -> &[(u32, u32)] {
+    #[cfg(test)]
+    if COLLAPSING_OFF.get() {
+        return &[];
+    }
+    compiled.long_runs()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set while a test on this thread walks with collapsing forced off.
+    static COLLAPSING_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Test support: runs `walks` with every compiled walk on this thread
+/// stepping every event, none crediting a run's tail.
+#[cfg(test)]
+pub(crate) fn without_collapsing<R>(walks: impl FnOnce() -> R) -> R {
+    COLLAPSING_OFF.set(true);
+    let result = walks();
+    COLLAPSING_OFF.set(false);
+    result
 }
 
 /// [`walk`]'s loop: 64 events per word of outcome bits, their guesses
 /// gathered into one word that is scored against the outcomes by a
 /// popcount and handed to `record`.
+///
+/// Once a lane has stepped [`Walker::run_bound`] events of a long
+/// same-site, same-outcome run, it sits at a fixed point that guesses
+/// the run and that the run's later events leave unchanged. So the loop
+/// credits each such run's tail without stepping it: the tail's guess
+/// bits are its outcome bits, and the slot source skips it. A word that
+/// holds no credited event takes the plain loop. Returns the correct
+/// count and the number of credited events.
 #[inline(always)]
 fn walk_words<W: Walker, S: Slots>(
     lane: &mut W,
     slots: &mut S,
     compiled: &CompiledTrace,
     mut record: impl FnMut(u64),
-) -> u64 {
-    let mut correct = 0;
+) -> (u64, u64) {
+    let bound = lane.run_bound();
+    let mut tails = collapsible(compiled)
+        .iter()
+        .filter(|&&(_, len)| len as usize > bound)
+        .map(|&(start, len)| (start as usize + bound, start as usize + len as usize));
+    let none = (usize::MAX, usize::MAX);
+    // The next credited tail, as an event range.
+    let mut tail = tails.next().unwrap_or(none);
+    let (mut correct, mut collapsed) = (0, 0);
     let outcomes = compiled.outcomes().words();
-    for (sites, &taken) in compiled.cond_sites().chunks(64).zip(outcomes) {
+    for ((word, sites), &taken) in compiled.cond_sites().chunks(64).enumerate().zip(outcomes) {
+        let (base, end) = (word * 64, word * 64 + sites.len());
         let mut guesses = 0;
-        for (bit, &site) in sites.iter().enumerate() {
-            let guess = lane.step(slots.next(site), site, taken >> bit & 1 != 0);
-            guesses |= u64::from(guess) << bit;
+        let mut event = base;
+        while event < end {
+            if event < tail.0 {
+                let stop = tail.0.min(end);
+                let bits = event - base..stop - base;
+                guesses |= step_bits(lane, slots, &sites[bits.clone()], taken, bits.start);
+                event = stop;
+            } else {
+                if event == tail.0 {
+                    let n = (tail.1 - tail.0) as u64;
+                    slots.skip(sites[event - base], n);
+                    collapsed += n;
+                }
+                let stop = tail.1.min(end);
+                let width = stop - event;
+                guesses |= taken & (u64::MAX >> (64 - width)) << (event - base);
+                event = stop;
+                if stop == tail.1 {
+                    tail = tails.next().unwrap_or(none);
+                }
+            }
         }
         // Bits past the stream's end are zero in both words.
         let events = u64::MAX >> (64 - sites.len());
         correct += u64::from((!(guesses ^ taken) & events).count_ones());
         record(guesses);
     }
-    correct
+    (correct, collapsed)
+}
+
+/// Steps `lane` over one word's events at bits `from..` of `taken`,
+/// at `sites`: their guess bits.
+#[inline(always)]
+fn step_bits<W: Walker, S: Slots>(
+    lane: &mut W,
+    slots: &mut S,
+    sites: &[SiteId],
+    taken: u64,
+    from: usize,
+) -> u64 {
+    let mut guesses = 0;
+    for (bit, &site) in (from..).zip(sites) {
+        let guess = lane.step(slots.next(site), site, taken >> bit & 1 != 0);
+        guesses |= u64::from(guess) << bit;
+    }
+    guesses
 }
 
 /// Walks `lane` over `hrt`'s slots as `driver` finds them.
@@ -736,8 +837,9 @@ struct SlotLane {
 
 /// What a slot-major lane keeps per slot, and how it guesses.
 enum SlotRule {
-    /// An LS automaton, stepped through its derived state codes.
-    LeeSmith(SliceTables),
+    /// An LS automaton, stepped through its derived state codes from
+    /// the code `init`.
+    LeeSmith { codes: CodeTables, init: u8 },
     /// An ST history register, `mask` wide, indexing frozen preset
     /// bits.
     Static { mask: u16, preset: Vec<bool> },
@@ -746,7 +848,13 @@ enum SlotRule {
 impl SlotLane {
     fn new(lane: &GangLane) -> Self {
         let rule = match lane {
-            GangLane::LeeSmith(p) => SlotRule::LeeSmith(SliceTables::derive(p.config().automaton)),
+            GangLane::LeeSmith(p) => {
+                let kind = p.config().automaton;
+                SlotRule::LeeSmith {
+                    codes: CodeTables::derive(kind),
+                    init: kind.init().state_bits(),
+                }
+            }
             GangLane::StaticTraining(p) => {
                 let bits = p.config().history_bits;
                 SlotRule::Static {
@@ -769,7 +877,7 @@ impl SlotLane {
     /// touched.
     fn enter_slot(&mut self) {
         self.state = match &self.rule {
-            SlotRule::LeeSmith(tables) => u16::from(tables.init),
+            SlotRule::LeeSmith { init, .. } => u16::from(*init),
             SlotRule::Static { mask, .. } => *mask,
         };
     }
@@ -778,17 +886,15 @@ impl SlotLane {
     #[inline]
     fn run(&mut self, taken: bool, n: u64) {
         match &self.rule {
-            // Within three steps every variant sits at a fixed point
-            // that predicts the run (`SliceTables::derive` asserts it),
-            // so the rest of the run is correct and leaves it there.
-            SlotRule::LeeSmith(tables) => {
-                let t = usize::from(taken);
-                let steps = n.min(3);
+            // Within `CONVERGENCE` steps every variant sits at a fixed
+            // point that predicts the run (`CodeTables::derive` asserts
+            // it), so the rest of the run is correct and leaves it there.
+            SlotRule::LeeSmith { codes, .. } => {
+                let steps = n.min(CodeTables::CONVERGENCE as u64);
                 for _ in 0..steps {
-                    let s = self.state;
-                    self.correct += u64::from((tables.predict >> s & 1 == 1) == taken);
-                    self.state = u16::from(tables.next_hi[t] >> s & 1) << 1
-                        | u16::from(tables.next_lo[t] >> s & 1);
+                    let code = self.state as u8;
+                    self.correct += u64::from(codes.predict(code) == taken);
+                    self.state = u16::from(codes.next(code, taken));
                 }
                 self.correct += n - steps;
             }
@@ -1215,7 +1321,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::TrainingData;
     use crate::engine::simulate_with;
@@ -1254,7 +1360,7 @@ mod tests {
     /// A lane's adopted table statistics, where it has a table. (A
     /// tournament's Two-Level component counts a re-ask per event on
     /// the record path and reports no statistics of its own.)
-    fn table_stats(lane: &GangLane) -> Option<HrtStats> {
+    pub(crate) fn table_stats(lane: &GangLane) -> Option<HrtStats> {
         match lane {
             GangLane::TwoLevel(p) => Some(p.hrt_stats()),
             GangLane::LeeSmith(p) => Some(p.table_stats()),
@@ -1616,10 +1722,13 @@ mod tests {
     }
 
     /// A trace shaped like nested loops: each visit to a site emits a
-    /// short burst of consecutive events there, with the outcome
-    /// flipping partway through some bursts (a loop exit) so runs of
-    /// both directions straddle word boundaries in the outcome bitvec.
-    /// Site `s` branches at `base + 4 s`.
+    /// burst of consecutive events there, with the outcome flipping
+    /// near the burst's end (a loop exit) so runs of both directions
+    /// straddle word boundaries in the outcome bitvec. Most bursts are
+    /// short, 2–8 events; every third is a long loop of 18–46, half of
+    /// them not-taken until the exit, whose same-outcome run outlasts
+    /// every sweep lane's bound (history bits + 3, at most 15), so
+    /// walks collapse it. Site `s` branches at `base + 4 s`.
     fn loop_heavy_trace_at(base: u32, events: usize) -> Trace {
         let sites = 48u32;
         let mut trace = Trace::with_capacity(events);
@@ -1627,10 +1736,12 @@ mod tests {
         while trace.len() < events {
             let site = ((t * 7 + t / 11) % sites as usize) as u32;
             let pc = base + site * 4;
-            let burst = 2 + t % 7; // 2..=8 consecutive events, mean ~5
+            let long = t.is_multiple_of(3);
+            let burst = if long { 18 + t % 29 } else { 2 + t % 7 };
             let exit_at = burst - 1 - t % 2;
+            let falls_through = long && t % 2 == 1;
             for k in 0..burst {
-                let taken = k < exit_at;
+                let taken = (k < exit_at) != falls_through;
                 trace.push(BranchRecord::conditional(pc, pc + 0x40, taken));
             }
             t += 1;
@@ -2289,8 +2400,9 @@ mod tests {
         // every one logged on a shared engine (a lone associative lane,
         // such as the ahrt(256) lane of the AT lane mix, forced onto a
         // shared log, and a lane on a shared geometry forced to probe
-        // inline). No plan ever walks an LS or ST lane event by event,
-        // and a derived lane's twins are always scalar lanes.
+        // inline), each with collapsing on and forced off. No plan ever
+        // walks an LS or ST lane event by event, and a derived lane's
+        // twins are always scalar lanes.
         let [unequal_twins, at_twin_only, gshare_twin_only] = tournaments_without_twin_pairs();
         let mixes = [
             sweep(),
@@ -2337,10 +2449,17 @@ mod tests {
                             assert!(scalar(first) && scalar(second), "{what} plan");
                         }
                     }
-                    let mut lanes = lanes_for(configs, &trace);
-                    let results = execute(&mut lanes, &forced, &compiled, Some(&trace), options);
-                    let what = format!("{what} plan {forced:?}");
-                    assert_matches_records(&what, configs, &trace, options, &lanes, &results);
+                    for collapsing in [true, false] {
+                        let mut lanes = lanes_for(configs, &trace);
+                        let mut walk =
+                            || execute(&mut lanes, &forced, &compiled, Some(&trace), options);
+                        let results = match collapsing {
+                            true => walk(),
+                            false => without_collapsing(walk),
+                        };
+                        let what = format!("{what} plan, collapsing {collapsing}, {forced:?}");
+                        assert_matches_records(&what, configs, &trace, options, &lanes, &results);
+                    }
                 }
             }
         }
@@ -2414,13 +2533,26 @@ mod tests {
         assert_walk_matches_records(&configs, &trace, SimOptions::default());
     }
 
-    /// A stream of `(site, taken)` events, site `s` branching at
-    /// `0x1000 + 4 s`.
-    fn site_stream(events: &[(u32, bool)]) -> Trace {
-        events
+    /// A stream of `(site, taken, repeats)` draws, each `repeats`
+    /// consecutive events at site `s` (branching at `0x1000 + 4 s`)
+    /// with outcome `taken`.
+    fn site_stream(draws: &[(u32, bool, usize)]) -> Trace {
+        draws
             .iter()
-            .map(|&(site, taken)| BranchRecord::conditional(0x1000 + site * 4, 0x800, taken))
+            .flat_map(|&(site, taken, repeats)| {
+                let branch = BranchRecord::conditional(0x1000 + site * 4, 0x800, taken);
+                std::iter::repeat_n(branch, repeats)
+            })
             .collect()
+    }
+
+    /// Random `(site, taken, repeats)` draws: same-outcome runs of 1–40
+    /// events at one of 64 sites, so runs past every lane's bound
+    /// occur beside single events.
+    fn site_draws() -> tlat_check::Gen<Vec<(u32, bool, usize)>> {
+        use tlat_check::gen;
+        let draw = gen::tuple3(gen::u32_in(0, 63), gen::bools(), gen::usize_in(1, 40));
+        gen::vec_of(draw, 1, 120)
     }
 
     /// Checks that `config`'s lane, walking `trace`'s stream alone under
@@ -2492,11 +2624,7 @@ mod tests {
             HrtConfig::hhrt(256),
             HrtConfig::hhrt(8),
         ];
-        let inputs = gen::tuple3(
-            gen::choose(&geometries),
-            gen::u8_in(1, 12),
-            gen::vec_of(gen::tuple2(gen::u32_in(0, 63), gen::bools()), 1, 999),
-        );
+        let inputs = gen::tuple3(gen::choose(&geometries), gen::u8_in(1, 12), site_draws());
         check(
             "site_driven_prediction_matches_record_driven_prediction",
             &inputs,
@@ -2531,7 +2659,7 @@ mod tests {
             gen::choose(&geometries),
             gen::u8_in(1, 12),
             gen::choose(&[1usize, 2, 16]),
-            gen::vec_of(gen::tuple2(gen::u32_in(0, 63), gen::bools()), 1, 999),
+            site_draws(),
         );
         check(
             "taxonomy_site_and_slot_prediction_matches_record_driven_prediction",
@@ -2620,7 +2748,8 @@ mod tests {
         // and tournaments beside both, one or none of their twins —
         // over churny and burst streams, under the chosen plan, every
         // lane scalar, and every associative consumer forced onto
-        // private probes or a shared log.
+        // private probes or a shared log, each with collapsing on and
+        // forced off.
         use tlat_check::{check, gen, prop_assert_eq};
         let geometries = [
             HrtConfig::Ideal,
@@ -2666,21 +2795,26 @@ mod tests {
                     chosen,
                     scalar_plan(&lanes),
                 ];
-                for forced in plans {
+                for (forced, collapsing) in plans.iter().flat_map(|p| [(p, true), (p, false)]) {
                     let mut walked = lanes_for(&configs, &trace);
-                    let results = execute(&mut walked, &forced, &compiled, None, options);
+                    let mut walk = || execute(&mut walked, forced, &compiled, None, options);
+                    let results = match collapsing {
+                        true => walk(),
+                        false => without_collapsing(walk),
+                    };
+                    let under = format!("collapsing {collapsing}, {forced:?}");
                     for (i, config) in configs.iter().enumerate() {
                         let label = config.label();
                         prop_assert_eq!(
                             results[i].conditional,
                             records[i].conditional,
-                            "{label} under {forced:?}"
+                            "{label} under {under}"
                         );
                         prop_assert_eq!(results[i].ras, records[i].ras, "{label} RAS");
                         prop_assert_eq!(
                             table_stats(&walked[i]),
                             table_stats(&reference[i]),
-                            "{label} table stats under {forced:?}"
+                            "{label} table stats under {under}"
                         );
                     }
                 }

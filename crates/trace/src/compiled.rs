@@ -69,6 +69,15 @@ impl Hasher for PcHasher {
 
 pub(crate) type PcMap = HashMap<u32, SiteId, BuildHasherDefault<PcHasher>>;
 
+/// The longest same-site, same-outcome run that
+/// [`CompiledTrace::long_runs`] leaves out: the smallest number of
+/// events any predictor walk steps before such a run stops changing its
+/// state. That is a 1-bit history register, the shortest legal one,
+/// plus the three updates after which every pattern-history automaton
+/// sits at a fixed point (tlat-core's `CodeTables::CONVERGENCE`, where
+/// a test pins the relation).
+pub const LONG_RUN_FLOOR: usize = 4;
+
 /// Dense id of one static conditional branch within a compiled trace,
 /// assigned in first-appearance order (the first distinct pc is site 0,
 /// the next new pc site 1, and so on).
@@ -252,11 +261,13 @@ pub struct CompiledTrace {
     /// predictors: a profile lane's score is a weighted sum over
     /// sites, not a walk.
     site_counts: Vec<u64>,
-    /// Number of maximal same-site runs in the conditional stream.
-    /// `len() / site_runs` is the mean same-site run length — how
-    /// loop-shaped the stream is — which run-chunked consumers use to
-    /// decide whether chunking can pay for itself.
+    /// Number of maximal same-site runs in the conditional stream: a
+    /// stream-shape figure (`len() / site_runs` is the mean same-site
+    /// run length) that benchmarks report and no walk reads.
     site_runs: usize,
+    /// `(start, len)` of every maximal same-site, same-outcome run
+    /// longer than [`LONG_RUN_FLOOR`] events, in stream order.
+    long_runs: Vec<(u32, u32)>,
     /// Number of conditional events taken exactly when their target
     /// lies below their pc: BTFN's correct count, which a static
     /// direction-from-target rule scores in closed form.
@@ -278,8 +289,10 @@ impl CompiledTrace {
             site_taken: Vec::new(),
             site_counts: Vec::new(),
             site_runs: 0,
+            long_runs: Vec::new(),
             taken_iff_backward: 0,
         };
+        let mut run_start = 0;
         for branch in trace.iter() {
             match branch.class {
                 BranchClass::Conditional => {
@@ -295,6 +308,8 @@ impl CompiledTrace {
                     compiled.taken_iff_backward += u64::from(branch.taken == branch.is_backward());
                     if compiled.cond_sites.last() != Some(&site) {
                         compiled.site_runs += 1;
+                        compiled.end_site_run(run_start);
+                        run_start = compiled.len();
                     }
                     compiled.cond_sites.push(site);
                     compiled.outcomes.push(branch.taken);
@@ -312,7 +327,35 @@ impl CompiledTrace {
                 });
             }
         }
+        compiled.end_site_run(run_start);
         compiled
+    }
+
+    /// Indexes the long same-outcome runs of the same-site run that
+    /// spans events `start..len()` and has just ended. Only a site run
+    /// longer than [`LONG_RUN_FLOOR`] can hold one, so every other site
+    /// change costs one comparison.
+    #[inline]
+    fn end_site_run(&mut self, start: usize) {
+        if self.len() - start > LONG_RUN_FLOOR {
+            self.index_long_runs(start);
+        }
+    }
+
+    fn index_long_runs(&mut self, start: usize) {
+        let end = self.len();
+        let mut i = start;
+        while i < end {
+            let len = self.outcomes.run_len(i, end);
+            if len > LONG_RUN_FLOOR {
+                // A run past `u32` positions stays out of the index, so
+                // walks step it: exact either way.
+                if let (Ok(at), Ok(n)) = (u32::try_from(i), u32::try_from(len)) {
+                    self.long_runs.push((at, n));
+                }
+            }
+            i += len;
+        }
     }
 
     /// Number of distinct static conditional branches (interned sites).
@@ -365,9 +408,20 @@ impl CompiledTrace {
 
     /// Number of maximal same-site runs in the conditional stream
     /// (adjacent events at the same site collapse into one run).
-    /// `len() / site_run_count()` is the stream's mean run length.
+    /// `len() / site_run_count()` is the stream's mean run length, a
+    /// shape figure the benchmark reports; no walk reads it.
     pub fn site_run_count(&self) -> usize {
         self.site_runs
+    }
+
+    /// `(start, len)` of every maximal run of consecutive events at one
+    /// site with one outcome that is longer than [`LONG_RUN_FLOOR`]
+    /// events, in stream order. Compile and the streaming decoder fill
+    /// it where they count site runs, with no pass of their own. A
+    /// predictor walk whose state stops changing after some number of
+    /// events of such a run steps only those and credits the rest.
+    pub fn long_runs(&self) -> &[(u32, u32)] {
+        &self.long_runs
     }
 
     /// Number of conditional events whose outcome equals their
@@ -391,8 +445,9 @@ impl CompiledTrace {
 /// record trace in between, so the builder must reproduce
 /// [`CompiledTrace::compile`]'s semantics event-by-event — interning
 /// order (the format's dense site ids already arrive in
-/// first-appearance order), per-site counters, run counting, RAS event
-/// ordering (a return that is also a call verifies before pushing).
+/// first-appearance order), per-site counters, run counting and the
+/// long-run index, RAS event ordering (a return that is also a call
+/// verifies before pushing).
 ///
 /// The BTFN count stays off the per-event path: an event that keeps
 /// its site template's target shares the template's direction, so
@@ -405,6 +460,8 @@ pub(crate) struct CompiledBuilder {
     backward: Vec<bool>,
     /// Escaped events' own BTFN outcome minus their template's.
     escape_correction: i64,
+    /// Where the current same-site run began.
+    run_start: usize,
 }
 
 impl CompiledBuilder {
@@ -421,10 +478,12 @@ impl CompiledBuilder {
                 site_taken: Vec::new(),
                 site_counts: Vec::new(),
                 site_runs: 0,
+                long_runs: Vec::new(),
                 taken_iff_backward: 0,
             },
             backward: Vec::new(),
             escape_correction: 0,
+            run_start: 0,
         }
     }
 
@@ -450,6 +509,8 @@ impl CompiledBuilder {
         self.c.site_counts[s] += 1;
         if self.c.cond_sites.last() != Some(&site) {
             self.c.site_runs += 1;
+            self.c.end_site_run(self.run_start);
+            self.run_start = self.c.len();
         }
         self.c.cond_sites.push(site);
         self.c.outcomes.push(taken);
@@ -485,6 +546,7 @@ impl CompiledBuilder {
 
     /// The finished compiled stream.
     pub(crate) fn finish(mut self) -> CompiledTrace {
+        self.c.end_site_run(self.run_start);
         let by_template: u64 = self
             .backward
             .iter()
@@ -688,11 +750,64 @@ mod tests {
         );
     }
 
+    /// `(start, len)` of every maximal same-site, same-outcome run
+    /// longer than the floor, by a naive scan of the events.
+    fn naive_long_runs(c: &CompiledTrace) -> Vec<(u32, u32)> {
+        let events: Vec<(SiteId, bool)> = c.events().collect();
+        let mut runs = Vec::new();
+        for run in events.chunk_by(|a, b| a == b) {
+            let start = run.as_ptr() as usize - events.as_ptr() as usize;
+            let start = start / std::mem::size_of::<(SiteId, bool)>();
+            if run.len() > LONG_RUN_FLOOR {
+                runs.push((start as u32, run.len() as u32));
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn long_runs_index_every_same_site_same_outcome_run_past_the_floor() {
+        // Site runs of every length up to 24 with a flip or two inside,
+        // so same-outcome runs both just under, at and past the floor
+        // end at a site change, at a flip, at the stream's end and
+        // across 64-bit words.
+        let mut t = Trace::new();
+        let mut x = 0x5eed_1234u64;
+        for burst in 0..400u32 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pc = 0x1000 + (burst % 5) * 4;
+            let len = (x >> 40) as usize % 25;
+            let flip = (x >> 20) as usize % (len + 1);
+            for k in 0..len {
+                t.push(BranchRecord::conditional(
+                    pc,
+                    0x800,
+                    (k < flip) ^ (x & 1 == 0),
+                ));
+            }
+            if burst % 7 == 0 {
+                t.push(BranchRecord::call_imm(0x4000, 0x5000));
+            }
+        }
+        let c = CompiledTrace::compile(&t);
+        let want = naive_long_runs(&c);
+        assert!(want.iter().any(|&(_, n)| n as usize == LONG_RUN_FLOOR + 1));
+        assert!(want.len() > 100, "{} long runs", want.len());
+        assert_eq!(c.long_runs(), want);
+        assert!(c
+            .long_runs()
+            .iter()
+            .all(|&(_, n)| n as usize > LONG_RUN_FLOOR));
+    }
+
     #[test]
     fn empty_trace_compiles_to_empty_stream() {
         let c = CompiledTrace::compile(&Trace::new());
         assert!(c.is_empty());
         assert_eq!(c.num_sites(), 0);
         assert!(c.ras_events().is_empty());
+        assert!(c.long_runs().is_empty());
     }
 }

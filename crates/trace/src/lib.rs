@@ -58,7 +58,7 @@ mod stats;
 mod trace;
 
 pub use branch::{BranchClass, BranchRecord, InstClass};
-pub use compiled::{CompiledTrace, PackedBits, RasEvent, SiteId};
+pub use compiled::{CompiledTrace, PackedBits, RasEvent, SiteId, LONG_RUN_FLOOR};
 pub use ras::{RasStats, ReturnAddressStack};
 pub use sink::{CountingSink, LimitSink, TraceSink};
 pub use stats::{geometric_mean, ClassDistribution, InstMix, TraceStats};
