@@ -9,14 +9,14 @@
 //! workload); the once-per-workload compile cost is reported separately
 //! as `stream_compile`. Run with `cargo bench --bench gang_inner`;
 //! thirteen BENCHJSON lines are emitted (`inner_record_walk`,
-//! `inner_compiled_walk`, `stream_compile`, `inner_slot_major_record`,
-//! `inner_slot_major_walk`, `inner_at_grid_record`,
+//! `inner_compiled_walk`, `stream_compile`, `inner_ls_st_record`,
+//! `inner_ls_st_walk`, `inner_at_grid_record`,
 //! `inner_at_grid_walk`, `inner_taxonomy_record`,
 //! `inner_taxonomy_walk`, `inner_fig6_record`, `inner_fig6_walk`,
 //! `inner_loop_heavy_record`, `inner_loop_heavy_walk`) plus derived
-//! speedup lines. The slot-major pair measures a Lee & Smith
-//! and Static Training lane set that the gang engine replays slot by
-//! slot; the AT-grid pair measures a variant × history-length
+//! speedup lines. The LS/ST pair measures a Lee & Smith and Static
+//! Training lane set on one geometry, each lane walking the stream
+//! alone on that geometry's shared probe log; the AT-grid pair measures a variant × history-length
 //! Two-Level grid whose lanes each walk the stream alone on one shared
 //! probe log; the taxonomy pair measures the scalar lanes of the taxonomy
 //! sweep, three of which read one shared probe log and whose tournament
@@ -106,13 +106,13 @@ fn main() {
     }
 
     // All five automata as Lee & Smith lanes plus the paper's Static
-    // Training lane on one shared geometry: the gang engine buckets the
-    // stream by table slot once and steps each lane through every
-    // slot's same-outcome runs. The ST profile is collected once,
+    // Training lane on one shared geometry: one engine probes the
+    // stream into a log, and each lane walks the stream alone, reading
+    // its slots from that log. The ST profile is collected once,
     // outside the timed walks.
     let st = StaticTrainingConfig::paper_default();
     let st_profile = TrainingProfile::collect(&trace, st.history_bits);
-    let sm_lanes = || -> Vec<GangLane> {
+    let ls_st_lanes = || -> Vec<GangLane> {
         AutomatonKind::ALL
             .iter()
             .map(|&a| GangLane::from_config(&SchemeConfig::ls(st.hrt, a), None))
@@ -122,25 +122,25 @@ fn main() {
             ))])
             .collect()
     };
-    let sm_events = trace.conditional_len() as u64 * (AutomatonKind::ALL.len() as u64 + 1);
+    let ls_st_events = trace.conditional_len() as u64 * (AutomatonKind::ALL.len() as u64 + 1);
     group.plan(1, 7);
-    let sm_records = group
-        .throughput(sm_events)
-        .bench("inner_slot_major_record", || {
-            let mut lanes = sm_lanes();
+    let ls_st_records = group
+        .throughput(ls_st_events)
+        .bench("inner_ls_st_record", || {
+            let mut lanes = ls_st_lanes();
             gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
         });
     group.plan(1, 7);
-    let slot_major = group
-        .throughput(sm_events)
-        .bench("inner_slot_major_walk", || {
-            let mut lanes = sm_lanes();
+    let ls_st_walk = group
+        .throughput(ls_st_events)
+        .bench("inner_ls_st_walk", || {
+            let mut lanes = ls_st_lanes();
             gang_simulate_compiled(&mut lanes, &stream, Some(&trace), SimOptions::default()).len()
         });
-    if slot_major.median_ns > 0.0 {
+    if ls_st_walk.median_ns > 0.0 {
         println!(
-            "[gang_inner] slot-major replay vs record stream: {:.2}x",
-            sm_records.median_ns / slot_major.median_ns
+            "[gang_inner] LS/ST walk vs record stream: {:.2}x",
+            ls_st_records.median_ns / ls_st_walk.median_ns
         );
     }
 

@@ -520,11 +520,10 @@ impl<E: Clone> AnyHrt<E> {
 impl<E: Clone> AnyHrt<E> {
     /// Accumulates externally-counted access statistics into this
     /// table, after a compiled walk that probed on the table's behalf:
-    /// through a slot source of its own, a shared engine's probe log,
-    /// or the slot driver of a slot-major replay (any organization).
-    /// Either way the driver counted exactly what the table would have,
-    /// so its [`stats`](HistoryTable::stats) report is unchanged by the
-    /// walk.
+    /// through a slot source of its own (any organization) or a shared
+    /// engine's probe log. Either way the source counted exactly what
+    /// the table would have, so its [`stats`](HistoryTable::stats)
+    /// report is unchanged by the walk.
     pub fn adopt_probe_stats(&mut self, stats: HrtStats) {
         let own = match self {
             AnyHrt::Ideal(t) => &mut t.stats,

@@ -7,10 +7,10 @@
 //! the Last-Time automaton degenerates to "predict what this branch did
 //! last time".
 
-use crate::automaton::{AnyAutomaton, AutomatonKind};
-use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats};
-use crate::predictor::Predictor;
-use tlat_trace::BranchRecord;
+use crate::automaton::{AnyAutomaton, AutomatonKind, CodeTables};
+use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe};
+use crate::predictor::{Predictor, Walker};
+use tlat_trace::{BranchRecord, SiteId};
 
 /// Configuration of a [`LeeSmithBtb`] predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +86,7 @@ impl LeeSmithBtb {
     }
 
     /// Folds the access statistics of probing done on this predictor's
-    /// behalf into its buffer, after a walk that replayed its lane off
-    /// the buffer's slot sequence (see
+    /// behalf, by a compiled walk's slot source, into its buffer (see
     /// [`AnyHrt::adopt_probe_stats`](crate::AnyHrt::adopt_probe_stats)).
     pub fn adopt_probe_stats(&mut self, stats: HrtStats) {
         self.table.adopt_probe_stats(stats);
@@ -101,6 +100,17 @@ impl LeeSmithBtb {
     /// Buffer access statistics.
     pub fn table_stats(&self) -> HrtStats {
         self.table.stats()
+    }
+
+    /// This fresh predictor's [`Walker`] over a buffer of `slots`
+    /// slots, each pre-warmed as the predictor's own buffer is: the
+    /// automaton's initial state.
+    pub fn walker(&self, slots: usize) -> LeeSmithWalk {
+        let kind = self.config.automaton;
+        LeeSmithWalk {
+            codes: CodeTables::derive(kind),
+            states: vec![kind.init().state_bits(); slots],
+        }
     }
 }
 
@@ -132,6 +142,35 @@ impl Predictor for LeeSmithBtb {
         let guess = entry.predict();
         *entry = entry.update(branch.taken);
         guess
+    }
+}
+
+/// A [`LeeSmithBtb`] predictor's [`Walker`]: one automaton state code
+/// per slot.
+#[derive(Debug, Clone)]
+pub struct LeeSmithWalk {
+    codes: CodeTables,
+    states: Vec<u8>,
+}
+
+impl Walker for LeeSmithWalk {
+    /// [`LeeSmithBtb`]'s fused cycle on the slot's automaton. The probe
+    /// word's flags change nothing: the buffer never re-initializes a
+    /// replaced way, so a replacement inherits the slot's state, and a
+    /// way that fills was never touched, so it still holds the initial
+    /// state.
+    #[inline]
+    fn step(&mut self, word: u32, _site: SiteId, taken: bool) -> bool {
+        let code = &mut self.states[(word & Probe::SLOT) as usize];
+        let guess = self.codes.predict(*code);
+        *code = self.codes.next(*code, taken);
+        guess
+    }
+
+    /// A run uses one slot, and there is no history register: the
+    /// slot's automaton alone converges.
+    fn run_bound(&self) -> usize {
+        CodeTables::CONVERGENCE
     }
 }
 

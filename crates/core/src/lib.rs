@@ -68,11 +68,13 @@ pub use hrt::{
     SiteResolver, SlotProbe,
 };
 pub use hybrid::{Gshare, GshareConfig, Tournament};
-pub use lee_smith::{LeeSmithBtb, LeeSmithConfig};
+pub use lee_smith::{LeeSmithBtb, LeeSmithConfig, LeeSmithWalk};
 pub use pattern::PatternTable;
 pub use predictor::{Predictor, Walker};
 pub use simple::{AlwaysNotTaken, AlwaysTaken, Btfn, ProfilePredictor};
-pub use static_training::{StaticTraining, StaticTrainingConfig, TrainingProfile};
+pub use static_training::{
+    StaticTraining, StaticTrainingConfig, StaticTrainingWalk, TrainingProfile,
+};
 pub use two_level::{TwoLevelAdaptive, TwoLevelConfig, TwoLevelWalk};
 pub use variants::{
     GlobalWalk, HistoryScope, PatternScope, PerAddressWalk, TwoLevelVariant, VariantConfig,

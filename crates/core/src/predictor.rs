@@ -55,12 +55,16 @@ pub trait Predictor {
 /// them apart from the predictor and hands each event's decision in as
 /// a probe word ([`Probe::word`](crate::Probe::word)). A walker keeps
 /// the rest: its history registers (one per slot, with a Two-Level
-/// lane's §3.2 cached bit, or one global register) and its one-byte
-/// pattern tables. Each predictor builds its walker from a fresh
-/// predictor ([`TwoLevelAdaptive::walker`](crate::TwoLevelAdaptive::walker),
+/// lane's §3.2 cached bit, or one global register), its one-byte
+/// pattern tables, a Lee & Smith buffer's automaton per slot, or Static
+/// Training's preset bits. Each predictor builds its walker from a
+/// fresh predictor
+/// ([`TwoLevelAdaptive::walker`](crate::TwoLevelAdaptive::walker),
 /// [`TwoLevelVariant::walker`](crate::TwoLevelVariant::walker),
-/// [`Gshare::walker`](crate::Gshare::walker)), and the walker guesses
-/// event for event as the predictor's
+/// [`Gshare::walker`](crate::Gshare::walker),
+/// [`LeeSmithBtb::walker`](crate::LeeSmithBtb::walker),
+/// [`StaticTraining::walker`](crate::StaticTraining::walker)), and the
+/// walker guesses event for event as the predictor's
 /// [`predict_update`](Predictor::predict_update) would over the same
 /// branches, leaving the predictor itself untouched.
 pub trait Walker {
@@ -69,12 +73,16 @@ pub trait Walker {
     fn step(&mut self, word: u32, site: SiteId, taken: bool) -> bool;
 
     /// How many events of a same-site, same-outcome run this walker
-    /// steps before it sits at a fixed point that guesses the run: its
-    /// history bits, after which the register it reads holds only the
-    /// run's outcome, plus [`CodeTables::CONVERGENCE`] updates of the
-    /// one pattern entry that register then indexes. Every later event
-    /// of the run is a correct guess that changes no walker state, so a
-    /// walk may credit it without a step.
+    /// steps before it sits at a fixed point that guesses the run. For
+    /// a walker with a history register, that is its history bits,
+    /// after which the register holds only the run's outcome, plus
+    /// [`CodeTables::CONVERGENCE`] updates of the one automaton that
+    /// register then indexes; a Lee & Smith walker has no register, so
+    /// its bound is the convergence alone. Every later event of the run
+    /// is a correct guess that changes no walker state, so a walk may
+    /// credit it without a step. A walker that never reaches such a
+    /// point (Static Training's, whose preset bits may oppose a run)
+    /// returns [`usize::MAX`].
     fn run_bound(&self) -> usize;
 }
 
@@ -121,14 +129,18 @@ mod tests {
 
     #[test]
     fn the_long_run_floor_is_the_shortest_lanes_bound() {
-        // Each walker's bound is its history bits plus the automata's
-        // one convergence bound, and the compiled stream's long-run
-        // index keeps every run longer than the bound of the shortest
-        // legal register, one bit: so it holds every run any lane can
-        // collapse.
+        // Each walker with a history register bounds a run by its
+        // history bits plus the automata's one convergence bound, so
+        // with the shortest legal register, one bit, its bound is the
+        // compiled stream's long-run floor: the index holds every run
+        // such a walker can collapse. A Lee & Smith walker's bound is
+        // the floor minus one, so of a run the index leaves out it
+        // steps at most one event it could have credited, and a Static
+        // Training walker never collapses. Exact either way.
         use crate::{
-            AutomatonKind, Gshare, GshareConfig, HrtConfig, SiteResolver, TwoLevelAdaptive,
-            TwoLevelConfig, TwoLevelVariant, VariantConfig, VariantWalk,
+            AutomatonKind, Gshare, GshareConfig, HrtConfig, LeeSmithBtb, LeeSmithConfig,
+            SiteResolver, StaticTraining, StaticTrainingConfig, TwoLevelAdaptive, TwoLevelConfig,
+            TwoLevelVariant, VariantConfig, VariantWalk,
         };
         assert_eq!(tlat_trace::LONG_RUN_FLOOR, 1 + CodeTables::CONVERGENCE);
         let resolver = SiteResolver::new(vec![0x1000]);
@@ -155,6 +167,23 @@ mod tests {
             });
             assert_eq!(gshare.walker(&resolver).run_bound(), want);
             assert!(want >= tlat_trace::LONG_RUN_FLOOR);
+            let st = StaticTraining::train(
+                StaticTrainingConfig {
+                    history_bits: bits,
+                    ..StaticTrainingConfig::paper_default()
+                },
+                &tlat_trace::Trace::new(),
+            );
+            assert_eq!(st.walker(1).run_bound(), usize::MAX);
+        }
+        for automaton in AutomatonKind::ALL {
+            let ls = LeeSmithBtb::new(LeeSmithConfig {
+                automaton,
+                ..LeeSmithConfig::paper_default()
+            });
+            let bound = ls.walker(1).run_bound();
+            assert_eq!(bound, CodeTables::CONVERGENCE);
+            assert_eq!(bound, tlat_trace::LONG_RUN_FLOOR - 1);
         }
     }
 

@@ -12,9 +12,9 @@
 //! data set (`Diff`, the realistic case, where accuracy drops).
 
 use crate::history::HistoryRegister;
-use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats};
-use crate::predictor::Predictor;
-use tlat_trace::{BranchClass, BranchRecord, CompiledTrace, Trace};
+use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe};
+use crate::predictor::{Predictor, Walker};
+use tlat_trace::{BranchClass, BranchRecord, CompiledTrace, SiteId, Trace};
 
 /// Configuration of a [`StaticTraining`] predictor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,8 +183,7 @@ impl StaticTraining {
     }
 
     /// Folds the access statistics of probing done on this predictor's
-    /// behalf into its HRT, after a walk that replayed its lane off the
-    /// table's slot sequence (see
+    /// behalf, by a compiled walk's slot source, into its HRT (see
     /// [`AnyHrt::adopt_probe_stats`](crate::AnyHrt::adopt_probe_stats)).
     pub fn adopt_probe_stats(&mut self, stats: HrtStats) {
         self.hrt.adopt_probe_stats(stats);
@@ -203,6 +202,18 @@ impl StaticTraining {
     /// The preset prediction bit for a pattern.
     pub fn preset(&self, pattern: usize) -> bool {
         self.preset[pattern]
+    }
+
+    /// This fresh predictor's [`Walker`] over a table of `slots` slots,
+    /// each pre-warmed as the predictor's own table is: an all-ones
+    /// register.
+    pub fn walker(&self, slots: usize) -> StaticTrainingWalk {
+        let mask = HistoryRegister::new(self.config.history_bits).pattern() as u16;
+        StaticTrainingWalk {
+            preset: self.preset.clone(),
+            registers: vec![mask; slots],
+            mask,
+        }
     }
 }
 
@@ -242,6 +253,38 @@ impl Predictor for StaticTraining {
         let pattern = hr.pattern();
         hr.shift(branch.taken);
         self.preset[pattern]
+    }
+}
+
+/// A [`StaticTraining`] predictor's [`Walker`]: one history register
+/// per slot, read against a copy of the preset bits.
+#[derive(Debug, Clone)]
+pub struct StaticTrainingWalk {
+    preset: Vec<bool>,
+    registers: Vec<u16>,
+    mask: u16,
+}
+
+impl Walker for StaticTrainingWalk {
+    /// [`StaticTraining`]'s fused cycle on the slot's register. The
+    /// probe word's flags change nothing: the table never re-initializes
+    /// a replaced way, so a replacement inherits the slot's register,
+    /// and a way that fills was never touched, so it still reads
+    /// all-ones.
+    #[inline]
+    fn step(&mut self, word: u32, _site: SiteId, taken: bool) -> bool {
+        let register = &mut self.registers[(word & Probe::SLOT) as usize];
+        let guess = self.preset[usize::from(*register)];
+        *register = (*register << 1 | u16::from(taken)) & self.mask;
+        guess
+    }
+
+    /// Never ([`usize::MAX`]): once a run fills the register, every
+    /// further event guesses the one preset bit that the run's pattern
+    /// indexes, and a profile may set that bit against the run, so no
+    /// tail is credited.
+    fn run_bound(&self) -> usize {
+        usize::MAX
     }
 }
 

@@ -4,10 +4,11 @@
 use tlat_check::{check, gen, prop_assert_eq, Gen};
 use tlat_core::{
     Ahrt, AnyHrt, Automaton, AutomatonKind, Gshare, GshareConfig, HistoryRegister, HistoryTable,
-    HrtConfig, Ihrt, PatternTable, Predictor, Probe, SiteKeys, SiteResolver, SlotProbe,
-    TwoLevelAdaptive, TwoLevelConfig, TwoLevelVariant, VariantConfig, VariantWalk, Walker, A2,
+    HrtConfig, Ihrt, LeeSmithBtb, LeeSmithConfig, PatternTable, Predictor, Probe, SiteKeys,
+    SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig, TwoLevelAdaptive,
+    TwoLevelConfig, TwoLevelVariant, VariantConfig, VariantWalk, Walker, A2,
 };
-use tlat_trace::{BranchRecord, SiteId};
+use tlat_trace::{BranchRecord, SiteId, Trace};
 
 fn arb_kind() -> Gen<AutomatonKind> {
     gen::choose(&AutomatonKind::ALL)
@@ -272,7 +273,9 @@ fn assert_walker_guesses(
 /// fills its ideal slot on first sight, a [`SlotProbe`] decides an
 /// associative table's, and a hashed table's is the site's slot. The
 /// Two-Level walker runs under every flag combination, the taxonomy's
-/// under both history scopes and 1–8 pattern sets.
+/// under both history scopes and 1–8 pattern sets, the Lee & Smith
+/// walker under every automaton, and the Static Training walker with
+/// 1–12 history bits over presets trained on a second random stream.
 #[test]
 fn walkers_guess_as_predict_update() {
     let geometries = [
@@ -284,16 +287,17 @@ fn walkers_guess_as_predict_update() {
         },
         HrtConfig::hhrt(8),
     ];
+    let stream = gen::vec_of(gen::tuple2(gen::u32_in(0, 63), gen::bools()), 1, 499);
     let inputs = gen::tuple4(
-        gen::tuple2(gen::usize_in(0, 4), arb_kind()),
+        gen::tuple2(gen::usize_in(0, 6), arb_kind()),
         gen::choose(&geometries),
         gen::tuple3(gen::u8_in(1, 12), gen::u8_in(0, 7), gen::u8_in(0, 3)),
-        gen::vec_of(gen::tuple2(gen::u32_in(0, 63), gen::bools()), 1, 499),
+        gen::tuple2(stream.clone(), stream),
     );
     check(
         "walkers_guess_as_predict_update",
         &inputs,
-        |&((scheme, kind), hrt, (bits, flags, sets_log), ref stream)| {
+        |&((scheme, kind), hrt, (bits, flags, sets_log), (ref stream, ref training))| {
             // Sites intern in first-appearance order, as a compiled
             // stream's do.
             let mut pcs: Vec<u32> = Vec::new();
@@ -359,6 +363,28 @@ fn walkers_guess_as_predict_update() {
                         }
                         VariantWalk::Global(w) => assert_walker_guesses(w, &mut p, &events, &words),
                     }
+                }
+                3 => {
+                    let mut p = LeeSmithBtb::new(LeeSmithConfig {
+                        automaton: kind,
+                        hrt,
+                    });
+                    assert_walker_guesses(p.walker(slots), &mut p, &events, &words)
+                }
+                4 => {
+                    let training: Trace = training
+                        .iter()
+                        .map(|&(branch, taken)| {
+                            BranchRecord::conditional(0x1000 + branch * 4, 0x800, taken)
+                        })
+                        .collect();
+                    let config = StaticTrainingConfig {
+                        history_bits: bits,
+                        hrt,
+                        data: "Diff".to_owned(),
+                    };
+                    let mut p = StaticTraining::train(config, &training);
+                    assert_walker_guesses(p.walker(slots), &mut p, &events, &words)
                 }
                 _ => {
                     let mut p = Gshare::new(GshareConfig {

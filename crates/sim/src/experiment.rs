@@ -1046,13 +1046,17 @@ mod tests {
     /// Every registered sweep's lanes, built as the harness builds
     /// them, walk each of the nine test streams to the same results and
     /// adopted table statistics whether the walk credits long runs'
-    /// tails or steps every event. The budget is `TLAT_BRANCH_LIMIT`
-    /// when set (the CI script runs this at the default 500,000) and
-    /// 20,000 otherwise.
+    /// tails or steps every event, and under each rewrite of the plan
+    /// the walk chooses: every associative lane probing privately,
+    /// every one reading a shared log (even a lone one), and no
+    /// tournament deriving. The budget is `TLAT_BRANCH_LIMIT` when set
+    /// (the CI script runs this at the default 500,000) and 20,000
+    /// otherwise.
     #[test]
     fn collapsing_long_runs_changes_nothing_on_the_real_streams() {
         use crate::engine::SimOptions;
-        use crate::gang::{gang_simulate_compiled, tests::table_stats, without_collapsing};
+        use crate::gang::tests::{lane_reports, walks_under_rewritten_plans};
+        use crate::gang::{gang_simulate_compiled, without_collapsing};
         let budget = std::env::var("TLAT_BRANCH_LIMIT")
             .ok()
             .and_then(|raw| raw.parse().ok())
@@ -1064,21 +1068,25 @@ mod tests {
                 assert!(!compiled.long_runs().is_empty(), "matrix300 has long runs");
             }
             for spec in sweep_specs() {
-                let walk = || {
-                    let mut lanes: Vec<GangLane> = spec
-                        .configs
+                let lanes = || -> Vec<GangLane> {
+                    spec.configs
                         .iter()
                         .filter_map(|config| h.build_lane(config, workload, &compiled))
-                        .collect();
+                        .collect()
+                };
+                let walk = || {
+                    let mut lanes = lanes();
                     let options = SimOptions::default();
                     let results = gang_simulate_compiled(&mut lanes, &compiled, None, options);
-                    let lanes = lanes.iter().map(table_stats);
-                    let results = results.iter().map(|r| (r.conditional, r.ras));
-                    results.zip(lanes).collect::<Vec<_>>()
+                    lane_reports(&results, &lanes)
                 };
                 let collapsed = walk();
                 let stepped = without_collapsing(walk);
-                assert_eq!(collapsed, stepped, "{} on {}", spec.name, workload.name);
+                let (sweep, on) = (spec.name, workload.name);
+                assert_eq!(collapsed, stepped, "{sweep} on {on}");
+                for (what, rewritten) in walks_under_rewritten_plans(lanes, &compiled) {
+                    assert_eq!(rewritten, collapsed, "{sweep} on {on}, {what} plan");
+                }
             }
         }
     }

@@ -26,47 +26,35 @@
 //!   record trace.
 //! * **Lane-major scalar walks** — in the paper's scheme level one
 //!   (the history registers) depends only on the branch stream and the
-//!   table geometry, and each lane owns its level two, so a scalar
-//!   lane — a Two-Level lane, a GAg/GAs/PAg/PAs lane or gshare — walks
-//!   the whole stream alone, in one loop monomorphized over its slot
-//!   source: the ideal table's slot is the site (a site's first event
-//!   fills it), a hashed table's is the site's slot, and an associative
-//!   table's comes from a [`SlotProbe`] the lane probes inline or from
-//!   a shared engine's probe log. The lane keeps lean
+//!   table geometry, and each lane owns its level two, so every lane
+//!   with a table or a history register — a Two-Level lane, a Lee &
+//!   Smith (LS) or Static Training (ST) lane, a GAg/GAs/PAg/PAs lane or
+//!   gshare — walks the whole stream alone, in one loop monomorphized
+//!   over its slot source: the ideal table's slot is the site (a site's
+//!   first event fills it), a hashed table's is the site's slot, and an
+//!   associative table's comes from a [`SlotProbe`] the lane probes
+//!   inline or from a shared engine's probe log. The lane keeps lean
 //!   walk-local state in its predictor's [`Walker`] — one `u16` history
 //!   register per slot (or one global register), a Two-Level lane's
-//!   §3.2 cached bit per slot, and its one-byte pattern tables — which
+//!   §3.2 cached bit per slot, an LS lane's automaton per slot, and the
+//!   one-byte pattern tables or an ST lane's preset bits — which
 //!   tlat-core builds beside the predictor's own rules, so this module
 //!   keeps only the plan, the slot sources and the loop. Only the lane's
 //!   counts and adopted table statistics are observable afterwards.
 //! * **Run collapsing** — a run of one site's events with one outcome
 //!   stops changing a scalar lane's state once its register reads the
-//!   outcome throughout and the pattern entry it indexes has converged
+//!   outcome throughout and the automaton it indexes has converged
 //!   ([`Walker::run_bound`] events in), so the walk credits the rest of
 //!   each such run the stream indexes ([`CompiledTrace::long_runs`])
-//!   without stepping it.
+//!   without stepping it. An ST lane's preset bits may oppose a run, so
+//!   it steps every event.
 //! * **Shared probe logs** — associative lanes with the same table
 //!   geometry see identical tag/LRU decision sequences, so where a
-//!   geometry has two or more consumers (its scalar lanes, one each,
-//!   and its slot-major replay, one) one payload-free [`SlotProbe`]
-//!   probes the stream once into a log, one `u32` per event (the slot,
-//!   with fill and replacement flags), that every consumer reads; the
-//!   engine's access statistics are folded back into every sharing
-//!   lane.
-//! * **Slot-major replay** — a Lee & Smith (LS) lane keeps one
-//!   automaton per table slot and a Static Training (ST) lane one
-//!   history register per slot, read against preset bits frozen before
-//!   the walk. Neither reads another slot's state, neither
-//!   re-initializes a replaced way, and a way that fills was never
-//!   touched, so it still holds the pre-warmed initial state: each
-//!   slot's guesses depend only on that slot's outcomes, in order. Per
-//!   geometry the walk buckets the outcome bits by slot in one counting
-//!   pass, then steps each lane slot by slot through same-outcome runs:
-//!   an LS automaton takes at most three steps per run (it then sits at
-//!   a fixed point predicting the run), an ST register at most
-//!   `history_bits` shifts (it then reads all one direction, so the
-//!   rest of the run guesses one preset bit, which a profile may set
-//!   against the run).
+//!   geometry has two or more scalar lanes one payload-free
+//!   [`SlotProbe`] probes the stream once into a log, one `u32` per
+//!   event (the slot, with fill and replacement flags), that every one
+//!   of them reads; the engine's access statistics are folded back into
+//!   every sharing lane.
 //! * **Derived lanes** — a tournament's components train on every event
 //!   whatever its chooser picks, so its component guesses are those of
 //!   separate walks of its components, event for event: fresh twins (a
@@ -86,9 +74,8 @@
 //!   the RAS once and stamps the same stats into every lane's result.
 //!
 //! A compiled walk is decided before it runs: `plan` turns the lanes
-//! into a `WalkPlan` value — each lane's path, the shared engines, and
-//! each slot-major replay's lanes and slot driver — and one executor
-//! runs any such plan. Results are bit-identical to driving
+//! into a `WalkPlan` value — each lane's path and the shared engines —
+//! and one executor runs any such plan. Results are bit-identical to driving
 //! [`crate::simulate_with`] once per predictor, and to the reference
 //! record walk [`gang_simulate_records`], under every plan: each lane
 //! observes exactly the same predict/update sequence it would alone.
@@ -98,15 +85,13 @@ use crate::engine::SimOptions;
 use crate::metrics::{self, Counter, Phase};
 use crate::pool::{catch_cell, CellPanic};
 use crate::stats::{PredictionStats, SimResult};
-use std::collections::HashMap;
 use tlat_core::{
-    CodeTables, Gshare, HrtConfig, HrtStats, LeeSmithBtb, Predictor, Probe, ProfilePredictor,
-    SiteKeys, SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig, Tournament,
-    TwoLevelAdaptive, TwoLevelVariant, VariantWalk, Walker,
+    Gshare, HrtConfig, HrtStats, LeeSmithBtb, Predictor, Probe, ProfilePredictor, SiteKeys,
+    SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig, Tournament, TwoLevelAdaptive,
+    TwoLevelVariant, VariantWalk, Walker,
 };
 use tlat_trace::{
-    BranchClass, BranchRecord, CompiledTrace, PackedBits, RasEvent, ReturnAddressStack, SiteId,
-    Trace,
+    BranchClass, BranchRecord, CompiledTrace, RasEvent, ReturnAddressStack, SiteId, Trace,
 };
 
 /// One predictor riding a gang walk.
@@ -269,8 +254,7 @@ impl GangLane {
     }
 
     /// Folds the access statistics of the probing done on this lane's
-    /// behalf (a shared engine, or a replay's slot driver) into its
-    /// table.
+    /// behalf (its slot source's) into its table.
     fn adopt_probe_stats(&mut self, stats: HrtStats) {
         match self {
             GangLane::TwoLevel(p) => p.adopt_probe_stats(stats),
@@ -286,14 +270,12 @@ impl GangLane {
 /// How one lane rides a compiled walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LanePath {
-    /// A scalar lane: a Two-Level, taxonomy or gshare lane, or a
-    /// tournament without twins, walking the whole stream alone. Its
+    /// A scalar lane: a Two-Level, LS, ST, taxonomy or gshare lane, or
+    /// a tournament without twins, walking the whole stream alone. Its
     /// per-address table's slots (a tournament's are its Two-Level
     /// component's) come from the driver; a global-history lane has
     /// no table and no driver.
     Scalar(Option<SlotDriver>),
-    /// A member of slot-major replay `r`: an LS or ST lane.
-    SlotMajor(usize),
     /// A tournament whose components have fresh twins in the walk: the
     /// scalar Two-Level lane `first` and the scalar gshare lane
     /// `second`. The twins record their guesses, and the tournament
@@ -306,73 +288,46 @@ enum LanePath {
     Dyn,
 }
 
-/// Where a scalar lane's or a slot-major replay's slot sequence comes
-/// from.
+/// Where a scalar lane's slot sequence comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotDriver {
     /// Ideal table: slot = site, a site's first event fills its slot.
     Ideal,
     /// Hashed table: per-site slots, every access hits.
     Hashed,
-    /// Associative table: an engine of the consumer's own, probed
-    /// inline event by event by a scalar lane, once per same-site run
-    /// by a replay.
+    /// Associative table: an engine of the lane's own, probed inline
+    /// event by event.
     Private,
     /// Associative table: shared engine `e`'s probe log, read event by
-    /// event by scalar lanes and bucketed by slot by a replay.
+    /// event.
     Logged(usize),
 }
 
-/// The LS and ST lanes of one slot-major replay, which ride one slot
-/// sequence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ReplayPlan {
-    /// The organization every member's table shares.
-    hrt: HrtConfig,
-    /// Member lane indices, ascending.
-    lanes: Vec<usize>,
-    driver: SlotDriver,
-}
-
-/// Everything a compiled walk decides before it runs. Engines and
-/// replays are numbered in order of their first lane.
+/// Everything a compiled walk decides before it runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct WalkPlan {
     /// Each lane's path, in lane order.
     lanes: Vec<LanePath>,
     /// The geometry of each shared engine, whose probes are logged once
-    /// for every consumer.
+    /// for every consumer; numbered in order of their first lane.
     engines: Vec<HrtConfig>,
-    /// Slot-major replays, one per organization with LS or ST lanes.
-    replays: Vec<ReplayPlan>,
 }
 
 /// Decides how `lanes` ride a walk.
 ///
-/// * **Slot-major replay.** Every LS and ST lane joins its
-///   organization's slot-major replay, however many lanes share it.
 /// * **Derivation.** A tournament derives from the first Two-Level lane
 ///   and the first gshare lane whose configurations equal its
 ///   components', when both exist; otherwise it walks its own
 ///   components as a scalar lane. A derived tournament probes nothing,
 ///   so it counts toward no shared engine.
-/// * **Scalar lanes.** Every other Two-Level, taxonomy and gshare lane,
-///   and every tournament that does not derive, walks the stream alone.
+/// * **Scalar lanes.** Every other Two-Level, LS, ST, taxonomy and
+///   gshare lane, and every tournament that does not derive, walks the
+///   stream alone.
 /// * **Sharing.** An associative organization's consumers are its
-///   scalar lanes, one each, and its slot-major replay, one. An
-///   organization with two or more consumers gets a shared engine,
-///   which probes the stream once into a log that every consumer reads:
-///   scalar lanes event by event, the replay to bucket the stream by
-///   slot. A lone scalar lane probes inline, event by event; a lone
-///   replay probes privately, once per same-site run.
+///   scalar lanes. An organization with two or more gets a shared
+///   engine, which probes the stream once into a log that every one of
+///   them reads event by event. A lone scalar lane probes inline.
 fn plan(lanes: &[GangLane]) -> WalkPlan {
-    let mut replayed: HashMap<HrtConfig, Vec<usize>> = HashMap::new();
-    for (i, lane) in lanes.iter().enumerate() {
-        if let GangLane::LeeSmith(_) | GangLane::StaticTraining(_) = lane {
-            let hrt = lane.hrt_config().expect("LS and ST lanes have a table");
-            replayed.entry(hrt).or_default().push(i);
-        }
-    }
     let derived: Vec<Option<LanePath>> = lanes
         .iter()
         .map(|lane| {
@@ -388,20 +343,12 @@ fn plan(lanes: &[GangLane]) -> WalkPlan {
             Some(LanePath::Derived { first, second })
         })
         .collect();
-    // Every table's consumers, in lane order: each scalar lane, and
-    // each replay once, at its first lane.
+    // Every table's consumers, in lane order: its scalar lanes.
     let consumers: Vec<HrtConfig> = lanes
         .iter()
         .zip(&derived)
-        .enumerate()
-        .filter_map(|(i, (lane, derived))| {
-            let hrt = lane.hrt_config()?;
-            let counts = match lane {
-                GangLane::LeeSmith(_) | GangLane::StaticTraining(_) => replayed[&hrt][0] == i,
-                _ => derived.is_none(),
-            };
-            counts.then_some(hrt)
-        })
+        .filter(|(_, derived)| derived.is_none())
+        .filter_map(|(lane, _)| lane.hrt_config())
         .collect();
     let mut engines: Vec<HrtConfig> = Vec::new();
     for &hrt in &consumers {
@@ -417,16 +364,7 @@ fn plan(lanes: &[GangLane]) -> WalkPlan {
         (_, None) => SlotDriver::Private,
         (_, Some(e)) => SlotDriver::Logged(e),
     };
-    let mut replays: Vec<ReplayPlan> = replayed
-        .into_iter()
-        .map(|(hrt, lanes)| ReplayPlan {
-            hrt,
-            lanes,
-            driver: driver(hrt),
-        })
-        .collect();
-    replays.sort_by_key(|replay| replay.lanes[0]);
-    let mut paths: Vec<LanePath> = lanes
+    let paths = lanes
         .iter()
         .zip(derived)
         .map(|(lane, derived)| {
@@ -437,15 +375,9 @@ fn plan(lanes: &[GangLane]) -> WalkPlan {
             })
         })
         .collect();
-    for (r, replay) in replays.iter().enumerate() {
-        for &i in &replay.lanes {
-            paths[i] = LanePath::SlotMajor(r);
-        }
-    }
     WalkPlan {
         lanes: paths,
         engines,
-        replays,
     }
 }
 
@@ -461,7 +393,7 @@ fn table_slots(hrt: HrtConfig, compiled: &CompiledTrace) -> usize {
 
 /// One associative organization probed over the whole stream: every
 /// event's probe word, and what the probing counted. A shared engine's
-/// log is read by every lane and replay on its organization.
+/// log is read by every scalar lane on its organization.
 struct ProbeLog {
     words: Vec<u32>,
     stats: HrtStats,
@@ -768,44 +700,43 @@ fn walk_scalar(
     compiled: &CompiledTrace,
     guesses: Option<&mut Vec<u64>>,
 ) -> u64 {
-    match (lane, driver) {
-        (GangLane::TwoLevel(p), Some(driver)) => {
-            let hrt = p.config().hrt;
-            let mut walker = p.walker(table_slots(hrt, compiled));
-            let walked = walk_table(&mut walker, hrt, driver, logs, resolver, compiled, guesses);
-            p.adopt_probe_stats(walked.1);
-            walked.0
+    let table = lane.hrt_config().zip(driver);
+    let slots = table.map_or(0, |(hrt, _)| table_slots(hrt, compiled));
+    let (correct, probe_stats) = match (&mut *lane, table) {
+        (GangLane::TwoLevel(p), Some((hrt, driver))) => {
+            let mut walker = p.walker(slots);
+            walk_table(&mut walker, hrt, driver, logs, resolver, compiled, guesses)
         }
-        (GangLane::Variant(p), driver) => {
-            let hrt = p.hrt_config();
-            let slots = hrt.map_or(0, |hrt| table_slots(hrt, compiled));
-            match (p.walker(slots, resolver), hrt.zip(driver)) {
-                (VariantWalk::PerAddress(mut walker), Some((hrt, driver))) => {
-                    let walked =
-                        walk_table(&mut walker, hrt, driver, logs, resolver, compiled, guesses);
-                    p.adopt_probe_stats(walked.1);
-                    walked.0
-                }
-                (VariantWalk::Global(mut walker), None) => {
-                    walk(&mut walker, NoSlots, compiled, guesses).0
-                }
-                (_, driver) => unreachable!("{p:?} cannot walk with {driver:?}"),
+        (GangLane::LeeSmith(p), Some((hrt, driver))) => {
+            let mut walker = p.walker(slots);
+            walk_table(&mut walker, hrt, driver, logs, resolver, compiled, guesses)
+        }
+        (GangLane::StaticTraining(p), Some((hrt, driver))) => {
+            let mut walker = p.walker(slots);
+            walk_table(&mut walker, hrt, driver, logs, resolver, compiled, guesses)
+        }
+        (GangLane::Variant(p), table) => match (p.walker(slots, resolver), table) {
+            (VariantWalk::PerAddress(mut walker), Some((hrt, driver))) => {
+                walk_table(&mut walker, hrt, driver, logs, resolver, compiled, guesses)
             }
-        }
+            (VariantWalk::Global(mut walker), None) => {
+                walk(&mut walker, NoSlots, compiled, guesses)
+            }
+            (_, table) => unreachable!("{p:?} cannot walk with {table:?}"),
+        },
         (GangLane::Gshare(p), None) => {
             let mut walker = p.walker(resolver);
-            walk(&mut walker, NoSlots, compiled, guesses).0
+            walk(&mut walker, NoSlots, compiled, guesses)
         }
         // No fresh twins: the tournament's own components walk apart,
         // recording their guesses, and its chooser steps over them.
-        (GangLane::Tournament(t), Some(driver)) => {
+        (GangLane::Tournament(t), Some((hrt, driver))) => {
             debug_assert!(
                 guesses.is_none(),
                 "only Two-Level and gshare lanes are twins"
             );
-            let hrt = t.first().config().hrt;
             let mut first = Vec::with_capacity(compiled.len().div_ceil(64));
-            let mut walker = t.first().walker(table_slots(hrt, compiled));
+            let mut walker = t.first().walker(slots);
             let (first_correct, probe_stats) = walk_table(
                 &mut walker,
                 hrt,
@@ -818,197 +749,16 @@ fn walk_scalar(
             let mut second = Vec::with_capacity(compiled.len().div_ceil(64));
             let mut walker = t.second().walker(resolver);
             let second_correct = walk(&mut walker, NoSlots, compiled, Some(&mut second)).0;
-            t.adopt_probe_stats(probe_stats);
             let components = [(&first[..], first_correct), (&second[..], second_correct)];
-            derived_correct(t, components, resolver, compiled)
+            let correct = derived_correct(t, components, resolver, compiled);
+            (correct, probe_stats)
         }
-        (lane, driver) => unreachable!("{lane:?} cannot walk with {driver:?}"),
-    }
-}
-
-/// One LS or ST lane of a slot-major replay, with its state in the
-/// slot being replayed.
-struct SlotLane {
-    rule: SlotRule,
-    /// The current slot's automaton state code or history register.
-    state: u16,
-    correct: u64,
-}
-
-/// What a slot-major lane keeps per slot, and how it guesses.
-enum SlotRule {
-    /// An LS automaton, stepped through its derived state codes from
-    /// the code `init`.
-    LeeSmith { codes: CodeTables, init: u8 },
-    /// An ST history register, `mask` wide, indexing frozen preset
-    /// bits.
-    Static { mask: u16, preset: Vec<bool> },
-}
-
-impl SlotLane {
-    fn new(lane: &GangLane) -> Self {
-        let rule = match lane {
-            GangLane::LeeSmith(p) => {
-                let kind = p.config().automaton;
-                SlotRule::LeeSmith {
-                    codes: CodeTables::derive(kind),
-                    init: kind.init().state_bits(),
-                }
-            }
-            GangLane::StaticTraining(p) => {
-                let bits = p.config().history_bits;
-                SlotRule::Static {
-                    mask: ((1u32 << bits) - 1) as u16,
-                    preset: (0..1 << bits).map(|pattern| p.preset(pattern)).collect(),
-                }
-            }
-            lane => unreachable!("{lane:?} keeps no slot-private state"),
-        };
-        SlotLane {
-            rule,
-            state: 0,
-            correct: 0,
-        }
-    }
-
-    /// Starts a slot in the table's pre-warmed state, which is where
-    /// every slot's first access finds it: no slot-major lane
-    /// re-initializes a replaced way, and a way that fills was never
-    /// touched.
-    fn enter_slot(&mut self) {
-        self.state = match &self.rule {
-            SlotRule::LeeSmith { init, .. } => u16::from(*init),
-            SlotRule::Static { mask, .. } => *mask,
-        };
-    }
-
-    /// A run of `n` events with outcome `taken` in the current slot.
-    #[inline]
-    fn run(&mut self, taken: bool, n: u64) {
-        match &self.rule {
-            // Within `CONVERGENCE` steps every variant sits at a fixed
-            // point that predicts the run (`CodeTables::derive` asserts
-            // it), so the rest of the run is correct and leaves it there.
-            SlotRule::LeeSmith { codes, .. } => {
-                let steps = n.min(CodeTables::CONVERGENCE as u64);
-                for _ in 0..steps {
-                    let code = self.state as u8;
-                    self.correct += u64::from(codes.predict(code) == taken);
-                    self.state = u16::from(codes.next(code, taken));
-                }
-                self.correct += n - steps;
-            }
-            // After `history_bits` shifts the register reads all one
-            // direction, so every further event guesses one preset bit,
-            // which a profile may set against the run.
-            SlotRule::Static { mask, preset } => {
-                let steps = n.min(u64::from(mask.count_ones()));
-                for _ in 0..steps {
-                    self.correct += u64::from(preset[usize::from(self.state)] == taken);
-                    self.state = (self.state << 1 | u16::from(taken)) & mask;
-                }
-                let saturated = if taken { *mask } else { 0 };
-                self.correct += (n - steps) * u64::from(preset[usize::from(saturated)] == taken);
-            }
-        }
-    }
-}
-
-/// The outcome bits regrouped by table slot, given each event's slot:
-/// slot `s`'s outcomes, still in event order, are bits `starts[s] ..
-/// starts[s + 1]` of the result. One counting pass sizes the buckets
-/// and one scatter pass fills them.
-fn bucket_by_slot(
-    outcomes: &PackedBits,
-    slot_count: usize,
-    slots: impl Iterator<Item = u32> + Clone,
-) -> (PackedBits, Vec<usize>) {
-    let mut starts = vec![0usize; slot_count + 1];
-    for slot in slots.clone() {
-        starts[slot as usize + 1] += 1;
-    }
-    let mut total = 0;
-    for start in &mut starts {
-        total += *start;
-        *start = total;
-    }
-    let mut next = starts.clone();
-    let ones = slots.zip(outcomes.iter()).filter_map(|(slot, taken)| {
-        let at = &mut next[slot as usize];
-        *at += 1;
-        taken.then_some(*at - 1)
-    });
-    (PackedBits::from_ones(outcomes.len(), ones), starts)
-}
-
-/// Runs one slot-major replay: buckets the outcome stream by table
-/// slot, steps every member through each slot's same-outcome runs, and
-/// folds each lane's counts and the driver's [`HrtStats`] back by lane
-/// index. The ideal table misses once per site and the hashed one
-/// never; an associative table's statistics are its engine's.
-fn replay_slot_major(
-    replay: &ReplayPlan,
-    logs: &[ProbeLog],
-    resolver: &mut SiteResolver,
-    compiled: &CompiledTrace,
-    lanes: &mut [GangLane],
-    stats: &mut [PredictionStats],
-) {
-    let (sites, outcomes) = (compiled.cond_sites(), compiled.outcomes());
-    let slot_count = table_slots(replay.hrt, compiled);
-    let events = compiled.len() as u64;
-    let counted = |misses| HrtStats {
-        accesses: events,
-        misses,
+        (lane, table) => unreachable!("{lane:?} cannot walk with {table:?}"),
     };
-    let ((bits, starts), probe_stats) = match replay.driver {
-        SlotDriver::Ideal => {
-            let slots = sites.iter().copied();
-            let misses = compiled.num_sites() as u64;
-            (bucket_by_slot(outcomes, slot_count, slots), counted(misses))
-        }
-        SlotDriver::Hashed => {
-            let keys = resolver.keys(replay.hrt);
-            let SiteKeys::Hashed { slot } = &*keys else {
-                unreachable!("a hashed table resolves hashed keys");
-            };
-            let slots = sites.iter().map(|&site| slot[site as usize]);
-            (bucket_by_slot(outcomes, slot_count, slots), counted(0))
-        }
-        SlotDriver::Private => {
-            let log = ProbeLog::probe(replay.hrt, resolver, compiled);
-            let slots = log.words.iter().map(|&word| word & Probe::SLOT);
-            (bucket_by_slot(outcomes, slot_count, slots), log.stats)
-        }
-        SlotDriver::Logged(e) => {
-            let slots = logs[e].words.iter().map(|&word| word & Probe::SLOT);
-            (bucket_by_slot(outcomes, slot_count, slots), logs[e].stats)
-        }
-    };
-    let mut members: Vec<SlotLane> = replay
-        .lanes
-        .iter()
-        .map(|&i| SlotLane::new(&lanes[i]))
-        .collect();
-    for bounds in starts.windows(2) {
-        let (mut i, end) = (bounds[0], bounds[1]);
-        for lane in &mut members {
-            lane.enter_slot();
-        }
-        while i < end {
-            let taken = bits.get(i);
-            let run = bits.run_len(i, end);
-            for lane in &mut members {
-                lane.run(taken, run as u64);
-            }
-            i += run;
-        }
+    if table.is_some() {
+        lane.adopt_probe_stats(probe_stats);
     }
-    for (&i, lane) in replay.lanes.iter().zip(members) {
-        stats[i].predicted += events;
-        stats[i].correct += lane.correct;
-        lanes[i].adopt_probe_stats(probe_stats);
-    }
+    correct
 }
 
 /// A derived tournament's correct count, from its twins' recorded
@@ -1047,12 +797,12 @@ fn derived_correct(
 /// strategy.
 ///
 /// Every shared engine first probes the stream once into its log. Then
-/// each consumer walks the whole stream on its own: every slot-major
-/// replay, and every scalar lane in a loop of its own, monomorphized
-/// over its lane type and slot source, with its state in lean
-/// walk-local vectors and registers. Lanes never interact, so this
-/// lane-major order is observably identical to any event-major one.
-/// Derived tournaments finish last, from their twins' guesses.
+/// each scalar lane walks the whole stream on its own, in a loop of its
+/// own, monomorphized over its lane type and slot source, with its
+/// state in lean walk-local vectors and registers. Lanes never
+/// interact, so this lane-major order is observably identical to any
+/// event-major one. Derived tournaments finish last, from their twins'
+/// guesses.
 fn execute(
     lanes: &mut [GangLane],
     plan: &WalkPlan,
@@ -1067,9 +817,6 @@ fn execute(
         .map(|&hrt| ProbeLog::probe(hrt, &mut resolver, compiled))
         .collect();
     let mut stats = vec![PredictionStats::default(); lanes.len()];
-    for replay in &plan.replays {
-        replay_slot_major(replay, &logs, &mut resolver, compiled, lanes, &mut stats);
-    }
     // The guesses of every twin a derived lane reads.
     let mut guesses: Vec<Option<Vec<u64>>> = vec![None; lanes.len()];
     let mut derived = 0;
@@ -1174,9 +921,8 @@ fn execute(
 /// it would alone; returns and calls drive one shared return-address
 /// stack whose stats are replicated into every result (RAS behaviour is
 /// predictor-independent). Monomorphized lanes are fed from `compiled`
-/// alone — each scalar lane walking the stream on its own, beside the
-/// shared probe logs and slot-major replays the walk's plan picks for
-/// the others, and closed-form scores. `dyn_source` supplies the raw
+/// alone — each scalar lane walking the stream on its own over the slot
+/// source the walk's plan picks for it, and closed-form scores. `dyn_source` supplies the raw
 /// record stream for [`GangLane::Dyn`] lanes, which
 /// [`GangLane::from_config`] never builds: the sweep path passes
 /// `None`, so a TLA3 cache entry decodes straight into `compiled` and
@@ -1360,7 +1106,7 @@ pub(crate) mod tests {
     /// A lane's adopted table statistics, where it has a table. (A
     /// tournament's Two-Level component counts a re-ask per event on
     /// the record path and reports no statistics of its own.)
-    pub(crate) fn table_stats(lane: &GangLane) -> Option<HrtStats> {
+    fn table_stats(lane: &GangLane) -> Option<HrtStats> {
         match lane {
             GangLane::TwoLevel(p) => Some(p.hrt_stats()),
             GangLane::LeeSmith(p) => Some(p.table_stats()),
@@ -1673,13 +1419,12 @@ pub(crate) mod tests {
         assert!(outcomes[2].as_ref().unwrap().is_ok());
     }
 
-    /// LS lanes on every organization beside a lone AT lane: five
-    /// automata on the paper AHRT, pairs on ideal / hashed / a small
+    /// LS lanes on every organization beside an AT lane: five automata
+    /// on the paper AHRT, pairs on ideal / hashed / a small
     /// eviction-heavy associative table, and one LS lane alone on
-    /// ahrt(256). The AT lane and the paper AHRT's replay are that
-    /// geometry's two consumers, so both read its engine's probe log;
-    /// the small table's and ahrt(256)'s replays are their geometries'
-    /// only consumers and probe privately.
+    /// ahrt(256). The paper AHRT's six lanes read one engine's probe
+    /// log and the small table's pair another; the ahrt(256) lane is
+    /// its geometry's only consumer and probes inline.
     fn ls_lanes_on_every_organization() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
@@ -1699,25 +1444,25 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn slot_major_replays_match_the_record_walk_across_organizations() {
+    fn ls_lanes_match_the_record_walk_across_organizations() {
         let trace = SyntheticStream::mixed(0xb175, 80).generate(6_000);
         let configs = ls_lanes_on_every_organization();
         let plan = plan(&lanes_for(&configs, &trace));
-        let drivers: Vec<SlotDriver> = plan.replays.iter().map(|replay| replay.driver).collect();
-        assert_eq!(
-            drivers,
-            [
-                SlotDriver::Logged(0),
-                SlotDriver::Ideal,
-                SlotDriver::Hashed,
-                SlotDriver::Private,
-                SlotDriver::Private,
-            ]
-        );
-        assert_eq!(
-            plan.lanes[12],
-            LanePath::Scalar(Some(SlotDriver::Logged(0)))
-        );
+        assert_eq!(plan.engines, [HrtConfig::ahrt(512), SMALL]);
+        use SlotDriver::{Hashed, Ideal, Logged, Private};
+        let drivers = [
+            Logged(0),
+            Logged(0),
+            Logged(0),
+            Logged(0),
+            Logged(0),
+            Ideal,
+            Ideal,
+        ]
+        .into_iter()
+        .chain([Hashed, Hashed, Logged(1), Logged(1), Private, Logged(0)]);
+        let expected: Vec<LanePath> = drivers.map(|d| LanePath::Scalar(Some(d))).collect();
+        assert_eq!(plan.lanes, expected);
         assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
@@ -1753,11 +1498,11 @@ pub(crate) mod tests {
         loop_heavy_trace_at(0x2000, events)
     }
 
-    /// A reinit-on-replace AT lane beside LS replays: it and the paper
-    /// AHRT's replay read one probe log, while the tiny 2-way table,
-    /// which forces evictions and refills mid-stream, has only its
-    /// replay and probes privately.
-    fn shared_ls_replays() -> Vec<SchemeConfig> {
+    /// A reinit-on-replace AT lane beside LS lanes that inherit replaced
+    /// slots: it and the paper AHRT's four LS lanes read one probe log,
+    /// and the tiny 2-way table's pair, which forces evictions and
+    /// refills mid-stream, another.
+    fn ls_lanes_beside_a_reinit_lane() -> Vec<SchemeConfig> {
         vec![
             at_full(
                 HrtConfig::ahrt(512),
@@ -1779,28 +1524,27 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn mixed_gangs_on_loop_heavy_streams_replay_the_slot_log() {
-        // The shared engines log each probe once, and the replays
-        // bucket the logged slots, fills and replacements included.
+    fn mixed_gangs_on_loop_heavy_streams_read_the_slot_log() {
+        // The shared engines log each probe once, and every lane reads
+        // the logged slots, fills and replacements included: the AT
+        // lane re-initializes a replaced slot, the LS lanes inherit it.
         // Still bit-identical.
         let trace = loop_heavy_trace(6_000);
-        let configs = shared_ls_replays();
+        let configs = ls_lanes_beside_a_reinit_lane();
         let plan = plan(&lanes_for(&configs, &trace));
-        let drivers: Vec<SlotDriver> = plan.replays.iter().map(|replay| replay.driver).collect();
-        assert_eq!(
-            drivers,
-            [
-                SlotDriver::Logged(0),
-                SlotDriver::Private,
-                SlotDriver::Ideal
-            ]
-        );
+        assert_eq!(plan.engines, [HrtConfig::ahrt(512), SMALL]);
+        let drivers = [0, 0, 0, 0, 0, 1, 1]
+            .map(SlotDriver::Logged)
+            .into_iter()
+            .chain([SlotDriver::Ideal, SlotDriver::Ideal]);
+        let expected: Vec<LanePath> = drivers.map(|d| LanePath::Scalar(Some(d))).collect();
+        assert_eq!(plan.lanes, expected);
         assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
-    /// With no lane but LS ones each geometry's one consumer is its
-    /// replay: every replay owns its probe (a private engine for
-    /// associative geometries) and buckets the stream on its own.
+    /// Nothing but LS lanes, two or more on each organization: they
+    /// are their geometries' consumers as any table lane is, so each
+    /// associative geometry gets a shared engine.
     fn ls_only() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
@@ -1818,32 +1562,31 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn ls_only_gangs_share_no_engine() {
+    fn ls_only_gangs_share_an_engine_per_associative_geometry() {
         let trace = SyntheticStream::mixed(0x517e, 64).generate(6_000);
         let configs = ls_only();
         let plan = plan(&lanes_for(&configs, &trace));
-        assert!(plan.engines.is_empty());
-        assert!(plan
-            .lanes
-            .iter()
-            .all(|p| matches!(p, LanePath::SlotMajor(_))));
+        assert_eq!(plan.engines, [HrtConfig::ahrt(512), SMALL]);
+        assert_eq!(plan.lanes[0], LanePath::Scalar(Some(SlotDriver::Logged(0))));
+        assert_eq!(plan.lanes[9], LanePath::Scalar(Some(SlotDriver::Logged(1))));
         assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
     #[test]
-    fn slot_major_replays_take_any_number_of_lanes() {
-        // 65 same-geometry LS lanes, more than one word of lanes: one
-        // replay, and no engine, since the replay is its geometry's
-        // only consumer.
+    fn wide_ls_gangs_walk_every_lane_on_one_log() {
+        // 65 same-geometry LS lanes, more than one word of lanes: every
+        // lane walks alone on the geometry's one probe log.
         let trace = SyntheticStream::mixed(0x65, 24).generate(2_000);
         let kinds = AutomatonKind::ALL;
         let configs: Vec<SchemeConfig> = (0..65)
             .map(|i| SchemeConfig::ls(HrtConfig::ahrt(512), kinds[i % kinds.len()]))
             .collect();
         let plan = plan(&lanes_for(&configs, &trace));
-        assert_eq!(plan.replays.len(), 1);
-        assert_eq!(plan.replays[0].lanes.len(), 65);
-        assert!(plan.engines.is_empty());
+        assert_eq!(plan.engines, [HrtConfig::ahrt(512)]);
+        assert!(plan
+            .lanes
+            .iter()
+            .all(|&path| path == LanePath::Scalar(Some(SlotDriver::Logged(0)))));
         assert_walk_matches_records(&configs, &trace, SimOptions::default());
     }
 
@@ -1851,8 +1594,8 @@ pub(crate) mod tests {
     /// 12-bit ST lane presets the all-ones pattern not-taken. On a loop
     /// of 40 taken then one not-taken its register saturates 12 events
     /// into each run, and the other 28 taken events all guess
-    /// not-taken: a replay that credited a run's whole tail would score
-    /// them correct.
+    /// not-taken: a walk that credited a run's tail would score them
+    /// correct.
     #[test]
     fn static_training_tails_score_presets_set_against_the_run() {
         let loop_of = |trips: usize| -> Trace {
@@ -1882,15 +1625,15 @@ pub(crate) mod tests {
         }
     }
 
-    /// A generated stream: `(loopy, bursts)`, each burst `(site, taken,
-    /// exits)` — `taken` taken events then `exits` not-taken ones at one
-    /// site. A churny stream caps `taken` below 3; a loopy one keeps it,
-    /// up to 200, so same-outcome runs cross 64-bit words.
-    fn burst_stream(&(loopy, ref bursts): &(bool, Vec<(u32, usize, usize)>)) -> Trace {
+    /// A generated stream of bursts `(site, taken, exits)`: `taken`
+    /// taken events then `exits` not-taken ones at one site. Taken runs
+    /// of up to 200 events cross 64-bit words, and exits of up to 8
+    /// give not-taken runs past every automaton's convergence and the
+    /// long-run floor.
+    fn burst_stream(bursts: &[(u32, usize, usize)]) -> Trace {
         let mut trace = Trace::new();
         for &(site, taken, exits) in bursts {
             let pc = 0x1000 + site * 4;
-            let taken = if loopy { taken } else { taken % 3 };
             for k in 0..taken + exits {
                 trace.push(BranchRecord::conditional(pc, pc + 0x40, k < taken));
             }
@@ -1898,80 +1641,15 @@ pub(crate) mod tests {
         trace
     }
 
-    #[test]
-    fn slot_major_replays_match_the_record_walk() {
-        // One to six LS and ST lanes on one geometry, over churny and
-        // loopy streams, under the planned drivers and with every
-        // associative replay forced onto a shared engine's log. ST
-        // lanes train on a second stream, so presets can oppose runs.
-        use tlat_check::{check, gen, prop_assert_eq};
-        let geometries = [
-            HrtConfig::Ideal,
-            HrtConfig::hhrt(8),
-            HrtConfig::ahrt(512),
-            SMALL,
-        ];
-        let lane = gen::tuple3(
-            gen::bools(),
-            gen::choose(&AutomatonKind::ALL),
-            gen::u8_in(1, 12),
-        );
-        let bursts = gen::tuple3(
+    /// Random bursts for [`burst_stream`], at 48 sites.
+    fn burst_draws() -> tlat_check::Gen<Vec<(u32, usize, usize)>> {
+        use tlat_check::gen;
+        let burst = gen::tuple3(
             gen::u32_in(0, 47),
             gen::usize_in(0, 200),
-            gen::usize_in(0, 2),
+            gen::usize_in(0, 8),
         );
-        let stream = gen::tuple2(gen::bools(), gen::vec_of(bursts, 1, 120));
-        let inputs = gen::tuple4(
-            gen::choose(&geometries),
-            gen::vec_of(lane, 1, 6),
-            stream.clone(),
-            stream,
-        );
-        check(
-            "slot_major_replays_match_the_record_walk",
-            &inputs,
-            |(hrt, lanes, test, train)| {
-                let (test, train) = (burst_stream(test), burst_stream(train));
-                let configs: Vec<SchemeConfig> = lanes
-                    .iter()
-                    .map(|&(ls, kind, bits)| match ls {
-                        true => SchemeConfig::ls(*hrt, kind),
-                        false => SchemeConfig::st(*hrt, bits, TrainingData::Diff),
-                    })
-                    .collect();
-                let build = || -> Vec<GangLane> {
-                    configs
-                        .iter()
-                        .map(|c| GangLane::from_config(c, Some(&train)))
-                        .collect()
-                };
-                let options = SimOptions::default();
-                let mut reference = build();
-                let records = gang_simulate_records(&mut reference, &test, options);
-                let compiled = CompiledTrace::compile(&test);
-                let chosen = plan(&build());
-                for forced in [chosen.clone(), force_drivers(chosen, &build(), true)] {
-                    let mut walked = build();
-                    let results = execute(&mut walked, &forced, &compiled, None, options);
-                    for (i, config) in configs.iter().enumerate() {
-                        let label = config.label();
-                        prop_assert_eq!(
-                            results[i].conditional,
-                            records[i].conditional,
-                            "{label} under {forced:?}"
-                        );
-                        prop_assert_eq!(results[i].ras, records[i].ras, "{label} RAS");
-                        prop_assert_eq!(
-                            table_stats(&walked[i]),
-                            table_stats(&reference[i]),
-                            "{label} table stats under {forced:?}"
-                        );
-                    }
-                }
-                Ok(())
-            },
-        );
+        gen::vec_of(burst, 1, 120)
     }
 
     /// An AT configuration with the ablation flags spelled out, for
@@ -1997,7 +1675,7 @@ pub(crate) mod tests {
     /// Two-Level lanes on every organization: on the paper AHRT a mix of
     /// automaton variants, three history lengths, §3.2 caching vs pure
     /// two-lookup, init polarity and a reinit-on-replace lane, all on
-    /// one probe log with an LS replay; ideal, hashed and
+    /// one probe log with two LS lanes; ideal, hashed and
     /// eviction-heavy associative pairs; and an ahrt(256) lane alone on
     /// its geometry, probing inline.
     fn at_lane_mix() -> Vec<SchemeConfig> {
@@ -2063,7 +1741,7 @@ pub(crate) mod tests {
     /// slot must inherit the victim's history and cached bit, and a
     /// filled slot must re-read its cached bit from the *evolved*
     /// pattern table, or predictions drift; the small table's LS
-    /// replay reads the same log. The lone ahrt(256) lane probes
+    /// lanes read the same log. The lone ahrt(256) lane probes
     /// inline, the lone ideal and hashed lanes take their own slot
     /// sources, and a reinit-on-replace lane rides the ideal table.
     fn at_evictions() -> Vec<SchemeConfig> {
@@ -2159,12 +1837,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn slot_log_replay_keeps_slots_past_sixteen_bits() {
+    fn table_lanes_keep_slots_past_sixteen_bits() {
         // A direct-mapped AHRT of 2^17 sets with every branch past set
-        // 65,535: the slot-log replay must see the full slot, and a
-        // fill only where the probe filled. The reinit AT lane and the
-        // replay are the geometry's two consumers, so they share one
-        // log.
+        // 65,535: every lane must see the full slot, whether it reads
+        // the geometry's one shared log or probes inline, and the
+        // reinit AT lane a fill only where the probe filled.
         let trace = loop_heavy_trace_at(0x40000, 6_000);
         let wide = HrtConfig::Associative {
             entries: 1 << 17,
@@ -2176,23 +1853,31 @@ pub(crate) mod tests {
             SchemeConfig::ls(wide, AutomatonKind::LastTime),
             at_full(wide, 12, AutomatonKind::A2, true, true, false),
         ];
-        let plan = plan(&lanes_for(&configs, &trace));
-        assert_eq!(plan.replays[0].driver, SlotDriver::Logged(0));
-        assert_walk_matches_records(&configs, &trace, SimOptions::default());
+        let lanes = lanes_for(&configs, &trace);
+        let chosen = plan(&lanes);
+        assert_eq!(chosen.engines, [wide]);
+        for path in &chosen.lanes {
+            assert_eq!(*path, LanePath::Scalar(Some(SlotDriver::Logged(0))));
+        }
+        let options = SimOptions::default();
+        let compiled = CompiledTrace::compile(&trace);
+        for forced in [force_drivers(chosen.clone(), &lanes, |_| false), chosen] {
+            let mut lanes = lanes_for(&configs, &trace);
+            let results = execute(&mut lanes, &forced, &compiled, None, options);
+            let what = format!("{forced:?}");
+            assert_matches_records(&what, &configs, &trace, options, &lanes, &results);
+        }
     }
 
-    /// `plan` with derivation off and sharing counted per lane: every
-    /// Two-Level, taxonomy, gshare and tournament lane scalar, reading a
-    /// shared engine's log wherever two or more lanes share an
-    /// associative organization, and every LS and ST lane in its
-    /// organization's slot-major replay, reading that log too.
+    /// `plan` with derivation off: every lane but a closed-form or dyn
+    /// one scalar, reading a shared engine's log wherever two or more
+    /// lanes share an associative organization.
     fn scalar_plan(lanes: &[GangLane]) -> WalkPlan {
         let mut plan = WalkPlan {
             lanes: Vec::new(),
             engines: Vec::new(),
-            replays: Vec::new(),
         };
-        for (i, lane) in lanes.iter().enumerate() {
+        for lane in lanes {
             let hrt = lane.hrt_config();
             let sharers = lanes.iter().filter(|l| l.hrt_config() == hrt).count();
             let driver = hrt.map(|hrt| match hrt {
@@ -2201,24 +1886,11 @@ pub(crate) mod tests {
                 _ if sharers >= 2 => SlotDriver::Logged(engine_for(&mut plan.engines, hrt)),
                 _ => SlotDriver::Private,
             });
-            let path = match (lane, hrt, driver) {
-                (GangLane::Profile(_) | GangLane::Fixed(_), _, _) => LanePath::ClosedForm,
-                (GangLane::Dyn(_), _, _) => LanePath::Dyn,
-                (GangLane::LeeSmith(_) | GangLane::StaticTraining(_), Some(hrt), Some(driver)) => {
-                    let r = match plan.replays.iter().position(|replay| replay.hrt == hrt) {
-                        Some(r) => r,
-                        None => {
-                            let lanes = Vec::new();
-                            plan.replays.push(ReplayPlan { hrt, lanes, driver });
-                            plan.replays.len() - 1
-                        }
-                    };
-                    plan.replays[r].lanes.push(i);
-                    LanePath::SlotMajor(r)
-                }
-                (_, _, driver) => LanePath::Scalar(driver),
-            };
-            plan.lanes.push(path);
+            plan.lanes.push(match lane {
+                GangLane::Profile(_) | GangLane::Fixed(_) => LanePath::ClosedForm,
+                GangLane::Dyn(_) => LanePath::Dyn,
+                _ => LanePath::Scalar(driver),
+            });
         }
         plan
     }
@@ -2234,27 +1906,64 @@ pub(crate) mod tests {
         }
     }
 
-    /// `plan` with every associative slot-major replay and scalar lane
-    /// probing privately, or, when `shared`, reading its geometry's
-    /// shared engine's log, the engine added where the plan has none.
-    fn force_drivers(mut plan: WalkPlan, lanes: &[GangLane], shared: bool) -> WalkPlan {
-        let force = |hrt: HrtConfig, engines: &mut Vec<HrtConfig>| match shared {
-            true => SlotDriver::Logged(engine_for(engines, hrt)),
-            false => SlotDriver::Private,
-        };
-        for replay in &mut plan.replays {
-            if matches!(replay.hrt, HrtConfig::Associative { .. }) {
-                replay.driver = force(replay.hrt, &mut plan.engines);
-            }
-        }
+    /// `plan` with every scalar lane on an associative geometry `hrt`
+    /// reading that geometry's shared engine's log when `logged(hrt)`,
+    /// the engine added where the plan has none, and probing privately
+    /// otherwise.
+    fn force_drivers(
+        mut plan: WalkPlan,
+        lanes: &[GangLane],
+        logged: impl Fn(HrtConfig) -> bool,
+    ) -> WalkPlan {
         for (path, lane) in plan.lanes.iter_mut().zip(lanes) {
             if let (LanePath::Scalar(Some(driver)), Some(hrt @ HrtConfig::Associative { .. })) =
                 (path, lane.hrt_config())
             {
-                *driver = force(hrt, &mut plan.engines);
+                *driver = match logged(hrt) {
+                    true => SlotDriver::Logged(engine_for(&mut plan.engines, hrt)),
+                    false => SlotDriver::Private,
+                };
             }
         }
         plan
+    }
+
+    /// Test support: walks fresh `lanes()` over `compiled` under three
+    /// rewrites of the plan [`plan`] chooses for them — every
+    /// associative lane probing privately, every one reading a shared
+    /// log (even a lone one), and no tournament deriving — and returns
+    /// each rewrite's name with every lane's result and adopted table
+    /// statistics.
+    pub(crate) fn walks_under_rewritten_plans(
+        lanes: impl Fn() -> Vec<GangLane>,
+        compiled: &CompiledTrace,
+    ) -> Vec<(&'static str, Vec<LaneReport>)> {
+        let built = lanes();
+        let chosen = plan(&built);
+        let rewrites = [
+            ("private", force_drivers(chosen.clone(), &built, |_| false)),
+            ("logged", force_drivers(chosen, &built, |_| true)),
+            ("underived", scalar_plan(&built)),
+        ];
+        rewrites
+            .into_iter()
+            .map(|(what, plan)| {
+                let mut walked = lanes();
+                let results = execute(&mut walked, &plan, compiled, None, SimOptions::default());
+                (what, lane_reports(&results, &walked))
+            })
+            .collect()
+    }
+
+    /// What a walk reports of one lane: its counts, its RAS statistics
+    /// and its adopted table statistics.
+    pub(crate) type LaneReport = (PredictionStats, tlat_trace::RasStats, Option<HrtStats>);
+
+    /// Test support: every lane's [`LaneReport`] after a walk.
+    pub(crate) fn lane_reports(results: &[SimResult], lanes: &[GangLane]) -> Vec<LaneReport> {
+        let results = results.iter().map(|r| (r.conditional, r.ras));
+        let stats = lanes.iter().map(table_stats);
+        results.zip(stats).map(|((c, r), t)| (c, r, t)).collect()
     }
 
     /// The taxonomy's lanes and the fixed rules beside an AT lane and
@@ -2395,20 +2104,18 @@ pub(crate) mod tests {
         // The planner picks one strategy per lane mix; the executor
         // must be exact under all of them. Force each alternative on a
         // loop-heavy and a churny stream, for every lane mix above:
-        // the chosen plan, every lane scalar but the slot-major ones,
-        // and every associative replay and scalar lane private, or
-        // every one logged on a shared engine (a lone associative lane,
-        // such as the ahrt(256) lane of the AT lane mix, forced onto a
-        // shared log, and a lane on a shared geometry forced to probe
-        // inline), each with collapsing on and forced off. No plan ever
-        // walks an LS or ST lane event by event, and a derived lane's
-        // twins are always scalar lanes.
+        // the chosen plan, no tournament derived, and every associative
+        // lane private, or every one logged on a shared engine (a lone
+        // associative lane, such as the ahrt(256) lane of the AT lane
+        // mix, forced onto a shared log, and a lane on a shared
+        // geometry forced to probe inline), each with collapsing on and
+        // forced off. A derived lane's twins are always scalar lanes.
         let [unequal_twins, at_twin_only, gshare_twin_only] = tournaments_without_twin_pairs();
         let mixes = [
             sweep(),
             organizations(),
             ls_lanes_on_every_organization(),
-            shared_ls_replays(),
+            ls_lanes_beside_a_reinit_lane(),
             ls_only(),
             at_lane_mix(),
             at_evictions(),
@@ -2429,21 +2136,14 @@ pub(crate) mod tests {
                 let lanes = lanes_for(configs, &trace);
                 let chosen = plan(&lanes);
                 let plans = [
-                    ("all lanes scalar", scalar_plan(&lanes)),
-                    ("private", force_drivers(chosen.clone(), &lanes, false)),
-                    ("logged", force_drivers(chosen.clone(), &lanes, true)),
+                    ("underived", scalar_plan(&lanes)),
+                    ("private", force_drivers(chosen.clone(), &lanes, |_| false)),
+                    ("logged", force_drivers(chosen.clone(), &lanes, |_| true)),
                     ("chosen", chosen),
                 ];
                 for (what, forced) in plans {
-                    for (i, lane) in lanes.iter().enumerate() {
-                        if let GangLane::LeeSmith(_) | GangLane::StaticTraining(_) = lane {
-                            let path = forced.lanes[i];
-                            let LanePath::SlotMajor(r) = path else {
-                                panic!("{what} plan gives {lane:?} the {path:?} path");
-                            };
-                            assert!(forced.replays[r].lanes.contains(&i), "{what} plan");
-                        }
-                        if let LanePath::Derived { first, second } = forced.lanes[i] {
+                    for &path in &forced.lanes {
+                        if let LanePath::Derived { first, second } = path {
                             let scalar =
                                 |twin: usize| matches!(forced.lanes[twin], LanePath::Scalar(_));
                             assert!(scalar(first) && scalar(second), "{what} plan");
@@ -2467,27 +2167,16 @@ pub(crate) mod tests {
 
     #[test]
     fn fig10_shares_one_log_on_every_stream_shape() {
-        // The AT lane and the ST and LS lanes' replay are the paper
-        // AHRT's two consumers, so they read one probe log, whatever
-        // the stream's shape.
+        // The AT, ST and two LS lanes are the paper AHRT's four
+        // consumers, so they read one probe log, whatever the stream's
+        // shape.
         let configs = crate::experiment::sweep_spec("fig10")
             .expect("fig10 is registered")
             .configs;
-        let ahrt = HrtConfig::ahrt(512);
+        let logged = LanePath::Scalar(Some(SlotDriver::Logged(0)));
         let expected = WalkPlan {
-            lanes: vec![
-                LanePath::Scalar(Some(SlotDriver::Logged(0))),
-                LanePath::SlotMajor(0),
-                LanePath::SlotMajor(0),
-                LanePath::ClosedForm,
-                LanePath::SlotMajor(0),
-            ],
-            engines: vec![ahrt],
-            replays: vec![ReplayPlan {
-                hrt: ahrt,
-                lanes: vec![1, 2, 4],
-                driver: SlotDriver::Logged(0),
-            }],
+            lanes: vec![logged, logged, logged, LanePath::ClosedForm, logged],
+            engines: vec![HrtConfig::ahrt(512)],
         };
         for trace in [
             SyntheticStream::mixed(0xf10, 64).generate(6_000),
@@ -2499,15 +2188,15 @@ pub(crate) mod tests {
 
     #[test]
     fn every_sweep_shares_an_engine_where_a_geometry_has_two_consumers() {
-        // fig5, fig7, fig10 and the taxonomy each put two or more
-        // consumers on the paper AHRT; fig6 has one lane per geometry,
-        // and fig8's and fig9's associative lanes form one replay.
+        // Every sweep but fig6 puts two or more consumers on the paper
+        // AHRT: fig8's Same/Diff pair and fig9's two LS lanes among
+        // them. fig6 has one lane per geometry.
         let trace = SyntheticStream::mixed(0x5eed, 32).generate(2_000);
         let ahrt = HrtConfig::ahrt(512);
         for spec in crate::experiment::sweep_specs() {
             let expected: &[HrtConfig] = match spec.name {
-                "fig5" | "fig7" | "fig10" | "taxonomy" => &[ahrt],
-                "fig6" | "fig8" | "fig9" => &[],
+                "fig5" | "fig7" | "fig8" | "fig9" | "fig10" | "taxonomy" => &[ahrt],
+                "fig6" => &[],
                 name => panic!("no expected engines for sweep {name}"),
             };
             let plan = plan(&lanes_for(&spec.configs, &trace));
@@ -2516,20 +2205,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_lone_replay_probes_privately_beside_other_geometries() {
-        // Another geometry's scalar lane does not make the paper AHRT's
-        // replay share its probes: the replay is that geometry's only
-        // consumer.
+    fn lone_ls_and_st_lanes_probe_privately_beside_other_geometries() {
+        // Another geometry's lane does not make a lone LS or ST lane
+        // share its probes: each is its geometry's only consumer.
         let configs = [
             SchemeConfig::at(HrtConfig::hhrt(64), 12, AutomatonKind::A2),
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::A2),
-            SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
+            SchemeConfig::st(SMALL, 12, TrainingData::Same),
         ];
         let trace = SyntheticStream::mixed(0x10e, 64).generate(4_000);
         let plan = plan(&lanes_for(&configs, &trace));
         assert!(plan.engines.is_empty());
         assert_eq!(plan.lanes[0], LanePath::Scalar(Some(SlotDriver::Hashed)));
-        assert_eq!(plan.replays[0].driver, SlotDriver::Private);
+        assert_eq!(plan.lanes[1], LanePath::Scalar(Some(SlotDriver::Private)));
+        assert_eq!(plan.lanes[2], LanePath::Scalar(Some(SlotDriver::Private)));
         assert_walk_matches_records(&configs, &trace, SimOptions::default());
     }
 
@@ -2693,11 +2382,13 @@ pub(crate) mod tests {
         );
     }
 
-    /// One generated lane, under a case's table organization: `(kind,
-    /// history bits, flags, log2 pattern sets, automaton)`. Kinds 0–6
+    /// One generated lane, under its table organization: `(kind,
+    /// history bits, flags, log2 pattern sets, automaton)`. Kinds 0–10
     /// are an AT lane (flags: cached prediction, reinit on replace, init
-    /// not-taken), GAg, GAs, PAg, PAs, gshare, and a tournament (flags:
-    /// its AT twin, its gshare twin, a 16-entry chooser).
+    /// not-taken), GAg, GAs, PAg, PAs, gshare, a tournament (flags: its
+    /// AT twin, its gshare twin, a 16-entry chooser), an LS lane, an ST
+    /// lane (trained on a case's second stream), a profile lane and a
+    /// fixed rule (flags pick which).
     type LaneSpec = (u8, u8, u8, u8, AutomatonKind);
 
     fn lane_configs(
@@ -2723,7 +2414,7 @@ pub(crate) mod tests {
                 history_bits: bits,
                 automaton,
             })],
-            _ => {
+            6 => {
                 let chooser_entries = if flag(4) { 16 } else { 1024 };
                 let mut configs = vec![SchemeConfig::Tournament { chooser_entries }];
                 if flag(1) {
@@ -2738,18 +2429,29 @@ pub(crate) mod tests {
                 }
                 configs
             }
+            7 => vec![SchemeConfig::ls(hrt, automaton)],
+            8 => vec![SchemeConfig::st(hrt, bits, TrainingData::Diff)],
+            9 => vec![SchemeConfig::Profile],
+            _ => vec![match flags % 3 {
+                0 => SchemeConfig::AlwaysTaken,
+                1 => SchemeConfig::AlwaysNotTaken,
+                _ => SchemeConfig::Btfn,
+            }],
         }
     }
 
     #[test]
     fn scalar_lane_walks_match_the_record_walk() {
-        // One to six scalar lanes on one table organization — AT lanes
-        // under every ablation flag, the four taxonomy variants, gshare,
-        // and tournaments beside both, one or none of their twins —
-        // over churny and burst streams, under the chosen plan, every
-        // lane scalar, and every associative consumer forced onto
-        // private probes or a shared log, each with collapsing on and
-        // forced off.
+        // One to eight lanes, each on a table organization of its own
+        // drawing — AT lanes under every ablation flag, LS lanes, ST
+        // lanes trained on a second stream (so presets can oppose
+        // runs), the four taxonomy variants, gshare, tournaments beside
+        // both, one or none of their twins, profile lanes and fixed
+        // rules — over churny and burst streams, under the chosen plan,
+        // no tournament derived, and each associative geometry's lanes
+        // forced onto private probes or a shared log, geometry by
+        // geometry, both ways round; each with collapsing on and forced
+        // off.
         use tlat_check::{check, gen, prop_assert_eq};
         let geometries = [
             HrtConfig::Ideal,
@@ -2758,63 +2460,68 @@ pub(crate) mod tests {
             SMALL,
         ];
         let lane = gen::tuple5(
-            gen::u8_in(0, 6),
+            gen::u8_in(0, 10),
             gen::u8_in(1, 16),
             gen::u8_in(0, 7),
             gen::u8_in(0, 4),
             gen::choose(&AutomatonKind::ALL),
         );
-        let bursts = gen::tuple3(
-            gen::u32_in(0, 47),
-            gen::usize_in(0, 200),
-            gen::usize_in(0, 2),
-        );
-        let stream = gen::tuple3(gen::bools(), gen::u32_any(), gen::vec_of(bursts, 1, 120));
-        let inputs = gen::tuple3(gen::choose(&geometries), gen::vec_of(lane, 1, 6), stream);
+        let lanes = gen::vec_of(gen::tuple2(gen::choose(&geometries), lane), 1, 8);
+        let stream = gen::tuple3(gen::bools(), gen::u32_any(), burst_draws());
+        let inputs = gen::tuple4(lanes, stream, burst_draws(), gen::u8_in(0, 15));
         check(
             "scalar_lane_walks_match_the_record_walk",
             &inputs,
-            |(hrt, specs, (churny, seed, bursts))| {
+            |(specs, (churny, seed, bursts), training, mask)| {
                 let trace = match churny {
                     true => SyntheticStream::mixed(u64::from(*seed), 24).generate(1_500),
-                    false => burst_stream(&(true, bursts.clone())),
+                    false => burst_stream(bursts),
                 };
+                let training = burst_stream(training);
                 let configs: Vec<SchemeConfig> = specs
                     .iter()
-                    .flat_map(|spec| lane_configs(*hrt, spec))
+                    .flat_map(|(hrt, spec)| lane_configs(*hrt, spec))
                     .collect();
+                let build = || -> Vec<GangLane> {
+                    configs
+                        .iter()
+                        .map(|c| GangLane::from_config(c, Some(&training)))
+                        .collect()
+                };
                 let options = SimOptions::default();
-                let mut reference = lanes_for(&configs, &trace);
+                let mut reference = build();
                 let records = gang_simulate_records(&mut reference, &trace, options);
+                let want = lane_reports(&records, &reference);
                 let compiled = CompiledTrace::compile(&trace);
-                let lanes = lanes_for(&configs, &trace);
+                let lanes = build();
                 let chosen = plan(&lanes);
+                // Bit `g` of `mask` puts geometry `g`'s lanes on a
+                // shared log in the first forced plan, and on private
+                // probes in the second.
+                let logged = |hrt: HrtConfig| {
+                    let g = geometries.iter().position(|&g| g == hrt);
+                    mask >> g.expect("a drawn geometry") & 1 != 0
+                };
                 let plans = [
-                    force_drivers(chosen.clone(), &lanes, false),
-                    force_drivers(chosen.clone(), &lanes, true),
-                    chosen,
+                    force_drivers(chosen.clone(), &lanes, logged),
+                    force_drivers(chosen.clone(), &lanes, |hrt| !logged(hrt)),
                     scalar_plan(&lanes),
+                    chosen,
                 ];
                 for (forced, collapsing) in plans.iter().flat_map(|p| [(p, true), (p, false)]) {
-                    let mut walked = lanes_for(&configs, &trace);
+                    let mut walked = build();
                     let mut walk = || execute(&mut walked, forced, &compiled, None, options);
                     let results = match collapsing {
                         true => walk(),
                         false => without_collapsing(walk),
                     };
-                    let under = format!("collapsing {collapsing}, {forced:?}");
+                    let got = lane_reports(&results, &walked);
                     for (i, config) in configs.iter().enumerate() {
                         let label = config.label();
                         prop_assert_eq!(
-                            results[i].conditional,
-                            records[i].conditional,
-                            "{label} under {under}"
-                        );
-                        prop_assert_eq!(results[i].ras, records[i].ras, "{label} RAS");
-                        prop_assert_eq!(
-                            table_stats(&walked[i]),
-                            table_stats(&reference[i]),
-                            "{label} table stats under {under}"
+                            got[i],
+                            want[i],
+                            "{label} under collapsing {collapsing}, {forced:?}"
                         );
                     }
                 }

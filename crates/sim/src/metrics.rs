@@ -161,9 +161,9 @@ pub enum Counter {
     /// [`Counter::LanesPacked`]. Kept because the repository benchmark
     /// reads it. Engine-dependent.
     AtPacksFormed,
-    /// Bitsliced Lee & Smith packs formed: always 0, since Lee & Smith
-    /// lanes take the gang walk's slot-major replay. Kept because the
-    /// repository benchmark reads it. Engine-dependent.
+    /// Bitsliced Lee & Smith packs formed: always 0, since every Lee &
+    /// Smith lane walks the stream alone. Kept because the repository
+    /// benchmark reads it. Engine-dependent.
     LsPacksFormed,
     /// Lanes the gang walk derived from twin lanes' recorded guesses
     /// instead of running them whole (a tournament whose components
@@ -173,8 +173,8 @@ pub enum Counter {
     /// Lane-events a scalar walk credited as correct without stepping
     /// them: past a lane's bound in a long same-site, same-outcome run,
     /// where its state sits at a fixed point that guesses the run.
-    /// Summed over every lane walk. Engine-dependent: the record walk
-    /// and the slot-major replay step or collapse runs their own way.
+    /// Summed over every lane walk; Static Training lanes never
+    /// collapse. Engine-dependent: the record walk steps every event.
     EventsCollapsed,
 }
 

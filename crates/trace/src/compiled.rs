@@ -71,11 +71,14 @@ pub(crate) type PcMap = HashMap<u32, SiteId, BuildHasherDefault<PcHasher>>;
 
 /// The longest same-site, same-outcome run that
 /// [`CompiledTrace::long_runs`] leaves out: the smallest number of
-/// events any predictor walk steps before such a run stops changing its
-/// state. That is a 1-bit history register, the shortest legal one,
-/// plus the three updates after which every pattern-history automaton
-/// sits at a fixed point (tlat-core's `CodeTables::CONVERGENCE`, where
-/// a test pins the relation).
+/// events a walker with a history register steps before such a run
+/// stops changing its state. That is a 1-bit register, the shortest
+/// legal one, plus the three updates after which every pattern-history
+/// automaton sits at a fixed point (tlat-core's
+/// `CodeTables::CONVERGENCE`, where a test pins the relation). A Lee &
+/// Smith walker has no register, so its bound is one less: of a run
+/// left out here it steps at most one event it could have credited,
+/// which is exact either way.
 pub const LONG_RUN_FLOOR: usize = 4;
 
 /// Dense id of one static conditional branch within a compiled trace,
@@ -105,23 +108,6 @@ impl PackedBits {
             words: Vec::with_capacity(bits.div_ceil(64)),
             len: 0,
         }
-    }
-
-    /// A `len`-bit vector whose set bits are exactly those at `ones`,
-    /// given in any order: how a consumer regroups a stream's outcome
-    /// bits (a gang walk buckets them by table slot) in one scatter
-    /// pass instead of pushing them in their new order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a position is `>= len`.
-    pub fn from_ones(len: usize, ones: impl IntoIterator<Item = usize>) -> Self {
-        let mut words = vec![0u64; len.div_ceil(64)];
-        for index in ones {
-            assert!(index < len, "bit index {index} out of range");
-            words[index / 64] |= 1 << (index % 64);
-        }
-        PackedBits { words, len }
     }
 
     /// Appends one bit.
@@ -179,8 +165,8 @@ impl PackedBits {
     /// Scans word-at-a-time — one XOR-invert plus a `trailing_zeros`
     /// per 64 bits, crossing word boundaries as needed — so detecting
     /// a loop branch's same-outcome run costs O(run/64), not O(run).
-    /// This is what lets the gang walk's slot-major replay consume a
-    /// slot's outcomes in same-outcome runs.
+    /// This is how compile and the streaming decoder split a long
+    /// same-site run into the same-outcome runs they index.
     ///
     /// # Panics
     ///
@@ -591,25 +577,6 @@ mod tests {
             bits.push(b);
         }
         bits
-    }
-
-    #[test]
-    fn from_ones_sets_exactly_the_given_bits() {
-        let pattern: Vec<bool> = (0..150).map(|i| i % 7 == 0 || i % 11 == 3).collect();
-        let ones = pattern
-            .iter()
-            .enumerate()
-            .rev()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| i);
-        assert_eq!(PackedBits::from_ones(150, ones), packed(&pattern));
-        assert_eq!(PackedBits::from_ones(0, []), PackedBits::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn from_ones_bounds_checked() {
-        PackedBits::from_ones(64, [64]);
     }
 
     #[test]

@@ -95,7 +95,7 @@ grep -q '"bench":"serve/warm_sweep"' "$bench_dir/BENCH_serve.json" || {
 # live pipe exits at first match and the bench would die on SIGPIPE
 # printing its remaining lines.
 gang_inner_out=$(cargo bench -q --offline -p tlat-bench --bench gang_inner -- --test)
-for line in inner_compiled_walk inner_slot_major_walk inner_at_grid_walk inner_taxonomy_walk \
+for line in inner_compiled_walk inner_ls_st_walk inner_at_grid_walk inner_taxonomy_walk \
     inner_fig6_walk inner_loop_heavy_walk; do
     grep -q "^BENCHJSON .*$line" <<<"$gang_inner_out" || {
         echo "error: gang_inner bench emitted no $line BENCHJSON line" >&2
@@ -130,23 +130,22 @@ for gate in \
     }
 done
 
-# Differential smoke at pinned seeds: the property suites that prove the
-# slot-major replay of Lee & Smith and Static Training lanes, and the
-# scalar lanes' walks, byte-identical to the record walk must pass on a
-# reproducible case set (the full suites also run above under
-# per-property derived seeds; this pins one known-good seed each so a
-# generator change cannot silently shift coverage).
-TLAT_PROP_SEED=20261018 TLAT_PROP_CASES=128 \
-    cargo test -q --offline -p tlat-sim --lib gang::tests::slot_major_replays_match_the_record_walk -- --exact
-TLAT_PROP_SEED=20261019 TLAT_PROP_CASES=128 \
-    cargo test -q --offline -p tlat-sim --lib gang::tests::scalar_lane_walks_match_the_record_walk -- --exact
+# Differential smoke at pinned seeds: the property that proves every
+# lane kind's walk, under forced plans, byte-identical to the record
+# walk must pass on reproducible case sets (the full suite also runs
+# above under a per-property derived seed; this pins two known-good
+# seeds so a generator change cannot silently shift coverage).
+for seed in 20261018 20261019; do
+    TLAT_PROP_SEED=$seed TLAT_PROP_CASES=128 \
+        cargo test -q --offline -p tlat-sim --lib gang::tests::scalar_lane_walks_match_the_record_walk -- --exact
+done
 
-# Automaton discipline: inside crates/sim, Lee & Smith lanes replayed
-# slot-major must never fall back to stepping a scalar two-bit
-# automaton (that requires materializing an AnyAutomaton; the sim crate
-# legitimately handles only AutomatonKind tags and CodeTables codes).
+# Automaton discipline: inside crates/sim, no walk may fall back to
+# stepping a scalar two-bit automaton (that requires materializing an
+# AnyAutomaton; the sim crate legitimately handles only AutomatonKind
+# tags, and the walkers tlat-core builds step CodeTables codes).
 if grep -rn 'AnyAutomaton' crates/sim/src; then
-    echo "error: crates/sim materializes a scalar AnyAutomaton; LS lanes must step through CodeTables state codes" >&2
+    echo "error: crates/sim materializes a scalar AnyAutomaton; walks must step through the walkers' CodeTables codes" >&2
     exit 1
 fi
 
@@ -260,6 +259,19 @@ fi
 collapsed=$(counter events_collapsed "$smoke_dir/taxonomy.jsonl")
 if [[ -z "$collapsed" || "$collapsed" == 0 ]]; then
     echo "error: the taxonomy sweep's walks collapsed no events" >&2
+    exit 1
+fi
+# fig9's Lee & Smith lanes walk as scalar lanes and collapse long runs
+# too; a --metrics run must render the cold run's bytes.
+TLAT_TRACE_CACHE="$smoke_dir/sweep-cache" "$tlat" --metrics "$smoke_dir/fig9.jsonl" \
+    sweep fig9 > "$smoke_dir/fig9-metered.txt"
+if ! diff -u "$smoke_dir/fig9-cold.txt" "$smoke_dir/fig9-metered.txt"; then
+    echo "error: --metrics changed the fig9 report" >&2
+    exit 1
+fi
+collapsed=$(counter events_collapsed "$smoke_dir/fig9.jsonl")
+if [[ -z "$collapsed" || "$collapsed" == 0 ]]; then
+    echo "error: the fig9 sweep's walks collapsed no events" >&2
     exit 1
 fi
 rm -rf "$smoke_dir/cache/sweeps"                     # force a cold journal
