@@ -8,25 +8,33 @@
 //! matching the harness (which memoizes one [`CompiledTrace`] per
 //! workload); the once-per-workload compile cost is reported separately
 //! as `stream_compile`. Run with `cargo bench --bench gang_inner`;
-//! thirteen BENCHJSON lines are emitted (`inner_record_walk`,
+//! fifteen BENCHJSON lines are emitted (`inner_record_walk`,
 //! `inner_compiled_walk`, `stream_compile`, `inner_ls_st_record`,
 //! `inner_ls_st_walk`, `inner_at_grid_record`,
-//! `inner_at_grid_walk`, `inner_taxonomy_record`,
-//! `inner_taxonomy_walk`, `inner_fig6_record`, `inner_fig6_walk`,
+//! `inner_at_grid_walk`, `inner_fig5_record`, `inner_fig5_walk`,
+//! `inner_taxonomy_record`, `inner_taxonomy_walk`,
+//! `inner_fig6_record`, `inner_fig6_walk`,
 //! `inner_loop_heavy_record`, `inner_loop_heavy_walk`) plus derived
-//! speedup lines. The LS/ST pair measures a Lee & Smith and Static
-//! Training lane set on one geometry, each lane walking the stream
-//! alone on that geometry's shared probe log; the AT-grid pair measures a variant × history-length
-//! Two-Level grid whose lanes each walk the stream alone on one shared
-//! probe log; the taxonomy pair measures the scalar lanes of the taxonomy
-//! sweep, three of which read one shared probe log and whose tournament
-//! replays only its chooser over its twins' guesses; the fig6 pair
-//! measures five scalar Two-Level lanes, one per HRT organization, each
-//! walking the stream alone with its own slot source — each isolating
-//! its walk from the mixed-lane set above. The loop-heavy pair walks
-//! fig6's lanes over a stream of long same-outcome loop runs, as
-//! matrix300's inner loops are, where every walk credits each run's
-//! tail past its lane's bound without stepping it.
+//! speedup lines.
+//!
+//! Lanes of one walker kind on one table walk as one group, stepping
+//! one history register per slot (or one global register) for all of
+//! them. The LS/ST pair measures five Lee & Smith lanes, one group, and
+//! a Static Training lane on one geometry, the two groups reading that
+//! geometry's shared probe log; the AT-grid pair measures a variant ×
+//! history-length Two-Level grid, one group of 20 lanes probing inline;
+//! the fig5 pair measures fig5's four automaton variants, one group
+//! probing inline; the taxonomy pair measures the scalar lanes of the
+//! taxonomy sweep — GAg, GAs and gshare one group on the global
+//! register, PAg and PAs a group beside the AT lane on one shared probe
+//! log — whose tournament replays only its chooser over its twins'
+//! guesses; the fig6 pair measures five Two-Level lanes, one per HRT
+//! organization, five groups of one, each walking the stream alone with
+//! its own slot source: the no-group control. Each isolates its walk
+//! from the mixed-lane set above. The loop-heavy pair walks fig6's
+//! lanes over a stream of long same-outcome loop runs, as matrix300's
+//! inner loops are, where every walk credits each run's tail past its
+//! group's bound without stepping it.
 
 use tlat_bench::runner::Runner;
 use tlat_core::{AutomatonKind, HrtConfig, StaticTraining, StaticTrainingConfig, TrainingProfile};
@@ -107,9 +115,9 @@ fn main() {
 
     // All five automata as Lee & Smith lanes plus the paper's Static
     // Training lane on one shared geometry: one engine probes the
-    // stream into a log, and each lane walks the stream alone, reading
-    // its slots from that log. The ST profile is collected once,
-    // outside the timed walks.
+    // stream into a log, and the LS group and the ST lane each walk the
+    // stream, reading their slots from that log. The ST profile is
+    // collected once, outside the timed walks.
     let st = StaticTrainingConfig::paper_default();
     let st_profile = TrainingProfile::collect(&trace, st.history_bits);
     let ls_st_lanes = || -> Vec<GangLane> {
@@ -145,9 +153,9 @@ fn main() {
     }
 
     // A Two-Level grid — every automaton variant crossed with four
-    // history lengths on one shared AHRT organization: the shared
-    // engine probes the stream once into a log, and each of the 20
-    // lanes walks the stream alone, reading its slots from that log.
+    // history lengths on one shared AHRT organization: the 20 lanes
+    // walk as one group, probing inline, each member reading its own
+    // low bits of one 12-bit register per slot.
     let at_configs: Vec<SchemeConfig> = AutomatonKind::ALL
         .iter()
         .flat_map(|&a| {
@@ -182,11 +190,43 @@ fn main() {
         );
     }
 
+    // Figure 5: the paper's AT lane under each of four automata on one
+    // AHRT, one group probing inline: one register per slot stepped
+    // once per event, then each member's pattern table.
+    let fig5 = tlat_sim::sweep_spec("fig5")
+        .expect("fig5 is registered")
+        .configs;
+    let fig5_lanes = || -> Vec<GangLane> {
+        fig5.iter()
+            .map(|c| GangLane::from_config(c, None))
+            .collect()
+    };
+    let fig5_events = trace.conditional_len() as u64 * fig5.len() as u64;
+    group.plan(1, 7);
+    let fig5_records = group
+        .throughput(fig5_events)
+        .bench("inner_fig5_record", || {
+            let mut lanes = fig5_lanes();
+            gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
+        });
+    group.plan(1, 7);
+    let fig5_walk = group.throughput(fig5_events).bench("inner_fig5_walk", || {
+        let mut lanes = fig5_lanes();
+        gang_simulate_compiled(&mut lanes, &stream, None, SimOptions::default()).len()
+    });
+    if fig5_walk.median_ns > 0.0 {
+        println!(
+            "[gang_inner] fig5 walk vs record stream: {:.2}x",
+            fig5_records.median_ns / fig5_walk.median_ns
+        );
+    }
+
     // The taxonomy sweep: GAg, GAs, PAg and PAs, the paper's scheme,
-    // gshare and the AT+gshare tournament, all scalar on this churny
-    // stream; PAg, PAs and AT read one shared probe log of their AHRT.
-    // The tournament derives its component guesses from the AT and
-    // gshare lanes and steps only its chooser.
+    // gshare and the AT+gshare tournament on this churny stream. GAg,
+    // GAs and gshare walk as one group on the global register; the
+    // PAg/PAs group and the AT lane read one shared probe log of their
+    // AHRT. The tournament derives its component guesses from the AT
+    // and gshare lanes and steps only its chooser.
     let taxonomy = tlat_sim::taxonomy();
     let tax_lanes = || -> Vec<GangLane> {
         taxonomy
@@ -217,9 +257,10 @@ fn main() {
     }
 
     // Figure 6: the paper's AT lane on each of the five HRT
-    // organizations. None shares an engine, so each walks alone: the
-    // ideal table by site, the hashed ones by their per-site slot, the
-    // associative ones probing inline.
+    // organizations, five groups of one: the control with no group.
+    // None shares an engine, so each walks alone: the ideal table by
+    // site, the hashed ones by their per-site slot, the associative
+    // ones probing inline.
     let fig6 = tlat_sim::sweep_spec("fig6")
         .expect("fig6 is registered")
         .configs;

@@ -2,8 +2,7 @@
 //! single-pass gang engine (with and without the worker pool) against
 //! the per-configuration baseline that walks the trace once per cell,
 //! plus the Figure 5 automaton sweep — four Two-Level lanes on one
-//! AHRT geometry, each walking the stream alone on one shared probe
-//! log.
+//! AHRT geometry, walking the stream as one level-one group.
 //!
 //! Run with `cargo bench --bench sweep`. Five BENCHJSON lines are
 //! emitted (`fig10_per_config_baseline`, `fig10_gang_1thread`,
@@ -54,10 +53,9 @@ fn main() {
 
     // The Figure 5 sweep: four state-transition automata of the
     // paper's AT scheme at one history length on one AHRT geometry.
-    // The geometry's engine probes each stream once into a log, and
-    // each of the four lanes walks the stream alone, reading its slots
-    // from that log: the sweep-level measure of several scalar
-    // Two-Level walks sharing one probe log.
+    // The four lanes walk each stream as one group, probing the table
+    // inline and stepping one history register per slot for all four:
+    // the sweep-level measure of a level-one group.
     let fig5_configs: Vec<SchemeConfig> = [
         AutomatonKind::A2,
         AutomatonKind::A3,

@@ -19,7 +19,7 @@ use crate::hrt::{HrtStats, SiteResolver};
 use crate::pattern::PatternTable;
 use crate::predictor::Predictor;
 use crate::two_level::TwoLevelAdaptive;
-use crate::variants::GlobalWalk;
+use crate::variants::{GlobalMember, GlobalWalk};
 use tlat_trace::{BranchRecord, SiteId};
 
 /// Configuration of a [`Gshare`] predictor.
@@ -82,9 +82,9 @@ impl Gshare {
     }
 
     /// This fresh predictor's [`Walker`](crate::Walker) over
-    /// `resolver`'s sites: its global register indexes its one table
-    /// XOR the site's address term, resolved up front.
-    pub fn walker(&self, resolver: &SiteResolver) -> GlobalWalk {
+    /// `resolver`'s sites, a group of one: its global register indexes
+    /// its one table XOR the site's address term, resolved up front.
+    pub fn walker(&self, resolver: &SiteResolver) -> GlobalWalk<[GlobalMember; 1]> {
         let terms = resolver.word_slots(self.table.len() - 1);
         let tables = vec![self.table.clone()];
         GlobalWalk::new(tables, resolver.word_slots(0), terms, self.history)

@@ -9,7 +9,7 @@
 
 use crate::automaton::{AnyAutomaton, AutomatonKind, CodeTables};
 use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe};
-use crate::predictor::{Predictor, Walker};
+use crate::predictor::{group_slots, Predictor, Walker};
 use tlat_trace::{BranchRecord, SiteId};
 
 /// Configuration of a [`LeeSmithBtb`] predictor.
@@ -103,12 +103,15 @@ impl LeeSmithBtb {
     }
 
     /// This fresh predictor's [`Walker`] over a buffer of `slots`
-    /// slots, each pre-warmed as the predictor's own buffer is: the
-    /// automaton's initial state.
-    pub fn walker(&self, slots: usize) -> LeeSmithWalk {
+    /// slots, a group of one, each slot pre-warmed as the predictor's
+    /// own buffer is: the automaton's initial state.
+    pub fn walker(&self, slots: usize) -> LeeSmithWalk<[LeeSmithMember; 1]> {
         let kind = self.config.automaton;
         LeeSmithWalk {
-            codes: CodeTables::derive(kind),
+            members: [LeeSmithMember {
+                codes: CodeTables::derive(kind),
+                init: kind.init().state_bits(),
+            }],
             states: vec![kind.init().state_bits(); slots],
         }
     }
@@ -145,30 +148,75 @@ impl Predictor for LeeSmithBtb {
     }
 }
 
-/// A [`LeeSmithBtb`] predictor's [`Walker`]: one automaton state code
-/// per slot.
+/// A group of [`LeeSmithBtb`] predictors' [`Walker`]: per slot, each
+/// member's automaton state code. A Lee & Smith buffer keeps no history
+/// register, so its members share only the slot. `M` holds the members:
+/// an inline array of one for a predictor's own walker, a vector for a
+/// group ([`LeeSmithWalk::group`]).
 #[derive(Debug, Clone)]
-pub struct LeeSmithWalk {
-    codes: CodeTables,
+pub struct LeeSmithWalk<M = Vec<LeeSmithMember>> {
+    members: M,
+    /// Per slot, each member's state code, so one slot's state sits
+    /// together.
     states: Vec<u8>,
 }
 
-impl Walker for LeeSmithWalk {
-    /// [`LeeSmithBtb`]'s fused cycle on the slot's automaton. The probe
-    /// word's flags change nothing: the buffer never re-initializes a
-    /// replaced way, so a replacement inherits the slot's state, and a
-    /// way that fills was never touched, so it still holds the initial
-    /// state.
-    #[inline]
-    fn step(&mut self, word: u32, _site: SiteId, taken: bool) -> bool {
-        let code = &mut self.states[(word & Probe::SLOT) as usize];
-        let guess = self.codes.predict(*code);
-        *code = self.codes.next(*code, taken);
-        guess
+/// One member of a [`LeeSmithWalk`]: a predictor's automaton.
+#[derive(Debug, Clone)]
+pub struct LeeSmithMember {
+    /// Its λ and δ.
+    codes: CodeTables,
+    /// Its initial state code.
+    init: u8,
+}
+
+impl LeeSmithWalk {
+    /// Joins fresh `walkers` — as built, never yet stepped — of
+    /// predictors on one buffer into one walker whose members are
+    /// theirs, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `walkers` is empty or their slot counts differ.
+    pub fn group<M>(walkers: impl IntoIterator<Item = LeeSmithWalk<M>>) -> Self
+    where
+        M: AsRef<[LeeSmithMember]> + IntoIterator<Item = LeeSmithMember>,
+    {
+        let walkers: Vec<_> = walkers.into_iter().collect();
+        let per_slot = |w: &LeeSmithWalk<M>| (w.states.len(), w.members.as_ref().len());
+        let slots = group_slots(walkers.iter().map(per_slot));
+        let members: Vec<LeeSmithMember> = walkers.into_iter().flat_map(|w| w.members).collect();
+        let slot: Vec<u8> = members.iter().map(|m| m.init).collect();
+        LeeSmithWalk {
+            states: slot.repeat(slots),
+            members,
+        }
+    }
+}
+
+impl<M: AsRef<[LeeSmithMember]>> Walker for LeeSmithWalk<M> {
+    fn members(&self) -> usize {
+        self.members.as_ref().len()
     }
 
-    /// A run uses one slot, and there is no history register: the
-    /// slot's automaton alone converges.
+    /// [`LeeSmithBtb`]'s fused cycle on each member's automaton in the
+    /// slot. The probe word's flags change nothing: the buffer never
+    /// re-initializes a replaced way, so a replacement inherits the
+    /// slot's states, and a way that fills was never touched, so it
+    /// still holds the initial states.
+    #[inline(always)]
+    fn step(&mut self, word: u32, _site: SiteId, taken: bool, bit: u32, guesses: &mut [u64]) {
+        let members = self.members.as_ref();
+        let at = (word & Probe::SLOT) as usize * members.len();
+        let states = &mut self.states[at..at + members.len()];
+        for ((code, member), guesses) in states.iter_mut().zip(members).zip(guesses) {
+            *guesses |= u64::from(member.codes.predict(*code)) << bit;
+            *code = member.codes.next(*code, taken);
+        }
+    }
+
+    /// A run uses one slot, and there is no history register: each
+    /// member's automaton alone converges.
     fn run_bound(&self) -> usize {
         CodeTables::CONVERGENCE
     }

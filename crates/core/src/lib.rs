@@ -68,15 +68,15 @@ pub use hrt::{
     SiteResolver, SlotProbe,
 };
 pub use hybrid::{Gshare, GshareConfig, Tournament};
-pub use lee_smith::{LeeSmithBtb, LeeSmithConfig, LeeSmithWalk};
+pub use lee_smith::{LeeSmithBtb, LeeSmithConfig, LeeSmithMember, LeeSmithWalk};
 pub use pattern::PatternTable;
 pub use predictor::{Predictor, Walker};
 pub use simple::{AlwaysNotTaken, AlwaysTaken, Btfn, ProfilePredictor};
 pub use static_training::{
-    StaticTraining, StaticTrainingConfig, StaticTrainingWalk, TrainingProfile,
+    StaticTraining, StaticTrainingConfig, StaticTrainingMember, StaticTrainingWalk, TrainingProfile,
 };
-pub use two_level::{TwoLevelAdaptive, TwoLevelConfig, TwoLevelWalk};
+pub use two_level::{TwoLevelAdaptive, TwoLevelConfig, TwoLevelMember, TwoLevelWalk};
 pub use variants::{
-    GlobalWalk, HistoryScope, PatternScope, PerAddressWalk, TwoLevelVariant, VariantConfig,
-    VariantWalk,
+    GlobalMember, GlobalWalk, HistoryScope, PatternScope, PerAddressMember, PerAddressWalk,
+    TwoLevelVariant, VariantConfig, VariantWalk,
 };

@@ -46,44 +46,81 @@ pub trait Predictor {
     }
 }
 
-/// A predictor's lean walk-local state, for walking a compiled event
-/// stream alone.
+/// The lean walk-local state of a level-one group of predictors, for
+/// walking a compiled event stream.
 ///
 /// Level one's slot decisions — which table slot an event's branch
 /// occupies, and whether the access filled or replaced it — depend only
 /// on the stream and the table's geometry, so a compiled walk makes
 /// them apart from the predictor and hands each event's decision in as
-/// a probe word ([`Probe::word`](crate::Probe::word)). A walker keeps
-/// the rest: its history registers (one per slot, with a Two-Level
-/// lane's §3.2 cached bit, or one global register), its one-byte
-/// pattern tables, a Lee & Smith buffer's automaton per slot, or Static
-/// Training's preset bits. Each predictor builds its walker from a
-/// fresh predictor
+/// a probe word ([`Probe::word`](crate::Probe::word)). The history
+/// registers depend only on those decisions and the outcomes, so
+/// predictors of one kind on one geometry (and, for Two-Level
+/// predictors, one replacement rule) keep one register between them:
+/// every register starts all-ones and shifts the newest outcome into
+/// bit 0, so a k-bit register always equals the low k bits of a wider
+/// one. A walker is such a group: one register per slot (or one global
+/// register) as wide as its widest member's, and each member's own
+/// level two beside it — a Two-Level member's §3.2 cached bit per slot
+/// and its one-byte pattern tables, a Lee & Smith member's automaton
+/// per slot (a Lee & Smith group has no register and shares only the
+/// slot), or a Static Training member's preset bits. Members never read
+/// each other's level two.
+///
+/// Each predictor builds its own walker from a fresh predictor
 /// ([`TwoLevelAdaptive::walker`](crate::TwoLevelAdaptive::walker),
 /// [`TwoLevelVariant::walker`](crate::TwoLevelVariant::walker),
 /// [`Gshare::walker`](crate::Gshare::walker),
 /// [`LeeSmithBtb::walker`](crate::LeeSmithBtb::walker),
-/// [`StaticTraining::walker`](crate::StaticTraining::walker)), and the
-/// walker guesses event for event as the predictor's
+/// [`StaticTraining::walker`](crate::StaticTraining::walker)): a group
+/// of one, its member held inline, so a lone predictor's walk compiles
+/// to a loop with no member loop left in it. Each kind's `group`
+/// ([`TwoLevelWalk::group`](crate::TwoLevelWalk::group),
+/// [`PerAddressWalk::group`](crate::PerAddressWalk::group),
+/// [`GlobalWalk::group`](crate::GlobalWalk::group),
+/// [`LeeSmithWalk::group`](crate::LeeSmithWalk::group),
+/// [`StaticTrainingWalk::group`](crate::StaticTrainingWalk::group))
+/// joins fresh walkers of one level one into one whose members sit in a
+/// vector. Each member guesses event for event as its predictor's
 /// [`predict_update`](Predictor::predict_update) would over the same
 /// branches, leaving the predictor itself untouched.
 pub trait Walker {
-    /// One event at `site` in the slot of probe word `word`: the guess,
-    /// made before `taken` trains the walker.
-    fn step(&mut self, word: u32, site: SiteId, taken: bool) -> bool;
+    /// How many predictors this walker steps.
+    fn members(&self) -> usize;
+
+    /// One event at `site` in the slot of probe word `word`: each
+    /// member's guess, made before `taken` trains it, ORed into bit
+    /// `bit` of that member's word of `guesses` (one word per member,
+    /// in member order).
+    fn step(&mut self, word: u32, site: SiteId, taken: bool, bit: u32, guesses: &mut [u64]);
 
     /// How many events of a same-site, same-outcome run this walker
-    /// steps before it sits at a fixed point that guesses the run. For
-    /// a walker with a history register, that is its history bits,
-    /// after which the register holds only the run's outcome, plus
-    /// [`CodeTables::CONVERGENCE`] updates of the one automaton that
-    /// register then indexes; a Lee & Smith walker has no register, so
-    /// its bound is the convergence alone. Every later event of the run
-    /// is a correct guess that changes no walker state, so a walk may
-    /// credit it without a step. A walker that never reaches such a
-    /// point (Static Training's, whose preset bits may oppose a run)
-    /// returns [`usize::MAX`].
+    /// steps before every member sits at a fixed point that guesses the
+    /// run: the largest member's bound. For a member with a history
+    /// register, that is its history bits, after which the register
+    /// holds only the run's outcome, plus [`CodeTables::CONVERGENCE`]
+    /// updates of the one automaton that register then indexes; a Lee &
+    /// Smith member has no register, so its bound is the convergence
+    /// alone. Stepping a member past its own bound changes nothing, and
+    /// every later event of the run is a correct guess for every member
+    /// that changes no walker state, so a walk may credit it without a
+    /// step. A walker that never reaches such a point (Static
+    /// Training's, whose preset bits may oppose a run) returns
+    /// [`usize::MAX`].
     fn run_bound(&self) -> usize;
+}
+
+/// The one slot count of walkers that each keep `per_slot` entries per
+/// slot in `entries`, for a kind's `group`.
+///
+/// # Panics
+///
+/// Panics when there are no walkers or their slot counts differ.
+pub(crate) fn group_slots(entries: impl IntoIterator<Item = (usize, usize)>) -> usize {
+    let mut slots = entries.into_iter().map(|(len, per_slot)| len / per_slot);
+    let first = slots.next().expect("a group has members");
+    assert!(slots.all(|n| n == first), "grouped walkers cover one table");
+    first
 }
 
 /// [`Walker::run_bound`] of a walker whose registers are `mask` wide.

@@ -17,7 +17,7 @@ use crate::automaton::AutomatonKind;
 use crate::history::HistoryRegister;
 use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe};
 use crate::pattern::PatternTable;
-use crate::predictor::{run_bound, Predictor, Walker};
+use crate::predictor::{group_slots, run_bound, Predictor, Walker};
 use tlat_trace::{BranchRecord, SiteId};
 
 /// Configuration of a [`TwoLevelAdaptive`] predictor.
@@ -180,22 +180,21 @@ impl TwoLevelAdaptive {
     }
 
     /// This fresh predictor's [`Walker`] over a table of `slots` slots,
-    /// each pre-warmed as the predictor's own table is: an all-ones
-    /// register, caching what the fresh pattern table guesses for it.
-    pub fn walker(&self, slots: usize) -> TwoLevelWalk {
-        let fresh = Self::fresh_entry(&self.pattern_table, self.config.history_bits);
-        let mask = fresh.history.pattern() as u16;
-        TwoLevelWalk {
-            entries: vec![(mask, fresh.prediction); slots],
+    /// a group of one, each slot pre-warmed as the predictor's own table
+    /// is: an all-ones register, caching what the fresh pattern table
+    /// guesses for it.
+    pub fn walker(&self, slots: usize) -> TwoLevelWalk<[TwoLevelMember; 1]> {
+        let member = TwoLevelMember {
             table: self.pattern_table.clone(),
-            mask,
+            mask: HistoryRegister::new(self.config.history_bits).pattern() as u16,
             cached: self.config.cached_prediction,
-            fresh: if self.config.reinit_on_replace {
-                Probe::FILLED | Probe::REPLACED
-            } else {
-                Probe::FILLED
-            },
-        }
+        };
+        let fresh = if self.config.reinit_on_replace {
+            Probe::FILLED | Probe::REPLACED
+        } else {
+            Probe::FILLED
+        };
+        TwoLevelWalk::fresh([member], slots, fresh)
     }
 
     fn fresh_entry(pattern_table: &PatternTable, bits: u8) -> AtEntry {
@@ -281,46 +280,133 @@ impl Predictor for TwoLevelAdaptive {
     }
 }
 
-/// A [`TwoLevelAdaptive`] predictor's [`Walker`]: per slot, a history
-/// register and its §3.2 cached guess.
+/// A group of [`TwoLevelAdaptive`] predictors' [`Walker`]: per slot,
+/// one history register as wide as the widest member's, and each
+/// member's §3.2 cached guess beside it. `M` holds the members: an
+/// inline array of one for a predictor's own walker
+/// ([`TwoLevelAdaptive::walker`]), a vector for a group
+/// ([`TwoLevelWalk::group`]).
 #[derive(Debug, Clone)]
-pub struct TwoLevelWalk {
-    table: PatternTable,
-    entries: Vec<(u16, bool)>,
+pub struct TwoLevelWalk<M = Vec<TwoLevelMember>> {
+    members: M,
+    /// Per slot, the register, then each member's cached guess (0 or
+    /// 1), so one slot's state sits together.
+    slots: Vec<u16>,
+    /// The register's width: the widest member's mask.
     mask: u16,
-    cached: bool,
     /// The probe flags that re-initialize a slot: a fill, and under
     /// `reinit_on_replace` a replacement too.
     fresh: u32,
 }
 
-impl Walker for TwoLevelWalk {
-    /// [`TwoLevelAdaptive`]'s fused cycle: the guess is the cached bit
-    /// (or, for a two-lookup lane, the table's), the old pattern trains,
-    /// and the bit caches the new pattern's guess.
-    #[inline]
-    fn step(&mut self, word: u32, _site: SiteId, taken: bool) -> bool {
-        let (history, cached) = &mut self.entries[(word & Probe::SLOT) as usize];
-        if word & self.fresh != 0 {
-            *history = self.mask;
-            *cached = self.table.predict(usize::from(self.mask));
+/// One member of a [`TwoLevelWalk`]: a predictor's level two.
+#[derive(Debug, Clone)]
+pub struct TwoLevelMember {
+    table: PatternTable,
+    /// Its own history bits, the low bits of the group's register.
+    mask: u16,
+    cached: bool,
+}
+
+impl TwoLevelMember {
+    /// What the member caches for a register reading `register`.
+    #[inline(always)]
+    fn cached_guess(&self, register: u16) -> u16 {
+        u16::from(self.table.predict(usize::from(register & self.mask)))
+    }
+}
+
+impl<M: AsRef<[TwoLevelMember]>> TwoLevelWalk<M> {
+    /// A walk of `members` over `slots` fresh slots: each an all-ones
+    /// register, with every member caching what its fresh pattern table
+    /// guesses for its own all-ones pattern.
+    fn fresh(members: M, slots: usize, fresh: u32) -> Self {
+        let each = members.as_ref();
+        let mask = each
+            .iter()
+            .map(|m| m.mask)
+            .max()
+            .expect("a group has members");
+        let cached = each.iter().map(|m| m.cached_guess(mask));
+        let slot: Vec<u16> = std::iter::once(mask).chain(cached).collect();
+        TwoLevelWalk {
+            slots: slot.repeat(slots),
+            members,
+            mask,
+            fresh,
         }
-        let old = usize::from(*history);
-        let guess = if self.cached {
-            *cached
-        } else {
-            self.table.predict(old)
-        };
-        *history = (*history << 1 | u16::from(taken)) & self.mask;
-        self.table.update(old, taken);
-        *cached = self.table.predict(usize::from(*history));
-        guess
+    }
+}
+
+impl TwoLevelWalk {
+    /// Joins fresh `walkers` — as built, never yet stepped — of
+    /// predictors on one table with one replacement rule into one
+    /// walker whose members are theirs, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `walkers` is empty, or when their slot counts or
+    /// replacement rules differ.
+    pub fn group<M>(walkers: impl IntoIterator<Item = TwoLevelWalk<M>>) -> Self
+    where
+        M: AsRef<[TwoLevelMember]> + IntoIterator<Item = TwoLevelMember>,
+    {
+        let walkers: Vec<_> = walkers.into_iter().collect();
+        let fresh = walkers.first().expect("a group has members").fresh;
+        assert!(
+            walkers.iter().all(|w| w.fresh == fresh),
+            "grouped Two-Level walkers share one replacement rule"
+        );
+        let per_slot = |w: &TwoLevelWalk<M>| (w.slots.len(), w.members.as_ref().len() + 1);
+        let slots = group_slots(walkers.iter().map(per_slot));
+        let members = walkers.into_iter().flat_map(|w| w.members).collect();
+        TwoLevelWalk::fresh(members, slots, fresh)
+    }
+}
+
+impl<M: AsRef<[TwoLevelMember]> + AsMut<[TwoLevelMember]>> Walker for TwoLevelWalk<M> {
+    fn members(&self) -> usize {
+        self.members.as_ref().len()
+    }
+
+    /// [`TwoLevelAdaptive`]'s fused cycle, per member: the guess is the
+    /// cached bit (or, for a two-lookup member, its table's), the old
+    /// pattern trains, and the bit caches the new pattern's guess. The
+    /// register shifts once for all of them.
+    #[inline(always)]
+    fn step(&mut self, word: u32, _site: SiteId, taken: bool, bit: u32, guesses: &mut [u64]) {
+        let members = self.members.as_mut();
+        let stride = members.len() + 1;
+        let at = (word & Probe::SLOT) as usize * stride;
+        let (register, cached) = self.slots[at..at + stride]
+            .split_first_mut()
+            .expect("a slot holds its register");
+        if word & self.fresh != 0 {
+            *register = self.mask;
+            for (cached, member) in cached.iter_mut().zip(&*members) {
+                *cached = member.cached_guess(self.mask);
+            }
+        }
+        let old = *register;
+        let new = (old << 1 | u16::from(taken)) & self.mask;
+        *register = new;
+        for ((member, cached), guesses) in members.iter_mut().zip(cached).zip(guesses) {
+            let pattern = usize::from(old & member.mask);
+            let guess = if member.cached {
+                *cached != 0
+            } else {
+                member.table.predict(pattern)
+            };
+            member.table.update(pattern, taken);
+            *cached = member.cached_guess(new);
+            *guesses |= u64::from(guess) << bit;
+        }
     }
 
     /// A run uses one slot, and only its first event can fill or
     /// replace that slot. The §3.2 cached bit caches the run's outcome
     /// at the same step as the table entry reaches its fixed point, and
-    /// a two-lookup lane reads that entry.
+    /// a two-lookup member reads that entry.
     fn run_bound(&self) -> usize {
         run_bound(self.mask)
     }

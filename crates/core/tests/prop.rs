@@ -3,10 +3,11 @@
 
 use tlat_check::{check, gen, prop_assert_eq, Gen};
 use tlat_core::{
-    Ahrt, AnyHrt, Automaton, AutomatonKind, Gshare, GshareConfig, HistoryRegister, HistoryTable,
-    HrtConfig, Ihrt, LeeSmithBtb, LeeSmithConfig, PatternTable, Predictor, Probe, SiteKeys,
-    SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig, TwoLevelAdaptive,
-    TwoLevelConfig, TwoLevelVariant, VariantConfig, VariantWalk, Walker, A2,
+    Ahrt, AnyHrt, Automaton, AutomatonKind, GlobalWalk, Gshare, GshareConfig, HistoryRegister,
+    HistoryTable, HrtConfig, Ihrt, LeeSmithBtb, LeeSmithConfig, LeeSmithWalk, PatternTable,
+    PerAddressWalk, Predictor, Probe, SiteKeys, SiteResolver, SlotProbe, StaticTraining,
+    StaticTrainingConfig, StaticTrainingWalk, TwoLevelAdaptive, TwoLevelConfig, TwoLevelVariant,
+    TwoLevelWalk, VariantConfig, VariantWalk, Walker, A2,
 };
 use tlat_trace::{BranchRecord, SiteId, Trace};
 
@@ -252,30 +253,43 @@ fn resident_entries_persist() {
     });
 }
 
-/// Steps `walker` and `predictor` over the same events, each event's
-/// probe word beside it, and compares every guess.
+/// Steps `walker` and every member's `predictors` over the same events,
+/// each event's probe word beside it, and compares every member's guess
+/// with its own predictor's.
 fn assert_walker_guesses(
     mut walker: impl Walker,
-    predictor: &mut dyn Predictor,
+    predictors: &mut [Box<dyn Predictor>],
     events: &[(SiteId, u32, bool)],
     words: &[u32],
 ) -> Result<(), String> {
+    prop_assert_eq!(walker.members(), predictors.len());
     for (i, (&(site, pc, taken), &word)) in events.iter().zip(words).enumerate() {
-        let want = predictor.predict_update(&BranchRecord::conditional(pc, 0x800, taken));
-        prop_assert_eq!(walker.step(word, site, taken), want, "event {}", i);
+        let bit = (i % 64) as u32;
+        let mut guesses = vec![0; predictors.len()];
+        walker.step(word, site, taken, bit, &mut guesses);
+        let branch = BranchRecord::conditional(pc, 0x800, taken);
+        for (m, (p, &got)) in predictors.iter_mut().zip(&guesses).enumerate() {
+            let want = p.predict_update(&branch);
+            prop_assert_eq!(got, u64::from(want) << bit, "event {} member {}", i, m);
+        }
     }
     Ok(())
 }
 
-/// Every predictor's walker guesses event for event as its
+/// Every predictor's walker, and every group of one kind's walkers
+/// joined into one, guesses event for event as each member's
 /// `predict_update` does, on every table organization, given each
 /// event's probe word as a compiled walk makes it: an interned site
 /// fills its ideal slot on first sight, a [`SlotProbe`] decides an
-/// associative table's, and a hashed table's is the site's slot. The
-/// Two-Level walker runs under every flag combination, the taxonomy's
-/// under both history scopes and 1–8 pattern sets, the Lee & Smith
-/// walker under every automaton, and the Static Training walker with
-/// 1–12 history bits over presets trained on a second random stream.
+/// associative table's, and a hashed table's is the site's slot. A group
+/// holds one to four members, each drawn on its own: Two-Level members
+/// under every automaton, 1–16 history bits, cached or two-lookup and
+/// either init polarity (one replacement rule per group), PAg/PAs
+/// members with 1–8 pattern sets, GAs and gshare members sharing one
+/// global register, Lee & Smith members under every automaton, and
+/// Static Training members with 1–16 history bits over presets trained
+/// on a second random stream. A group of one walks its predictor's own
+/// walker; a larger one joins them.
 #[test]
 fn walkers_guess_as_predict_update() {
     let geometries = [
@@ -288,16 +302,22 @@ fn walkers_guess_as_predict_update() {
         HrtConfig::hhrt(8),
     ];
     let stream = gen::vec_of(gen::tuple2(gen::u32_in(0, 63), gen::bools()), 1, 499);
+    let member = gen::tuple4(
+        arb_kind(),
+        gen::u8_in(1, 16),
+        gen::u8_in(0, 7),
+        gen::u8_in(0, 3),
+    );
     let inputs = gen::tuple4(
-        gen::tuple2(gen::usize_in(0, 6), arb_kind()),
+        gen::tuple2(gen::usize_in(0, 4), gen::bools()),
         gen::choose(&geometries),
-        gen::tuple3(gen::u8_in(1, 12), gen::u8_in(0, 7), gen::u8_in(0, 3)),
+        gen::vec_of(member, 1, 4),
         gen::tuple2(stream.clone(), stream),
     );
     check(
         "walkers_guess_as_predict_update",
         &inputs,
-        |&((scheme, kind), hrt, (bits, flags, sets_log), (ref stream, ref training))| {
+        |&((scheme, reinit), hrt, ref members, (ref stream, ref training))| {
             // Sites intern in first-appearance order, as a compiled
             // stream's do.
             let mut pcs: Vec<u32> = Vec::new();
@@ -337,63 +357,161 @@ fn walkers_guess_as_predict_update() {
                     (words.collect(), entries)
                 }
             };
-            let sets = 1usize << sets_log;
+            let training: Trace = training
+                .iter()
+                .map(|&(branch, taken)| {
+                    BranchRecord::conditional(0x1000 + branch * 4, 0x800, taken)
+                })
+                .collect();
+            let sets = |sets_log: u8| 1usize << sets_log;
             match scheme {
                 0 => {
-                    let mut p = TwoLevelAdaptive::new(TwoLevelConfig {
-                        history_bits: bits,
-                        automaton: kind,
-                        hrt,
-                        cached_prediction: flags & 1 == 0,
-                        reinit_on_replace: flags & 2 != 0,
-                        init_not_taken: flags & 4 != 0,
-                    });
-                    assert_walker_guesses(p.walker(slots), &mut p, &events, &words)
-                }
-                1 | 2 => {
-                    let config = if scheme == 1 {
-                        VariantConfig::pas(bits, kind, hrt, sets)
-                    } else {
-                        VariantConfig::gas(bits, kind, sets)
-                    };
-                    let mut p = TwoLevelVariant::new(config);
-                    match p.walker(slots, &resolver) {
-                        VariantWalk::PerAddress(w) => {
-                            assert_walker_guesses(w, &mut p, &events, &words)
-                        }
-                        VariantWalk::Global(w) => assert_walker_guesses(w, &mut p, &events, &words),
-                    }
-                }
-                3 => {
-                    let mut p = LeeSmithBtb::new(LeeSmithConfig {
-                        automaton: kind,
-                        hrt,
-                    });
-                    assert_walker_guesses(p.walker(slots), &mut p, &events, &words)
-                }
-                4 => {
-                    let training: Trace = training
+                    let at: Vec<TwoLevelAdaptive> = members
                         .iter()
-                        .map(|&(branch, taken)| {
-                            BranchRecord::conditional(0x1000 + branch * 4, 0x800, taken)
+                        .map(|&(kind, bits, flags, _)| {
+                            TwoLevelAdaptive::new(TwoLevelConfig {
+                                history_bits: bits,
+                                automaton: kind,
+                                hrt,
+                                cached_prediction: flags & 1 == 0,
+                                reinit_on_replace: reinit,
+                                init_not_taken: flags & 4 != 0,
+                            })
                         })
                         .collect();
-                    let config = StaticTrainingConfig {
-                        history_bits: bits,
-                        hrt,
-                        data: "Diff".to_owned(),
-                    };
-                    let mut p = StaticTraining::train(config, &training);
-                    assert_walker_guesses(p.walker(slots), &mut p, &events, &words)
+                    let walkers = at.iter().map(|p| p.walker(slots)).collect();
+                    let mut predictors = boxed(at);
+                    assert_group_guesses(
+                        walkers,
+                        TwoLevelWalk::group,
+                        &mut predictors,
+                        &events,
+                        &words,
+                    )
+                }
+                1 => {
+                    let pas: Vec<TwoLevelVariant> = members
+                        .iter()
+                        .map(|&(kind, bits, _, sets_log)| {
+                            TwoLevelVariant::new(VariantConfig::pas(
+                                bits,
+                                kind,
+                                hrt,
+                                sets(sets_log),
+                            ))
+                        })
+                        .collect();
+                    let walkers = pas
+                        .iter()
+                        .map(|p| match p.walker(slots, &resolver) {
+                            VariantWalk::PerAddress(w) => w,
+                            VariantWalk::Global(_) => unreachable!("PAs has per-address history"),
+                        })
+                        .collect();
+                    let mut predictors = boxed(pas);
+                    assert_group_guesses(
+                        walkers,
+                        PerAddressWalk::group,
+                        &mut predictors,
+                        &events,
+                        &words,
+                    )
+                }
+                2 => {
+                    // GAs and gshare members, alternating by their flags,
+                    // share one global register.
+                    let mut walkers = Vec::new();
+                    let mut predictors: Vec<Box<dyn Predictor>> = Vec::new();
+                    for &(kind, bits, flags, sets_log) in members {
+                        if flags & 1 == 0 {
+                            let p = TwoLevelVariant::new(VariantConfig::gas(
+                                bits,
+                                kind,
+                                sets(sets_log),
+                            ));
+                            match p.walker(slots, &resolver) {
+                                VariantWalk::Global(w) => walkers.push(w),
+                                VariantWalk::PerAddress(_) => {
+                                    unreachable!("GAs has global history")
+                                }
+                            }
+                            predictors.push(Box::new(p));
+                        } else {
+                            let p = Gshare::new(GshareConfig {
+                                history_bits: bits,
+                                automaton: kind,
+                            });
+                            walkers.push(p.walker(&resolver));
+                            predictors.push(Box::new(p));
+                        }
+                    }
+                    assert_group_guesses(
+                        walkers,
+                        GlobalWalk::group,
+                        &mut predictors,
+                        &events,
+                        &words,
+                    )
+                }
+                3 => {
+                    let ls: Vec<LeeSmithBtb> = members
+                        .iter()
+                        .map(|&(automaton, ..)| LeeSmithBtb::new(LeeSmithConfig { automaton, hrt }))
+                        .collect();
+                    let walkers = ls.iter().map(|p| p.walker(slots)).collect();
+                    let mut predictors = boxed(ls);
+                    assert_group_guesses(
+                        walkers,
+                        LeeSmithWalk::group,
+                        &mut predictors,
+                        &events,
+                        &words,
+                    )
                 }
                 _ => {
-                    let mut p = Gshare::new(GshareConfig {
-                        history_bits: bits,
-                        automaton: kind,
-                    });
-                    assert_walker_guesses(p.walker(&resolver), &mut p, &events, &words)
+                    let st: Vec<StaticTraining> = members
+                        .iter()
+                        .map(|&(_, bits, ..)| {
+                            let config = StaticTrainingConfig {
+                                history_bits: bits,
+                                hrt,
+                                data: "Diff".to_owned(),
+                            };
+                            StaticTraining::train(config, &training)
+                        })
+                        .collect();
+                    let walkers = st.iter().map(|p| p.walker(slots)).collect();
+                    let mut predictors = boxed(st);
+                    let join = StaticTrainingWalk::group;
+                    assert_group_guesses(walkers, join, &mut predictors, &events, &words)
                 }
             }
         },
     );
+}
+
+/// Each predictor, boxed.
+fn boxed<P: Predictor + 'static>(predictors: Vec<P>) -> Vec<Box<dyn Predictor>> {
+    let boxed = predictors
+        .into_iter()
+        .map(|p| Box::new(p) as Box<dyn Predictor>);
+    boxed.collect()
+}
+
+/// [`assert_walker_guesses`] on a lone predictor's own walker, or on
+/// several predictors' walkers joined by `join`.
+fn assert_group_guesses<W: Walker, G: Walker>(
+    mut walkers: Vec<W>,
+    join: impl FnOnce(Vec<W>) -> G,
+    predictors: &mut [Box<dyn Predictor>],
+    events: &[(SiteId, u32, bool)],
+    words: &[u32],
+) -> Result<(), String> {
+    match walkers.len() {
+        1 => {
+            let lone = walkers.pop().expect("one walker");
+            assert_walker_guesses(lone, predictors, events, words)
+        }
+        _ => assert_walker_guesses(join(walkers), predictors, events, words),
+    }
 }

@@ -8,7 +8,7 @@
 //! configuration over the same compact event stream, sharing whatever
 //! depends on the stream alone.
 //!
-//! Eight further savings fall out:
+//! Nine further savings fall out:
 //!
 //! * **Monomorphization** — every registered scheme runs as a concrete
 //!   enum variant of [`GangLane`] ([`GangLane::from_config`] never
@@ -24,37 +24,49 @@
 //!   each touches ~5 bytes per event instead of a 16-byte record (see
 //!   DESIGN.md's "Hot-loop anatomy"), and a sweep never needs the
 //!   record trace.
-//! * **Lane-major scalar walks** — in the paper's scheme level one
+//! * **Group-major scalar walks** — in the paper's scheme level one
 //!   (the history registers) depends only on the branch stream and the
 //!   table geometry, and each lane owns its level two, so every lane
 //!   with a table or a history register — a Two-Level lane, a Lee &
 //!   Smith (LS) or Static Training (ST) lane, a GAg/GAs/PAg/PAs lane or
-//!   gshare — walks the whole stream alone, in one loop monomorphized
-//!   over its slot source: the ideal table's slot is the site (a site's
-//!   first event fills it), a hashed table's is the site's slot, and an
-//!   associative table's comes from a [`SlotProbe`] the lane probes
-//!   inline or from a shared engine's probe log. The lane keeps lean
-//!   walk-local state in its predictor's [`Walker`] — one `u16` history
-//!   register per slot (or one global register), a Two-Level lane's
-//!   §3.2 cached bit per slot, an LS lane's automaton per slot, and the
-//!   one-byte pattern tables or an ST lane's preset bits — which
-//!   tlat-core builds beside the predictor's own rules, so this module
-//!   keeps only the plan, the slot sources and the loop. Only the lane's
+//!   gshare — walks the whole stream in a walk group (below; a lone lane
+//!   is a group of one), in one loop monomorphized over its walker and
+//!   slot source: the ideal table's slot is the site (a site's first
+//!   event fills it), a hashed table's is the site's slot, and an
+//!   associative table's comes from a [`SlotProbe`] the group probes
+//!   inline or from a shared engine's probe log. The group keeps lean
+//!   walk-local state in its [`Walker`] — one `u16` history register
+//!   per slot (or one global register), each Two-Level member's §3.2
+//!   cached bit per slot, each LS member's automaton per slot, and the
+//!   members' one-byte pattern tables or ST preset bits — which
+//!   tlat-core builds beside the predictors' own rules, so this module
+//!   keeps only the plan, the slot sources and the loop. Only the lanes'
 //!   counts and adopted table statistics are observable afterwards.
+//! * **Level-one groups** — lanes of one walker kind on one table (and,
+//!   for Two-Level lanes, one replacement rule) read the same level
+//!   one: every register starts all-ones and shifts the newest outcome
+//!   into bit 0, so a k-bit register is the low k bits of a wider one.
+//!   So they walk as one group: one walk steps one register per slot,
+//!   as wide as the widest member's, once per event, then each member's
+//!   level two, each reading its own low bits. Members never read each
+//!   other's level two, so their order within an event is as
+//!   unobservable as lane order. A lone lane walks its predictor's own
+//!   walker, whose one member sits inline.
 //! * **Run collapsing** — a run of one site's events with one outcome
-//!   stops changing a scalar lane's state once its register reads the
-//!   outcome throughout and the automaton it indexes has converged
-//!   ([`Walker::run_bound`] events in), so the walk credits the rest of
-//!   each such run the stream indexes ([`CompiledTrace::long_runs`])
-//!   without stepping it. An ST lane's preset bits may oppose a run, so
-//!   it steps every event.
+//!   stops changing a group's state once its register reads the
+//!   outcome throughout and every automaton it indexes has converged
+//!   ([`Walker::run_bound`] events in, the largest member's bound), so
+//!   the walk credits the rest of each such run the stream indexes
+//!   ([`CompiledTrace::long_runs`]) without stepping it. An ST lane's
+//!   preset bits may oppose a run, so an ST group steps every event.
 //! * **Shared probe logs** — associative lanes with the same table
 //!   geometry see identical tag/LRU decision sequences, so where a
-//!   geometry has two or more scalar lanes one payload-free
+//!   geometry has two or more walk groups one payload-free
 //!   [`SlotProbe`] probes the stream once into a log, one `u32` per
 //!   event (the slot, with fill and replacement flags), that every one
 //!   of them reads; the engine's access statistics are folded back into
-//!   every sharing lane.
+//!   every member of every sharing group. A geometry whose lanes form
+//!   one group probes inline and builds no log.
 //! * **Derived lanes** — a tournament's components train on every event
 //!   whatever its chooser picks, so its component guesses are those of
 //!   separate walks of its components, event for event: fresh twins (a
@@ -74,8 +86,8 @@
 //!   the RAS once and stamps the same stats into every lane's result.
 //!
 //! A compiled walk is decided before it runs: `plan` turns the lanes
-//! into a `WalkPlan` value — each lane's path and the shared engines —
-//! and one executor runs any such plan. Results are bit-identical to driving
+//! into a `WalkPlan` value — each lane's path, the walk groups and the
+//! shared engines — and one executor runs any such plan. Results are bit-identical to driving
 //! [`crate::simulate_with`] once per predictor, and to the reference
 //! record walk [`gang_simulate_records`], under every plan: each lane
 //! observes exactly the same predict/update sequence it would alone.
@@ -86,9 +98,10 @@ use crate::metrics::{self, Counter, Phase};
 use crate::pool::{catch_cell, CellPanic};
 use crate::stats::{PredictionStats, SimResult};
 use tlat_core::{
-    Gshare, HrtConfig, HrtStats, LeeSmithBtb, Predictor, Probe, ProfilePredictor, SiteKeys,
-    SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig, Tournament, TwoLevelAdaptive,
-    TwoLevelVariant, VariantWalk, Walker,
+    GlobalWalk, Gshare, HrtConfig, HrtStats, LeeSmithBtb, LeeSmithWalk, PerAddressWalk, Predictor,
+    Probe, ProfilePredictor, SiteKeys, SiteResolver, SlotProbe, StaticTraining,
+    StaticTrainingConfig, StaticTrainingWalk, Tournament, TwoLevelAdaptive, TwoLevelVariant,
+    TwoLevelWalk, VariantWalk, Walker,
 };
 use tlat_trace::{
     BranchClass, BranchRecord, CompiledTrace, RasEvent, ReturnAddressStack, SiteId, Trace,
@@ -253,6 +266,32 @@ impl GangLane {
         }
     }
 
+    /// What level one of a scalar lane reads: its walker kind, with its
+    /// table geometry where it has one and, for a Two-Level lane, whether
+    /// a replacement re-initializes the slot. Lanes that read the same
+    /// level one walk as one group, stepping one register per slot (or
+    /// one global register). A tournament walking its own components,
+    /// and a lane walked in closed form or on records, joins no group.
+    fn level_one(&self) -> Option<LevelOne> {
+        match self {
+            GangLane::TwoLevel(p) => Some(LevelOne::TwoLevel {
+                hrt: p.config().hrt,
+                reinit: p.config().reinit_on_replace,
+            }),
+            GangLane::Variant(p) => Some(match p.hrt_config() {
+                Some(hrt) => LevelOne::PerAddress(hrt),
+                None => LevelOne::Global,
+            }),
+            GangLane::Gshare(_) => Some(LevelOne::Global),
+            GangLane::StaticTraining(p) => Some(LevelOne::StaticTraining(p.config().hrt)),
+            GangLane::LeeSmith(p) => Some(LevelOne::LeeSmith(p.config().hrt)),
+            GangLane::Tournament(_)
+            | GangLane::Profile(_)
+            | GangLane::Fixed(_)
+            | GangLane::Dyn(_) => None,
+        }
+    }
+
     /// Folds the access statistics of the probing done on this lane's
     /// behalf (its slot source's) into its table.
     fn adopt_probe_stats(&mut self, stats: HrtStats) {
@@ -267,15 +306,29 @@ impl GangLane {
     }
 }
 
+/// What a scalar lane's level one reads (see [`GangLane::level_one`]):
+/// the kind of walker, which sets how a register steps, and the table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LevelOne {
+    /// Two-Level lanes: a register and a §3.2 cached bit per slot.
+    TwoLevel { hrt: HrtConfig, reinit: bool },
+    /// PAg and PAs lanes: a register per slot.
+    PerAddress(HrtConfig),
+    /// GAg, GAs and gshare lanes: one global register.
+    Global,
+    /// Static Training lanes: a register per slot.
+    StaticTraining(HrtConfig),
+    /// Lee & Smith lanes: no register, only the slot.
+    LeeSmith(HrtConfig),
+}
+
 /// How one lane rides a compiled walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LanePath {
-    /// A scalar lane: a Two-Level, LS, ST, taxonomy or gshare lane, or
-    /// a tournament without twins, walking the whole stream alone. Its
-    /// per-address table's slots (a tournament's are its Two-Level
-    /// component's) come from the driver; a global-history lane has
-    /// no table and no driver.
-    Scalar(Option<SlotDriver>),
+    /// A scalar lane — a Two-Level, LS, ST, taxonomy or gshare lane, or
+    /// a tournament without twins — walking the whole stream as a member
+    /// of walk group `g` (a lone lane is a group of one).
+    Group(usize),
     /// A tournament whose components have fresh twins in the walk: the
     /// scalar Two-Level lane `first` and the scalar gshare lane
     /// `second`. The twins record their guesses, and the tournament
@@ -288,14 +341,27 @@ enum LanePath {
     Dyn,
 }
 
-/// Where a scalar lane's slot sequence comes from.
+/// Scalar lanes that walk the stream together: one walker steps one
+/// register per slot (or one global register) per event for all of
+/// them, then each member's level two.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct WalkGroup {
+    /// Its lanes, in lane order; all of one [`LevelOne`].
+    members: Vec<usize>,
+    /// Where its per-address table's slots come from (a tournament's are
+    /// its Two-Level component's); a global-history group has no table
+    /// and no driver.
+    driver: Option<SlotDriver>,
+}
+
+/// Where a walk group's slot sequence comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotDriver {
     /// Ideal table: slot = site, a site's first event fills its slot.
     Ideal,
     /// Hashed table: per-site slots, every access hits.
     Hashed,
-    /// Associative table: an engine of the lane's own, probed inline
+    /// Associative table: an engine of the group's own, probed inline
     /// event by event.
     Private,
     /// Associative table: shared engine `e`'s probe log, read event by
@@ -308,6 +374,8 @@ enum SlotDriver {
 struct WalkPlan {
     /// Each lane's path, in lane order.
     lanes: Vec<LanePath>,
+    /// The walk groups, numbered in order of their first lane.
+    groups: Vec<WalkGroup>,
     /// The geometry of each shared engine, whose probes are logged once
     /// for every consumer; numbered in order of their first lane.
     engines: Vec<HrtConfig>,
@@ -318,15 +386,16 @@ struct WalkPlan {
 /// * **Derivation.** A tournament derives from the first Two-Level lane
 ///   and the first gshare lane whose configurations equal its
 ///   components', when both exist; otherwise it walks its own
-///   components as a scalar lane. A derived tournament probes nothing,
+///   components as a group of one. A derived tournament probes nothing,
 ///   so it counts toward no shared engine.
-/// * **Scalar lanes.** Every other Two-Level, LS, ST, taxonomy and
-///   gshare lane, and every tournament that does not derive, walks the
-///   stream alone.
+/// * **Groups.** Every other Two-Level, LS, ST, taxonomy and gshare
+///   lane joins the walk group of the scalar lanes whose level one it
+///   reads ([`GangLane::level_one`]), or starts one; a tournament that
+///   does not derive walks as a group of one.
 /// * **Sharing.** An associative organization's consumers are its
-///   scalar lanes. An organization with two or more gets a shared
-///   engine, which probes the stream once into a log that every one of
-///   them reads event by event. A lone scalar lane probes inline.
+///   groups. An organization with two or more gets a shared engine,
+///   which probes the stream once into a log that every one of them
+///   reads event by event. A lone group probes inline.
 fn plan(lanes: &[GangLane]) -> WalkPlan {
     let derived: Vec<Option<LanePath>> = lanes
         .iter()
@@ -343,16 +412,49 @@ fn plan(lanes: &[GangLane]) -> WalkPlan {
             Some(LanePath::Derived { first, second })
         })
         .collect();
-    // Every table's consumers, in lane order: its scalar lanes.
-    let consumers: Vec<HrtConfig> = lanes
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut level_ones: Vec<Option<LevelOne>> = Vec::new();
+    let paths = lanes
         .iter()
-        .zip(&derived)
-        .filter(|(_, derived)| derived.is_none())
-        .filter_map(|(lane, _)| lane.hrt_config())
+        .zip(derived)
+        .enumerate()
+        .map(|(i, (lane, derived))| match (lane, derived) {
+            (_, Some(derived)) => derived,
+            (GangLane::Profile(_) | GangLane::Fixed(_), None) => LanePath::ClosedForm,
+            (GangLane::Dyn(_), None) => LanePath::Dyn,
+            (lane, None) => {
+                let level_one = lane.level_one();
+                let joined = level_one.and_then(|l| level_ones.iter().position(|&g| g == Some(l)));
+                let g = joined.unwrap_or_else(|| {
+                    level_ones.push(level_one);
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+                groups[g].push(i);
+                LanePath::Group(g)
+            }
+        })
+        .collect();
+    share(lanes, paths, groups)
+}
+
+/// The plan in which `lanes` take `paths`, the members of each of
+/// `groups` walking together: an associative organization whose
+/// consumers — its groups — number two or more gets a shared engine,
+/// numbered in order of its first group, whose log every one of them
+/// reads; a lone group probes inline.
+fn share(lanes: &[GangLane], paths: Vec<LanePath>, groups: Vec<Vec<usize>>) -> WalkPlan {
+    let consumers: Vec<Option<HrtConfig>> = groups
+        .iter()
+        .map(|members| lanes[members[0]].hrt_config())
         .collect();
     let mut engines: Vec<HrtConfig> = Vec::new();
-    for &hrt in &consumers {
-        let shared = consumers.iter().filter(|&&other| other == hrt).count() >= 2;
+    for &hrt in consumers.iter().flatten() {
+        let shared = consumers
+            .iter()
+            .filter(|&&other| other == Some(hrt))
+            .count()
+            >= 2;
         if shared && matches!(hrt, HrtConfig::Associative { .. }) && !engines.contains(&hrt) {
             engines.push(hrt);
         }
@@ -364,19 +466,17 @@ fn plan(lanes: &[GangLane]) -> WalkPlan {
         (_, None) => SlotDriver::Private,
         (_, Some(e)) => SlotDriver::Logged(e),
     };
-    let paths = lanes
-        .iter()
-        .zip(derived)
-        .map(|(lane, derived)| {
-            derived.unwrap_or(match lane {
-                GangLane::Profile(_) | GangLane::Fixed(_) => LanePath::ClosedForm,
-                GangLane::Dyn(_) => LanePath::Dyn,
-                lane => LanePath::Scalar(lane.hrt_config().map(driver)),
-            })
+    let groups = groups
+        .into_iter()
+        .zip(consumers)
+        .map(|(members, hrt)| WalkGroup {
+            members,
+            driver: hrt.map(driver),
         })
         .collect();
     WalkPlan {
         lanes: paths,
+        groups,
         engines,
     }
 }
@@ -393,7 +493,7 @@ fn table_slots(hrt: HrtConfig, compiled: &CompiledTrace) -> usize {
 
 /// One associative organization probed over the whole stream: every
 /// event's probe word, and what the probing counted. A shared engine's
-/// log is read by every scalar lane on its organization.
+/// log is read by every walk group on its organization.
 struct ProbeLog {
     words: Vec<u32>,
     stats: HrtStats,
@@ -418,7 +518,7 @@ impl ProbeLog {
     }
 }
 
-/// Where a walking scalar lane finds its table slot, event by event.
+/// Where a walk group finds its table slot, event by event.
 trait Slots {
     /// The probe word of the next event, at `site`.
     fn next(&mut self, site: SiteId) -> u32;
@@ -475,7 +575,7 @@ impl Slots for HashedSlots<'_> {
     }
 }
 
-/// Associative table with one consumer: the lane's own engine, probed
+/// Associative table with one consumer: the group's own engine, probed
 /// inline.
 impl Slots for SlotProbe {
     #[inline]
@@ -517,7 +617,7 @@ impl Slots for LoggedSlots<'_> {
     }
 }
 
-/// No per-address table: a global-history lane's one register.
+/// No per-address table: a global-history group's one register.
 struct NoSlots;
 
 impl Slots for NoSlots {
@@ -531,22 +631,31 @@ impl Slots for NoSlots {
     }
 }
 
-/// Walks one scalar lane over the whole stream alone, in one loop per
-/// walker type and slot source, appending its guesses to `guesses` when
-/// a derived lane reads them: one bit per event, 64 to a word, as the
-/// stream's outcome words pack them. Returns the lane's correct count
-/// and what its table counted.
+/// Walks one walk group over the whole stream, in one loop per walker
+/// type and slot source, appending each member's guesses to its entry of
+/// `records` where that holds a vector (a derived lane reads them): one
+/// bit per event, 64 to a word, as the stream's outcome words pack
+/// them. Returns each member's correct count and what the table
+/// counted.
 fn walk<W: Walker, S: Slots>(
-    lane: &mut W,
+    walker: &mut W,
     mut slots: S,
     compiled: &CompiledTrace,
-    guesses: Option<&mut Vec<u64>>,
-) -> (u64, HrtStats) {
-    let (correct, collapsed) = match guesses {
-        None => walk_words(lane, &mut slots, compiled, |_| {}),
-        Some(words) => walk_words(lane, &mut slots, compiled, |word| words.push(word)),
+    records: &mut [Option<Vec<u64>>],
+) -> (Vec<u64>, HrtStats) {
+    let mut correct = vec![0; walker.members()];
+    let collapsed = if records.iter().all(Option::is_none) {
+        walk_words(walker, &mut slots, compiled, &mut correct, |_| {})
+    } else {
+        walk_words(walker, &mut slots, compiled, &mut correct, |words| {
+            for (record, &word) in records.iter_mut().zip(words) {
+                if let Some(record) = record {
+                    record.push(word);
+                }
+            }
+        })
     };
-    metrics::add(Counter::EventsCollapsed, collapsed);
+    metrics::add(Counter::EventsCollapsed, collapsed * correct.len() as u64);
     (correct, slots.stats())
 }
 
@@ -577,25 +686,28 @@ pub(crate) fn without_collapsing<R>(walks: impl FnOnce() -> R) -> R {
     result
 }
 
-/// [`walk`]'s loop: 64 events per word of outcome bits, their guesses
-/// gathered into one word that is scored against the outcomes by a
-/// popcount and handed to `record`.
+/// [`walk`]'s loop: 64 events per word of outcome bits, each member's
+/// guesses gathered into one word that is scored against the outcomes
+/// by a popcount into its entry of `correct`, and handed to `record`
+/// with the other members'.
 ///
-/// Once a lane has stepped [`Walker::run_bound`] events of a long
-/// same-site, same-outcome run, it sits at a fixed point that guesses
-/// the run and that the run's later events leave unchanged. So the loop
-/// credits each such run's tail without stepping it: the tail's guess
-/// bits are its outcome bits, and the slot source skips it. A word that
-/// holds no credited event takes the plain loop. Returns the correct
-/// count and the number of credited events.
+/// Once a group has stepped [`Walker::run_bound`] events of a long
+/// same-site, same-outcome run — its largest member's bound — every
+/// member sits at a fixed point that guesses the run and that the run's
+/// later events leave unchanged. So the loop credits each such run's
+/// tail without stepping it: the tail's guess bits are its outcome
+/// bits, for every member, and the slot source skips it. A word that
+/// holds no credited event takes the plain loop. Returns the number of
+/// credited events.
 #[inline(always)]
 fn walk_words<W: Walker, S: Slots>(
-    lane: &mut W,
+    walker: &mut W,
     slots: &mut S,
     compiled: &CompiledTrace,
-    mut record: impl FnMut(u64),
-) -> (u64, u64) {
-    let bound = lane.run_bound();
+    correct: &mut [u64],
+    mut record: impl FnMut(&[u64]),
+) -> u64 {
+    let bound = walker.run_bound();
     let mut tails = collapsible(compiled)
         .iter()
         .filter(|&&(_, len)| len as usize > bound)
@@ -603,17 +715,19 @@ fn walk_words<W: Walker, S: Slots>(
     let none = (usize::MAX, usize::MAX);
     // The next credited tail, as an event range.
     let mut tail = tails.next().unwrap_or(none);
-    let (mut correct, mut collapsed) = (0, 0);
+    let mut collapsed = 0;
+    let mut guesses = vec![0; correct.len()];
     let outcomes = compiled.outcomes().words();
     for ((word, sites), &taken) in compiled.cond_sites().chunks(64).enumerate().zip(outcomes) {
         let (base, end) = (word * 64, word * 64 + sites.len());
-        let mut guesses = 0;
+        guesses.fill(0);
         let mut event = base;
         while event < end {
             if event < tail.0 {
                 let stop = tail.0.min(end);
                 let bits = event - base..stop - base;
-                guesses |= step_bits(lane, slots, &sites[bits.clone()], taken, bits.start);
+                let from = bits.start as u32;
+                step_bits(walker, slots, &sites[bits], taken, from, &mut guesses);
                 event = stop;
             } else {
                 if event == tail.0 {
@@ -623,7 +737,10 @@ fn walk_words<W: Walker, S: Slots>(
                 }
                 let stop = tail.1.min(end);
                 let width = stop - event;
-                guesses |= taken & (u64::MAX >> (64 - width)) << (event - base);
+                let credited = taken & (u64::MAX >> (64 - width)) << (event - base);
+                for guesses in &mut guesses {
+                    *guesses |= credited;
+                }
                 event = stop;
                 if stop == tail.1 {
                     tail = tails.next().unwrap_or(none);
@@ -632,110 +749,203 @@ fn walk_words<W: Walker, S: Slots>(
         }
         // Bits past the stream's end are zero in both words.
         let events = u64::MAX >> (64 - sites.len());
-        correct += u64::from((!(guesses ^ taken) & events).count_ones());
-        record(guesses);
+        for (correct, guesses) in correct.iter_mut().zip(&guesses) {
+            *correct += u64::from((!(guesses ^ taken) & events).count_ones());
+        }
+        record(&guesses);
     }
-    (correct, collapsed)
+    collapsed
 }
 
-/// Steps `lane` over one word's events at bits `from..` of `taken`,
-/// at `sites`: their guess bits.
+/// Steps `walker` over one word's events at bits `from..` of `taken`,
+/// at `sites`, ORing each member's guess bits into its entry of
+/// `guesses`.
 #[inline(always)]
 fn step_bits<W: Walker, S: Slots>(
-    lane: &mut W,
+    walker: &mut W,
     slots: &mut S,
     sites: &[SiteId],
     taken: u64,
-    from: usize,
-) -> u64 {
-    let mut guesses = 0;
+    from: u32,
+    guesses: &mut [u64],
+) {
     for (bit, &site) in (from..).zip(sites) {
-        let guess = lane.step(slots.next(site), site, taken >> bit & 1 != 0);
-        guesses |= u64::from(guess) << bit;
+        walker.step(slots.next(site), site, taken >> bit & 1 != 0, bit, guesses);
     }
-    guesses
 }
 
-/// Walks `lane` over `hrt`'s slots as `driver` finds them.
+/// Walks `walker` over `hrt`'s slots as `driver` finds them.
 fn walk_table<W: Walker>(
-    lane: &mut W,
+    walker: &mut W,
     hrt: HrtConfig,
     driver: SlotDriver,
     logs: &[ProbeLog],
     resolver: &mut SiteResolver,
     compiled: &CompiledTrace,
-    guesses: Option<&mut Vec<u64>>,
-) -> (u64, HrtStats) {
+    records: &mut [Option<Vec<u64>>],
+) -> (Vec<u64>, HrtStats) {
     let events = compiled.len() as u64;
     match driver {
-        SlotDriver::Ideal => walk(lane, IdealSlots { seen: 0, events }, compiled, guesses),
+        SlotDriver::Ideal => walk(walker, IdealSlots { seen: 0, events }, compiled, records),
         SlotDriver::Hashed => {
             let keys = resolver.keys(hrt);
             let SiteKeys::Hashed { slot } = &*keys else {
                 unreachable!("a hashed table resolves hashed keys");
             };
-            walk(lane, HashedSlots { slot, events }, compiled, guesses)
+            walk(walker, HashedSlots { slot, events }, compiled, records)
         }
         SlotDriver::Private => {
             let engine = SlotProbe::build(hrt, resolver).expect("private drivers are associative");
-            walk(lane, engine, compiled, guesses)
+            walk(walker, engine, compiled, records)
         }
         SlotDriver::Logged(e) => {
             let (words, stats) = (logs[e].words.iter(), logs[e].stats);
-            walk(lane, LoggedSlots { words, stats }, compiled, guesses)
+            walk(walker, LoggedSlots { words, stats }, compiled, records)
         }
     }
 }
 
-/// Walks scalar lane `lane` with its table's slots from `driver`,
-/// recording its guesses into `guesses` when a derived lane reads them.
-/// Returns its correct count; a lane with a table adopts what the walk
-/// counted. The lane's own predictor state goes stale: the walk keeps
-/// its own, and only the counts and adopted statistics are observable.
-fn walk_scalar(
-    lane: &mut GangLane,
-    driver: Option<SlotDriver>,
+/// Each of `members`' lanes' own walker — a group of one, its member
+/// inline — as `walker` builds it from a lane of the group's kind.
+fn lone_walkers<W>(
+    lanes: &[GangLane],
+    members: &[usize],
+    walker: impl Fn(&GangLane) -> Option<W>,
+) -> Vec<W> {
+    let lone = |&i: &usize| walker(&lanes[i]).expect("a walk group's lanes share one kind");
+    members.iter().map(lone).collect()
+}
+
+/// What a walk group's walk reads beside its lanes.
+struct GroupWalk<'a> {
+    /// Its table and driver; none for global history.
+    table: Option<(HrtConfig, SlotDriver)>,
+    logs: &'a [ProbeLog],
+    resolver: &'a mut SiteResolver,
+    compiled: &'a CompiledTrace,
+    /// Each member's guess record, where a derived lane reads it.
+    records: &'a mut [Option<Vec<u64>>],
+}
+
+impl GroupWalk<'_> {
+    /// Walks the group whose lanes' own walkers are `lone`: a lone lane
+    /// its own walker, two or more their walkers joined by `group`.
+    fn join<L: Walker, G: Walker>(
+        self,
+        mut lone: Vec<L>,
+        group: impl FnOnce(Vec<L>) -> G,
+    ) -> (Vec<u64>, HrtStats) {
+        if lone.len() == 1 {
+            let mut walker = lone.pop().expect("a lone lane's walker");
+            self.walk(&mut walker)
+        } else {
+            self.walk(&mut group(lone))
+        }
+    }
+
+    /// Walks `walker` over the group's table's slots, or over no table.
+    fn walk<W: Walker>(self, walker: &mut W) -> (Vec<u64>, HrtStats) {
+        let (compiled, records) = (self.compiled, self.records);
+        match self.table {
+            Some((hrt, driver)) => walk_table(
+                walker,
+                hrt,
+                driver,
+                self.logs,
+                self.resolver,
+                compiled,
+                records,
+            ),
+            None => walk(walker, NoSlots, compiled, records),
+        }
+    }
+}
+
+/// Walks `group` of `lanes` with its table's slots from its driver,
+/// recording each member's guesses into its entry of `guesses` where a
+/// derived lane reads them. Returns each member's correct count; the
+/// members of a group with a table adopt what the walk counted. The
+/// lanes' own predictor state goes stale: the walk keeps its own, and
+/// only the counts and adopted statistics are observable.
+fn walk_group(
+    lanes: &mut [GangLane],
+    group: &WalkGroup,
     logs: &[ProbeLog],
     resolver: &mut SiteResolver,
     compiled: &CompiledTrace,
-    guesses: Option<&mut Vec<u64>>,
-) -> u64 {
-    let table = lane.hrt_config().zip(driver);
+    guesses: &mut [Option<Vec<u64>>],
+) -> Vec<u64> {
+    let members = &group.members[..];
+    let lead = &lanes[members[0]];
+    let table = lead.hrt_config().zip(group.driver);
     let slots = table.map_or(0, |(hrt, _)| table_slots(hrt, compiled));
-    let (correct, probe_stats) = match (&mut *lane, table) {
-        (GangLane::TwoLevel(p), Some((hrt, driver))) => {
-            let mut walker = p.walker(slots);
-            walk_table(&mut walker, hrt, driver, logs, resolver, compiled, guesses)
+    let mut records: Vec<Option<Vec<u64>>> = members.iter().map(|&i| guesses[i].take()).collect();
+    let walk_of = GroupWalk {
+        table,
+        logs,
+        resolver,
+        compiled,
+        records: &mut records,
+    };
+    let (correct, probe_stats) = match lead.level_one() {
+        Some(LevelOne::TwoLevel { .. }) => {
+            let lone = lone_walkers(lanes, members, |lane| match lane {
+                GangLane::TwoLevel(p) => Some(p.walker(slots)),
+                _ => None,
+            });
+            walk_of.join(lone, TwoLevelWalk::group)
         }
-        (GangLane::LeeSmith(p), Some((hrt, driver))) => {
-            let mut walker = p.walker(slots);
-            walk_table(&mut walker, hrt, driver, logs, resolver, compiled, guesses)
+        Some(LevelOne::PerAddress(_)) => {
+            let lone = lone_walkers(lanes, members, |lane| match lane {
+                GangLane::Variant(p) => match p.walker(slots, walk_of.resolver) {
+                    VariantWalk::PerAddress(walker) => Some(walker),
+                    VariantWalk::Global(_) => None,
+                },
+                _ => None,
+            });
+            walk_of.join(lone, PerAddressWalk::group)
         }
-        (GangLane::StaticTraining(p), Some((hrt, driver))) => {
-            let mut walker = p.walker(slots);
-            walk_table(&mut walker, hrt, driver, logs, resolver, compiled, guesses)
+        Some(LevelOne::Global) => {
+            let lone = lone_walkers(lanes, members, |lane| match lane {
+                GangLane::Variant(p) => match p.walker(slots, walk_of.resolver) {
+                    VariantWalk::Global(walker) => Some(walker),
+                    VariantWalk::PerAddress(_) => None,
+                },
+                GangLane::Gshare(p) => Some(p.walker(walk_of.resolver)),
+                _ => None,
+            });
+            walk_of.join(lone, GlobalWalk::group)
         }
-        (GangLane::Variant(p), table) => match (p.walker(slots, resolver), table) {
-            (VariantWalk::PerAddress(mut walker), Some((hrt, driver))) => {
-                walk_table(&mut walker, hrt, driver, logs, resolver, compiled, guesses)
-            }
-            (VariantWalk::Global(mut walker), None) => {
-                walk(&mut walker, NoSlots, compiled, guesses)
-            }
-            (_, table) => unreachable!("{p:?} cannot walk with {table:?}"),
-        },
-        (GangLane::Gshare(p), None) => {
-            let mut walker = p.walker(resolver);
-            walk(&mut walker, NoSlots, compiled, guesses)
+        Some(LevelOne::StaticTraining(_)) => {
+            let lone = lone_walkers(lanes, members, |lane| match lane {
+                GangLane::StaticTraining(p) => Some(p.walker(slots)),
+                _ => None,
+            });
+            walk_of.join(lone, StaticTrainingWalk::group)
+        }
+        Some(LevelOne::LeeSmith(_)) => {
+            let lone = lone_walkers(lanes, members, |lane| match lane {
+                GangLane::LeeSmith(p) => Some(p.walker(slots)),
+                _ => None,
+            });
+            walk_of.join(lone, LeeSmithWalk::group)
         }
         // No fresh twins: the tournament's own components walk apart,
         // recording their guesses, and its chooser steps over them.
-        (GangLane::Tournament(t), Some((hrt, driver))) => {
+        None => {
+            let (GangLane::Tournament(t), Some((hrt, driver))) = (&mut lanes[members[0]], table)
+            else {
+                unreachable!("only a tournament with a table walks outside a group kind");
+            };
+            let GroupWalk {
+                resolver, records, ..
+            } = walk_of;
             debug_assert!(
-                guesses.is_none(),
+                records.iter().all(Option::is_none),
                 "only Two-Level and gshare lanes are twins"
             );
-            let mut first = Vec::with_capacity(compiled.len().div_ceil(64));
+            let words = || Some(Vec::with_capacity(compiled.len().div_ceil(64)));
+            let mut first = [words()];
             let mut walker = t.first().walker(slots);
             let (first_correct, probe_stats) = walk_table(
                 &mut walker,
@@ -744,19 +954,27 @@ fn walk_scalar(
                 logs,
                 resolver,
                 compiled,
-                Some(&mut first),
+                &mut first,
             );
-            let mut second = Vec::with_capacity(compiled.len().div_ceil(64));
+            let mut second = [words()];
             let mut walker = t.second().walker(resolver);
-            let second_correct = walk(&mut walker, NoSlots, compiled, Some(&mut second)).0;
-            let components = [(&first[..], first_correct), (&second[..], second_correct)];
+            let (second_correct, _) = walk(&mut walker, NoSlots, compiled, &mut second);
+            let [[Some(first)], [Some(second)]] = [first, second] else {
+                unreachable!("both components recorded their guesses");
+            };
+            let components = [
+                (&first[..], first_correct[0]),
+                (&second[..], second_correct[0]),
+            ];
             let correct = derived_correct(t, components, resolver, compiled);
-            (correct, probe_stats)
+            (vec![correct], probe_stats)
         }
-        (lane, table) => unreachable!("{lane:?} cannot walk with {table:?}"),
     };
-    if table.is_some() {
-        lane.adopt_probe_stats(probe_stats);
+    for (&i, record) in members.iter().zip(records) {
+        guesses[i] = record;
+        if table.is_some() {
+            lanes[i].adopt_probe_stats(probe_stats);
+        }
     }
     correct
 }
@@ -797,12 +1015,13 @@ fn derived_correct(
 /// strategy.
 ///
 /// Every shared engine first probes the stream once into its log. Then
-/// each scalar lane walks the whole stream on its own, in a loop of its
-/// own, monomorphized over its lane type and slot source, with its
-/// state in lean walk-local vectors and registers. Lanes never
-/// interact, so this lane-major order is observably identical to any
-/// event-major one. Derived tournaments finish last, from their twins'
-/// guesses.
+/// each walk group walks the whole stream on its own, in a loop of its
+/// own, monomorphized over its walker type and slot source, with its
+/// state in lean walk-local vectors and registers: one register per
+/// slot (or one global register) stepped once per event, then each
+/// member's level two. Lanes never interact, so this group-major order
+/// is observably identical to any event-major one. Derived tournaments
+/// finish last, from their twins' guesses.
 fn execute(
     lanes: &mut [GangLane],
     plan: &WalkPlan,
@@ -830,22 +1049,25 @@ fn execute(
         }
     }
     metrics::add(Counter::LanesDerived, derived);
-    let lanes_with_paths = lanes
-        .iter_mut()
-        .zip(&mut stats)
-        .zip(&mut guesses)
-        .zip(&plan.lanes);
-    for (((lane, stat), guesses), &path) in lanes_with_paths {
+    let grouped = plan
+        .groups
+        .iter()
+        .map(|g| g.members.len())
+        .filter(|&n| n >= 2);
+    metrics::add(Counter::LanesGrouped, grouped.sum::<usize>() as u64);
+    for group in &plan.groups {
+        let correct = walk_group(lanes, group, &logs, &mut resolver, compiled, &mut guesses);
+        for (&i, correct) in group.members.iter().zip(correct) {
+            stats[i].predicted += compiled.len() as u64;
+            stats[i].correct += correct;
+        }
+    }
+    for ((lane, stat), &path) in lanes.iter_mut().zip(&mut stats).zip(&plan.lanes) {
         match (lane, path) {
-            (lane, LanePath::Scalar(driver)) => {
-                let guesses = guesses.as_mut();
-                stat.predicted += compiled.len() as u64;
-                stat.correct += walk_scalar(lane, driver, &logs, &mut resolver, compiled, guesses);
-            }
             // A profile lane's bits are frozen, so its score over the
             // stream is a per-site weighted sum — identical to
             // recording every event, with no per-event work at all.
-            (GangLane::Profile(p), _) => {
+            (GangLane::Profile(p), LanePath::ClosedForm) => {
                 p.bind_sites(&resolver);
                 for ((&bit, &taken_n), &n) in p
                     .site_bits()
@@ -857,14 +1079,14 @@ fn execute(
                     stat.correct += if bit { taken_n } else { n - taken_n };
                 }
             }
-            (GangLane::Fixed(rule), _) => {
+            (GangLane::Fixed(rule), LanePath::ClosedForm) => {
                 stat.predicted += compiled.len() as u64;
                 stat.correct += rule.correct(compiled);
             }
             // Dyn lanes take the record stream they have always seen; a
             // lane observes only its own predict/update sequence, so a
             // pass of its own changes nothing for any lane.
-            (GangLane::Dyn(p), _) => {
+            (GangLane::Dyn(p), LanePath::Dyn) => {
                 let trace = dyn_source.expect("dyn lanes need the record stream");
                 for branch in trace.iter().filter(|b| b.class == BranchClass::Conditional) {
                     stat.record(p.predict_update(branch) == branch.taken);
@@ -921,8 +1143,8 @@ fn execute(
 /// it would alone; returns and calls drive one shared return-address
 /// stack whose stats are replicated into every result (RAS behaviour is
 /// predictor-independent). Monomorphized lanes are fed from `compiled`
-/// alone — each scalar lane walking the stream on its own over the slot
-/// source the walk's plan picks for it, and closed-form scores. `dyn_source` supplies the raw
+/// alone — each walk group of scalar lanes walking the stream over the
+/// slot source the walk's plan picks for it, and closed-form scores. `dyn_source` supplies the raw
 /// record stream for [`GangLane::Dyn`] lanes, which
 /// [`GangLane::from_config`] never builds: the sweep path passes
 /// `None`, so a TLA3 cache entry decodes straight into `compiled` and
@@ -1422,9 +1644,11 @@ pub(crate) mod tests {
     /// LS lanes on every organization beside an AT lane: five automata
     /// on the paper AHRT, pairs on ideal / hashed / a small
     /// eviction-heavy associative table, and one LS lane alone on
-    /// ahrt(256). The paper AHRT's six lanes read one engine's probe
-    /// log and the small table's pair another; the ahrt(256) lane is
-    /// its geometry's only consumer and probes inline.
+    /// ahrt(256). Each organization's LS lanes walk as one group. The
+    /// paper AHRT's LS group and AT lane are its two consumers, so they
+    /// read one engine's probe log; the small table's pair and the
+    /// ahrt(256) lane are their geometries' only consumers and probe
+    /// inline.
     fn ls_lanes_on_every_organization() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::ls(HrtConfig::ahrt(512), AutomatonKind::LastTime),
@@ -1448,21 +1672,18 @@ pub(crate) mod tests {
         let trace = SyntheticStream::mixed(0xb175, 80).generate(6_000);
         let configs = ls_lanes_on_every_organization();
         let plan = plan(&lanes_for(&configs, &trace));
-        assert_eq!(plan.engines, [HrtConfig::ahrt(512), SMALL]);
+        assert_eq!(plan.engines, [HrtConfig::ahrt(512)]);
         use SlotDriver::{Hashed, Ideal, Logged, Private};
-        let drivers = [
-            Logged(0),
-            Logged(0),
-            Logged(0),
-            Logged(0),
-            Logged(0),
-            Ideal,
-            Ideal,
-        ]
-        .into_iter()
-        .chain([Hashed, Hashed, Logged(1), Logged(1), Private, Logged(0)]);
-        let expected: Vec<LanePath> = drivers.map(|d| LanePath::Scalar(Some(d))).collect();
-        assert_eq!(plan.lanes, expected);
+        let expected = [
+            group(&[0, 1, 2, 3, 4], Logged(0)),
+            group(&[5, 6], Ideal),
+            group(&[7, 8], Hashed),
+            group(&[9, 10], Private),
+            group(&[11], Private),
+            group(&[12], Logged(0)),
+        ];
+        assert_eq!(plan.groups, expected);
+        assert_eq!(plan.lanes, grouped([0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 5]));
         assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
@@ -1499,9 +1720,10 @@ pub(crate) mod tests {
     }
 
     /// A reinit-on-replace AT lane beside LS lanes that inherit replaced
-    /// slots: it and the paper AHRT's four LS lanes read one probe log,
-    /// and the tiny 2-way table's pair, which forces evictions and
-    /// refills mid-stream, another.
+    /// slots: it and the paper AHRT's group of four LS lanes read one
+    /// probe log, and the tiny 2-way table's pair, which forces
+    /// evictions and refills mid-stream, walks as one group probing
+    /// inline.
     fn ls_lanes_beside_a_reinit_lane() -> Vec<SchemeConfig> {
         vec![
             at_full(
@@ -1525,25 +1747,27 @@ pub(crate) mod tests {
 
     #[test]
     fn mixed_gangs_on_loop_heavy_streams_read_the_slot_log() {
-        // The shared engines log each probe once, and every lane reads
-        // the logged slots, fills and replacements included: the AT
-        // lane re-initializes a replaced slot, the LS lanes inherit it.
-        // Still bit-identical.
+        // The shared engine logs each probe once, and both of its
+        // groups read the logged slots, fills and replacements included:
+        // the AT lane re-initializes a replaced slot, the LS lanes
+        // inherit it. Still bit-identical.
         let trace = loop_heavy_trace(6_000);
         let configs = ls_lanes_beside_a_reinit_lane();
         let plan = plan(&lanes_for(&configs, &trace));
-        assert_eq!(plan.engines, [HrtConfig::ahrt(512), SMALL]);
-        let drivers = [0, 0, 0, 0, 0, 1, 1]
-            .map(SlotDriver::Logged)
-            .into_iter()
-            .chain([SlotDriver::Ideal, SlotDriver::Ideal]);
-        let expected: Vec<LanePath> = drivers.map(|d| LanePath::Scalar(Some(d))).collect();
-        assert_eq!(plan.lanes, expected);
+        assert_eq!(plan.engines, [HrtConfig::ahrt(512)]);
+        use SlotDriver::{Ideal, Logged, Private};
+        let expected = [
+            group(&[0], Logged(0)),
+            group(&[1, 2, 3, 4], Logged(0)),
+            group(&[5, 6], Private),
+            group(&[7, 8], Ideal),
+        ];
+        assert_eq!(plan.groups, expected);
         assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
-    /// Nothing but LS lanes, two or more on each organization: they
-    /// are their geometries' consumers as any table lane is, so each
+    /// Nothing but LS lanes, two or more on each organization: each
+    /// organization's lanes walk as one group, its only consumer, so no
     /// associative geometry gets a shared engine.
     fn ls_only() -> Vec<SchemeConfig> {
         vec![
@@ -1562,31 +1786,36 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn ls_only_gangs_share_an_engine_per_associative_geometry() {
+    fn ls_only_gangs_walk_one_group_per_geometry() {
         let trace = SyntheticStream::mixed(0x517e, 64).generate(6_000);
         let configs = ls_only();
         let plan = plan(&lanes_for(&configs, &trace));
-        assert_eq!(plan.engines, [HrtConfig::ahrt(512), SMALL]);
-        assert_eq!(plan.lanes[0], LanePath::Scalar(Some(SlotDriver::Logged(0))));
-        assert_eq!(plan.lanes[9], LanePath::Scalar(Some(SlotDriver::Logged(1))));
+        assert!(plan.engines.is_empty());
+        use SlotDriver::{Hashed, Ideal, Private};
+        let expected = [
+            group(&[0, 1, 2, 3, 4], Private),
+            group(&[5, 6], Ideal),
+            group(&[7, 8], Hashed),
+            group(&[9, 10], Private),
+        ];
+        assert_eq!(plan.groups, expected);
         assert_walk_matches_records(&configs, &trace, SimOptions { ras_entries: 8 });
     }
 
     #[test]
-    fn wide_ls_gangs_walk_every_lane_on_one_log() {
-        // 65 same-geometry LS lanes, more than one word of lanes: every
-        // lane walks alone on the geometry's one probe log.
+    fn wide_ls_gangs_walk_as_one_group() {
+        // 65 same-geometry LS lanes, more than one word of lanes: they
+        // walk as one group, probing inline, each slot holding all 65
+        // automata.
         let trace = SyntheticStream::mixed(0x65, 24).generate(2_000);
         let kinds = AutomatonKind::ALL;
         let configs: Vec<SchemeConfig> = (0..65)
             .map(|i| SchemeConfig::ls(HrtConfig::ahrt(512), kinds[i % kinds.len()]))
             .collect();
         let plan = plan(&lanes_for(&configs, &trace));
-        assert_eq!(plan.engines, [HrtConfig::ahrt(512)]);
-        assert!(plan
-            .lanes
-            .iter()
-            .all(|&path| path == LanePath::Scalar(Some(SlotDriver::Logged(0)))));
+        assert!(plan.engines.is_empty());
+        let members: Vec<usize> = (0..65).collect();
+        assert_eq!(plan.groups, [group(&members, SlotDriver::Private)]);
         assert_walk_matches_records(&configs, &trace, SimOptions::default());
     }
 
@@ -1672,12 +1901,13 @@ pub(crate) mod tests {
         })
     }
 
-    /// Two-Level lanes on every organization: on the paper AHRT a mix of
-    /// automaton variants, three history lengths, §3.2 caching vs pure
-    /// two-lookup, init polarity and a reinit-on-replace lane, all on
-    /// one probe log with two LS lanes; ideal, hashed and
-    /// eviction-heavy associative pairs; and an ahrt(256) lane alone on
-    /// its geometry, probing inline.
+    /// Two-Level lanes on every organization: on the paper AHRT a group
+    /// mixing automaton variants, three history lengths, §3.2 caching vs
+    /// pure two-lookup and init polarity, beside a reinit-on-replace
+    /// lane (a group of its own) and an LS pair, the three groups on one
+    /// probe log; ideal, hashed and eviction-heavy associative pairs,
+    /// each a group; and an ahrt(256) lane alone on its geometry,
+    /// probing inline.
     fn at_lane_mix() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
@@ -1724,9 +1954,18 @@ pub(crate) mod tests {
     fn at_lane_mixes_match_the_record_walk_on_both_stream_shapes() {
         let configs = at_lane_mix();
         let plan = plan(&lanes_for(&configs, &Trace::new()));
-        assert_eq!(plan.engines, [HrtConfig::ahrt(512), SMALL]);
-        assert_eq!(plan.lanes[2], LanePath::Scalar(Some(SlotDriver::Logged(0))));
-        assert_eq!(plan.lanes[13], LanePath::Scalar(Some(SlotDriver::Private)));
+        assert_eq!(plan.engines, [HrtConfig::ahrt(512)]);
+        use SlotDriver::{Hashed, Ideal, Logged, Private};
+        let expected = [
+            group(&[0, 1, 2, 3, 4, 5], Logged(0)),
+            group(&[6, 7], Ideal),
+            group(&[8, 9], Hashed),
+            group(&[10, 11], Private),
+            group(&[12], Logged(0)),
+            group(&[13], Private),
+            group(&[14, 15], Logged(0)),
+        ];
+        assert_eq!(plan.groups, expected);
         for trace in [
             SyntheticStream::mixed(0xa7b1, 80).generate(6_000),
             loop_heavy_trace(6_000),
@@ -1735,15 +1974,17 @@ pub(crate) mod tests {
         }
     }
 
-    /// The eviction-interplay mix: AT lanes on a tiny 2-way AHRT that
-    /// churns through fills, hits, and replacements, reading only the
-    /// slot decisions of a shared probe log, never tags. A replaced
-    /// slot must inherit the victim's history and cached bit, and a
-    /// filled slot must re-read its cached bit from the *evolved*
-    /// pattern table, or predictions drift; the small table's LS
-    /// lanes read the same log. The lone ahrt(256) lane probes
+    /// The eviction-interplay mix: a group of AT lanes on a tiny 2-way
+    /// AHRT that churns through fills, hits, and replacements, reading
+    /// only the slot decisions of a shared probe log, never tags. A
+    /// replaced slot must inherit the victim's history and every
+    /// member's cached bit, and a filled slot must re-read each cached
+    /// bit from its member's *evolved* pattern table, or predictions
+    /// drift; the small table's LS pair, a second group, reads the same
+    /// log. The paper AHRT's pair and the lone ahrt(256) lane probe
     /// inline, the lone ideal and hashed lanes take their own slot
-    /// sources, and a reinit-on-replace lane rides the ideal table.
+    /// sources, and a reinit-on-replace lane rides the ideal table, a
+    /// group apart from the ideal lane that inherits.
     fn at_evictions() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::st(HrtConfig::Ideal, 12, TrainingData::Same),
@@ -1765,14 +2006,19 @@ pub(crate) mod tests {
     fn at_lanes_inherit_replaced_slots_on_a_shared_log() {
         let configs = at_evictions();
         let plan = plan(&lanes_for(&configs, &Trace::new()));
-        assert_eq!(plan.engines, [SMALL, HrtConfig::ahrt(512)]);
-        for lane in 1..=3 {
-            assert_eq!(
-                plan.lanes[lane],
-                LanePath::Scalar(Some(SlotDriver::Logged(0)))
-            );
-        }
-        assert_eq!(plan.lanes[6], LanePath::Scalar(Some(SlotDriver::Private)));
+        assert_eq!(plan.engines, [SMALL]);
+        use SlotDriver::{Hashed, Ideal, Logged, Private};
+        let expected = [
+            group(&[0], Ideal),
+            group(&[1, 2, 3], Logged(0)),
+            group(&[4, 5], Private),
+            group(&[6], Private),
+            group(&[7], Ideal),
+            group(&[8], Hashed),
+            group(&[9, 10], Logged(0)),
+            group(&[11], Ideal),
+        ];
+        assert_eq!(plan.groups, expected);
         for trace in [
             SyntheticStream::mixed(0xe71c, 80).generate(6_000),
             loop_heavy_trace(6_000),
@@ -1781,9 +2027,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// Nothing but AT lanes, a pair on each organization: each
-    /// associative pair shares one probe log, including evictions on
-    /// the tiny 2-way table.
+    /// Nothing but AT lanes, a pair on each organization: each pair
+    /// walks as one group, probing inline on the associative tables,
+    /// including evictions on the tiny 2-way table.
     fn at_only() -> Vec<SchemeConfig> {
         vec![
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
@@ -1808,10 +2054,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn wide_at_grids_walk_every_lane_on_one_log() {
+    fn wide_at_grids_walk_as_one_group() {
         // 65 same-organization AT lanes, a variant × history-length
-        // grid more than a word of lanes wide: every lane walks alone
-        // on the geometry's one probe log.
+        // grid more than a word of lanes wide: they walk as one group,
+        // probing inline, each member reading its own low bits of one
+        // 12-bit register per slot.
         let kinds = AutomatonKind::ALL;
         let configs: Vec<SchemeConfig> = (0..65)
             .map(|i| {
@@ -1823,11 +2070,9 @@ pub(crate) mod tests {
             })
             .collect();
         let plan = plan(&lanes_for(&configs, &Trace::new()));
-        assert_eq!(plan.engines, [HrtConfig::ahrt(512)]);
-        assert!(plan
-            .lanes
-            .iter()
-            .all(|&path| path == LanePath::Scalar(Some(SlotDriver::Logged(0)))));
+        assert!(plan.engines.is_empty());
+        let members: Vec<usize> = (0..65).collect();
+        assert_eq!(plan.groups, [group(&members, SlotDriver::Private)]);
         for trace in [
             SyntheticStream::mixed(0xa65, 24).generate(2_000),
             loop_heavy_trace(2_000),
@@ -1839,9 +2084,11 @@ pub(crate) mod tests {
     #[test]
     fn table_lanes_keep_slots_past_sixteen_bits() {
         // A direct-mapped AHRT of 2^17 sets with every branch past set
-        // 65,535: every lane must see the full slot, whether it reads
+        // 65,535: every group must see the full slot, whether it reads
         // the geometry's one shared log or probes inline, and the
-        // reinit AT lane a fill only where the probe filled.
+        // reinit AT lane a fill only where the probe filled. The ST
+        // lane, the LS pair and the AT lane are the geometry's three
+        // groups.
         let trace = loop_heavy_trace_at(0x40000, 6_000);
         let wide = HrtConfig::Associative {
             entries: 1 << 17,
@@ -1856,9 +2103,13 @@ pub(crate) mod tests {
         let lanes = lanes_for(&configs, &trace);
         let chosen = plan(&lanes);
         assert_eq!(chosen.engines, [wide]);
-        for path in &chosen.lanes {
-            assert_eq!(*path, LanePath::Scalar(Some(SlotDriver::Logged(0))));
-        }
+        let logged = SlotDriver::Logged(0);
+        let expected = [
+            group(&[0], logged),
+            group(&[1, 2], logged),
+            group(&[3], logged),
+        ];
+        assert_eq!(chosen.groups, expected);
         let options = SimOptions::default();
         let compiled = CompiledTrace::compile(&trace);
         for forced in [force_drivers(chosen.clone(), &lanes, |_| false), chosen] {
@@ -1869,30 +2120,51 @@ pub(crate) mod tests {
         }
     }
 
-    /// `plan` with derivation off: every lane but a closed-form or dyn
-    /// one scalar, reading a shared engine's log wherever two or more
-    /// lanes share an associative organization.
-    fn scalar_plan(lanes: &[GangLane]) -> WalkPlan {
-        let mut plan = WalkPlan {
-            lanes: Vec::new(),
-            engines: Vec::new(),
-        };
-        for lane in lanes {
-            let hrt = lane.hrt_config();
-            let sharers = lanes.iter().filter(|l| l.hrt_config() == hrt).count();
-            let driver = hrt.map(|hrt| match hrt {
-                HrtConfig::Ideal => SlotDriver::Ideal,
-                HrtConfig::Hashed { .. } => SlotDriver::Hashed,
-                _ if sharers >= 2 => SlotDriver::Logged(engine_for(&mut plan.engines, hrt)),
-                _ => SlotDriver::Private,
-            });
-            plan.lanes.push(match lane {
-                GangLane::Profile(_) | GangLane::Fixed(_) => LanePath::ClosedForm,
-                GangLane::Dyn(_) => LanePath::Dyn,
-                _ => LanePath::Scalar(driver),
-            });
+    /// A walk group of `members` on `driver`.
+    fn group(members: &[usize], driver: SlotDriver) -> WalkGroup {
+        WalkGroup {
+            members: members.to_vec(),
+            driver: Some(driver),
         }
-        plan
+    }
+
+    /// The paths of lanes that each walk in group `groups[i]`.
+    fn grouped<const N: usize>(groups: [usize; N]) -> Vec<LanePath> {
+        groups.into_iter().map(LanePath::Group).collect()
+    }
+
+    /// The plan [`plan`] chooses for `lanes` with derivation off: every
+    /// tournament walks its own components, as a group of one.
+    fn underived(lanes: &[GangLane]) -> WalkPlan {
+        let chosen = plan(lanes);
+        let mut groups: Vec<Vec<usize>> = chosen.groups.into_iter().map(|g| g.members).collect();
+        let paths = (chosen.lanes.into_iter().enumerate())
+            .map(|(i, path)| match path {
+                LanePath::Derived { .. } => {
+                    groups.push(vec![i]);
+                    LanePath::Group(groups.len() - 1)
+                }
+                path => path,
+            })
+            .collect();
+        share(lanes, paths, groups)
+    }
+
+    /// `plan` with every walk group split into groups of one: an
+    /// associative organization gets a shared engine wherever two or
+    /// more lanes then consume it.
+    fn solo(plan: WalkPlan, lanes: &[GangLane]) -> WalkPlan {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let paths = (plan.lanes.into_iter().enumerate())
+            .map(|(i, path)| match path {
+                LanePath::Group(_) => {
+                    groups.push(vec![i]);
+                    LanePath::Group(groups.len() - 1)
+                }
+                path => path,
+            })
+            .collect();
+        share(lanes, paths, groups)
     }
 
     /// The index of `hrt`'s shared engine, added when missing.
@@ -1906,18 +2178,19 @@ pub(crate) mod tests {
         }
     }
 
-    /// `plan` with every scalar lane on an associative geometry `hrt`
-    /// reading that geometry's shared engine's log when `logged(hrt)`,
-    /// the engine added where the plan has none, and probing privately
+    /// `plan` with every group on an associative geometry `hrt` reading
+    /// that geometry's shared engine's log when `logged(hrt)`, the
+    /// engine added where the plan has none, and probing privately
     /// otherwise.
     fn force_drivers(
         mut plan: WalkPlan,
         lanes: &[GangLane],
         logged: impl Fn(HrtConfig) -> bool,
     ) -> WalkPlan {
-        for (path, lane) in plan.lanes.iter_mut().zip(lanes) {
-            if let (LanePath::Scalar(Some(driver)), Some(hrt @ HrtConfig::Associative { .. })) =
-                (path, lane.hrt_config())
+        for group in &mut plan.groups {
+            let hrt = lanes[group.members[0]].hrt_config();
+            if let (Some(driver), Some(hrt @ HrtConfig::Associative { .. })) =
+                (&mut group.driver, hrt)
             {
                 *driver = match logged(hrt) {
                     true => SlotDriver::Logged(engine_for(&mut plan.engines, hrt)),
@@ -1928,12 +2201,13 @@ pub(crate) mod tests {
         plan
     }
 
-    /// Test support: walks fresh `lanes()` over `compiled` under three
-    /// rewrites of the plan [`plan`] chooses for them — every
-    /// associative lane probing privately, every one reading a shared
-    /// log (even a lone one), and no tournament deriving — and returns
-    /// each rewrite's name with every lane's result and adopted table
-    /// statistics.
+    /// Test support: walks fresh `lanes()` over `compiled` under five
+    /// rewrites of the plan [`plan`] chooses for them — every group on
+    /// an associative table probing privately, every one reading a
+    /// shared log (even a lone one), no tournament deriving, and every
+    /// group split into groups of one, with collapsing on and forced
+    /// off — and returns each rewrite's name with every lane's result
+    /// and adopted table statistics.
     pub(crate) fn walks_under_rewritten_plans(
         lanes: impl Fn() -> Vec<GangLane>,
         compiled: &CompiledTrace,
@@ -1941,15 +2215,30 @@ pub(crate) mod tests {
         let built = lanes();
         let chosen = plan(&built);
         let rewrites = [
-            ("private", force_drivers(chosen.clone(), &built, |_| false)),
-            ("logged", force_drivers(chosen, &built, |_| true)),
-            ("underived", scalar_plan(&built)),
+            (
+                "private",
+                force_drivers(chosen.clone(), &built, |_| false),
+                true,
+            ),
+            (
+                "logged",
+                force_drivers(chosen.clone(), &built, |_| true),
+                true,
+            ),
+            ("underived", underived(&built), true),
+            ("solo", solo(chosen.clone(), &built), true),
+            ("solo, collapsing off", solo(chosen, &built), false),
         ];
         rewrites
             .into_iter()
-            .map(|(what, plan)| {
+            .map(|(what, plan, collapsing)| {
                 let mut walked = lanes();
-                let results = execute(&mut walked, &plan, compiled, None, SimOptions::default());
+                let mut walk =
+                    || execute(&mut walked, &plan, compiled, None, SimOptions::default());
+                let results = match collapsing {
+                    true => walk(),
+                    false => without_collapsing(walk),
+                };
                 (what, lane_reports(&results, &walked))
             })
             .collect()
@@ -2034,27 +2323,29 @@ pub(crate) mod tests {
 
     #[test]
     fn tournaments_derive_only_beside_scalar_twins() {
-        // The taxonomy's AT lane walks alone on the AHRT engine it
-        // shares with PAg and PAs, on every stream shape, so the
-        // tournament derives from it and the gshare lane, and rides no
-        // engine itself.
+        // The taxonomy's AT lane walks as a group of one on the AHRT
+        // engine it shares with the PAg/PAs group, and gshare in the
+        // global group with GAg and GAs, on every stream shape, so the
+        // tournament derives from the two of them, and rides no engine
+        // itself.
         let configs = crate::config::taxonomy();
         let churny = SyntheticStream::mixed(0x7a0, 64).generate(6_000);
         let loopy = loop_heavy_trace(6_000);
         for trace in [&churny, &loopy] {
             let chosen = plan(&lanes_for(&configs, trace));
-            assert_eq!(
-                chosen.lanes[4],
-                LanePath::Scalar(Some(SlotDriver::Logged(0)))
-            );
-            assert_eq!(chosen.lanes[5], LanePath::Scalar(None));
-            assert_eq!(
-                chosen.lanes[6],
-                LanePath::Derived {
-                    first: 4,
-                    second: 5
-                }
-            );
+            let derived = LanePath::Derived {
+                first: 4,
+                second: 5,
+            };
+            let mut expected = grouped([0, 0, 1, 1, 2, 0]);
+            expected.push(derived);
+            assert_eq!(chosen.lanes, expected);
+            assert_eq!(chosen.groups[2], group(&[4], SlotDriver::Logged(0)));
+            let global = WalkGroup {
+                members: vec![0, 1, 5],
+                driver: None,
+            };
+            assert_eq!(chosen.groups[0], global);
             // It scores, and adopts the table statistics, as its whole
             // walk.
             let compiled = CompiledTrace::compile(trace);
@@ -2066,7 +2357,7 @@ pub(crate) mod tests {
                 };
                 (results[6].conditional, t.first().hrt_stats())
             };
-            let whole = scalar_plan(&lanes_for(&configs, trace));
+            let whole = underived(&lanes_for(&configs, trace));
             assert_eq!(tournament(&chosen), tournament(&whole));
         }
         // Two tournaments may share one pair of twins.
@@ -2104,12 +2395,13 @@ pub(crate) mod tests {
         // The planner picks one strategy per lane mix; the executor
         // must be exact under all of them. Force each alternative on a
         // loop-heavy and a churny stream, for every lane mix above:
-        // the chosen plan, no tournament derived, and every associative
-        // lane private, or every one logged on a shared engine (a lone
-        // associative lane, such as the ahrt(256) lane of the AT lane
-        // mix, forced onto a shared log, and a lane on a shared
-        // geometry forced to probe inline), each with collapsing on and
-        // forced off. A derived lane's twins are always scalar lanes.
+        // the chosen plan, no tournament derived, every group on an
+        // associative table private, or every one logged on a shared
+        // engine (a lone group, such as the ahrt(256) lane of the AT
+        // lane mix, forced onto a shared log, and a group on a shared
+        // geometry forced to probe inline), and every group split into
+        // groups of one, each with collapsing on and forced off. A
+        // derived lane's twins always walk in groups.
         let [unequal_twins, at_twin_only, gshare_twin_only] = tournaments_without_twin_pairs();
         let mixes = [
             sweep(),
@@ -2136,17 +2428,18 @@ pub(crate) mod tests {
                 let lanes = lanes_for(configs, &trace);
                 let chosen = plan(&lanes);
                 let plans = [
-                    ("underived", scalar_plan(&lanes)),
+                    ("underived", underived(&lanes)),
                     ("private", force_drivers(chosen.clone(), &lanes, |_| false)),
                     ("logged", force_drivers(chosen.clone(), &lanes, |_| true)),
+                    ("solo", solo(chosen.clone(), &lanes)),
                     ("chosen", chosen),
                 ];
                 for (what, forced) in plans {
                     for &path in &forced.lanes {
                         if let LanePath::Derived { first, second } = path {
-                            let scalar =
-                                |twin: usize| matches!(forced.lanes[twin], LanePath::Scalar(_));
-                            assert!(scalar(first) && scalar(second), "{what} plan");
+                            let walked =
+                                |twin: usize| matches!(forced.lanes[twin], LanePath::Group(_));
+                            assert!(walked(first) && walked(second), "{what} plan");
                         }
                     }
                     for collapsing in [true, false] {
@@ -2167,15 +2460,22 @@ pub(crate) mod tests {
 
     #[test]
     fn fig10_shares_one_log_on_every_stream_shape() {
-        // The AT, ST and two LS lanes are the paper AHRT's four
-        // consumers, so they read one probe log, whatever the stream's
-        // shape.
+        // The AT lane, the ST lane and the LS pair are the paper AHRT's
+        // three consumers, so they read one probe log, whatever the
+        // stream's shape.
         let configs = crate::experiment::sweep_spec("fig10")
             .expect("fig10 is registered")
             .configs;
-        let logged = LanePath::Scalar(Some(SlotDriver::Logged(0)));
+        let logged = SlotDriver::Logged(0);
+        let mut lanes = grouped([0, 1, 2]);
+        lanes.extend([LanePath::ClosedForm, LanePath::Group(2)]);
         let expected = WalkPlan {
-            lanes: vec![logged, logged, logged, LanePath::ClosedForm, logged],
+            lanes,
+            groups: vec![
+                group(&[0], logged),
+                group(&[1], logged),
+                group(&[2, 4], logged),
+            ],
             engines: vec![HrtConfig::ahrt(512)],
         };
         for trace in [
@@ -2188,19 +2488,27 @@ pub(crate) mod tests {
 
     #[test]
     fn every_sweep_shares_an_engine_where_a_geometry_has_two_consumers() {
-        // Every sweep but fig6 puts two or more consumers on the paper
-        // AHRT: fig8's Same/Diff pair and fig9's two LS lanes among
-        // them. fig6 has one lane per geometry.
+        // A geometry's consumers are its walk groups. fig5's and fig7's
+        // four AT lanes form one group, fig8's Same/Diff pairs and
+        // fig9's LS pairs one per geometry, and fig6 has one lane per
+        // geometry, so none of them shares an engine. fig10's AT lane,
+        // ST lane and LS pair, and the taxonomy's PAg/PAs pair and AT
+        // lane, put two or more groups on the paper AHRT.
         let trace = SyntheticStream::mixed(0x5eed, 32).generate(2_000);
         let ahrt = HrtConfig::ahrt(512);
         for spec in crate::experiment::sweep_specs() {
-            let expected: &[HrtConfig] = match spec.name {
-                "fig5" | "fig7" | "fig8" | "fig9" | "fig10" | "taxonomy" => &[ahrt],
-                "fig6" => &[],
+            let (engines, sizes): (&[HrtConfig], &[usize]) = match spec.name {
+                "fig5" | "fig7" => (&[], &[4]),
+                "fig6" => (&[], &[1, 1, 1, 1, 1]),
+                "fig8" | "fig9" => (&[], &[2, 2, 2]),
+                "fig10" => (&[ahrt], &[1, 1, 2]),
+                "taxonomy" => (&[ahrt], &[3, 2, 1]),
                 name => panic!("no expected engines for sweep {name}"),
             };
             let plan = plan(&lanes_for(&spec.configs, &trace));
-            assert_eq!(plan.engines, expected, "{}", spec.name);
+            assert_eq!(plan.engines, engines, "{}", spec.name);
+            let got: Vec<usize> = plan.groups.iter().map(|g| g.members.len()).collect();
+            assert_eq!(got, sizes, "{}", spec.name);
         }
     }
 
@@ -2216,9 +2524,13 @@ pub(crate) mod tests {
         let trace = SyntheticStream::mixed(0x10e, 64).generate(4_000);
         let plan = plan(&lanes_for(&configs, &trace));
         assert!(plan.engines.is_empty());
-        assert_eq!(plan.lanes[0], LanePath::Scalar(Some(SlotDriver::Hashed)));
-        assert_eq!(plan.lanes[1], LanePath::Scalar(Some(SlotDriver::Private)));
-        assert_eq!(plan.lanes[2], LanePath::Scalar(Some(SlotDriver::Private)));
+        use SlotDriver::{Hashed, Private};
+        let expected = [
+            group(&[0], Hashed),
+            group(&[1], Private),
+            group(&[2], Private),
+        ];
+        assert_eq!(plan.groups, expected);
         assert_walk_matches_records(&configs, &trace, SimOptions::default());
     }
 
@@ -2271,29 +2583,39 @@ pub(crate) mod tests {
             Some(_) => vec![Some(SlotDriver::Private), Some(SlotDriver::Logged(0))],
         };
         for driver in drivers {
-            let mut lane = GangLane::from_config(config, None);
+            let mut lanes = [GangLane::from_config(config, None)];
             let mut resolver = SiteResolver::new(compiled.site_pcs().to_vec());
             let logs: Vec<ProbeLog> = hrt
                 .filter(|hrt| matches!(hrt, HrtConfig::Associative { .. }))
                 .map(|hrt| ProbeLog::probe(hrt, &mut resolver, &compiled))
                 .into_iter()
                 .collect();
-            let mut guesses = Vec::new();
-            let record = !matches!(lane, GangLane::Tournament(_));
-            let recorded = record.then_some(&mut guesses);
-            let correct = walk_scalar(&mut lane, driver, &logs, &mut resolver, &compiled, recorded);
-            if record {
+            let record = !matches!(lanes[0], GangLane::Tournament(_));
+            let mut guesses = [record.then(Vec::new)];
+            let lone = WalkGroup {
+                members: vec![0],
+                driver,
+            };
+            let correct = walk_group(
+                &mut lanes,
+                &lone,
+                &logs,
+                &mut resolver,
+                &compiled,
+                &mut guesses,
+            );
+            if let [Some(guesses)] = guesses {
                 let got: Vec<bool> = (0..compiled.len())
                     .map(|i| guesses[i / 64] >> (i % 64) & 1 != 0)
                     .collect();
                 prop_assert_eq!(got, want, "{label} guesses under {driver:?}");
                 prop_assert_eq!(
-                    table_stats(&lane),
+                    table_stats(&lanes[0]),
                     table_stats(&reference),
                     "{label} table stats under {driver:?}"
                 );
             }
-            prop_assert_eq!(correct, want_correct, "{label} under {driver:?}");
+            prop_assert_eq!(correct, [want_correct], "{label} under {driver:?}");
         }
         Ok(())
     }
@@ -2382,13 +2704,13 @@ pub(crate) mod tests {
         );
     }
 
-    /// One generated lane, under its table organization: `(kind,
-    /// history bits, flags, log2 pattern sets, automaton)`. Kinds 0–10
-    /// are an AT lane (flags: cached prediction, reinit on replace, init
-    /// not-taken), GAg, GAs, PAg, PAs, gshare, a tournament (flags: its
-    /// AT twin, its gshare twin, a 16-entry chooser), an LS lane, an ST
-    /// lane (trained on a case's second stream), a profile lane and a
-    /// fixed rule (flags pick which).
+    /// One generated lane of a drawn kind, under its table
+    /// organization: `(kind, history bits, flags, log2 pattern sets,
+    /// automaton)`. Kinds 0–10 are an AT lane (flags: cached prediction,
+    /// reinit on replace, init not-taken), GAg, GAs, PAg, PAs, gshare, a
+    /// tournament (flags: its AT twin, its gshare twin, a 16-entry
+    /// chooser), an LS lane, an ST lane (trained on a case's second
+    /// stream), a profile lane and a fixed rule (flags pick which).
     type LaneSpec = (u8, u8, u8, u8, AutomatonKind);
 
     fn lane_configs(
@@ -2442,16 +2764,19 @@ pub(crate) mod tests {
 
     #[test]
     fn scalar_lane_walks_match_the_record_walk() {
-        // One to eight lanes, each on a table organization of its own
-        // drawing — AT lanes under every ablation flag, LS lanes, ST
-        // lanes trained on a second stream (so presets can oppose
-        // runs), the four taxonomy variants, gshare, tournaments beside
-        // both, one or none of their twins, profile lanes and fixed
-        // rules — over churny and burst streams, under the chosen plan,
-        // no tournament derived, and each associative geometry's lanes
-        // forced onto private probes or a shared log, geometry by
-        // geometry, both ways round; each with collapsing on and forced
-        // off.
+        // One to four clusters of one to four lanes, each cluster one
+        // kind on one table organization of its own drawing, so its
+        // lanes walk as one group — or two, where AT lanes draw both
+        // reinit flags — while each lane draws its own automaton, 1–16
+        // history bits and flags: AT lanes under every ablation flag,
+        // LS lanes, ST lanes trained on a second stream (so presets can
+        // oppose runs), the four taxonomy variants, gshare, tournaments
+        // beside both, one or none of their twins, profile lanes and
+        // fixed rules. Over churny and burst streams, under the chosen
+        // plan, no tournament derived, every group split into groups of
+        // one, and each associative geometry's groups forced onto
+        // private probes or a shared log, geometry by geometry, both
+        // ways round; each with collapsing on and forced off.
         use tlat_check::{check, gen, prop_assert_eq};
         let geometries = [
             HrtConfig::Ideal,
@@ -2459,28 +2784,39 @@ pub(crate) mod tests {
             HrtConfig::ahrt(512),
             SMALL,
         ];
-        let lane = gen::tuple5(
-            gen::u8_in(0, 10),
+        let lane = gen::tuple4(
             gen::u8_in(1, 16),
             gen::u8_in(0, 7),
             gen::u8_in(0, 4),
             gen::choose(&AutomatonKind::ALL),
         );
-        let lanes = gen::vec_of(gen::tuple2(gen::choose(&geometries), lane), 1, 8);
+        // AT lanes, which carry the most flags, are drawn three times as
+        // often as each other kind.
+        let kinds = [0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+        let cluster = gen::tuple3(
+            gen::choose(&geometries),
+            gen::choose(&kinds),
+            gen::vec_of(lane, 1, 4),
+        );
+        let clusters = gen::vec_of(cluster, 1, 4);
         let stream = gen::tuple3(gen::bools(), gen::u32_any(), burst_draws());
-        let inputs = gen::tuple4(lanes, stream, burst_draws(), gen::u8_in(0, 15));
+        let inputs = gen::tuple4(clusters, stream, burst_draws(), gen::u8_in(0, 15));
         check(
             "scalar_lane_walks_match_the_record_walk",
             &inputs,
-            |(specs, (churny, seed, bursts), training, mask)| {
+            |(clusters, (churny, seed, bursts), training, mask)| {
                 let trace = match churny {
                     true => SyntheticStream::mixed(u64::from(*seed), 24).generate(1_500),
                     false => burst_stream(bursts),
                 };
                 let training = burst_stream(training);
-                let configs: Vec<SchemeConfig> = specs
+                let configs: Vec<SchemeConfig> = clusters
                     .iter()
-                    .flat_map(|(hrt, spec)| lane_configs(*hrt, spec))
+                    .flat_map(|(hrt, kind, lanes)| {
+                        lanes.iter().flat_map(|&(bits, flags, sets, automaton)| {
+                            lane_configs(*hrt, &(*kind, bits, flags, sets, automaton))
+                        })
+                    })
                     .collect();
                 let build = || -> Vec<GangLane> {
                     configs
@@ -2495,7 +2831,7 @@ pub(crate) mod tests {
                 let compiled = CompiledTrace::compile(&trace);
                 let lanes = build();
                 let chosen = plan(&lanes);
-                // Bit `g` of `mask` puts geometry `g`'s lanes on a
+                // Bit `g` of `mask` puts geometry `g`'s groups on a
                 // shared log in the first forced plan, and on private
                 // probes in the second.
                 let logged = |hrt: HrtConfig| {
@@ -2505,7 +2841,8 @@ pub(crate) mod tests {
                 let plans = [
                     force_drivers(chosen.clone(), &lanes, logged),
                     force_drivers(chosen.clone(), &lanes, |hrt| !logged(hrt)),
-                    scalar_plan(&lanes),
+                    underived(&lanes),
+                    solo(chosen.clone(), &lanes),
                     chosen,
                 ];
                 for (forced, collapsing) in plans.iter().flat_map(|p| [(p, true), (p, false)]) {
