@@ -17,7 +17,7 @@
 //! `inner_loop_heavy_record`, `inner_loop_heavy_walk`) plus derived
 //! speedup lines.
 //!
-//! Lanes of one walker kind on one table walk as one group, stepping
+//! Lanes of one member kind on one table walk as one group, stepping
 //! one history register per slot (or one global register) for all of
 //! them. The LS/ST pair measures five Lee & Smith lanes, one group, and
 //! a Static Training lane on one geometry, the two groups reading that

@@ -281,7 +281,8 @@ impl AutomatonKind {
 /// transition table by hand, so none can drift from this file.
 ///
 /// The pattern tables step these codes, and so does a Lee & Smith
-/// buffer's [`Walker`](crate::Walker). The derivation also asserts
+/// buffer's [`LeeSmithMember`](crate::LeeSmithMember) in its
+/// [`Walk`](crate::Walk). The derivation also asserts
 /// the convergence that every collapse of a same-outcome run rests on:
 /// from any state, [`CodeTables::CONVERGENCE`] updates with one outcome
 /// reach a fixed point that predicts it.
@@ -607,8 +608,8 @@ mod tests {
 
     /// The derived code tables, state by state, against the scalar
     /// automaton: exhaustive over all 4 state codes × 2 outcomes × every
-    /// variant. Pattern tables and the Lee & Smith walker step these
-    /// codes.
+    /// variant. Pattern tables and the Lee & Smith walk member step
+    /// these codes.
     #[test]
     fn derived_tables_match_scalar_lambda_and_delta() {
         for kind in AutomatonKind::ALL {

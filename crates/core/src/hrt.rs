@@ -284,8 +284,8 @@ impl<E: Clone> Ahrt<E> {
     /// Creates an `entries`-entry, `ways`-way table with every entry
     /// initialized to `fill`.
     ///
-    /// The table is "pre-warmed": every way starts with the impossible
-    /// [`INVALID_TAG`] and pre-filled contents, so a replaced branch
+    /// The table is "pre-warmed": every way starts with an impossible
+    /// tag (`u32::MAX`) and pre-filled contents, so a replaced branch
     /// inherits the initial (or a victim's) history rather than
     /// garbage.
     ///

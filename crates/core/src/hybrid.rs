@@ -19,7 +19,8 @@ use crate::hrt::{HrtStats, SiteResolver};
 use crate::pattern::PatternTable;
 use crate::predictor::Predictor;
 use crate::two_level::TwoLevelAdaptive;
-use crate::variants::{GlobalMember, GlobalWalk};
+use crate::variants::PatternMember;
+use crate::walk::Walk;
 use tlat_trace::{BranchRecord, SiteId};
 
 /// Configuration of a [`Gshare`] predictor.
@@ -81,13 +82,17 @@ impl Gshare {
         &self.config
     }
 
-    /// This fresh predictor's [`Walker`](crate::Walker) over
-    /// `resolver`'s sites, a group of one: its global register indexes
-    /// its one table XOR the site's address term, resolved up front.
-    pub fn walker(&self, resolver: &SiteResolver) -> GlobalWalk<[GlobalMember; 1]> {
-        let terms = resolver.word_slots(self.table.len() - 1);
-        let tables = vec![self.table.clone()];
-        GlobalWalk::new(tables, resolver.word_slots(0), terms, self.history)
+    /// This fresh predictor's [`Walk`] over `resolver`'s sites, a group
+    /// of one: its global register, a table of one slot, indexes its
+    /// one table XOR the site's address term, resolved up front.
+    pub fn walker(&self, resolver: &SiteResolver) -> Walk<PatternMember, [PatternMember; 1]> {
+        let member = PatternMember {
+            tables: vec![self.table.clone()],
+            sets: resolver.word_slots(0),
+            terms: resolver.word_slots(self.table.len() - 1),
+            mask: HistoryRegister::new(self.config.history_bits).pattern() as u16,
+        };
+        Walk::fresh([member], 1)
     }
 
     fn index(&self, pc: u32) -> usize {

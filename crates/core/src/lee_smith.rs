@@ -8,8 +8,9 @@
 //! last time".
 
 use crate::automaton::{AnyAutomaton, AutomatonKind, CodeTables};
-use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe};
-use crate::predictor::{group_slots, Predictor, Walker};
+use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats};
+use crate::predictor::Predictor;
+use crate::walk::{Member, Walk};
 use tlat_trace::{BranchRecord, SiteId};
 
 /// Configuration of a [`LeeSmithBtb`] predictor.
@@ -102,18 +103,16 @@ impl LeeSmithBtb {
         self.table.stats()
     }
 
-    /// This fresh predictor's [`Walker`] over a buffer of `slots`
-    /// slots, a group of one, each slot pre-warmed as the predictor's
-    /// own buffer is: the automaton's initial state.
-    pub fn walker(&self, slots: usize) -> LeeSmithWalk<[LeeSmithMember; 1]> {
+    /// This fresh predictor's [`Walk`] over a buffer of `slots` slots,
+    /// a group of one, each slot pre-warmed as the predictor's own
+    /// buffer is: the automaton's initial state.
+    pub fn walker(&self, slots: usize) -> Walk<LeeSmithMember, [LeeSmithMember; 1]> {
         let kind = self.config.automaton;
-        LeeSmithWalk {
-            members: [LeeSmithMember {
-                codes: CodeTables::derive(kind),
-                init: kind.init().state_bits(),
-            }],
-            states: vec![kind.init().state_bits(); slots],
-        }
+        let member = LeeSmithMember {
+            codes: CodeTables::derive(kind),
+            init: kind.init().state_bits(),
+        };
+        Walk::fresh([member], slots)
     }
 }
 
@@ -148,20 +147,10 @@ impl Predictor for LeeSmithBtb {
     }
 }
 
-/// A group of [`LeeSmithBtb`] predictors' [`Walker`]: per slot, each
-/// member's automaton state code. A Lee & Smith buffer keeps no history
-/// register, so its members share only the slot. `M` holds the members:
-/// an inline array of one for a predictor's own walker, a vector for a
-/// group ([`LeeSmithWalk::group`]).
-#[derive(Debug, Clone)]
-pub struct LeeSmithWalk<M = Vec<LeeSmithMember>> {
-    members: M,
-    /// Per slot, each member's state code, so one slot's state sits
-    /// together.
-    states: Vec<u8>,
-}
-
-/// One member of a [`LeeSmithWalk`]: a predictor's automaton.
+/// A [`LeeSmithBtb`] predictor's automaton, as a [`Walk`] member: its
+/// state word is the automaton's state code in the slot. A Lee & Smith
+/// buffer keeps no history register, so its members share only the
+/// slot, and its run bound is [`CodeTables::CONVERGENCE`] alone.
 #[derive(Debug, Clone)]
 pub struct LeeSmithMember {
     /// Its λ and δ.
@@ -170,55 +159,25 @@ pub struct LeeSmithMember {
     init: u8,
 }
 
-impl LeeSmithWalk {
-    /// Joins fresh `walkers` — as built, never yet stepped — of
-    /// predictors on one buffer into one walker whose members are
-    /// theirs, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `walkers` is empty or their slot counts differ.
-    pub fn group<M>(walkers: impl IntoIterator<Item = LeeSmithWalk<M>>) -> Self
-    where
-        M: AsRef<[LeeSmithMember]> + IntoIterator<Item = LeeSmithMember>,
-    {
-        let walkers: Vec<_> = walkers.into_iter().collect();
-        let per_slot = |w: &LeeSmithWalk<M>| (w.states.len(), w.members.as_ref().len());
-        let slots = group_slots(walkers.iter().map(per_slot));
-        let members: Vec<LeeSmithMember> = walkers.into_iter().flat_map(|w| w.members).collect();
-        let slot: Vec<u8> = members.iter().map(|m| m.init).collect();
-        LeeSmithWalk {
-            states: slot.repeat(slots),
-            members,
-        }
-    }
-}
+impl Member for LeeSmithMember {
+    const REGISTER: bool = false;
+    const STATE: bool = true;
 
-impl<M: AsRef<[LeeSmithMember]>> Walker for LeeSmithWalk<M> {
-    fn members(&self) -> usize {
-        self.members.as_ref().len()
+    fn mask(&self) -> u16 {
+        0
     }
 
-    /// [`LeeSmithBtb`]'s fused cycle on each member's automaton in the
-    /// slot. The probe word's flags change nothing: the buffer never
-    /// re-initializes a replaced way, so a replacement inherits the
-    /// slot's states, and a way that fills was never touched, so it
-    /// still holds the initial states.
+    fn state(&self, _register: u16) -> u16 {
+        u16::from(self.init)
+    }
+
+    /// [`LeeSmithBtb`]'s fused cycle on the member's automaton in the
+    /// slot.
     #[inline(always)]
-    fn step(&mut self, word: u32, _site: SiteId, taken: bool, bit: u32, guesses: &mut [u64]) {
-        let members = self.members.as_ref();
-        let at = (word & Probe::SLOT) as usize * members.len();
-        let states = &mut self.states[at..at + members.len()];
-        for ((code, member), guesses) in states.iter_mut().zip(members).zip(guesses) {
-            *guesses |= u64::from(member.codes.predict(*code)) << bit;
-            *code = member.codes.next(*code, taken);
-        }
-    }
-
-    /// A run uses one slot, and there is no history register: each
-    /// member's automaton alone converges.
-    fn run_bound(&self) -> usize {
-        CodeTables::CONVERGENCE
+    fn cycle(&mut self, _: SiteId, _: u16, _: u16, taken: bool, code: &mut u16) -> bool {
+        let guess = self.codes.predict(*code as u8);
+        *code = u16::from(self.codes.next(*code as u8, taken));
+        guess
     }
 }
 

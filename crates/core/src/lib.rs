@@ -59,6 +59,7 @@ mod simple;
 mod static_training;
 mod two_level;
 mod variants;
+mod walk;
 
 pub use automaton::{AnyAutomaton, Automaton, AutomatonKind, CodeTables, LastTime, A1, A2, A3, A4};
 pub use btb::TargetBuffer;
@@ -68,15 +69,13 @@ pub use hrt::{
     SiteResolver, SlotProbe,
 };
 pub use hybrid::{Gshare, GshareConfig, Tournament};
-pub use lee_smith::{LeeSmithBtb, LeeSmithConfig, LeeSmithMember, LeeSmithWalk};
+pub use lee_smith::{LeeSmithBtb, LeeSmithConfig, LeeSmithMember};
 pub use pattern::PatternTable;
-pub use predictor::{Predictor, Walker};
+pub use predictor::Predictor;
 pub use simple::{AlwaysNotTaken, AlwaysTaken, Btfn, ProfilePredictor};
 pub use static_training::{
-    StaticTraining, StaticTrainingConfig, StaticTrainingMember, StaticTrainingWalk, TrainingProfile,
+    StaticTraining, StaticTrainingConfig, StaticTrainingMember, TrainingProfile,
 };
-pub use two_level::{TwoLevelAdaptive, TwoLevelConfig, TwoLevelMember, TwoLevelWalk};
-pub use variants::{
-    GlobalMember, GlobalWalk, HistoryScope, PatternScope, PerAddressMember, PerAddressWalk,
-    TwoLevelVariant, VariantConfig, VariantWalk,
-};
+pub use two_level::{TwoLevelAdaptive, TwoLevelConfig, TwoLevelMember};
+pub use variants::{HistoryScope, PatternMember, PatternScope, TwoLevelVariant, VariantConfig};
+pub use walk::{Member, Walk};

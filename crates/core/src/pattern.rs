@@ -5,7 +5,7 @@
 //! branchlessly: λ reads one bit of a per-table mask and δ one byte of
 //! a per-table `(taken, state)` table. Both are derived once per table
 //! from `automaton.rs` as [`CodeTables`], the codes a Lee & Smith
-//! buffer's walker steps too, so no transition is written here.
+//! buffer's walk member steps too, so no transition is written here.
 
 use crate::automaton::{AnyAutomaton, AutomatonKind, CodeTables};
 

@@ -1,8 +1,6 @@
-//! The common predictor interface, and the lean walk of a compiled
-//! event stream.
+//! The common predictor interface.
 
-use crate::automaton::CodeTables;
-use tlat_trace::{BranchRecord, SiteId};
+use tlat_trace::BranchRecord;
 
 /// A conditional-branch direction predictor.
 ///
@@ -46,88 +44,6 @@ pub trait Predictor {
     }
 }
 
-/// The lean walk-local state of a level-one group of predictors, for
-/// walking a compiled event stream.
-///
-/// Level one's slot decisions — which table slot an event's branch
-/// occupies, and whether the access filled or replaced it — depend only
-/// on the stream and the table's geometry, so a compiled walk makes
-/// them apart from the predictor and hands each event's decision in as
-/// a probe word ([`Probe::word`](crate::Probe::word)). The history
-/// registers depend only on those decisions and the outcomes, so
-/// predictors of one kind on one geometry (and, for Two-Level
-/// predictors, one replacement rule) keep one register between them:
-/// every register starts all-ones and shifts the newest outcome into
-/// bit 0, so a k-bit register always equals the low k bits of a wider
-/// one. A walker is such a group: one register per slot (or one global
-/// register) as wide as its widest member's, and each member's own
-/// level two beside it — a Two-Level member's §3.2 cached bit per slot
-/// and its one-byte pattern tables, a Lee & Smith member's automaton
-/// per slot (a Lee & Smith group has no register and shares only the
-/// slot), or a Static Training member's preset bits. Members never read
-/// each other's level two.
-///
-/// Each predictor builds its own walker from a fresh predictor
-/// ([`TwoLevelAdaptive::walker`](crate::TwoLevelAdaptive::walker),
-/// [`TwoLevelVariant::walker`](crate::TwoLevelVariant::walker),
-/// [`Gshare::walker`](crate::Gshare::walker),
-/// [`LeeSmithBtb::walker`](crate::LeeSmithBtb::walker),
-/// [`StaticTraining::walker`](crate::StaticTraining::walker)): a group
-/// of one, its member held inline, so a lone predictor's walk compiles
-/// to a loop with no member loop left in it. Each kind's `group`
-/// ([`TwoLevelWalk::group`](crate::TwoLevelWalk::group),
-/// [`PerAddressWalk::group`](crate::PerAddressWalk::group),
-/// [`GlobalWalk::group`](crate::GlobalWalk::group),
-/// [`LeeSmithWalk::group`](crate::LeeSmithWalk::group),
-/// [`StaticTrainingWalk::group`](crate::StaticTrainingWalk::group))
-/// joins fresh walkers of one level one into one whose members sit in a
-/// vector. Each member guesses event for event as its predictor's
-/// [`predict_update`](Predictor::predict_update) would over the same
-/// branches, leaving the predictor itself untouched.
-pub trait Walker {
-    /// How many predictors this walker steps.
-    fn members(&self) -> usize;
-
-    /// One event at `site` in the slot of probe word `word`: each
-    /// member's guess, made before `taken` trains it, ORed into bit
-    /// `bit` of that member's word of `guesses` (one word per member,
-    /// in member order).
-    fn step(&mut self, word: u32, site: SiteId, taken: bool, bit: u32, guesses: &mut [u64]);
-
-    /// How many events of a same-site, same-outcome run this walker
-    /// steps before every member sits at a fixed point that guesses the
-    /// run: the largest member's bound. For a member with a history
-    /// register, that is its history bits, after which the register
-    /// holds only the run's outcome, plus [`CodeTables::CONVERGENCE`]
-    /// updates of the one automaton that register then indexes; a Lee &
-    /// Smith member has no register, so its bound is the convergence
-    /// alone. Stepping a member past its own bound changes nothing, and
-    /// every later event of the run is a correct guess for every member
-    /// that changes no walker state, so a walk may credit it without a
-    /// step. A walker that never reaches such a point (Static
-    /// Training's, whose preset bits may oppose a run) returns
-    /// [`usize::MAX`].
-    fn run_bound(&self) -> usize;
-}
-
-/// The one slot count of walkers that each keep `per_slot` entries per
-/// slot in `entries`, for a kind's `group`.
-///
-/// # Panics
-///
-/// Panics when there are no walkers or their slot counts differ.
-pub(crate) fn group_slots(entries: impl IntoIterator<Item = (usize, usize)>) -> usize {
-    let mut slots = entries.into_iter().map(|(len, per_slot)| len / per_slot);
-    let first = slots.next().expect("a group has members");
-    assert!(slots.all(|n| n == first), "grouped walkers cover one table");
-    first
-}
-
-/// [`Walker::run_bound`] of a walker whose registers are `mask` wide.
-pub(crate) fn run_bound(mask: u16) -> usize {
-    mask.count_ones() as usize + CodeTables::CONVERGENCE
-}
-
 impl<P: Predictor + ?Sized> Predictor for Box<P> {
     fn name(&self) -> String {
         (**self).name()
@@ -162,66 +78,6 @@ mod tests {
             self.0
         }
         fn update(&mut self, _: &BranchRecord) {}
-    }
-
-    #[test]
-    fn the_long_run_floor_is_the_shortest_lanes_bound() {
-        // Each walker with a history register bounds a run by its
-        // history bits plus the automata's one convergence bound, so
-        // with the shortest legal register, one bit, its bound is the
-        // compiled stream's long-run floor: the index holds every run
-        // such a walker can collapse. A Lee & Smith walker's bound is
-        // the floor minus one, so of a run the index leaves out it
-        // steps at most one event it could have credited, and a Static
-        // Training walker never collapses. Exact either way.
-        use crate::{
-            AutomatonKind, Gshare, GshareConfig, HrtConfig, LeeSmithBtb, LeeSmithConfig,
-            SiteResolver, StaticTraining, StaticTrainingConfig, TwoLevelAdaptive, TwoLevelConfig,
-            TwoLevelVariant, VariantConfig, VariantWalk,
-        };
-        assert_eq!(tlat_trace::LONG_RUN_FLOOR, 1 + CodeTables::CONVERGENCE);
-        let resolver = SiteResolver::new(vec![0x1000]);
-        for bits in [1, 6, 12, crate::MAX_HISTORY_BITS] {
-            let want = usize::from(bits) + CodeTables::CONVERGENCE;
-            let at = TwoLevelAdaptive::new(TwoLevelConfig {
-                history_bits: bits,
-                ..TwoLevelConfig::paper_default()
-            });
-            assert_eq!(at.walker(1).run_bound(), want);
-            let kind = AutomatonKind::A2;
-            let pag = TwoLevelVariant::new(VariantConfig::pag(bits, kind, HrtConfig::Ideal));
-            let gag = TwoLevelVariant::new(VariantConfig::gag(bits, kind));
-            for walk in [pag.walker(1, &resolver), gag.walker(0, &resolver)] {
-                let bound = match walk {
-                    VariantWalk::PerAddress(w) => w.run_bound(),
-                    VariantWalk::Global(w) => w.run_bound(),
-                };
-                assert_eq!(bound, want);
-            }
-            let gshare = Gshare::new(GshareConfig {
-                history_bits: bits,
-                automaton: kind,
-            });
-            assert_eq!(gshare.walker(&resolver).run_bound(), want);
-            assert!(want >= tlat_trace::LONG_RUN_FLOOR);
-            let st = StaticTraining::train(
-                StaticTrainingConfig {
-                    history_bits: bits,
-                    ..StaticTrainingConfig::paper_default()
-                },
-                &tlat_trace::Trace::new(),
-            );
-            assert_eq!(st.walker(1).run_bound(), usize::MAX);
-        }
-        for automaton in AutomatonKind::ALL {
-            let ls = LeeSmithBtb::new(LeeSmithConfig {
-                automaton,
-                ..LeeSmithConfig::paper_default()
-            });
-            let bound = ls.walker(1).run_bound();
-            assert_eq!(bound, CodeTables::CONVERGENCE);
-            assert_eq!(bound, tlat_trace::LONG_RUN_FLOOR - 1);
-        }
     }
 
     #[test]

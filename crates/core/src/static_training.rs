@@ -12,8 +12,9 @@
 //! data set (`Diff`, the realistic case, where accuracy drops).
 
 use crate::history::HistoryRegister;
-use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe};
-use crate::predictor::{group_slots, Predictor, Walker};
+use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats};
+use crate::predictor::Predictor;
+use crate::walk::{Member, Walk};
 use tlat_trace::{BranchClass, BranchRecord, CompiledTrace, SiteId, Trace};
 
 /// Configuration of a [`StaticTraining`] predictor.
@@ -204,16 +205,15 @@ impl StaticTraining {
         self.preset[pattern]
     }
 
-    /// This fresh predictor's [`Walker`] over a table of `slots` slots,
+    /// This fresh predictor's [`Walk`] over a table of `slots` slots,
     /// a group of one, each pre-warmed as the predictor's own table is:
     /// an all-ones register.
-    pub fn walker(&self, slots: usize) -> StaticTrainingWalk<[StaticTrainingMember; 1]> {
-        let mask = HistoryRegister::new(self.config.history_bits).pattern() as u16;
+    pub fn walker(&self, slots: usize) -> Walk<StaticTrainingMember, [StaticTrainingMember; 1]> {
         let member = StaticTrainingMember {
             preset: self.preset.clone(),
-            mask,
+            mask: HistoryRegister::new(self.config.history_bits).pattern() as u16,
         };
-        StaticTrainingWalk::fresh([member], slots)
+        Walk::fresh([member], slots)
     }
 }
 
@@ -256,77 +256,21 @@ impl Predictor for StaticTraining {
     }
 }
 
-/// A group of [`StaticTraining`] predictors' [`Walker`]: one history
-/// register per slot, as wide as the widest member's, each member's low
-/// bits read against a copy of its preset bits. `M` holds the members:
-/// an inline array of one for a predictor's own walker, a vector for a
-/// group ([`StaticTrainingWalk::group`]).
-#[derive(Debug, Clone)]
-pub struct StaticTrainingWalk<M = Vec<StaticTrainingMember>> {
-    members: M,
-    registers: Vec<u16>,
-    mask: u16,
-}
-
-/// One member of a [`StaticTrainingWalk`]: a predictor's preset bits.
+/// A [`StaticTraining`] predictor's preset bits, as a [`Walk`] member,
+/// read with its low bits of the slot's register.
 #[derive(Debug, Clone)]
 pub struct StaticTrainingMember {
     preset: Vec<bool>,
-    /// Its own history bits, the low bits of the group's register.
+    /// Its own history bits, the low bits of the walk's register.
     mask: u16,
 }
 
-impl<M: AsRef<[StaticTrainingMember]>> StaticTrainingWalk<M> {
-    /// A walk of `members` over `slots` all-ones registers.
-    fn fresh(members: M, slots: usize) -> Self {
-        let each = members.as_ref().iter();
-        let mask = each.map(|m| m.mask).max().expect("a group has members");
-        StaticTrainingWalk {
-            members,
-            registers: vec![mask; slots],
-            mask,
-        }
-    }
-}
+impl Member for StaticTrainingMember {
+    const REGISTER: bool = true;
+    const STATE: bool = false;
 
-impl StaticTrainingWalk {
-    /// Joins fresh `walkers` — as built, never yet stepped — of
-    /// predictors on one table into one walker whose members are
-    /// theirs, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `walkers` is empty or their slot counts differ.
-    pub fn group<M>(walkers: impl IntoIterator<Item = StaticTrainingWalk<M>>) -> Self
-    where
-        M: IntoIterator<Item = StaticTrainingMember>,
-    {
-        let walkers: Vec<_> = walkers.into_iter().collect();
-        let slots = group_slots(walkers.iter().map(|w| (w.registers.len(), 1)));
-        let members = walkers.into_iter().flat_map(|w| w.members).collect();
-        StaticTrainingWalk::fresh(members, slots)
-    }
-}
-
-impl<M: AsRef<[StaticTrainingMember]>> Walker for StaticTrainingWalk<M> {
-    fn members(&self) -> usize {
-        self.members.as_ref().len()
-    }
-
-    /// [`StaticTraining`]'s fused cycle on the slot's register, per
-    /// member. The probe word's flags change nothing: the table never
-    /// re-initializes a replaced way, so a replacement inherits the
-    /// slot's register, and a way that fills was never touched, so it
-    /// still reads all-ones.
-    #[inline(always)]
-    fn step(&mut self, word: u32, _site: SiteId, taken: bool, bit: u32, guesses: &mut [u64]) {
-        let register = &mut self.registers[(word & Probe::SLOT) as usize];
-        let old = *register;
-        *register = (old << 1 | u16::from(taken)) & self.mask;
-        for (member, guesses) in self.members.as_ref().iter().zip(guesses) {
-            let guess = member.preset[usize::from(old & member.mask)];
-            *guesses |= u64::from(guess) << bit;
-        }
+    fn mask(&self) -> u16 {
+        self.mask
     }
 
     /// Never ([`usize::MAX`]): once a run fills the register, every
@@ -335,6 +279,13 @@ impl<M: AsRef<[StaticTrainingMember]>> Walker for StaticTrainingWalk<M> {
     /// tail is credited.
     fn run_bound(&self) -> usize {
         usize::MAX
+    }
+
+    /// [`StaticTraining`]'s fused cycle: the preset bit of the old
+    /// pattern.
+    #[inline(always)]
+    fn cycle(&mut self, _: SiteId, old: u16, _: u16, _: bool, _: &mut u16) -> bool {
+        self.preset[usize::from(old & self.mask)]
     }
 }
 

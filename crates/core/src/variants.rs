@@ -23,9 +23,10 @@
 
 use crate::automaton::AutomatonKind;
 use crate::history::HistoryRegister;
-use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, Probe, SiteResolver};
+use crate::hrt::{AnyHrt, HistoryTable, HrtConfig, HrtStats, SiteResolver};
 use crate::pattern::PatternTable;
-use crate::predictor::{group_slots, run_bound, Predictor, Walker};
+use crate::predictor::Predictor;
+use crate::walk::{Member, Walk};
 use tlat_trace::{BranchRecord, SiteId};
 
 /// First-level (history) organization.
@@ -249,25 +250,27 @@ impl TwoLevelVariant {
         }
     }
 
-    /// This fresh predictor's [`Walker`] over `resolver`'s sites, a
+    /// This fresh predictor's [`Walk`] over `resolver`'s sites, a
     /// group of one: one history register per slot of a `slots`-slot
-    /// table for PAg and PAs, one global register for GAg and GAs. Each
-    /// site's pattern set is resolved up front.
-    pub fn walker(&self, slots: usize, resolver: &SiteResolver) -> VariantWalk {
-        let history = HistoryRegister::new(self.config.history_bits);
-        let sets = resolver.word_slots(self.set_mask);
-        let tables = self.tables.clone();
-        match self.level1 {
-            Level1::PerAddress(_) => {
-                let mask = history.pattern() as u16;
-                let member = PerAddressMember { tables, sets, mask };
-                VariantWalk::PerAddress(PerAddressWalk::fresh([member], slots))
-            }
-            Level1::Global(_) => {
-                let terms = resolver.word_slots(0);
-                VariantWalk::Global(GlobalWalk::new(tables, sets, terms, history))
-            }
-        }
+    /// table for PAg and PAs, and for GAg and GAs, whose one global
+    /// register has no table to walk, a table of one slot. Each site's
+    /// pattern set is resolved up front.
+    pub fn walker(
+        &self,
+        slots: usize,
+        resolver: &SiteResolver,
+    ) -> Walk<PatternMember, [PatternMember; 1]> {
+        let slots = match self.level1 {
+            Level1::PerAddress(_) => slots,
+            Level1::Global(_) => 1,
+        };
+        let member = PatternMember {
+            tables: self.tables.clone(),
+            sets: resolver.word_slots(self.set_mask),
+            terms: resolver.word_slots(0),
+            mask: HistoryRegister::new(self.config.history_bits).pattern() as u16,
+        };
+        Walk::fresh([member], slots)
     }
 
     fn table_index(&self, pc: u32) -> usize {
@@ -324,197 +327,39 @@ impl Predictor for TwoLevelVariant {
     }
 }
 
-/// A [`TwoLevelVariant`]'s own [`Walker`], per history scope: a group
-/// of one.
+/// A taxonomy predictor's or gshare's level two, as a [`Walk`] member:
+/// its pattern tables, each site's set, and each site's address term.
+/// GAg, GAs, PAg and PAs members index the site's set with their low
+/// bits of the register; gshare indexes its one table with them XOR the
+/// site's address term (both below the table size, so their XOR needs
+/// no mask), which is zero for the others. A per-address member walks a
+/// register per slot of its table; a global-history member walks a
+/// table of one slot, its one global register.
 #[derive(Debug, Clone)]
-pub enum VariantWalk {
-    /// PAg or PAs: per-address registers, walked over a table's slots.
-    PerAddress(PerAddressWalk<[PerAddressMember; 1]>),
-    /// GAg or GAs: one global register, with no table to walk.
-    Global(GlobalWalk<[GlobalMember; 1]>),
+pub struct PatternMember {
+    pub(crate) tables: Vec<PatternTable>,
+    pub(crate) sets: Vec<u32>,
+    pub(crate) terms: Vec<u32>,
+    /// Its own history bits, the low bits of the walk's register.
+    pub(crate) mask: u16,
 }
 
-/// A group of PAg and PAs predictors' [`Walker`]: one history register
-/// per slot, as wide as the widest member's, each member's low bits
-/// indexing its site's pattern set. `M` holds the members: an inline
-/// array of one for a predictor's own walker, a vector for a group
-/// ([`PerAddressWalk::group`]).
-#[derive(Debug, Clone)]
-pub struct PerAddressWalk<M = Vec<PerAddressMember>> {
-    members: M,
-    histories: Vec<u16>,
-    mask: u16,
-}
+impl Member for PatternMember {
+    const REGISTER: bool = true;
+    const STATE: bool = false;
 
-/// One member of a [`PerAddressWalk`]: a predictor's pattern tables and
-/// each site's set.
-#[derive(Debug, Clone)]
-pub struct PerAddressMember {
-    tables: Vec<PatternTable>,
-    sets: Vec<u32>,
-    /// Its own history bits, the low bits of the group's register.
-    mask: u16,
-}
-
-impl<M: AsRef<[PerAddressMember]>> PerAddressWalk<M> {
-    /// A walk of `members` over `slots` all-ones registers.
-    fn fresh(members: M, slots: usize) -> Self {
-        let each = members.as_ref().iter();
-        let mask = each.map(|m| m.mask).max().expect("a group has members");
-        PerAddressWalk {
-            members,
-            histories: vec![mask; slots],
-            mask,
-        }
-    }
-}
-
-impl PerAddressWalk {
-    /// Joins fresh `walkers` — as built, never yet stepped — of
-    /// predictors on one table into one walker whose members are
-    /// theirs, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `walkers` is empty or their slot counts differ.
-    pub fn group<M>(walkers: impl IntoIterator<Item = PerAddressWalk<M>>) -> Self
-    where
-        M: IntoIterator<Item = PerAddressMember>,
-    {
-        let walkers: Vec<_> = walkers.into_iter().collect();
-        let slots = group_slots(walkers.iter().map(|w| (w.histories.len(), 1)));
-        let members = walkers.into_iter().flat_map(|w| w.members).collect();
-        PerAddressWalk::fresh(members, slots)
-    }
-}
-
-impl<M: AsMut<[PerAddressMember]> + AsRef<[PerAddressMember]>> Walker for PerAddressWalk<M> {
-    fn members(&self) -> usize {
-        self.members.as_ref().len()
+    fn mask(&self) -> u16 {
+        self.mask
     }
 
     #[inline(always)]
-    fn step(&mut self, word: u32, site: SiteId, taken: bool, bit: u32, guesses: &mut [u64]) {
-        // A taxonomy predictor's table never re-initializes a replaced
-        // way.
-        let history = &mut self.histories[(word & Probe::SLOT) as usize];
-        if word & Probe::FILLED != 0 {
-            *history = self.mask;
-        }
-        let old = *history;
-        *history = (old << 1 | u16::from(taken)) & self.mask;
-        for (member, guesses) in self.members.as_mut().iter_mut().zip(guesses) {
-            let pattern = usize::from(old & member.mask);
-            let table = &mut member.tables[member.sets[site as usize] as usize];
-            *guesses |= u64::from(table.predict(pattern)) << bit;
-            table.update(pattern, taken);
-        }
-    }
-
-    /// A run uses one slot and, per member, one pattern set.
-    fn run_bound(&self) -> usize {
-        run_bound(self.mask)
-    }
-}
-
-/// A group of global-history predictors' [`Walker`]: one register, as
-/// wide as the widest member's. GAg and GAs members index the site's
-/// pattern set with their low bits of it; gshare indexes its one table
-/// with them XOR the site's address term (both below the table size, so
-/// their XOR needs no mask). It reads no probe word: there is no
-/// per-address table. `M` holds the members: an inline array of one for
-/// a predictor's own walker, a vector for a group
-/// ([`GlobalWalk::group`]).
-#[derive(Debug, Clone)]
-pub struct GlobalWalk<M = Vec<GlobalMember>> {
-    members: M,
-    history: u16,
-    mask: u16,
-}
-
-/// One member of a [`GlobalWalk`]: a predictor's pattern tables, and
-/// each site's set and address term.
-#[derive(Debug, Clone)]
-pub struct GlobalMember {
-    tables: Vec<PatternTable>,
-    sets: Vec<u32>,
-    /// Each site's address term: zero for GAg and GAs.
-    terms: Vec<u32>,
-    /// Its own history bits, the low bits of the group's register.
-    mask: u16,
-}
-
-impl GlobalWalk<[GlobalMember; 1]> {
-    /// A walk of one predictor over `tables`, each site's set and
-    /// address term resolved, from register `history`.
-    pub(crate) fn new(
-        tables: Vec<PatternTable>,
-        sets: Vec<u32>,
-        terms: Vec<u32>,
-        history: HistoryRegister,
-    ) -> Self {
-        let mask = (history.pattern_count() - 1) as u16;
-        let member = GlobalMember {
-            tables,
-            sets,
-            terms,
-            mask,
-        };
-        GlobalWalk {
-            members: [member],
-            history: history.pattern() as u16,
-            mask,
-        }
-    }
-}
-
-impl GlobalWalk {
-    /// Joins fresh `walkers` — as built, never yet stepped, so each
-    /// register reads all-ones — into one walker whose members are
-    /// theirs, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `walkers` is empty.
-    pub fn group<M>(walkers: impl IntoIterator<Item = GlobalWalk<M>>) -> Self
-    where
-        M: IntoIterator<Item = GlobalMember>,
-    {
-        let members: Vec<GlobalMember> = walkers.into_iter().flat_map(|w| w.members).collect();
-        let mask = members
-            .iter()
-            .map(|m| m.mask)
-            .max()
-            .expect("a group has members");
-        GlobalWalk {
-            members,
-            history: mask,
-            mask,
-        }
-    }
-}
-
-impl<M: AsMut<[GlobalMember]> + AsRef<[GlobalMember]>> Walker for GlobalWalk<M> {
-    fn members(&self) -> usize {
-        self.members.as_ref().len()
-    }
-
-    #[inline(always)]
-    fn step(&mut self, _word: u32, site: SiteId, taken: bool, bit: u32, guesses: &mut [u64]) {
-        let old = self.history;
-        self.history = (old << 1 | u16::from(taken)) & self.mask;
-        for (member, guesses) in self.members.as_mut().iter_mut().zip(guesses) {
-            let index = usize::from(old & member.mask) ^ member.terms[site as usize] as usize;
-            let table = &mut member.tables[member.sets[site as usize] as usize];
-            *guesses |= u64::from(table.predict(index)) << bit;
-            table.update(index, taken);
-        }
-    }
-
-    /// A run shifts only its own site's outcomes into the register, and
-    /// uses, per member, one pattern set and one address term.
-    fn run_bound(&self) -> usize {
-        run_bound(self.mask)
+    fn cycle(&mut self, site: SiteId, old: u16, _new: u16, taken: bool, _: &mut u16) -> bool {
+        let site = site as usize;
+        let index = usize::from(old & self.mask) ^ self.terms[site] as usize;
+        let table = &mut self.tables[self.sets[site] as usize];
+        let guess = table.predict(index);
+        table.update(index, taken);
+        guess
     }
 }
 

@@ -3,11 +3,10 @@
 
 use tlat_check::{check, gen, prop_assert_eq, Gen};
 use tlat_core::{
-    Ahrt, AnyHrt, Automaton, AutomatonKind, GlobalWalk, Gshare, GshareConfig, HistoryRegister,
-    HistoryTable, HrtConfig, Ihrt, LeeSmithBtb, LeeSmithConfig, LeeSmithWalk, PatternTable,
-    PerAddressWalk, Predictor, Probe, SiteKeys, SiteResolver, SlotProbe, StaticTraining,
-    StaticTrainingConfig, StaticTrainingWalk, TwoLevelAdaptive, TwoLevelConfig, TwoLevelVariant,
-    TwoLevelWalk, VariantConfig, VariantWalk, Walker, A2,
+    Ahrt, AnyHrt, Automaton, AutomatonKind, Gshare, GshareConfig, HistoryRegister, HistoryTable,
+    HrtConfig, Ihrt, LeeSmithBtb, LeeSmithConfig, Member, PatternTable, Predictor, Probe, SiteKeys,
+    SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig, TwoLevelAdaptive,
+    TwoLevelConfig, TwoLevelVariant, VariantConfig, Walk, A2,
 };
 use tlat_trace::{BranchRecord, SiteId, Trace};
 
@@ -256,8 +255,8 @@ fn resident_entries_persist() {
 /// Steps `walker` and every member's `predictors` over the same events,
 /// each event's probe word beside it, and compares every member's guess
 /// with its own predictor's.
-fn assert_walker_guesses(
-    mut walker: impl Walker,
+fn assert_walker_guesses<M: Member, Ms: AsRef<[M]> + AsMut<[M]>>(
+    mut walker: Walk<M, Ms>,
     predictors: &mut [Box<dyn Predictor>],
     events: &[(SiteId, u32, bool)],
     words: &[u32],
@@ -276,8 +275,8 @@ fn assert_walker_guesses(
     Ok(())
 }
 
-/// Every predictor's walker, and every group of one kind's walkers
-/// joined into one, guesses event for event as each member's
+/// Every predictor's walk, and every group of one kind's walks joined
+/// into one, guesses event for event as each member's
 /// `predict_update` does, on every table organization, given each
 /// event's probe word as a compiled walk makes it: an interned site
 /// fills its ideal slot on first sight, a [`SlotProbe`] decides an
@@ -289,7 +288,7 @@ fn assert_walker_guesses(
 /// global register, Lee & Smith members under every automaton, and
 /// Static Training members with 1–16 history bits over presets trained
 /// on a second random stream. A group of one walks its predictor's own
-/// walker; a larger one joins them.
+/// walk; a larger one joins them.
 #[test]
 fn walkers_guess_as_predict_update() {
     let geometries = [
@@ -381,13 +380,7 @@ fn walkers_guess_as_predict_update() {
                         .collect();
                     let walkers = at.iter().map(|p| p.walker(slots)).collect();
                     let mut predictors = boxed(at);
-                    assert_group_guesses(
-                        walkers,
-                        TwoLevelWalk::group,
-                        &mut predictors,
-                        &events,
-                        &words,
-                    )
+                    assert_group_guesses(walkers, &mut predictors, &events, &words)
                 }
                 1 => {
                     let pas: Vec<TwoLevelVariant> = members
@@ -401,25 +394,15 @@ fn walkers_guess_as_predict_update() {
                             ))
                         })
                         .collect();
-                    let walkers = pas
-                        .iter()
-                        .map(|p| match p.walker(slots, &resolver) {
-                            VariantWalk::PerAddress(w) => w,
-                            VariantWalk::Global(_) => unreachable!("PAs has per-address history"),
-                        })
-                        .collect();
+                    let walkers = pas.iter().map(|p| p.walker(slots, &resolver)).collect();
                     let mut predictors = boxed(pas);
-                    assert_group_guesses(
-                        walkers,
-                        PerAddressWalk::group,
-                        &mut predictors,
-                        &events,
-                        &words,
-                    )
+                    assert_group_guesses(walkers, &mut predictors, &events, &words)
                 }
                 2 => {
                     // GAs and gshare members, alternating by their flags,
-                    // share one global register.
+                    // share one global register: a table of one slot,
+                    // which every event reads, as a gang walk's global
+                    // groups do.
                     let mut walkers = Vec::new();
                     let mut predictors: Vec<Box<dyn Predictor>> = Vec::new();
                     for &(kind, bits, flags, sets_log) in members {
@@ -429,12 +412,7 @@ fn walkers_guess_as_predict_update() {
                                 kind,
                                 sets(sets_log),
                             ));
-                            match p.walker(slots, &resolver) {
-                                VariantWalk::Global(w) => walkers.push(w),
-                                VariantWalk::PerAddress(_) => {
-                                    unreachable!("GAs has global history")
-                                }
-                            }
+                            walkers.push(p.walker(slots, &resolver));
                             predictors.push(Box::new(p));
                         } else {
                             let p = Gshare::new(GshareConfig {
@@ -445,13 +423,8 @@ fn walkers_guess_as_predict_update() {
                             predictors.push(Box::new(p));
                         }
                     }
-                    assert_group_guesses(
-                        walkers,
-                        GlobalWalk::group,
-                        &mut predictors,
-                        &events,
-                        &words,
-                    )
+                    let words = vec![0; events.len()];
+                    assert_group_guesses(walkers, &mut predictors, &events, &words)
                 }
                 3 => {
                     let ls: Vec<LeeSmithBtb> = members
@@ -460,13 +433,7 @@ fn walkers_guess_as_predict_update() {
                         .collect();
                     let walkers = ls.iter().map(|p| p.walker(slots)).collect();
                     let mut predictors = boxed(ls);
-                    assert_group_guesses(
-                        walkers,
-                        LeeSmithWalk::group,
-                        &mut predictors,
-                        &events,
-                        &words,
-                    )
+                    assert_group_guesses(walkers, &mut predictors, &events, &words)
                 }
                 _ => {
                     let st: Vec<StaticTraining> = members
@@ -482,8 +449,7 @@ fn walkers_guess_as_predict_update() {
                         .collect();
                     let walkers = st.iter().map(|p| p.walker(slots)).collect();
                     let mut predictors = boxed(st);
-                    let join = StaticTrainingWalk::group;
-                    assert_group_guesses(walkers, join, &mut predictors, &events, &words)
+                    assert_group_guesses(walkers, &mut predictors, &events, &words)
                 }
             }
         },
@@ -498,11 +464,10 @@ fn boxed<P: Predictor + 'static>(predictors: Vec<P>) -> Vec<Box<dyn Predictor>> 
     boxed.collect()
 }
 
-/// [`assert_walker_guesses`] on a lone predictor's own walker, or on
-/// several predictors' walkers joined by `join`.
-fn assert_group_guesses<W: Walker, G: Walker>(
-    mut walkers: Vec<W>,
-    join: impl FnOnce(Vec<W>) -> G,
+/// [`assert_walker_guesses`] on a lone predictor's own walk, or on
+/// several predictors' walks joined into one.
+fn assert_group_guesses<M: Member>(
+    mut walkers: Vec<Walk<M, [M; 1]>>,
     predictors: &mut [Box<dyn Predictor>],
     events: &[(SiteId, u32, bool)],
     words: &[u32],
@@ -512,6 +477,6 @@ fn assert_group_guesses<W: Walker, G: Walker>(
             let lone = walkers.pop().expect("one walker");
             assert_walker_guesses(lone, predictors, events, words)
         }
-        _ => assert_walker_guesses(join(walkers), predictors, events, words),
+        _ => assert_walker_guesses(Walk::group(walkers), predictors, events, words),
     }
 }

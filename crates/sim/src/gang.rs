@@ -30,19 +30,21 @@
 //!   with a table or a history register — a Two-Level lane, a Lee &
 //!   Smith (LS) or Static Training (ST) lane, a GAg/GAs/PAg/PAs lane or
 //!   gshare — walks the whole stream in a walk group (below; a lone lane
-//!   is a group of one), in one loop monomorphized over its walker and
-//!   slot source: the ideal table's slot is the site (a site's first
-//!   event fills it), a hashed table's is the site's slot, and an
-//!   associative table's comes from a [`SlotProbe`] the group probes
-//!   inline or from a shared engine's probe log. The group keeps lean
-//!   walk-local state in its [`Walker`] — one `u16` history register
-//!   per slot (or one global register), each Two-Level member's §3.2
-//!   cached bit per slot, each LS member's automaton per slot, and the
-//!   members' one-byte pattern tables or ST preset bits — which
-//!   tlat-core builds beside the predictors' own rules, so this module
-//!   keeps only the plan, the slot sources and the loop. Only the lanes'
-//!   counts and adopted table statistics are observable afterwards.
-//! * **Level-one groups** — lanes of one walker kind on one table (and,
+//!   is a group of one), in one loop monomorphized over its members'
+//!   kind and its slot source: the ideal table's slot is the site (a
+//!   site's first event fills it), a hashed table's is the site's slot,
+//!   an associative table's comes from a [`SlotProbe`] the group probes
+//!   inline or from a shared engine's probe log, and a global register
+//!   is a table of one slot. The group keeps lean walk-local state in
+//!   tlat-core's one level-one walker, a [`Walk`]: one `u16` history
+//!   register per slot, each member's state word beside it (a Two-Level
+//!   member's §3.2 cached bit, an LS member's automaton), and each
+//!   member's one-byte pattern tables or ST preset bits. Each predictor
+//!   kind supplies its [`Member`] beside its own rules, so this module
+//!   keeps only the plan, the slot sources and the loop. Only the
+//!   lanes' counts and adopted table statistics are observable
+//!   afterwards.
+//! * **Level-one groups** — lanes of one member kind on one table (and,
 //!   for Two-Level lanes, one replacement rule) read the same level
 //!   one: every register starts all-ones and shifts the newest outcome
 //!   into bit 0, so a k-bit register is the low k bits of a wider one.
@@ -51,11 +53,11 @@
 //!   level two, each reading its own low bits. Members never read each
 //!   other's level two, so their order within an event is as
 //!   unobservable as lane order. A lone lane walks its predictor's own
-//!   walker, whose one member sits inline.
+//!   walk, whose one member sits inline.
 //! * **Run collapsing** — a run of one site's events with one outcome
 //!   stops changing a group's state once its register reads the
 //!   outcome throughout and every automaton it indexes has converged
-//!   ([`Walker::run_bound`] events in, the largest member's bound), so
+//!   ([`Walk::run_bound`] events in, the largest member's bound), so
 //!   the walk credits the rest of each such run the stream indexes
 //!   ([`CompiledTrace::long_runs`]) without stepping it. An ST lane's
 //!   preset bits may oppose a run, so an ST group steps every event.
@@ -87,10 +89,11 @@
 //!
 //! A compiled walk is decided before it runs: `plan` turns the lanes
 //! into a `WalkPlan` value — each lane's path, the walk groups and the
-//! shared engines — and one executor runs any such plan. Results are bit-identical to driving
-//! [`crate::simulate_with`] once per predictor, and to the reference
-//! record walk [`gang_simulate_records`], under every plan: each lane
-//! observes exactly the same predict/update sequence it would alone.
+//! shared engines — and one executor runs any such plan. Results are
+//! bit-identical to driving [`crate::simulate_with`] once per
+//! predictor, and to the reference record walk
+//! [`gang_simulate_records`], under every plan: each lane observes
+//! exactly the same predict/update sequence it would alone.
 
 use crate::config::{self, SchemeConfig};
 use crate::engine::SimOptions;
@@ -98,10 +101,9 @@ use crate::metrics::{self, Counter, Phase};
 use crate::pool::{catch_cell, CellPanic};
 use crate::stats::{PredictionStats, SimResult};
 use tlat_core::{
-    GlobalWalk, Gshare, HrtConfig, HrtStats, LeeSmithBtb, LeeSmithWalk, PerAddressWalk, Predictor,
-    Probe, ProfilePredictor, SiteKeys, SiteResolver, SlotProbe, StaticTraining,
-    StaticTrainingConfig, StaticTrainingWalk, Tournament, TwoLevelAdaptive, TwoLevelVariant,
-    TwoLevelWalk, VariantWalk, Walker,
+    Gshare, HrtConfig, HrtStats, LeeSmithBtb, Member, Predictor, Probe, ProfilePredictor, SiteKeys,
+    SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig, Tournament, TwoLevelAdaptive,
+    TwoLevelVariant, Walk,
 };
 use tlat_trace::{
     BranchClass, BranchRecord, CompiledTrace, RasEvent, ReturnAddressStack, SiteId, Trace,
@@ -266,23 +268,21 @@ impl GangLane {
         }
     }
 
-    /// What level one of a scalar lane reads: its walker kind, with its
+    /// What level one of a scalar lane reads: its member kind, with its
     /// table geometry where it has one and, for a Two-Level lane, whether
     /// a replacement re-initializes the slot. Lanes that read the same
-    /// level one walk as one group, stepping one register per slot (or
-    /// one global register). A tournament walking its own components,
-    /// and a lane walked in closed form or on records, joins no group.
+    /// level one walk as one group, stepping one register per slot (a
+    /// global register is a table of one slot). A tournament walking its
+    /// own components, and a lane walked in closed form or on records,
+    /// joins no group.
     fn level_one(&self) -> Option<LevelOne> {
         match self {
             GangLane::TwoLevel(p) => Some(LevelOne::TwoLevel {
                 hrt: p.config().hrt,
                 reinit: p.config().reinit_on_replace,
             }),
-            GangLane::Variant(p) => Some(match p.hrt_config() {
-                Some(hrt) => LevelOne::PerAddress(hrt),
-                None => LevelOne::Global,
-            }),
-            GangLane::Gshare(_) => Some(LevelOne::Global),
+            GangLane::Variant(p) => Some(LevelOne::Pattern(p.hrt_config())),
+            GangLane::Gshare(_) => Some(LevelOne::Pattern(None)),
             GangLane::StaticTraining(p) => Some(LevelOne::StaticTraining(p.config().hrt)),
             GangLane::LeeSmith(p) => Some(LevelOne::LeeSmith(p.config().hrt)),
             GangLane::Tournament(_)
@@ -307,15 +307,15 @@ impl GangLane {
 }
 
 /// What a scalar lane's level one reads (see [`GangLane::level_one`]):
-/// the kind of walker, which sets how a register steps, and the table.
+/// the kind of member, which sets the walk's slot layout and how a
+/// slot re-initializes, and the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LevelOne {
     /// Two-Level lanes: a register and a §3.2 cached bit per slot.
     TwoLevel { hrt: HrtConfig, reinit: bool },
-    /// PAg and PAs lanes: a register per slot.
-    PerAddress(HrtConfig),
-    /// GAg, GAs and gshare lanes: one global register.
-    Global,
+    /// PAg and PAs lanes: a register per slot of their table; GAg, GAs
+    /// and gshare lanes (no table): one global register.
+    Pattern(Option<HrtConfig>),
     /// Static Training lanes: a register per slot.
     StaticTraining(HrtConfig),
     /// Lee & Smith lanes: no register, only the slot.
@@ -341,9 +341,9 @@ enum LanePath {
     Dyn,
 }
 
-/// Scalar lanes that walk the stream together: one walker steps one
-/// register per slot (or one global register) per event for all of
-/// them, then each member's level two.
+/// Scalar lanes that walk the stream together: one walk steps one
+/// register per slot per event for all of them, then each member's
+/// level two.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct WalkGroup {
     /// Its lanes, in lane order; all of one [`LevelOne`].
@@ -617,7 +617,8 @@ impl Slots for LoggedSlots<'_> {
     }
 }
 
-/// No per-address table: a global-history group's one register.
+/// No per-address table: a global-history group's one register, a
+/// table of one slot.
 struct NoSlots;
 
 impl Slots for NoSlots {
@@ -631,14 +632,14 @@ impl Slots for NoSlots {
     }
 }
 
-/// Walks one walk group over the whole stream, in one loop per walker
-/// type and slot source, appending each member's guesses to its entry of
+/// Walks one walk group over the whole stream, in one loop per member
+/// kind and slot source, appending each member's guesses to its entry of
 /// `records` where that holds a vector (a derived lane reads them): one
 /// bit per event, 64 to a word, as the stream's outcome words pack
 /// them. Returns each member's correct count and what the table
 /// counted.
-fn walk<W: Walker, S: Slots>(
-    walker: &mut W,
+fn walk<M: Member, Ms: AsRef<[M]> + AsMut<[M]>, S: Slots>(
+    walker: &mut Walk<M, Ms>,
     mut slots: S,
     compiled: &CompiledTrace,
     records: &mut [Option<Vec<u64>>],
@@ -691,7 +692,7 @@ pub(crate) fn without_collapsing<R>(walks: impl FnOnce() -> R) -> R {
 /// by a popcount into its entry of `correct`, and handed to `record`
 /// with the other members'.
 ///
-/// Once a group has stepped [`Walker::run_bound`] events of a long
+/// Once a group has stepped [`Walk::run_bound`] events of a long
 /// same-site, same-outcome run — its largest member's bound — every
 /// member sits at a fixed point that guesses the run and that the run's
 /// later events leave unchanged. So the loop credits each such run's
@@ -700,8 +701,8 @@ pub(crate) fn without_collapsing<R>(walks: impl FnOnce() -> R) -> R {
 /// holds no credited event takes the plain loop. Returns the number of
 /// credited events.
 #[inline(always)]
-fn walk_words<W: Walker, S: Slots>(
-    walker: &mut W,
+fn walk_words<M: Member, Ms: AsRef<[M]> + AsMut<[M]>, S: Slots>(
+    walker: &mut Walk<M, Ms>,
     slots: &mut S,
     compiled: &CompiledTrace,
     correct: &mut [u64],
@@ -761,8 +762,8 @@ fn walk_words<W: Walker, S: Slots>(
 /// at `sites`, ORing each member's guess bits into its entry of
 /// `guesses`.
 #[inline(always)]
-fn step_bits<W: Walker, S: Slots>(
-    walker: &mut W,
+fn step_bits<M: Member, Ms: AsRef<[M]> + AsMut<[M]>, S: Slots>(
+    walker: &mut Walk<M, Ms>,
     slots: &mut S,
     sites: &[SiteId],
     taken: u64,
@@ -775,8 +776,8 @@ fn step_bits<W: Walker, S: Slots>(
 }
 
 /// Walks `walker` over `hrt`'s slots as `driver` finds them.
-fn walk_table<W: Walker>(
-    walker: &mut W,
+fn walk_table<M: Member, Ms: AsRef<[M]> + AsMut<[M]>>(
+    walker: &mut Walk<M, Ms>,
     hrt: HrtConfig,
     driver: SlotDriver,
     logs: &[ProbeLog],
@@ -805,13 +806,13 @@ fn walk_table<W: Walker>(
     }
 }
 
-/// Each of `members`' lanes' own walker — a group of one, its member
+/// Each of `members`' lanes' own walk — a group of one, its member
 /// inline — as `walker` builds it from a lane of the group's kind.
-fn lone_walkers<W>(
+fn lone_walkers<M>(
     lanes: &[GangLane],
     members: &[usize],
-    walker: impl Fn(&GangLane) -> Option<W>,
-) -> Vec<W> {
+    walker: impl Fn(&GangLane) -> Option<Walk<M, [M; 1]>>,
+) -> Vec<Walk<M, [M; 1]>> {
     let lone = |&i: &usize| walker(&lanes[i]).expect("a walk group's lanes share one kind");
     members.iter().map(lone).collect()
 }
@@ -828,23 +829,23 @@ struct GroupWalk<'a> {
 }
 
 impl GroupWalk<'_> {
-    /// Walks the group whose lanes' own walkers are `lone`: a lone lane
-    /// its own walker, two or more their walkers joined by `group`.
-    fn join<L: Walker, G: Walker>(
-        self,
-        mut lone: Vec<L>,
-        group: impl FnOnce(Vec<L>) -> G,
-    ) -> (Vec<u64>, HrtStats) {
+    /// Walks the group whose lanes' own walks are `lone`: a lone lane
+    /// its own walk, its member inline, two or more their walks joined
+    /// into one.
+    fn join<M: Member>(self, mut lone: Vec<Walk<M, [M; 1]>>) -> (Vec<u64>, HrtStats) {
         if lone.len() == 1 {
-            let mut walker = lone.pop().expect("a lone lane's walker");
+            let mut walker = lone.pop().expect("a lone lane's walk");
             self.walk(&mut walker)
         } else {
-            self.walk(&mut group(lone))
+            self.walk(&mut Walk::group(lone))
         }
     }
 
     /// Walks `walker` over the group's table's slots, or over no table.
-    fn walk<W: Walker>(self, walker: &mut W) -> (Vec<u64>, HrtStats) {
+    fn walk<M: Member, Ms: AsRef<[M]> + AsMut<[M]>>(
+        self,
+        walker: &mut Walk<M, Ms>,
+    ) -> (Vec<u64>, HrtStats) {
         let (compiled, records) = (self.compiled, self.records);
         match self.table {
             Some((hrt, driver)) => walk_table(
@@ -889,46 +890,30 @@ fn walk_group(
     };
     let (correct, probe_stats) = match lead.level_one() {
         Some(LevelOne::TwoLevel { .. }) => {
-            let lone = lone_walkers(lanes, members, |lane| match lane {
+            walk_of.join(lone_walkers(lanes, members, |lane| match lane {
                 GangLane::TwoLevel(p) => Some(p.walker(slots)),
                 _ => None,
-            });
-            walk_of.join(lone, TwoLevelWalk::group)
+            }))
         }
-        Some(LevelOne::PerAddress(_)) => {
+        Some(LevelOne::Pattern(_)) => {
             let lone = lone_walkers(lanes, members, |lane| match lane {
-                GangLane::Variant(p) => match p.walker(slots, walk_of.resolver) {
-                    VariantWalk::PerAddress(walker) => Some(walker),
-                    VariantWalk::Global(_) => None,
-                },
-                _ => None,
-            });
-            walk_of.join(lone, PerAddressWalk::group)
-        }
-        Some(LevelOne::Global) => {
-            let lone = lone_walkers(lanes, members, |lane| match lane {
-                GangLane::Variant(p) => match p.walker(slots, walk_of.resolver) {
-                    VariantWalk::Global(walker) => Some(walker),
-                    VariantWalk::PerAddress(_) => None,
-                },
+                GangLane::Variant(p) => Some(p.walker(slots, walk_of.resolver)),
                 GangLane::Gshare(p) => Some(p.walker(walk_of.resolver)),
                 _ => None,
             });
-            walk_of.join(lone, GlobalWalk::group)
+            walk_of.join(lone)
         }
         Some(LevelOne::StaticTraining(_)) => {
-            let lone = lone_walkers(lanes, members, |lane| match lane {
+            walk_of.join(lone_walkers(lanes, members, |lane| match lane {
                 GangLane::StaticTraining(p) => Some(p.walker(slots)),
                 _ => None,
-            });
-            walk_of.join(lone, StaticTrainingWalk::group)
+            }))
         }
         Some(LevelOne::LeeSmith(_)) => {
-            let lone = lone_walkers(lanes, members, |lane| match lane {
+            walk_of.join(lone_walkers(lanes, members, |lane| match lane {
                 GangLane::LeeSmith(p) => Some(p.walker(slots)),
                 _ => None,
-            });
-            walk_of.join(lone, LeeSmithWalk::group)
+            }))
         }
         // No fresh twins: the tournament's own components walk apart,
         // recording their guesses, and its chooser steps over them.
@@ -980,11 +965,12 @@ fn walk_group(
 }
 
 /// A derived tournament's correct count, from its twins' recorded
-/// guesses (one bit per event, 64 to a word) and correct counts. Where the twins agree the chooser stays
-/// put and the tournament guesses what they guess; at each disagreement
-/// exactly one twin is right, so the agreeing events both got right
-/// number (first correct + second correct − disagreements) / 2. The
-/// chooser then steps at the disagreements alone, in event order.
+/// guesses (one bit per event, 64 to a word) and correct counts. Where
+/// the twins agree the chooser stays put and the tournament guesses
+/// what they guess; at each disagreement exactly one twin is right, so
+/// the agreeing events both got right number (first correct + second
+/// correct − disagreements) / 2. The chooser then steps at the
+/// disagreements alone, in event order.
 fn derived_correct(
     tournament: &mut Tournament<TwoLevelAdaptive, Gshare>,
     [(first, first_correct), (second, second_correct)]: [(&[u64], u64); 2],
@@ -1016,9 +1002,9 @@ fn derived_correct(
 ///
 /// Every shared engine first probes the stream once into its log. Then
 /// each walk group walks the whole stream on its own, in a loop of its
-/// own, monomorphized over its walker type and slot source, with its
-/// state in lean walk-local vectors and registers: one register per
-/// slot (or one global register) stepped once per event, then each
+/// own, monomorphized over its member kind and slot source, with its
+/// state in one lean walk-local vector: one register per slot (a global
+/// register is a table of one slot) stepped once per event, then each
 /// member's level two. Lanes never interact, so this group-major order
 /// is observably identical to any event-major one. Derived tournaments
 /// finish last, from their twins' guesses.
@@ -1144,20 +1130,21 @@ fn execute(
 /// stack whose stats are replicated into every result (RAS behaviour is
 /// predictor-independent). Monomorphized lanes are fed from `compiled`
 /// alone — each walk group of scalar lanes walking the stream over the
-/// slot source the walk's plan picks for it, and closed-form scores. `dyn_source` supplies the raw
-/// record stream for [`GangLane::Dyn`] lanes, which
-/// [`GangLane::from_config`] never builds: the sweep path passes
-/// `None`, so a TLA3 cache entry decodes straight into `compiled` and
-/// the records are never materialized.
-/// Results are bit-identical to [`gang_simulate_records`], which is
-/// pinned by tests and kept as the reference walk.
+/// slot source the walk's plan picks for it, and closed-form scores.
+/// `dyn_source` supplies the raw record stream for [`GangLane::Dyn`]
+/// lanes, which [`GangLane::from_config`] never builds: the sweep path
+/// passes `None`, so a TLA3 cache entry decodes straight into
+/// `compiled` and the records are never materialized. Results are
+/// bit-identical to [`gang_simulate_records`], which is pinned by tests
+/// and kept as the reference walk.
 ///
 /// Every lane must be fresh: as built, never yet stepped. Each walk
 /// starts from the lane's initial state (its probes from a fresh probe
 /// state), and a tournament beside twins of its components takes their
 /// guesses for its components' (see the module docs), which holds only
-/// when all of them start from the same state. Afterwards only a lane's counts and table statistics are
-/// meaningful: the walk kept its state apart.
+/// when all of them start from the same state. Afterwards only a lane's
+/// counts and table statistics are meaningful: the walk kept its state
+/// apart.
 ///
 /// # Panics
 ///

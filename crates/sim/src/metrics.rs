@@ -177,7 +177,7 @@ pub enum Counter {
     /// collapse. Engine-dependent: the record walk steps every event.
     EventsCollapsed,
     /// Lanes that walked as members of a walk group of two or more —
-    /// lanes of one walker kind on one table, stepping one history
+    /// lanes of one member kind on one table, stepping one history
     /// register per slot between them — summed over every gang walk.
     /// Engine-dependent: the record walk steps every lane alone.
     LanesGrouped,

@@ -39,6 +39,10 @@ cargo fmt --all -- --check
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
+# API docs: every intra-doc link must resolve, and no public item's
+# docs may link a private one.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 # The paper's claims at the default budget: tests/paper_shape.rs runs
 # at 60,000 branches per trace above, and once more here at the
 # program's default of 500,000.
@@ -132,20 +136,24 @@ done
 
 # Differential smoke at pinned seeds: the property that proves every
 # lane kind's walk, under forced plans, byte-identical to the record
-# walk must pass on reproducible case sets (the full suite also runs
-# above under a per-property derived seed; this pins two known-good
-# seeds so a generator change cannot silently shift coverage).
+# walk, and the one that checks each member of a level-one walk against
+# its own predictor event for event, must pass on reproducible case
+# sets (the full suite also runs above under a per-property derived
+# seed; this pins two known-good seeds so a generator change cannot
+# silently shift coverage).
 for seed in 20261018 20261019; do
     TLAT_PROP_SEED=$seed TLAT_PROP_CASES=128 \
         cargo test -q --offline -p tlat-sim --lib gang::tests::scalar_lane_walks_match_the_record_walk -- --exact
+    TLAT_PROP_SEED=$seed TLAT_PROP_CASES=128 \
+        cargo test -q --offline -p tlat-core --test prop walkers_guess_as_predict_update -- --exact
 done
 
 # Automaton discipline: inside crates/sim, no walk may fall back to
 # stepping a scalar two-bit automaton (that requires materializing an
 # AnyAutomaton; the sim crate legitimately handles only AutomatonKind
-# tags, and the walkers tlat-core builds step CodeTables codes).
+# tags, and the walks tlat-core builds step CodeTables codes).
 if grep -rn 'AnyAutomaton' crates/sim/src; then
-    echo "error: crates/sim materializes a scalar AnyAutomaton; walks must step through the walkers' CodeTables codes" >&2
+    echo "error: crates/sim materializes a scalar AnyAutomaton; walks must step through the walk members' CodeTables codes" >&2
     exit 1
 fi
 
