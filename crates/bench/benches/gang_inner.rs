@@ -1,5 +1,7 @@
 //! Gang inner-loop throughput: the compiled event-stream walk against
-//! the raw-record reference walk, over the same lanes and trace.
+//! the reference walk, over the same lanes and trace. The reference
+//! (every `*_record` line) drives each lane alone over the raw records
+//! through `simulate_with`'s predict-then-update cycle, lane by lane.
 //!
 //! This isolates the tentpole win of the stream compiler — site-interned
 //! SoA events plus per-site resolved table coordinates — from the sweep
@@ -38,8 +40,8 @@
 
 use tlat_bench::runner::Runner;
 use tlat_core::{AutomatonKind, HrtConfig, StaticTraining, StaticTrainingConfig, TrainingProfile};
-use tlat_sim::gang::{gang_simulate_compiled, gang_simulate_records, GangLane};
-use tlat_sim::{SchemeConfig, SimOptions};
+use tlat_sim::gang::{gang_simulate_compiled, GangLane};
+use tlat_sim::{simulate_with, SchemeConfig, SimOptions, SimResult};
 use tlat_trace::{BranchRecord, Trace};
 use tlat_workloads::SyntheticStream;
 
@@ -58,6 +60,13 @@ fn loop_heavy(branches: u64) -> Trace {
         visit += 1;
     }
     trace
+}
+
+/// The reference walk: each of `lanes` alone over `trace`'s records.
+fn simulate_each(lanes: &mut [GangLane], trace: &Trace) -> Vec<SimResult> {
+    (lanes.iter_mut())
+        .map(|lane| simulate_with(lane, trace, SimOptions::default()))
+        .collect()
 }
 
 fn main() {
@@ -89,7 +98,7 @@ fn main() {
     group.plan(1, 7);
     let records = group.throughput(events).bench("inner_record_walk", || {
         let mut lanes = lanes();
-        gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
+        simulate_each(&mut lanes, &trace).len()
     });
     let stream = tlat_trace::CompiledTrace::compile(&trace);
     group.plan(1, 7);
@@ -136,7 +145,7 @@ fn main() {
         .throughput(ls_st_events)
         .bench("inner_ls_st_record", || {
             let mut lanes = ls_st_lanes();
-            gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
+            simulate_each(&mut lanes, &trace).len()
         });
     group.plan(1, 7);
     let ls_st_walk = group
@@ -176,7 +185,7 @@ fn main() {
         .throughput(at_events)
         .bench("inner_at_grid_record", || {
             let mut lanes = at_lanes();
-            gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
+            simulate_each(&mut lanes, &trace).len()
         });
     group.plan(1, 7);
     let at_grid = group.throughput(at_events).bench("inner_at_grid_walk", || {
@@ -207,7 +216,7 @@ fn main() {
         .throughput(fig5_events)
         .bench("inner_fig5_record", || {
             let mut lanes = fig5_lanes();
-            gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
+            simulate_each(&mut lanes, &trace).len()
         });
     group.plan(1, 7);
     let fig5_walk = group.throughput(fig5_events).bench("inner_fig5_walk", || {
@@ -240,7 +249,7 @@ fn main() {
         .throughput(tax_events)
         .bench("inner_taxonomy_record", || {
             let mut lanes = tax_lanes();
-            gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
+            simulate_each(&mut lanes, &trace).len()
         });
     group.plan(1, 7);
     let tax_walk = group
@@ -275,7 +284,7 @@ fn main() {
         .throughput(fig6_events)
         .bench("inner_fig6_record", || {
             let mut lanes = fig6_lanes();
-            gang_simulate_records(&mut lanes, &trace, SimOptions::default()).len()
+            simulate_each(&mut lanes, &trace).len()
         });
     group.plan(1, 7);
     let fig6_walk = group.throughput(fig6_events).bench("inner_fig6_walk", || {
@@ -298,7 +307,7 @@ fn main() {
         .throughput(loop_events)
         .bench("inner_loop_heavy_record", || {
             let mut lanes = fig6_lanes();
-            gang_simulate_records(&mut lanes, &loops, SimOptions::default()).len()
+            simulate_each(&mut lanes, &loops).len()
         });
     group.plan(1, 7);
     let loop_walk = group

@@ -459,24 +459,11 @@ fn main() -> ExitCode {
                 eprintln!("index out of range; `tlat list` shows valid indices");
                 return ExitCode::FAILURE;
             };
-            let trace = harness.store().test(&workload);
-            let training = harness.store().train(&workload);
-            let training = if config.needs_training() {
-                if config.wants_diff_training() {
-                    match &training {
-                        Some(t) => Some(t.as_ref()),
-                        None => {
-                            eprintln!("{bench} has no Diff training set");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                } else {
-                    Some(trace.as_ref())
-                }
-            } else {
-                None
+            let Some(mut predictor) = harness.predictor(config, &workload) else {
+                eprintln!("{bench} has no Diff training set");
+                return ExitCode::FAILURE;
             };
-            let mut predictor = config.build(training);
+            let trace = harness.store().test(&workload);
             println!("{} on {}:", config.label(), bench);
             println!(
                 "{}",
@@ -583,9 +570,11 @@ fn main() -> ExitCode {
                 eprintln!("index out of range; `tlat list` shows valid indices");
                 return ExitCode::FAILURE;
             };
+            let Some(mut predictor) = harness.predictor(config, &workload) else {
+                eprintln!("{bench} has no Diff training set");
+                return ExitCode::FAILURE;
+            };
             let trace = harness.store().test(&workload);
-            let training = config.needs_training().then(|| trace.as_ref());
-            let mut predictor = config.build(training);
             let window = (trace.conditional_len() / 20).max(1);
             let curve = tlat_sim::windowed_accuracy(predictor.as_mut(), &trace, window);
             println!(

@@ -135,16 +135,6 @@ impl Predictor for LeeSmithBtb {
         };
         *entry = entry.update(branch.taken);
     }
-
-    fn predict_update(&mut self, branch: &BranchRecord) -> bool {
-        // Fused cycle: one buffer search serves both phases; state and
-        // stats match predict-then-update exactly.
-        let kind = self.config.automaton;
-        let (entry, _) = self.table.get_or_allocate(branch.pc, || kind.init());
-        let guess = entry.predict();
-        *entry = entry.update(branch.taken);
-        guess
-    }
 }
 
 /// A [`LeeSmithBtb`] predictor's automaton, as a [`Walk`] member: its
@@ -171,8 +161,8 @@ impl Member for LeeSmithMember {
         u16::from(self.init)
     }
 
-    /// [`LeeSmithBtb`]'s fused cycle on the member's automaton in the
-    /// slot.
+    /// [`LeeSmithBtb`]'s predict-then-update cycle in one step, on the
+    /// member's automaton in the slot.
     #[inline(always)]
     fn cycle(&mut self, _: SiteId, _: u16, _: u16, taken: bool, code: &mut u16) -> bool {
         let guess = self.codes.predict(*code as u8);

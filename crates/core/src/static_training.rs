@@ -242,18 +242,6 @@ impl Predictor for StaticTraining {
         };
         hr.shift(branch.taken);
     }
-
-    fn predict_update(&mut self, branch: &BranchRecord) -> bool {
-        // Fused cycle: one HRT search serves both phases; state and
-        // stats match predict-then-update exactly.
-        let bits = self.config.history_bits;
-        let (hr, _) = self
-            .hrt
-            .get_or_allocate(branch.pc, || HistoryRegister::new(bits));
-        let pattern = hr.pattern();
-        hr.shift(branch.taken);
-        self.preset[pattern]
-    }
 }
 
 /// A [`StaticTraining`] predictor's preset bits, as a [`Walk`] member,
@@ -281,8 +269,8 @@ impl Member for StaticTrainingMember {
         usize::MAX
     }
 
-    /// [`StaticTraining`]'s fused cycle: the preset bit of the old
-    /// pattern.
+    /// [`StaticTraining`]'s predict-then-update cycle in one step: the
+    /// preset bit of the old pattern.
     #[inline(always)]
     fn cycle(&mut self, _: SiteId, old: u16, _: u16, _: bool, _: &mut u16) -> bool {
         self.preset[usize::from(old & self.mask)]

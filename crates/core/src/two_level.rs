@@ -254,31 +254,6 @@ impl Predictor for TwoLevelAdaptive {
             entry.prediction = prediction;
         }
     }
-
-    fn predict_update(&mut self, branch: &BranchRecord) -> bool {
-        // Fused cycle: predict + update repeat the same HRT search
-        // three times between them; here the entry is found once and
-        // held across the whole cycle. State and statistics end up
-        // exactly as the two-phase path leaves them (the single
-        // `get_or_allocate` is the one predict would have counted).
-        let taken = branch.taken;
-        let pattern_table = &self.pattern_table;
-        let bits = self.config.history_bits;
-        let (entry, _hit) = self
-            .hrt
-            .get_or_allocate(branch.pc, || Self::fresh_entry(pattern_table, bits));
-        let old_pattern = entry.history.pattern();
-        let guess = if self.config.cached_prediction {
-            entry.prediction
-        } else {
-            pattern_table.predict(old_pattern)
-        };
-        entry.history.shift(taken);
-        let new_pattern = entry.history.pattern();
-        self.pattern_table.update(old_pattern, taken);
-        entry.prediction = self.pattern_table.predict(new_pattern);
-        guess
-    }
 }
 
 /// A [`TwoLevelAdaptive`] predictor's level two, as a [`Walk`] member:
@@ -313,9 +288,10 @@ impl Member for TwoLevelMember {
         u16::from(self.table.predict(usize::from(register & self.mask)))
     }
 
-    /// [`TwoLevelAdaptive`]'s fused cycle: the guess is the cached bit
-    /// (or, for a two-lookup member, its table's), the old pattern
-    /// trains, and the bit caches the new pattern's guess.
+    /// [`TwoLevelAdaptive`]'s predict-then-update cycle in one step: the
+    /// guess is the cached bit (or, for a two-lookup member, its
+    /// table's), the old pattern trains, and the bit caches the new
+    /// pattern's guess.
     #[inline(always)]
     fn cycle(&mut self, _site: SiteId, old: u16, new: u16, taken: bool, cached: &mut u16) -> bool {
         let pattern = usize::from(old & self.mask);

@@ -5,10 +5,10 @@
 //! `Scheme(History(Size, Entry_Content), Pattern(Size, Entry_Content), Data)`,
 //! and [`table2`] reproduces the paper's full configuration list.
 
+use crate::gang::GangLane;
 use tlat_core::{
-    AlwaysNotTaken, AlwaysTaken, AutomatonKind, Btfn, HrtConfig, LeeSmithBtb, LeeSmithConfig,
-    Predictor, ProfilePredictor, StaticTraining, StaticTrainingConfig, TwoLevelAdaptive,
-    TwoLevelConfig, TwoLevelVariant, VariantConfig,
+    AutomatonKind, HrtConfig, LeeSmithConfig, Predictor, StaticTrainingConfig, TwoLevelAdaptive,
+    TwoLevelConfig, VariantConfig,
 };
 use tlat_core::{Gshare, GshareConfig, Tournament};
 use tlat_trace::Trace;
@@ -140,42 +140,15 @@ impl SchemeConfig {
         )
     }
 
-    /// Builds the predictor.
+    /// Builds the predictor: the scheme's [`GangLane`], as
+    /// [`GangLane::from_config`] builds it.
     ///
     /// # Panics
     ///
     /// Panics if the scheme [`needs_training`](Self::needs_training) and
     /// `training` is `None`, or on invalid table geometry.
     pub fn build(&self, training: Option<&Trace>) -> Box<dyn Predictor> {
-        match self {
-            SchemeConfig::TwoLevel(c) => Box::new(TwoLevelAdaptive::new(*c)),
-            SchemeConfig::StaticTraining {
-                history_bits,
-                hrt,
-                data,
-            } => {
-                let trace = training.expect("Static Training requires a training trace");
-                Box::new(StaticTraining::train(
-                    StaticTrainingConfig {
-                        history_bits: *history_bits,
-                        hrt: *hrt,
-                        data: data.label().to_owned(),
-                    },
-                    trace,
-                ))
-            }
-            SchemeConfig::LeeSmith(c) => Box::new(LeeSmithBtb::new(*c)),
-            SchemeConfig::Variant(c) => Box::new(TwoLevelVariant::new(*c)),
-            SchemeConfig::Gshare(c) => Box::new(Gshare::new(*c)),
-            SchemeConfig::Tournament { chooser_entries } => Box::new(tournament(*chooser_entries)),
-            SchemeConfig::Profile => {
-                let trace = training.expect("profiling requires a training trace");
-                Box::new(ProfilePredictor::train(trace))
-            }
-            SchemeConfig::AlwaysTaken => Box::new(AlwaysTaken),
-            SchemeConfig::AlwaysNotTaken => Box::new(AlwaysNotTaken),
-            SchemeConfig::Btfn => Box::new(Btfn),
-        }
+        Box::new(GangLane::from_config(self, training))
     }
 
     /// Convenience constructor for an `AT` configuration.

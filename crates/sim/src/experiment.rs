@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tlat_core::{
-    AutomatonKind, HrtConfig, ProfilePredictor, StaticTraining, StaticTrainingConfig,
+    AutomatonKind, HrtConfig, Predictor, ProfilePredictor, StaticTraining, StaticTrainingConfig,
     TrainingProfile,
 };
 use tlat_trace::{geometric_mean, BranchClass, CompiledTrace, InstClass, Trace};
@@ -188,22 +188,30 @@ impl Harness {
         })
     }
 
-    /// Simulates one configuration on one workload. Returns `None` when
-    /// the configuration wants Diff training and the workload has no
-    /// training data set (the paper's Table 3 exclusions).
-    pub fn run_one(&self, config: &SchemeConfig, workload: &Workload) -> Option<SimResult> {
-        let test = self.store.test(workload);
-        let training: Option<Arc<Trace>> = if config.needs_training() {
-            if config.wants_diff_training() {
-                Some(self.store.train(workload)?)
-            } else {
-                Some(Arc::clone(&test))
-            }
+    /// Builds `config`'s predictor for `workload`, trained as the paper
+    /// trains it: a Diff-trained scheme on the workload's Table 3
+    /// training set, every other trained scheme on its test trace.
+    /// Returns `None` when the configuration wants Diff training and the
+    /// workload has no training data set (the paper's Table 3
+    /// exclusions).
+    pub fn predictor(
+        &self,
+        config: &SchemeConfig,
+        workload: &Workload,
+    ) -> Option<Box<dyn Predictor>> {
+        let training = if config.wants_diff_training() {
+            Some(self.store.train(workload)?)
         } else {
-            None
+            config.needs_training().then(|| self.store.test(workload))
         };
-        let mut predictor = config.build(training.as_deref());
-        Some(simulate(predictor.as_mut(), &test))
+        Some(config.build(training.as_deref()))
+    }
+
+    /// Simulates one configuration on one workload. Returns `None` where
+    /// [`predictor`](Self::predictor) does.
+    pub fn run_one(&self, config: &SchemeConfig, workload: &Workload) -> Option<SimResult> {
+        let mut predictor = self.predictor(config, workload)?;
+        Some(simulate(predictor.as_mut(), &self.store.test(workload)))
     }
 
     /// Column headings shared by every accuracy report: the nine
@@ -746,7 +754,9 @@ impl Harness {
     }
 
     /// Extension: CPI under a pipeline cost model, per scheme (the
-    /// paper's motivation made quantitative).
+    /// paper's motivation made quantitative). Every accuracy comes from
+    /// one [`accuracy_table`](Self::accuracy_table) over the five
+    /// schemes; a failed cell stays failed.
     pub fn performance_table(&self, model: crate::cost::PipelineModel) -> Report {
         let configs = vec![
             SchemeConfig::at(HrtConfig::ahrt(512), 12, AutomatonKind::A2),
@@ -755,33 +765,32 @@ impl Harness {
             SchemeConfig::Profile,
             SchemeConfig::AlwaysTaken,
         ];
+        let title = format!(
+            "Extension: cycles per instruction (base CPI {}, {}-cycle flush)",
+            model.base_cpi, model.flush_penalty
+        );
+        let accuracies = self.accuracy_table(&title, &configs);
         let traces = self.test_traces();
         let mut report = Report::new_raw(
-            format!(
-                "Extension: cycles per instruction (base CPI {}, {}-cycle flush)",
-                model.base_cpi, model.flush_penalty
-            ),
+            title,
             self.workloads.iter().map(|w| w.name.to_owned()).collect(),
         );
-        for config in &configs {
-            let mut row = Vec::with_capacity(self.workloads.len());
-            for (w, trace) in self.workloads.iter().zip(&traces) {
-                let cell = self.run_one(config, w).map(|result| {
-                    let stats = trace.stats();
-                    let cond_fraction = if trace.dynamic_instructions() == 0 {
-                        0.0
-                    } else {
-                        stats.dynamic_conditional_branches as f64
-                            / trace.dynamic_instructions() as f64
-                    };
-                    // Raw-format reports print integers; scale CPI by
-                    // 100 so two decimals survive (documented in the
-                    // note below).
-                    model.cpi(cond_fraction, result.conditional.miss_rate()) * 100.0
-                });
-                row.push(cell);
-            }
-            report.push_row(config.label(), row);
+        for (config, row) in configs.iter().zip(&accuracies.rows) {
+            let cells = traces.iter().zip(&row.values).map(|(trace, cell)| {
+                let Cell::Value(accuracy) = cell else {
+                    return cell.clone();
+                };
+                let stats = trace.stats();
+                let cond_fraction = if trace.dynamic_instructions() == 0 {
+                    0.0
+                } else {
+                    stats.dynamic_conditional_branches as f64 / trace.dynamic_instructions() as f64
+                };
+                // Raw-format reports print integers; scale CPI by 100 so
+                // two decimals survive (documented in the note below).
+                Cell::Value(model.cpi(cond_fraction, 1.0 - accuracy) * 100.0)
+            });
+            report.push_cells(config.label(), cells.collect());
         }
         report.push_note("values are CPI × 100 (e.g. 126 = 1.26 cycles/instruction)".to_owned());
         report

@@ -89,11 +89,11 @@
 //!
 //! A compiled walk is decided before it runs: `plan` turns the lanes
 //! into a `WalkPlan` value — each lane's path, the walk groups and the
-//! shared engines — and one executor runs any such plan. Results are
-//! bit-identical to driving [`crate::simulate_with`] once per
-//! predictor, and to the reference record walk
-//! [`gang_simulate_records`], under every plan: each lane observes
-//! exactly the same predict/update sequence it would alone.
+//! shared engines — and one executor runs any such plan. Under every
+//! plan, results are bit-identical to driving each lane, itself a
+//! [`Predictor`], alone through [`crate::simulate_with`], the one
+//! reference walk: each lane observes exactly the same predict/update
+//! sequence it would alone.
 
 use crate::config::{self, SchemeConfig};
 use crate::engine::SimOptions;
@@ -101,9 +101,9 @@ use crate::metrics::{self, Counter, Phase};
 use crate::pool::{catch_cell, CellPanic};
 use crate::stats::{PredictionStats, SimResult};
 use tlat_core::{
-    Gshare, HrtConfig, HrtStats, LeeSmithBtb, Member, Predictor, Probe, ProfilePredictor, SiteKeys,
-    SiteResolver, SlotProbe, StaticTraining, StaticTrainingConfig, Tournament, TwoLevelAdaptive,
-    TwoLevelVariant, Walk,
+    AlwaysNotTaken, AlwaysTaken, Btfn, Gshare, HrtConfig, HrtStats, LeeSmithBtb, Member, Predictor,
+    Probe, ProfilePredictor, SiteKeys, SiteResolver, SlotProbe, StaticTraining,
+    StaticTrainingConfig, Tournament, TwoLevelAdaptive, TwoLevelVariant, Walk,
 };
 use tlat_trace::{
     BranchClass, BranchRecord, CompiledTrace, RasEvent, ReturnAddressStack, SiteId, Trace,
@@ -150,14 +150,6 @@ pub enum FixedRule {
 }
 
 impl FixedRule {
-    fn guess(self, branch: &BranchRecord) -> bool {
-        match self {
-            FixedRule::AlwaysTaken => true,
-            FixedRule::AlwaysNotTaken => false,
-            FixedRule::Btfn => branch.is_backward(),
-        }
-    }
-
     /// The rule's correct guesses over the whole stream, from its
     /// tallies: no per-event work at all.
     fn correct(self, compiled: &CompiledTrace) -> u64 {
@@ -218,39 +210,6 @@ impl GangLane {
         }
     }
 
-    /// The predictor's configuration string.
-    pub fn name(&self) -> String {
-        match self {
-            GangLane::TwoLevel(p) => p.name(),
-            GangLane::LeeSmith(p) => p.name(),
-            GangLane::StaticTraining(p) => p.name(),
-            GangLane::Variant(p) => p.name(),
-            GangLane::Gshare(p) => p.name(),
-            GangLane::Tournament(p) => p.name(),
-            GangLane::Profile(p) => p.name(),
-            GangLane::Fixed(rule) => format!("{rule:?}"),
-            GangLane::Dyn(p) => p.name(),
-        }
-    }
-
-    /// One fused predict → resolve → train cycle (see
-    /// [`Predictor::predict_update`]); the per-branch call of the
-    /// record walk.
-    #[inline]
-    fn predict_update(&mut self, branch: &BranchRecord) -> bool {
-        match self {
-            GangLane::TwoLevel(p) => p.predict_update(branch),
-            GangLane::LeeSmith(p) => p.predict_update(branch),
-            GangLane::StaticTraining(p) => p.predict_update(branch),
-            GangLane::Variant(p) => p.predict_update(branch),
-            GangLane::Gshare(p) => p.predict_update(branch),
-            GangLane::Tournament(p) => p.predict_update(branch),
-            GangLane::Profile(p) => p.predict_update(branch),
-            GangLane::Fixed(rule) => rule.guess(branch),
-            GangLane::Dyn(p) => p.predict_update(branch),
-        }
-    }
-
     /// The per-address history table the lane probes once per event,
     /// if any (a tournament's is its Two-Level component's). Lanes
     /// sharing an associative organization share one [`SlotProbe`]'s
@@ -302,6 +261,60 @@ impl GangLane {
             GangLane::Variant(p) => p.adopt_probe_stats(stats),
             GangLane::Tournament(p) => p.adopt_probe_stats(stats),
             _ => unreachable!("only table lanes probe"),
+        }
+    }
+}
+
+/// A lane is its scheme's predictor, one branch at a time, as the
+/// reference walk ([`crate::simulate_with`]) and [`SchemeConfig::build`]
+/// drive it. A fixed rule guesses through tlat-core's predictor of that
+/// rule, so its closed-form score is checked against a rule written
+/// apart from it.
+impl Predictor for GangLane {
+    fn name(&self) -> String {
+        match self {
+            GangLane::TwoLevel(p) => p.name(),
+            GangLane::LeeSmith(p) => p.name(),
+            GangLane::StaticTraining(p) => p.name(),
+            GangLane::Variant(p) => p.name(),
+            GangLane::Gshare(p) => p.name(),
+            GangLane::Tournament(p) => p.name(),
+            GangLane::Profile(p) => p.name(),
+            GangLane::Fixed(FixedRule::AlwaysTaken) => AlwaysTaken.name(),
+            GangLane::Fixed(FixedRule::AlwaysNotTaken) => AlwaysNotTaken.name(),
+            GangLane::Fixed(FixedRule::Btfn) => Btfn.name(),
+            GangLane::Dyn(p) => p.name(),
+        }
+    }
+
+    fn predict(&mut self, branch: &BranchRecord) -> bool {
+        match self {
+            GangLane::TwoLevel(p) => p.predict(branch),
+            GangLane::LeeSmith(p) => p.predict(branch),
+            GangLane::StaticTraining(p) => p.predict(branch),
+            GangLane::Variant(p) => p.predict(branch),
+            GangLane::Gshare(p) => p.predict(branch),
+            GangLane::Tournament(p) => p.predict(branch),
+            GangLane::Profile(p) => p.predict(branch),
+            GangLane::Fixed(FixedRule::AlwaysTaken) => AlwaysTaken.predict(branch),
+            GangLane::Fixed(FixedRule::AlwaysNotTaken) => AlwaysNotTaken.predict(branch),
+            GangLane::Fixed(FixedRule::Btfn) => Btfn.predict(branch),
+            GangLane::Dyn(p) => p.predict(branch),
+        }
+    }
+
+    fn update(&mut self, branch: &BranchRecord) {
+        match self {
+            GangLane::TwoLevel(p) => p.update(branch),
+            GangLane::LeeSmith(p) => p.update(branch),
+            GangLane::StaticTraining(p) => p.update(branch),
+            GangLane::Variant(p) => p.update(branch),
+            GangLane::Gshare(p) => p.update(branch),
+            GangLane::Tournament(p) => p.update(branch),
+            GangLane::Profile(p) => p.update(branch),
+            // A fixed rule learns nothing.
+            GangLane::Fixed(_) => {}
+            GangLane::Dyn(p) => p.update(branch),
         }
     }
 }
@@ -1135,8 +1148,8 @@ fn execute(
 /// lanes, which [`GangLane::from_config`] never builds: the sweep path
 /// passes `None`, so a TLA3 cache entry decodes straight into
 /// `compiled` and the records are never materialized. Results are
-/// bit-identical to [`gang_simulate_records`], which is pinned by tests
-/// and kept as the reference walk.
+/// bit-identical to walking each lane alone through
+/// [`crate::simulate_with`], the reference walk tests pin this one to.
 ///
 /// Every lane must be fresh: as built, never yet stepped. Each walk
 /// starts from the lane's initial state (its probes from a fresh probe
@@ -1159,44 +1172,6 @@ pub fn gang_simulate_compiled(
     metrics::bump(Counter::TraceWalks);
     let _span = metrics::span(Phase::GangWalk);
     execute(lanes, &plan(lanes), compiled, dyn_source, options)
-}
-
-/// The reference gang walk: every lane — monomorphized or dyn — is fed
-/// straight from the raw [`BranchRecord`] stream, with no compile
-/// step. [`gang_simulate_compiled`] must stay bit-identical to this
-/// function under every walk plan (pinned by tests); the `gang_inner`
-/// micro-benchmark measures the two walks against each other.
-pub fn gang_simulate_records(
-    lanes: &mut [GangLane],
-    trace: &Trace,
-    options: SimOptions,
-) -> Vec<SimResult> {
-    metrics::bump(Counter::TraceWalks);
-    let _span = metrics::span(Phase::GangWalk);
-    let mut stats = vec![PredictionStats::default(); lanes.len()];
-    let mut ras = ReturnAddressStack::new(options.ras_entries.max(1));
-    for branch in trace.iter() {
-        match branch.class {
-            BranchClass::Conditional => {
-                for (lane, stat) in lanes.iter_mut().zip(stats.iter_mut()) {
-                    let guess = lane.predict_update(branch);
-                    stat.record(guess == branch.taken);
-                }
-            }
-            BranchClass::Return => {
-                ras.predict_and_verify(branch.target);
-            }
-            _ => {}
-        }
-        if branch.call {
-            ras.push(branch.fall_through());
-        }
-    }
-    let ras = ras.stats();
-    stats
-        .into_iter()
-        .map(|conditional| SimResult { conditional, ras })
-        .collect()
 }
 
 /// The outcome of one lane of an isolated gang walk.
@@ -1307,6 +1282,14 @@ pub(crate) mod tests {
             .collect()
     }
 
+    /// The reference walk: each of `lanes` driven alone over `trace`
+    /// through the engine's predict-then-update cycle.
+    fn simulate_each(lanes: &mut [GangLane], trace: &Trace, options: SimOptions) -> Vec<SimResult> {
+        (lanes.iter_mut())
+            .map(|lane| simulate_with(lane, trace, options))
+            .collect()
+    }
+
     /// The compiled walk over `trace`'s stream, as the harness runs it.
     fn walk(lanes: &mut [GangLane], trace: &Trace, options: SimOptions) -> Vec<SimResult> {
         gang_simulate_compiled(lanes, &CompiledTrace::compile(trace), Some(trace), options)
@@ -1341,7 +1324,7 @@ pub(crate) mod tests {
         results: &[SimResult],
     ) {
         let mut record_lanes = lanes_for(configs, trace);
-        let records = gang_simulate_records(&mut record_lanes, trace, options);
+        let records = simulate_each(&mut record_lanes, trace, options);
         assert_eq!(results.len(), records.len(), "{what}");
         for (i, config) in configs.iter().enumerate() {
             let label = config.label();
@@ -1472,7 +1455,7 @@ pub(crate) mod tests {
         assert!(lanes[0].name().starts_with("AT("));
         assert!(format!("{:?}", lanes[1]).contains("LS("));
         assert!(lanes[2].name().starts_with("ST("));
-        assert_eq!(lanes[3].name(), "Btfn");
+        assert_eq!(lanes[3].name(), "BTFN");
         assert_eq!(lanes[4].name(), "Profile");
     }
 
@@ -1512,7 +1495,6 @@ pub(crate) mod tests {
         let trace = SyntheticStream::mixed(1, 4).generate(100);
         let compiled = CompiledTrace::compile(&trace);
         assert!(gang_simulate_compiled(&mut [], &compiled, None, SimOptions::default()).is_empty());
-        assert!(gang_simulate_records(&mut [], &trace, SimOptions::default()).is_empty());
     }
 
     /// A predictor that panics after `fuse` conditional branches —
@@ -1536,7 +1518,7 @@ pub(crate) mod tests {
 
     fn solo_reference(config: &SchemeConfig, trace: &Trace) -> SimResult {
         let mut lanes = lanes_for(std::slice::from_ref(config), trace);
-        gang_simulate_records(&mut lanes, trace, SimOptions::default())
+        simulate_each(&mut lanes, trace, SimOptions::default())
             .pop()
             .unwrap()
     }
@@ -1834,7 +1816,7 @@ pub(crate) mod tests {
             let options = SimOptions::default();
             let results = gang_simulate_compiled(&mut walked, &compiled, None, options);
             let mut reference = lane();
-            let records = gang_simulate_records(&mut reference, &test, options);
+            let records = simulate_each(&mut reference, &test, options);
             assert_eq!(results[0].conditional, records[0].conditional, "{hrt}");
             assert_eq!(results[0].ras, records[0].ras, "{hrt}");
             assert_eq!(table_stats(&walked[0]), table_stats(&reference[0]), "{hrt}");
@@ -2813,7 +2795,7 @@ pub(crate) mod tests {
                 };
                 let options = SimOptions::default();
                 let mut reference = build();
-                let records = gang_simulate_records(&mut reference, &trace, options);
+                let records = simulate_each(&mut reference, &trace, options);
                 let want = lane_reports(&records, &reference);
                 let compiled = CompiledTrace::compile(&trace);
                 let lanes = build();

@@ -91,9 +91,7 @@ pub use error::SimError;
 pub use experiment::{sweep_spec, sweep_specs, Harness, SweepSpec};
 pub use faults::Faults;
 pub use fetch::{simulate_fetch, FetchOptions, FetchResult};
-pub use gang::{
-    gang_simulate_compiled, gang_simulate_isolated_compiled, gang_simulate_records, GangLane,
-};
+pub use gang::{gang_simulate_compiled, gang_simulate_isolated_compiled, GangLane};
 pub use journal::SweepJournal;
 pub use pool::{run_isolated, threads_from_env, CellPanic};
 pub use report::{Cell, Report, ReportRow};
